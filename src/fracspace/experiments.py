@@ -155,15 +155,21 @@ def run_lemma41(config: RunConfig):
 # ---- reiteration (Corollary 4.2)
 
 
-def reiteration_check(model, theta, probes, rule_sqrt):
+def reiteration_check(model, theta, probes, rule_sqrt, sqrt_model, pencil):
     """Cells for one theta: the coefficient identity
     frac_norm((1+theta)/2, u) = frac_norm(theta/2, A^(1/2) u), the
     derived-model interpolation identity, and the weighted-pair identity
-    targeting the exponent (1+theta)/2."""
+    targeting the exponent (1+theta)/2.
+
+    sqrt_model carries the eigenvalues lam^(1/2) of model; pencil is
+    congruence(pair) of the weighted pair (diag lam, diag lam^2). Neither
+    depends on theta, so the caller builds them once. The weighted-pair
+    norm takes its eigenvalues from the pencil's eigensolve, not from
+    model, so it stays an independent route to the exponent (1+theta)/2."""
     cells = []
-    lam = model.eigenvalues
-    sqrt_model = build_spectral_model(np.sqrt(lam), model.basis, model.ambient_gram)
-    pair = build_quadratic_pair(np.diag(lam), np.diag(lam * lam))
+    lam_eff, _, transform = pencil
+    # in congruence coordinates the pair is (identity, diag lam_eff^2)
+    pencil_model = build_spectral_model(lam_eff, np.eye(lam_eff.size))
     const = i_theta(theta)
     for p, coeffs in enumerate(probes):
         u = CoeffVector(np.asarray(coeffs, dtype=np.float64), model)
@@ -198,7 +204,8 @@ def reiteration_check(model, theta, probes, rule_sqrt):
                 "pass": bool(abs(ratio - 1.0) <= 1e-3),
             }
         )
-        num = interp_norm(pair, theta, coeffs, rule_sqrt) ** 2
+        c = transform @ np.asarray(coeffs, dtype=np.float64)
+        num = interp_norm(pencil_model, theta, c, rule_sqrt) ** 2
         den = const * frac_norm(model, (1.0 + theta) / 2.0, u) ** 2
         ratio = num / den
         cells.append(
@@ -220,11 +227,18 @@ def run_reiteration(config: RunConfig):
     n = _size(config, 0, 256)
     thetas = _thetas(config, (0.25, 0.5, 0.75))
     model = laplacian_1d_analytic(n)
+    lam = model.eigenvalues
     probes = decaying_probes(model.dim, 20, config.seed)
-    rule_sqrt = _rule(config, np.sqrt(model.eigenvalues))
+    rule_sqrt = _rule(config, np.sqrt(lam))
+    # sqrt_model first: validating it is the run's memory peak, which the
+    # pencil's arrays would otherwise raise
+    sqrt_model = build_spectral_model(np.sqrt(lam), model.basis, model.ambient_gram)
+    pencil = congruence(build_quadratic_pair(np.diag(lam), np.diag(lam * lam)))
     cells = []
     for theta in thetas:
-        cells.extend(reiteration_check(model, float(theta), probes, rule_sqrt))
+        cells.extend(
+            reiteration_check(model, float(theta), probes, rule_sqrt, sqrt_model, pencil)
+        )
     # endpoint consistency: at theta = 1 the exponent chain lands on D(A)
     for p, coeffs in enumerate(probes):
         u = CoeffVector(np.asarray(coeffs, dtype=np.float64), model)

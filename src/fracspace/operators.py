@@ -1,7 +1,8 @@
 """Concrete desk-scale operators on the unit interval and unit square.
 
 Provides the 1D Dirichlet Laplacian with its analytic spectrum (sampled
-sine eigenfunctions under a trapezoid mass Gram), finite-difference
+sine eigenfunctions, orthonormal under the trapezoid mass Gram by
+discrete sine orthogonality), finite-difference
 Dirichlet Laplacians in 1D/2D, discrete Sobolev Gram forms on the full
 node set (boundary included), and a staggered-grid Stokes system: vector
 Laplacian, discrete divergence, an orthonormal basis of its null space,
@@ -27,7 +28,7 @@ from .errors import (
     InvalidConfig,
     SingularSystem,
 )
-from .spectral import SpectralModel, build_spectral_model, gram_schmidt
+from .spectral import SpectralModel, build_spectral_model
 
 MAX_N_1D = 2048
 MAX_N_2D = 32
@@ -70,11 +71,13 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 def laplacian_1d_analytic(n_modes: int, n_grid: int | None = None) -> SpectralModel:
     """Analytic 1D Dirichlet spectrum: lam_k = (k pi)^2, sqrt(2) sin(k pi x).
 
-    Eigenfunctions are sampled on n_grid interior points under the
-    trapezoid mass Gram (h * identity for zero-boundary samples) and
-    re-orthonormalized by a modified Gram-Schmidt pass. With the default
-    grid the sampled sines are orthonormal to rounding already (discrete
-    sine orthogonality), so the pass only polishes.
+    Eigenfunctions are sampled on n_grid interior points x_i = i h,
+    h = 1/(n_grid + 1), under the trapezoid mass Gram (h * identity for
+    zero-boundary samples). For k, l <= n_grid the samples are exactly
+    orthonormal in that Gram by discrete sine (DST-I) orthogonality,
+    2 h sum_i sin(k pi x_i) sin(l pi x_i) = delta_kl, so the sampled
+    columns are used as they are; build_spectral_model checks the Gram
+    deviation against ORTHO_TOL, which guards rounding.
     """
     if n_modes < 1:
         raise InvalidConfig(f"need at least one mode, got {n_modes}")
@@ -88,9 +91,7 @@ def laplacian_1d_analytic(n_modes: int, n_grid: int | None = None) -> SpectralMo
     x = h * np.arange(1, n_grid + 1)
     k = np.arange(1, n_modes + 1)
     basis = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
-    gram = h * np.eye(n_grid)
-    basis = gram_schmidt(basis, gram)
-    return build_spectral_model((k * np.pi) ** 2, basis, gram)
+    return build_spectral_model((k * np.pi) ** 2, basis, h * np.eye(n_grid))
 
 
 def _second_difference_1d(n: int, h: float) -> np.ndarray:

@@ -41,6 +41,16 @@ class RunConfig:
     format: str = "both"
 
 
+def _finite_real(value) -> bool:
+    """True for an int or float (not bool) that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def make_run_config(doc: dict, registry: dict) -> RunConfig:
     """Validate a plain config dict against the experiment registry."""
     unknown = set(doc) - {
@@ -79,12 +89,17 @@ def make_run_config(doc: dict, registry: dict) -> RunConfig:
             raise InvalidConfig(
                 f"quadrature keys must be a subset of {_QUAD_KEYS}, got {quad!r}"
             )
+        for key, value in quad.items():
+            if not _finite_real(value):
+                raise InvalidConfig(
+                    f"quadrature {key} must be a finite real number, got {value!r}"
+                )
         if "tol" in quad and not quad["tol"] > 0:
             raise InvalidConfig("quadrature tol must be positive")
         if "max_panels" in quad and (
-            not isinstance(quad["max_panels"], int) or quad["max_panels"] < 1
+            not isinstance(quad["max_panels"], int) or quad["max_panels"] < 2
         ):
-            raise InvalidConfig("quadrature max_panels must be a positive integer")
+            raise InvalidConfig("quadrature max_panels must be an integer >= 2")
         if (
             "log_t_min" in quad
             and "log_t_max" in quad

@@ -120,27 +120,6 @@ def build_spectral_model(eigenvalues, basis, ambient_gram=None) -> SpectralModel
     return SpectralModel(lam, B, G)
 
 
-def gram_schmidt(basis, gram=None) -> np.ndarray:
-    """Two-pass modified Gram-Schmidt in the given ambient Gram form.
-
-    Used to polish grid-sampled eigenfunction columns, which are
-    orthonormal only up to quadrature error. Orientation of each column
-    is preserved (the diagonal normalizer is positive).
-    """
-    Q = np.array(basis, dtype=np.float64)
-    m, k = Q.shape
-    for j in range(k):
-        v = Q[:, j]
-        for _ in range(2):  # second pass controls cancellation
-            for i in range(j):
-                v = v - (Q[:, i] @ _gram_apply(gram, v)) * Q[:, i]
-        nrm = math.sqrt(v @ _gram_apply(gram, v))
-        if nrm <= 0.0:
-            raise NotOrthonormal(f"column {j} is numerically dependent")
-        Q[:, j] = v / nrm
-    return Q
-
-
 def _coeffs(model: SpectralModel, u) -> np.ndarray:
     if isinstance(u, CoeffVector):
         if u.model.dim != model.dim:

@@ -7,9 +7,16 @@ from fracspace import (
     EXPERIMENTS,
     AmbiguousClassification,
     InvalidConfig,
+    QuadratureRule,
     RunConfig,
+    build_quadratic_pair,
+    build_spectral_model,
+    congruence,
     criticality_scan,
     decaying_probes,
+    frac_norm,
+    i_theta,
+    interp_norm,
     report_to_json,
     weight_test,
 )
@@ -19,6 +26,7 @@ from fracspace.experiments import (
     coeffs_constant_one,
     coeffs_sin_pi,
     halft1_check,
+    reiteration_check,
     run_halft1,
     run_intersection,
     run_lemma41,
@@ -154,6 +162,26 @@ def test_run_lemma41_small_and_deterministic():
     assert rep1.passed
     assert report_to_json(rep1) == report_to_json(rep2)
     assert rep1.summary["n_cells"] == 2 * 20
+
+
+def test_reiteration_weighted_pair_matches_pair_route(sine_model):
+    # the hoisted pencil solve gives exactly what interp_norm(pair, ...) gives
+    lam = sine_model.eigenvalues
+    sqrt_model = build_spectral_model(
+        np.sqrt(lam), sine_model.basis, sine_model.ambient_gram
+    )
+    pair = build_quadratic_pair(np.diag(lam), np.diag(lam * lam))
+    pencil = congruence(pair)
+    rule = QuadratureRule.for_spectrum(np.sqrt(lam))
+    probes = decaying_probes(sine_model.dim, 3, 7)
+    for theta in (0.25, 0.75):
+        cells = reiteration_check(sine_model, theta, probes, rule, sqrt_model, pencil)
+        ratios = [c["ratio"] for c in cells if c["check"] == "weighted-pair-ratio"]
+        assert len(ratios) == len(probes)
+        for p, u in enumerate(probes):
+            num = interp_norm(pair, theta, u, rule) ** 2
+            den = i_theta(theta) * frac_norm(sine_model, (1.0 + theta) / 2.0, u) ** 2
+            assert ratios[p] == num / den
 
 
 def test_run_intersection_small():

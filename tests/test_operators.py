@@ -41,6 +41,19 @@ def test_analytic_1d_eigendata():
     np.testing.assert_allclose(m.basis.T @ G @ m.basis, np.eye(8), atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "n_modes, n_grid",
+    [(2048, 2048), (256, None), (100, 2048)],
+)
+def test_analytic_1d_sampled_sines_orthonormal(n_modes, n_grid):
+    # discrete sine orthogonality: the raw samples need no orthonormalisation
+    # pass, with n_grid == n_modes the tightest case
+    m = laplacian_1d_analytic(n_modes, n_grid)
+    assert m.ambient_dim == (n_grid if n_grid is not None else 2 * n_modes + 1)
+    dev = np.max(np.abs(m.basis.T @ m.ambient_gram @ m.basis - np.eye(n_modes)))
+    assert dev <= 1e-12
+
+
 def test_fd_1d_small_spectrum():
     # n = 3, h = 1/4: second-difference eigenvalues 16(2 - sqrt(2)), 32,
     # 16(2 + sqrt(2))

@@ -40,10 +40,17 @@ def test_make_run_config_validates():
         make_run_config({"experiment": "lemma41", "thetas": [1.0]}, EXPERIMENTS)
     with pytest.raises(InvalidConfig):
         make_run_config({"experiment": "lemma41", "format": "xml"}, EXPERIMENTS)
-    with pytest.raises(InvalidConfig):
-        make_run_config(
-            {"experiment": "lemma41", "quadrature": {"panels": 3}}, EXPERIMENTS
-        )
+    for quad in (
+        {"panels": 3},
+        {"log_t_min": "abc"},
+        {"tol": "x"},
+        {"tol": True},
+        {"log_t_max": float("nan")},
+        {"log_t_min": -(10**400)},
+        {"max_panels": 1},
+    ):
+        with pytest.raises(InvalidConfig):
+            make_run_config({"experiment": "lemma41", "quadrature": quad}, EXPERIMENTS)
 
 
 def test_config_hash_scope():
@@ -133,6 +140,16 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert main(["lemma41", "--config", str(bad)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidConfig"
+
+
+@pytest.mark.parametrize("quad", [{"log_t_min": "abc"}, {"tol": "x"}])
+def test_cli_malformed_quadrature_exits_2(tmp_path, capsys, quad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sizes": [24], "quadrature": quad}))
+    assert main(["lemma41", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
 
 
 def test_cli_runs_and_writes(tmp_path, capsys):

@@ -344,6 +344,10 @@ def _interp_norm_sq_spectral(lam, coeffs, theta, rule) -> float:
         tau = np.linspace(a, b, panels + 1)
         integrand = np.exp(-2.0 * theta * tau) * k2_batch(lam, c2, np.exp(tau))
         total = _simpson(integrand, (b - a) / panels) + tail
+        if not math.isfinite(total):
+            raise QuadratureNotConverged(
+                f"non-finite integrand: total {total} at {panels} panels"
+            )
         if prev is not None and abs(total - prev) <= rule.refinement_tol * max(
             total, _TINY
         ):

@@ -106,6 +106,11 @@ def make_run_config(doc: dict, registry: dict) -> RunConfig:
             and not quad["log_t_min"] < quad["log_t_max"]
         ):
             raise InvalidConfig("quadrature needs log_t_min < log_t_max")
+    output_dir = doc.get("output_dir", ".")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise InvalidConfig(
+            f"output_dir must be a non-empty string, got {output_dir!r}"
+        )
     fmt = doc.get("format", "both")
     if fmt not in _FORMATS:
         raise InvalidConfig(f"format must be one of {_FORMATS}, got {fmt!r}")
@@ -115,7 +120,7 @@ def make_run_config(doc: dict, registry: dict) -> RunConfig:
         thetas=thetas,
         seed=seed,
         quadrature=quad,
-        output_dir=doc.get("output_dir", "."),
+        output_dir=output_dir,
         format=fmt,
     )
 

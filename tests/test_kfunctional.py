@@ -192,6 +192,26 @@ def test_quadrature_not_converged():
         interp_norm(m, 0.5, np.array([1.0]), rule)
 
 
+def test_quadrature_fails_at_first_non_finite_pass(monkeypatch):
+    import fracspace.kfunctional as kf
+
+    real_k2_batch = kf.k2_batch
+    calls = []
+
+    def counting_k2_batch(*args):
+        calls.append(1)
+        return real_k2_batch(*args)
+
+    monkeypatch.setattr(kf, "k2_batch", counting_k2_batch)
+    m = build_spectral_model(np.array([1.0]), np.eye(1))
+    rule = QuadratureRule(-5.0, 1e308)  # e^tau overflows: the integrand is NaN
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        QuadratureNotConverged, match="non-finite integrand.* at 64 panels"
+    ):
+        interp_norm(m, 0.5, np.array([1.0]), rule)
+    assert len(calls) == 1  # no panel doubling after the first NaN total
+
+
 def test_interp_norm_identity(small_model):
     rng = np.random.default_rng(8)
     c = rng.standard_normal(6)

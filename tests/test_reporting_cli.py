@@ -51,6 +51,9 @@ def test_make_run_config_validates():
     ):
         with pytest.raises(InvalidConfig):
             make_run_config({"experiment": "lemma41", "quadrature": quad}, EXPERIMENTS)
+    for out in (5, "", None, ["x"]):
+        with pytest.raises(InvalidConfig):
+            make_run_config({"experiment": "lemma41", "output_dir": out}, EXPERIMENTS)
 
 
 def test_config_hash_scope():
@@ -150,6 +153,17 @@ def test_cli_malformed_quadrature_exits_2(tmp_path, capsys, quad):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "InvalidConfig"
+
+
+def test_cli_non_string_output_dir_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": 5}))
+    assert main(["higher-power", "--size", "8", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_cli_runs_and_writes(tmp_path, capsys):

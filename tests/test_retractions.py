@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import linalg
 
 from fracspace import (
     DimensionMismatch,
     InvalidConfig,
     QuadratureRule,
     RetractionIdentityViolated,
+    SolverFailure,
     build_quadratic_pair,
     build_stokes,
     gram_operator_norm,
@@ -19,6 +23,8 @@ from fracspace import (
     verify_intersection_lemma,
     zero_boundary_basis,
 )
+from fracspace import retractions
+from fracspace.experiments import _harmonic_setup, _stokes_setup
 from fracspace.retractions import _build_retraction
 
 
@@ -47,6 +53,14 @@ def test_build_retraction_rejects_broken_identity():
     Z = np.eye(3)[:, :1]
     T = np.zeros((3, 3))
     with pytest.raises(RetractionIdentityViolated):
+        _build_retraction(T, Z, 1.0, 1.0)
+
+
+def test_identity_check_bounds_the_residual_by_frobenius():
+    # residual 0.8e-10 I: its 2-norm passes 1e-10, its Frobenius norm does not
+    Z = np.eye(4)
+    T = (1.0 + 0.8e-10) * np.eye(4)
+    with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
         _build_retraction(T, Z, 1.0, 1.0)
 
 
@@ -151,3 +165,54 @@ def test_verify_intersection_rejects_subspace_pair():
         verify_intersection_lemma(
             pair, Z, ret, (0.5,), [Z[:, 0]], QuadratureRule(-8.0, 8.0)
         )
+
+
+def _pointwise_by_cholesky(pair, Z, T, probes, rule, t_points):
+    """Worst pointwise ratio per (t, probe) from per-probe Cholesky solves."""
+    M1, M2 = pair.m1, pair.m2
+    M1r, M2r = Z.T @ M1 @ Z, Z.T @ M2 @ Z
+    C = max(T.h_bound, T.d_bound)
+
+    def split(F1, F2, t2, u):
+        g = linalg.solve(F1 + t2 * F2, F1 @ u, assume_a="pos")
+        f = u - g
+        return f, g, f @ F1 @ f + t2 * (g @ F2 @ g)
+
+    out = []
+    for tau in np.linspace(rule.log_t_min, rule.log_t_max, t_points):
+        t = math.exp(tau)
+        for u in probes:
+            f, g, k2 = split(M1, M2, t * t, u)
+            _, _, k02 = split(M1r, M2r, t * t, Z.T @ u)
+            tf, tg = T.map @ f, T.map @ g
+            mid = tf @ M1 @ tf + t * t * (tg @ M2 @ tg)
+            worst = max(math.sqrt(k2 / k02), k02 / mid, mid / (2 * C * C * k2))
+            out.append((t, worst))
+    return out
+
+
+@pytest.mark.parametrize("setup, n", [(_harmonic_setup, 6), (_stokes_setup, 4)])
+def test_pointwise_cells_match_cholesky_minimizers(setup, n):
+    pair, Z, T, probes, rule = setup(n, 42, None)
+    assert len(probes) == 25
+    rep = verify_intersection_lemma(pair, Z, T, (0.5,), probes, rule, t_points=17)
+    cells = [c for c in rep.cells if c["check"] == "pointwise"]
+    oracle = _pointwise_by_cholesky(pair, Z, T, probes, rule, 17)
+    assert len(cells) == len(oracle) == 17 * 25
+    for cell, (t, ratio) in zip(cells, oracle):
+        assert cell["t"] == t
+        assert cell["ratio"] == pytest.approx(ratio, rel=1e-10, abs=0.0)
+    assert rep.passed
+
+
+def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
+    real_congruence = retractions.congruence
+
+    def perturbed(pair):
+        lam, V, transform = real_congruence(pair)
+        return lam * (1.0 + 1e-6), V, transform
+
+    monkeypatch.setattr(retractions, "congruence", perturbed)
+    pair, Z, T, probes, rule = _harmonic_setup(6, 42, None)
+    with pytest.raises(SolverFailure, match="Cholesky"):
+        verify_intersection_lemma(pair, Z, T, (0.5,), probes, rule, t_points=17)

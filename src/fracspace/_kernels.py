@@ -1,12 +1,15 @@
-"""Reference kernel backend (pure NumPy).
+"""The K^2 kernel of a spectral pair, in NumPy.
 
-Same contract as the compiled backend in _fast.pyx; used when the
-extension is absent or FRACSPACE_PURE is set.
+One evaluation per quadrature node per refinement pass of the
+interpolation norm. BACKEND names the kernel in run records; there is
+only the NumPy one.
 """
 import numpy as np
 
-# cap the broadcast buffer at ~8M doubles so huge (t, mode) products
-# do not balloon memory
+BACKEND = "reference"
+
+# cap the broadcast buffer at ~8M doubles: max_panels has no upper bound,
+# so one call can see 2^20 + 1 nodes x 2048 modes (~16 GiB unchunked)
 _CHUNK = 8 * 1024 * 1024
 
 

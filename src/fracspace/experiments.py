@@ -33,7 +33,6 @@ from .operators import (
 )
 from .reporting import RunConfig, config_hash, make_report
 from .retractions import (
-    harmonic_lift,
     harmonic_retraction,
     stokes_retraction,
     subspace_probes,
@@ -107,10 +106,9 @@ def _rule(config: RunConfig, eigenvalues) -> QuadratureRule:
 # ---- interpolation identity sweep (Lemma 4.1)
 
 
-def lemma_fps_sweep(model, thetas, probes, rule, cells_into=None, grid_label=None):
+def lemma_fps_sweep(model, thetas, probes, rule):
     """ratio = interp_norm^2 / (i_theta * frac_norm^2) per (theta, probe)."""
-    cells = [] if cells_into is None else cells_into
-    label = grid_label if grid_label is not None else model.dim
+    cells = []
     for theta in thetas:
         const = i_theta(theta)
         for p, coeffs in enumerate(probes):
@@ -121,7 +119,7 @@ def lemma_fps_sweep(model, thetas, probes, rule, cells_into=None, grid_label=Non
             cells.append(
                 {
                     "lemma": "Lemma 4.1",
-                    "grid": label,
+                    "grid": model.dim,
                     "check": "identity-ratio",
                     "theta": float(theta),
                     "probe": p,
@@ -404,7 +402,6 @@ def run_criticality(config: RunConfig):
 
 @dataclass(frozen=True)
 class WeightFunctional:
-    rho: object  # the weight x -> x(1-x)
     value: float
     divergence_flag: bool
     values: tuple
@@ -457,7 +454,6 @@ def weight_test(u, k_min=8, k_max=20) -> WeightFunctional:
             ratios = last / np.maximum(prev, 1e-300)
             flag = bool(np.all(ratios > 0.9))
     return WeightFunctional(
-        rho=rho,
         value=float(total),
         divergence_flag=flag,
         values=tuple(float(v) for v in values),

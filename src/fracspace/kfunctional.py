@@ -6,7 +6,8 @@ For a pair of SPD Gram forms (M1, M2) defining norms (X, Y),
 
 attained at the y solving (M1 + t^2 M2) y = M1 u. For a spectral model
 (X = ambient, Y = operator graph norm) the same infimum has the closed
-form sum_j t^2 lam_j^2 c_j^2 / (1 + t^2 lam_j^2). The interpolation norm
+form sum_j t^2 lam_j^2 c_j^2 / (1 + t^2 lam_j^2), evaluated at a batch of
+t by the NumPy kernel `_kernels.k2_batch`. The interpolation norm
 is |u|_theta = ( int_0^inf t^(-2 theta) K(u,t)^2 dt/t )^(1/2), computed by
 composite Simpson in tau = ln t with panel doubling; the truncated tails
 are added back from the analytic envelopes K <= |u|_X and K <= t |u|_Y.

@@ -21,7 +21,6 @@ import numpy as np
 from scipy import linalg
 
 from .errors import (
-    DimensionMismatch,
     EigensolveFailure,
     EmptyNullspace,
     FactorizationFailure,
@@ -134,7 +133,6 @@ class SobolevGrams:
     g0: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    boundary_values_included: bool = True
 
 
 def _node_count(domain: GridDomain) -> int:
@@ -227,7 +225,7 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
             linalg.cholesky(M, lower=True)
         except linalg.LinAlgError as exc:
             raise SingularSystem(f"{name} failed the SPD check") from exc
-    return SobolevGrams(g0=g0, g1=g1, g2=g2, boundary_values_included=True)
+    return SobolevGrams(g0=g0, g1=g1, g2=g2)
 
 
 @dataclass(frozen=True)
@@ -342,30 +340,3 @@ def stokes_ambient_model(sys: StokesSystem) -> SpectralModel:
     except linalg.LinAlgError as exc:
         raise EigensolveFailure("vector Laplacian eigendecomposition failed") from exc
     return build_spectral_model(lam, _fix_signs(V))
-
-
-# ---- matrix export
-
-
-def export_matrix_csv(matrix, path: str) -> None:
-    """Dense row-major CSV, repr-formatted floats."""
-    M = np.asarray(matrix, dtype=np.float64)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {M.shape}")
-    with open(path, "w", newline="") as fh:
-        for row in M:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\r\n")
-
-
-def export_matrix_json(matrix, path: str) -> None:
-    """JSON document {"shape": [r, c], "data": [[row], ...]}."""
-    import json
-
-    M = np.asarray(matrix, dtype=np.float64)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {M.shape}")
-    doc = {"shape": list(M.shape), "data": M.tolist()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")

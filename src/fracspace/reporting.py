@@ -27,6 +27,10 @@ _HASHED_KEYS = ("experiment", "sizes", "thetas", "seed", "quadrature")
 
 _QUAD_KEYS = ("log_t_min", "log_t_max", "tol", "max_panels")
 
+# |ln t| bound of the quadrature window: e^(2 |ln t|) and the tail
+# envelopes e^((2 - 2 theta) ln t) stay far below the float range
+_LOG_T_BOUND = 300.0
+
 _FORMATS = ("csv", "json", "both")
 
 
@@ -93,6 +97,12 @@ def make_run_config(doc: dict, registry: dict) -> RunConfig:
             if not _finite_real(value):
                 raise InvalidConfig(
                     f"quadrature {key} must be a finite real number, got {value!r}"
+                )
+        for key in ("log_t_min", "log_t_max"):
+            if key in quad and not abs(quad[key]) <= _LOG_T_BOUND:
+                raise InvalidConfig(
+                    f"quadrature {key} must lie in [-{_LOG_T_BOUND:g}, {_LOG_T_BOUND:g}],"
+                    f" got {quad[key]!r}"
                 )
         if "tol" in quad and not quad["tol"] > 0:
             raise InvalidConfig("quadrature tol must be positive")

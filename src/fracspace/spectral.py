@@ -62,20 +62,7 @@ class CoeffVector:
             )
 
 
-@dataclass(frozen=True)
-class FractionalExponent:
-    """A real exponent alpha; negative values address the dual scale."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise InvalidExponentOrder(f"exponent must be finite, got {self.alpha}")
-
-
 def _alpha(a) -> float:
-    if isinstance(a, FractionalExponent):
-        return a.alpha
     a = float(a)
     if not math.isfinite(a):
         raise InvalidExponentOrder(f"exponent must be finite, got {a}")

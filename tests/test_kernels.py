@@ -1,91 +1,26 @@
-import importlib.util
+import math
 import os
-import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fracspace import _kernels
 from fracspace._kernels import k2_batch
-from fracspace._kernels import _ref
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "fracspace"
-EXTENSION = "_fast" + sysconfig.get_config_var("EXT_SUFFIX")
 
 
-def _why_no_build():
-    """Why setup.py cannot compile the extension here, or None if it can."""
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        return "no C compiler on PATH"
-    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").is_file():
-        return "no Python.h"
-    return None
-
-
-NO_BUILD = _why_no_build()
-
-
-def _copy_package(dest):
-    """Copy the package sources, without any built extension, into dest."""
-    shutil.copytree(
-        PACKAGE, dest / "fracspace", ignore=shutil.ignore_patterns("__pycache__", "*.so")
+def _k2_loop(lam, c2, ts):
+    """The docstring formula, one (t, mode) term at a time."""
+    return np.array(
+        [
+            math.fsum(t * t * lj * lj * cj / (1.0 + t * t * lj * lj) for lj, cj in zip(lam, c2))
+            for t in ts
+        ]
     )
-
-
-def _import_fracspace(tree, **env):
-    """Import fracspace from tree in a fresh interpreter; print its BACKEND."""
-    env = {k: v for k, v in os.environ.items() if k != "FRACSPACE_PURE"} | env
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", "import fracspace; print(fracspace.BACKEND)"],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-
-
-def _backend(tree, **env):
-    proc = _import_fracspace(tree, **env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-@pytest.fixture(scope="session")
-def built_tree(tmp_path_factory):
-    """A package tree carrying the extension that setup.py built."""
-    if NO_BUILD:
-        pytest.skip(NO_BUILD)
-    tmp = tmp_path_factory.mktemp("build")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    built = tmp / "lib" / "fracspace" / "_kernels" / EXTENSION
-    assert proc.returncode == 0 and built.is_file(), proc.stderr
-    tree = tmp / "tree"
-    _copy_package(tree)
-    shutil.copy2(built, tree / "fracspace" / "_kernels")
-    return tree
-
-
-@pytest.fixture(scope="session")
-def compiled_k2(request):
-    """k2_batch of the built extension, or None where it cannot be built.
-
-    The suite imports fracspace from the source tree, whose k2_batch is
-    the reference kernel itself; this is the compiled one to compare.
-    """
-    if NO_BUILD:
-        return None
-    path = request.getfixturevalue("built_tree") / "fracspace" / "_kernels" / EXTENSION
-    spec = importlib.util.spec_from_file_location("fracspace._kernels._fast", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.k2_batch
 
 
 def _cases():
@@ -102,47 +37,20 @@ def _cases():
     yield lam, c2, ts
 
 
-def test_backend_is_compiled_by_default(built_tree):
-    # guard against silently shipping the fallback: the project's build
-    # yields the compiled kernel; FRACSPACE_PURE is the sanctioned way to
-    # choose the reference path
-    assert _backend(built_tree) == "compiled"
-    assert _backend(built_tree, FRACSPACE_PURE="1") == "reference"
-
-
-def test_absent_extension_selects_reference(tmp_path):
-    _copy_package(tmp_path)
-    assert _backend(tmp_path) == "reference"
-
-
-def test_unloadable_extension_is_an_import_error(tmp_path):
-    _copy_package(tmp_path)
-    (tmp_path / "fracspace" / "_kernels" / EXTENSION).write_bytes(b"not a shared object")
-    proc = _import_fracspace(tmp_path)
-    assert proc.returncode != 0
-    assert "ImportError" in proc.stderr
-
-
 @pytest.mark.parametrize("case", list(_cases()), ids=("single", "spread", "random"))
-def test_backends_agree(case, compiled_k2):
+def test_backends_agree(case):
+    # the kernel agrees with the formula evaluated term by term
     lam, c2, ts = case
-    a = k2_batch(lam, c2, ts)
-    b = _ref.k2_batch(lam, c2, ts)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
-    if compiled_k2 is not None:
-        np.testing.assert_allclose(compiled_k2(lam, c2, ts), b, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(k2_batch(lam, c2, ts), _k2_loop(lam, c2, ts), rtol=1e-13, atol=0.0)
 
 
-def test_accepts_read_only_inputs(compiled_k2):
+def test_accepts_read_only_inputs():
     lam = np.array([1.0, 2.0])
     c2 = np.array([1.0, 1.0])
     ts = np.array([0.5, 2.0])
     for arr in (lam, c2, ts):
         arr.setflags(write=False)
-    out = k2_batch(lam, c2, ts)
-    np.testing.assert_allclose(out, _ref.k2_batch(lam, c2, ts), rtol=1e-13)
-    if compiled_k2 is not None:
-        np.testing.assert_allclose(compiled_k2(lam, c2, ts), _ref.k2_batch(lam, c2, ts), rtol=1e-13)
+    np.testing.assert_allclose(k2_batch(lam, c2, ts), _k2_loop(lam, c2, ts), rtol=1e-13)
 
 
 def test_limits():
@@ -156,14 +64,14 @@ def test_limits():
 
 
 def test_reference_chunking_matches(monkeypatch):
-    monkeypatch.setattr(_ref, "_CHUNK", 64)
+    monkeypatch.setattr(_kernels, "_CHUNK", 64)
     rng = np.random.default_rng(1)
     lam = rng.uniform(0.5, 50.0, 37)
     c2 = rng.uniform(0.0, 1.0, 37)
     ts = np.geomspace(0.01, 100.0, 29)
-    chunked = _ref.k2_batch(lam, c2, ts)
-    monkeypatch.setattr(_ref, "_CHUNK", 8_000_000)
-    whole = _ref.k2_batch(lam, c2, ts)
+    chunked = k2_batch(lam, c2, ts)
+    monkeypatch.setattr(_kernels, "_CHUNK", 8_000_000)
+    whole = k2_batch(lam, c2, ts)
     np.testing.assert_allclose(chunked, whole, rtol=1e-14)
 
 
@@ -173,3 +81,34 @@ def test_monotone_in_t():
     ts = np.geomspace(1e-4, 1e4, 65)
     out = k2_batch(lam, c2, ts)
     assert np.all(np.diff(out) >= -1e-15)
+
+
+def test_pyproject_build_is_pure_python(tmp_path):
+    # pyproject.toml alone drives the build; egg-info goes to tmp_path
+    # so nothing is written under src/
+    lib = tmp_path / "lib"
+    build = subprocess.run(
+        [sys.executable, "-c", "import setuptools; setuptools.setup()",
+         "egg_info", "--egg-base", str(tmp_path), "build_py", "--build-lib", str(lib)],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    built = [p for p in lib.rglob("*") if p.is_file()]
+    assert built and all(p.suffix == ".py" for p in built), built
+
+    env = dict(os.environ, PYTHONPATH=str(lib))
+
+    def run(*code):
+        return subprocess.run(
+            [sys.executable, "-c", *code], cwd=tmp_path, env=env,
+            capture_output=True, text=True,
+        )
+
+    proc = run("import fracspace; print(fracspace.__file__); print(fracspace.BACKEND)")
+    assert proc.returncode == 0, proc.stderr
+    path, backend = proc.stdout.splitlines()
+    assert Path(path).parent == lib / "fracspace"
+    assert backend == "reference"
+    proc = run("import sys; from fracspace.cli import main; sys.exit(main())", "list")
+    assert proc.returncode == 0, proc.stderr
+    assert "lemma41" in proc.stdout

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from fracspace import (
     stokes_spectral_model,
     zero_boundary_basis,
 )
-from fracspace.operators import export_matrix_csv, export_matrix_json
 
 
 def test_grid_domain_validation():
@@ -157,16 +155,3 @@ def test_stokes_models(stokes_small):
     # constrained eigenvalues interlace above the ambient floor
     assert con.eigenvalues[0] >= amb.eigenvalues[0] * (1 - 1e-12)
 
-
-def test_matrix_exports(tmp_path):
-    M = np.array([[1.0, -0.5], [2.0, 1e-30]])
-    csv_path = tmp_path / "m.csv"
-    json_path = tmp_path / "m.json"
-    export_matrix_csv(M, csv_path)
-    export_matrix_json(M, json_path)
-    raw = csv_path.read_bytes()
-    assert b"\r\n" in raw
-    assert raw.decode().splitlines()[0].split(",")[0] == "1.0"
-    doc = json.loads(json_path.read_text())
-    assert doc["shape"] == [2, 2]
-    np.testing.assert_array_equal(np.array(doc["data"]), M)

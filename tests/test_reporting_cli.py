@@ -30,6 +30,9 @@ def test_make_run_config_validates():
         EXPERIMENTS,
     )
     assert ok.sizes == (16,) and ok.thetas == (0.5,) and ok.seed == 1
+    edge = {"log_t_min": -300, "log_t_max": 300.0}
+    cfg = make_run_config({"experiment": "lemma41", "quadrature": edge}, EXPERIMENTS)
+    assert cfg.quadrature == edge
     with pytest.raises(UnknownExperiment):
         make_run_config({"experiment": "nope"}, EXPERIMENTS)
     with pytest.raises(InvalidConfig):
@@ -48,6 +51,9 @@ def test_make_run_config_validates():
         {"log_t_max": float("nan")},
         {"log_t_min": -(10**400)},
         {"max_panels": 1},
+        {"log_t_max": 1e308},
+        {"log_t_min": 800, "log_t_max": 900},
+        {"log_t_min": -300.5},
     ):
         with pytest.raises(InvalidConfig):
             make_run_config({"experiment": "lemma41", "quadrature": quad}, EXPERIMENTS)
@@ -145,7 +151,16 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert err["error"] == "InvalidConfig"
 
 
-@pytest.mark.parametrize("quad", [{"log_t_min": "abc"}, {"tol": "x"}])
+@pytest.mark.parametrize(
+    "quad",
+    [
+        {"log_t_min": "abc"},
+        {"tol": "x"},
+        # windows past |log t| <= 300: math.exp overflows or the integrand is not finite
+        {"log_t_max": 1e308},
+        {"log_t_min": 800, "log_t_max": 900},
+    ],
+)
 def test_cli_malformed_quadrature_exits_2(tmp_path, capsys, quad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sizes": [24], "quadrature": quad}))

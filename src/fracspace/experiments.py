@@ -20,7 +20,7 @@ from .kfunctional import (
     build_quadratic_pair,
     congruence,
     i_theta,
-    interp_norm,
+    interp_norms_sq,
 )
 from .operators import (
     build_stokes,
@@ -41,7 +41,6 @@ from .retractions import (
 from .spectral import (
     CoeffVector,
     apply_fractional_power,
-    build_spectral_model,
     frac_norm,
     higher_power_decomposition_check,
     to_coeffs,
@@ -108,14 +107,14 @@ def _rule(config: RunConfig, eigenvalues) -> QuadratureRule:
 
 def lemma_fps_sweep(model, thetas, probes, rule):
     """ratio = interp_norm^2 / (i_theta * frac_norm^2) per (theta, probe)."""
+    C = np.column_stack([np.asarray(c, dtype=np.float64) for c in probes])
+    num = interp_norms_sq(model.eigenvalues, C, thetas, rule)
     cells = []
-    for theta in thetas:
+    for theta, num_theta in zip(thetas, num.tolist()):
         const = i_theta(theta)
-        for p, coeffs in enumerate(probes):
-            u = CoeffVector(np.asarray(coeffs, dtype=np.float64), model)
-            num = interp_norm(model, theta, u, rule) ** 2
-            den = const * frac_norm(model, theta, u) ** 2
-            ratio = num / den
+        for p in range(C.shape[1]):
+            den = const * frac_norm(model, theta, CoeffVector(C[:, p], model)) ** 2
+            ratio = num_theta[p] / den
             cells.append(
                 {
                     "lemma": "Lemma 4.1",
@@ -153,24 +152,26 @@ def run_lemma41(config: RunConfig):
 # ---- reiteration (Corollary 4.2)
 
 
-def reiteration_check(model, theta, probes, rule_sqrt, sqrt_model, pencil):
+def reiteration_check(model, theta, probes, rule_sqrt, pencil):
     """Cells for one theta: the coefficient identity
     frac_norm((1+theta)/2, u) = frac_norm(theta/2, A^(1/2) u), the
-    derived-model interpolation identity, and the weighted-pair identity
-    targeting the exponent (1+theta)/2.
+    derived-model identity (spectrum lam^(1/2) at theta against
+    frac_norm(theta/2, u)), and the weighted-pair identity targeting the
+    exponent (1+theta)/2.
 
-    sqrt_model carries the eigenvalues lam^(1/2) of model; pencil is
-    congruence(pair) of the weighted pair (diag lam, diag lam^2). Neither
-    depends on theta, so the caller builds them once. The weighted-pair
-    norm takes its eigenvalues from the pencil's eigensolve, not from
-    model, so it stays an independent route to the exponent (1+theta)/2."""
-    cells = []
+    pencil is congruence(pair) of the weighted pair (diag lam, diag lam^2),
+    solved once by the caller. The weighted-pair norm takes its eigenvalues
+    from the pencil's eigensolve, not from model, so it stays an
+    independent route to the exponent (1+theta)/2."""
     lam_eff, _, transform = pencil
+    C = np.column_stack([np.asarray(c, dtype=np.float64) for c in probes])
+    derived = interp_norms_sq(np.sqrt(model.eigenvalues), C, (theta,), rule_sqrt)[0]
     # in congruence coordinates the pair is (identity, diag lam_eff^2)
-    pencil_model = build_spectral_model(lam_eff, np.eye(lam_eff.size))
+    weighted = interp_norms_sq(lam_eff, transform @ C, (theta,), rule_sqrt)[0]
     const = i_theta(theta)
-    for p, coeffs in enumerate(probes):
-        u = CoeffVector(np.asarray(coeffs, dtype=np.float64), model)
+    cells = []
+    for p in range(C.shape[1]):
+        u = CoeffVector(C[:, p], model)
         half_u = apply_fractional_power(model, 0.5, u)
         lhs = frac_norm(model, (1.0 + theta) / 2.0, u)
         rhs = frac_norm(model, theta / 2.0, half_u)
@@ -187,9 +188,7 @@ def reiteration_check(model, theta, probes, rule_sqrt, sqrt_model, pencil):
                 "pass": bool(resid <= 1e-12),
             }
         )
-        num = interp_norm(sqrt_model, theta, coeffs, rule_sqrt) ** 2
-        den = const * frac_norm(sqrt_model, theta, coeffs) ** 2
-        ratio = num / den
+        ratio = float(derived[p]) / (const * frac_norm(model, theta / 2.0, u) ** 2)
         cells.append(
             {
                 "lemma": "Corollary 4.2",
@@ -202,10 +201,7 @@ def reiteration_check(model, theta, probes, rule_sqrt, sqrt_model, pencil):
                 "pass": bool(abs(ratio - 1.0) <= 1e-3),
             }
         )
-        c = transform @ np.asarray(coeffs, dtype=np.float64)
-        num = interp_norm(pencil_model, theta, c, rule_sqrt) ** 2
-        den = const * frac_norm(model, (1.0 + theta) / 2.0, u) ** 2
-        ratio = num / den
+        ratio = float(weighted[p]) / (const * lhs**2)
         cells.append(
             {
                 "lemma": "Corollary 4.2",
@@ -228,15 +224,10 @@ def run_reiteration(config: RunConfig):
     lam = model.eigenvalues
     probes = decaying_probes(model.dim, 20, config.seed)
     rule_sqrt = _rule(config, np.sqrt(lam))
-    # sqrt_model first: validating it is the run's memory peak, which the
-    # pencil's arrays would otherwise raise
-    sqrt_model = build_spectral_model(np.sqrt(lam), model.basis, model.ambient_gram)
     pencil = congruence(build_quadratic_pair(np.diag(lam), np.diag(lam * lam)))
     cells = []
     for theta in thetas:
-        cells.extend(
-            reiteration_check(model, float(theta), probes, rule_sqrt, sqrt_model, pencil)
-        )
+        cells.extend(reiteration_check(model, float(theta), probes, rule_sqrt, pencil))
     # endpoint consistency: at theta = 1 the exponent chain lands on D(A)
     for p, coeffs in enumerate(probes):
         u = CoeffVector(np.asarray(coeffs, dtype=np.float64), model)

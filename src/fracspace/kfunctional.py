@@ -8,9 +8,9 @@ attained at the y solving (M1 + t^2 M2) y = M1 u. For a spectral model
 (X = ambient, Y = operator graph norm) the same infimum has the closed
 form sum_j t^2 lam_j^2 c_j^2 / (1 + t^2 lam_j^2), evaluated at a batch of
 t by the NumPy kernel `_kernels.k2_batch`. The interpolation norm
-is |u|_theta = ( int_0^inf t^(-2 theta) K(u,t)^2 dt/t )^(1/2), computed by
-composite Simpson in tau = ln t with panel doubling; the truncated tails
-are added back from the analytic envelopes K <= |u|_X and K <= t |u|_Y.
+is |u|_theta = ( int_0^inf t^(-2 theta) K(u,t)^2 dt/t )^(1/2); `interp_norms_sq`
+computes it for many vectors and thetas by Simpson in tau = ln t with panel
+doubling, plus tails from the analytic envelopes K <= |u|_X and K <= t |u|_Y.
 
 Identity linking the two scales, exact for finite spectra up to
 quadrature error:  |u|_theta^2 = i_theta(theta) * frac_norm(theta, u)^2.
@@ -323,39 +323,54 @@ class QuadratureRule:
         )
 
 
-def _simpson(vals: np.ndarray, h: float) -> float:
-    acc = vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()
-    return float(acc) * h / 3.0
+# new nodes per kernel call: no array spans every node of a 2^20-panel grid
+_NODE_BLOCK = 2**15
 
 
-def _interp_norm_sq_spectral(lam, coeffs, theta, rule) -> float:
-    """integral of e^(-2 theta tau) K^2(e^tau) d tau plus analytic tails."""
-    c2 = coeffs * coeffs
-    norm_x2 = float(c2.sum())
-    norm_y2 = float((lam * lam) @ c2)
+def interp_norms_sq(lam, coeffs, thetas, rule: QuadratureRule) -> np.ndarray:
+    """|u_k|_theta^2 for every theta and column u_k of coeffs (m, q), as a
+    (len(thetas), q) array: Simpson in tau = ln t plus analytic tails.
+
+    K^2 is theta-free and the grids nest, so a doubling makes one kernel
+    call, at the new nodes only, and e^(-2 theta tau) weighs every theta at
+    once: Simpson is (2 S + 4 N) h / 3 with S the trapezoid sum of the
+    coarser grid and N the new nodes' sum. Each cell keeps its first total
+    within refinement_tol of the previous doubling's.
+    """
+    thetas = np.array([_check_theta(th) for th in thetas])[:, None]
+    c2 = np.asarray(coeffs, dtype=np.float64) ** 2
     a, b = rule.log_t_min, rule.log_t_max
     # envelopes K^2 <= t^2 |u|_Y^2 (left) and K^2 <= |u|_X^2 (right) are
     # asymptotically exact at the default window edges
-    tail = norm_y2 * math.exp((2.0 - 2.0 * theta) * a) / (2.0 - 2.0 * theta)
-    tail += norm_x2 * math.exp(-2.0 * theta * b) / (2.0 * theta)
-    panels = min(64, rule.max_panels)
-    panels += panels % 2
-    prev = None
-    while panels <= rule.max_panels:
-        tau = np.linspace(a, b, panels + 1)
-        integrand = np.exp(-2.0 * theta * tau) * k2_batch(lam, c2, np.exp(tau))
-        total = _simpson(integrand, (b - a) / panels) + tail
-        if not math.isfinite(total):
+    tail = ((lam * lam) @ c2) * np.exp((2.0 - 2.0 * thetas) * a) / (2.0 - 2.0 * thetas)
+    tail += c2.sum(axis=0) * np.exp(-2.0 * thetas * b) / (2.0 * thetas)
+    prev, done = np.full(tail.shape, np.nan), np.zeros(tail.shape, dtype=bool)
+    panels = min(64, rule.max_panels - rule.max_panels % 2)
+    tau = np.linspace(a, b, panels + 1)
+    weights = np.exp(-2.0 * thetas * tau)
+    weights[:, [0, -1]] /= 2.0  # trapezoid ends
+    k2 = k2_batch(lam, c2, np.exp(tau))
+    coarse, new = weights[:, 0::2] @ k2[0::2], weights[:, 1::2] @ k2[1::2]
+    while True:
+        simpson = (2.0 * coarse + 4.0 * new) * ((b - a) / panels) / 3.0 + tail
+        total = np.where(done, prev, simpson)
+        bad = total[~np.isfinite(total)]
+        if bad.size:
             raise QuadratureNotConverged(
-                f"non-finite integrand: total {total} at {panels} panels"
+                f"non-finite integrand: total {float(bad[0])} at {panels} panels"
             )
-        if prev is not None and abs(total - prev) <= rule.refinement_tol * max(
-            total, _TINY
-        ):
+        done |= np.abs(total - prev) <= rule.refinement_tol * np.maximum(total, _TINY)
+        if done.all():
             return total
-        prev = total
-        panels *= 2
-    raise QuadratureNotConverged(f"panel cap {rule.max_panels} hit")
+        prev, panels = total, 2 * panels
+        if panels > rule.max_panels:
+            raise QuadratureNotConverged(f"panel cap {rule.max_panels} hit")
+        odd = np.linspace(a, b, panels + 1)[1::2]
+        coarse = coarse + new
+        new = sum(
+            np.exp(-2.0 * thetas * block) @ k2_batch(lam, c2, np.exp(block))
+            for block in np.array_split(odd, 1 + odd.size // _NODE_BLOCK)
+        )
 
 
 def congruence(pair: QuadraticPair):
@@ -396,7 +411,7 @@ def interp_norm(model_or_pair, theta, u, rule: QuadratureRule | None = None) -> 
             c = transform @ np.asarray(u, dtype=np.float64)
     if rule is None:
         rule = QuadratureRule.for_spectrum(lam)
-    return math.sqrt(max(_interp_norm_sq_spectral(lam, c, theta, rule), 0.0))
+    return math.sqrt(max(interp_norms_sq(lam, c[:, None], (theta,), rule).item(), 0.0))
 
 
 def i_theta(theta) -> float:

@@ -55,6 +55,14 @@ def _finite_real(value) -> bool:
         return False
 
 
+def _array(doc: dict, key: str) -> tuple:
+    """doc[key] as a tuple; absent means empty, anything but an array fails."""
+    value = doc.get(key, ())
+    if not isinstance(value, (list, tuple)):
+        raise InvalidConfig(f"{key} must be a JSON array, got {value!r}")
+    return tuple(value)
+
+
 def make_run_config(doc: dict, registry: dict) -> RunConfig:
     """Validate a plain config dict against the experiment registry."""
     unknown = set(doc) - {
@@ -75,11 +83,11 @@ def make_run_config(doc: dict, registry: dict) -> RunConfig:
         raise UnknownExperiment(
             f"unknown experiment {name!r}; choices: {sorted(registry)}"
         )
-    sizes = tuple(doc.get("sizes", ()))
+    sizes = _array(doc, "sizes")
     for s in sizes:
         if not isinstance(s, int) or isinstance(s, bool) or s < 1:
             raise InvalidConfig(f"sizes must be positive integers, got {s!r}")
-    thetas = tuple(doc.get("thetas", ()))
+    thetas = _array(doc, "thetas")
     for th in thetas:
         if not isinstance(th, (int, float)) or not 0.0 < float(th) < 1.0:
             raise InvalidConfig(f"thetas must lie strictly in (0, 1), got {th!r}")

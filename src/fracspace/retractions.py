@@ -18,9 +18,9 @@ from probes, so the inequality chain above holds deterministically.
 The pointwise minimizers come from the generalised eigenpairs of the
 ambient pencil (M2, M1) and of the reduced pencil, the same two
 eigensolves that give the spectral coordinates of the integrated check;
-in those coordinates every t is diagonal. One Cholesky solve per pencil
-at the middle t of the window recomputes K^2 and K0^2 as an in-run
-cross-check.
+in those coordinates every t is diagonal, and `k2_batch` and
+`interp_norms_sq` take all probes at once. One Cholesky solve per pencil
+at the middle t recomputes K^2 and K0^2 as an in-run cross-check.
 
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences) and the
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
+from ._kernels import k2_batch
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -42,12 +43,7 @@ from .errors import (
     SingularConstrainedOperator,
     SolverFailure,
 )
-from .kfunctional import (
-    QuadraticPair,
-    QuadratureRule,
-    _interp_norm_sq_spectral,
-    congruence,
-)
+from .kfunctional import QuadraticPair, QuadratureRule, congruence, interp_norms_sq
 from .operators import (
     GridDomain,
     SobolevGrams,
@@ -236,9 +232,9 @@ def verify_intersection_lemma(
     returns (V^T M1 V = I, V^T M2 V = diag lam^2): for u = V a, with
     x = t^2 lam^2 and s = 1 / (1 + x), g = V (s a), f = V (x s a) and
     K^2 = sum a^2 x s; the transported term uses the Grams of T V, formed
-    once. At the middle t, Cholesky solves of (M1 + t^2 M2) g = M1 u for
-    all probes at once recompute K^2 and K0^2; a relative deviation above
-    1e-9 raises SolverFailure.
+    once. At the middle t, Cholesky solves of (M1 + t^2 M2) g = M1 u and
+    (M1 + t^2 M2) f = t^2 M2 u for all probes at once recompute K^2 and
+    K0^2; a relative deviation above 1e-9 raises SolverFailure.
     """
     if pair_ambient.subspace_basis is not None:
         raise InvalidConfig("pass the ambient pair; the subspace enters through Z")
@@ -265,9 +261,8 @@ def verify_intersection_lemma(
     ts = [math.exp(tau) for tau in taus]
     t2s = np.array(ts) ** 2
     x = t2s[:, None] * lam_amb**2
-    x_r = t2s[:, None] * lam_red**2
-    k2 = (x / (1.0 + x)) @ (a * a)
-    k02 = (x_r / (1.0 + x_r)) @ (a_r * a_r)
+    k2 = k2_batch(lam_amb, a * a, np.array(ts))
+    k02 = k2_batch(lam_red, a_r * a_r, np.array(ts))
     mid = np.empty_like(k2)
     for i, t2 in enumerate(t2s):
         s = 1.0 / (1.0 + x[i])
@@ -287,8 +282,10 @@ def verify_intersection_lemma(
         ("K", amb, M1, M2, U, k2[im]),
         ("K0", red, M1r, M2r, Cr, k02[im]),
     ):
-        g = linalg.cho_solve(factor, F1 @ X)
-        f = X - g
+        # f from its own equation, not as X - g: at small t, t^2 F2 lies
+        # below the rounding of F1 and the subtraction cancels
+        gf = linalg.cho_solve(factor, np.hstack([F1 @ X, t2 * (F2 @ X)]))
+        g, f = np.hsplit(gf, 2)
         chol = np.sum(f * (F1 @ f), axis=0) + t2 * np.sum(g * (F2 @ g), axis=0)
         dev = float(np.max(np.abs(eig - chol) / chol))
         if not dev <= 1e-9:
@@ -320,15 +317,13 @@ def verify_intersection_lemma(
             )
 
     # integrated comparison in the same spectral coordinates
-    for theta in theta_list:
+    sq_amb = interp_norms_sq(lam_amb, a, theta_list, rule).tolist()
+    sq_red = interp_norms_sq(lam_red, a_r, theta_list, rule).tolist()
+    for theta, amb_theta, red_theta in zip(theta_list, sq_amb, sq_red):
         theta = float(theta)
-        for p, (u, c) in enumerate(zip(probe_vectors, coords)):
-            n_amb = math.sqrt(
-                max(_interp_norm_sq_spectral(lam_amb, w_amb @ u, theta, rule), 0.0)
-            )
-            n_red = math.sqrt(
-                max(_interp_norm_sq_spectral(lam_red, w_red @ c, theta, rule), 0.0)
-            )
+        for p in range(len(probe_vectors)):
+            n_amb = math.sqrt(max(amb_theta[p], 0.0))
+            n_red = math.sqrt(max(red_theta[p], 0.0))
             ratio = n_red / n_amb
             ok = (1.0 - 1e-5) <= ratio <= c_prime * (1.0 + 1e-5)
             cells.append(

@@ -10,13 +10,11 @@ from fracspace import (
     QuadratureRule,
     RunConfig,
     build_quadratic_pair,
-    build_spectral_model,
     congruence,
     criticality_scan,
     decaying_probes,
     frac_norm,
     i_theta,
-    interp_norm,
     report_to_json,
     weight_test,
 )
@@ -33,6 +31,7 @@ from fracspace.experiments import (
     run_stokes_retraction,
     stokes_equivalence_study,
 )
+from fracspace.kfunctional import interp_norms_sq
 
 
 def test_registry_names():
@@ -165,23 +164,22 @@ def test_run_lemma41_small_and_deterministic():
 
 
 def test_reiteration_weighted_pair_matches_pair_route(sine_model):
-    # the hoisted pencil solve gives exactly what interp_norm(pair, ...) gives
+    # the hoisted pencil solve gives exactly what solving the pair again
+    # and integrating the same probe columns gives
     lam = sine_model.eigenvalues
-    sqrt_model = build_spectral_model(
-        np.sqrt(lam), sine_model.basis, sine_model.ambient_gram
-    )
     pair = build_quadratic_pair(np.diag(lam), np.diag(lam * lam))
-    pencil = congruence(pair)
     rule = QuadratureRule.for_spectrum(np.sqrt(lam))
     probes = decaying_probes(sine_model.dim, 3, 7)
+    lam_eff, _, transform = congruence(pair)
+    C = np.column_stack(probes)
     for theta in (0.25, 0.75):
-        cells = reiteration_check(sine_model, theta, probes, rule, sqrt_model, pencil)
+        cells = reiteration_check(sine_model, theta, probes, rule, congruence(pair))
         ratios = [c["ratio"] for c in cells if c["check"] == "weighted-pair-ratio"]
         assert len(ratios) == len(probes)
+        num = interp_norms_sq(lam_eff, transform @ C, (theta,), rule)[0]
         for p, u in enumerate(probes):
-            num = interp_norm(pair, theta, u, rule) ** 2
             den = i_theta(theta) * frac_norm(sine_model, (1.0 + theta) / 2.0, u) ** 2
-            assert ratios[p] == num / den
+            assert ratios[p] == num[p] / den
 
 
 def test_run_intersection_small():

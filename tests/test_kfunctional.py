@@ -16,6 +16,7 @@ from fracspace import (
     build_quadratic_pair,
     build_spectral_model,
     congruence,
+    decaying_probes,
     frac_norm,
     i_theta,
     interp_norm,
@@ -23,8 +24,11 @@ from fracspace import (
     k_quadratic,
     k_spectral,
     k_sum_brute,
+    laplacian_1d_analytic,
     pair_from_model,
 )
+from fracspace.experiments import lemma_fps_sweep
+from fracspace.kfunctional import interp_norms_sq
 
 # ---- strategies: modest sizes, finite values, spread spectra
 
@@ -210,6 +214,64 @@ def test_quadrature_fails_at_first_non_finite_pass(monkeypatch):
     ):
         interp_norm(m, 0.5, np.array([1.0]), rule)
     assert len(calls) == 1  # no panel doubling after the first NaN total
+
+
+def test_interp_norms_sq_columns_match_single_vectors(small_model):
+    # batching over probes and thetas changes no cell beyond rounding
+    rng = np.random.default_rng(12)
+    C = rng.standard_normal((6, 7)) * np.geomspace(1.0, 1e-3, 6)[:, None]
+    thetas = (0.1, 0.35, 0.5, 0.9)
+    rule = QuadratureRule.for_spectrum(small_model.eigenvalues, tol=1e-8)
+    batched = interp_norms_sq(small_model.eigenvalues, C, thetas, rule)
+    assert batched.shape == (4, 7)
+    for i, theta in enumerate(thetas):
+        for k in range(C.shape[1]):
+            alone = interp_norm(small_model, theta, C[:, k], rule) ** 2
+            assert batched[i, k] == pytest.approx(alone, rel=1e-13)
+
+
+def test_interp_norms_sq_node_blocks_match(monkeypatch, small_model):
+    # past the first pass the new nodes go to the kernel in blocks, which
+    # bounds memory near the panel cap; uneven blocks must cover every node
+    import fracspace.kfunctional as kf
+
+    C = np.random.default_rng(13).standard_normal((6, 3))
+    rule = QuadratureRule.for_spectrum(small_model.eigenvalues, tol=1e-10)
+    whole = interp_norms_sq(small_model.eigenvalues, C, (0.3, 0.7), rule)
+    monkeypatch.setattr(kf, "_NODE_BLOCK", 7)
+    blocked = interp_norms_sq(small_model.eigenvalues, C, (0.3, 0.7), rule)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-13)
+
+
+def test_lemma_sweep_makes_one_kernel_call_per_doubling(monkeypatch):
+    import fracspace.kfunctional as kf
+
+    model = laplacian_1d_analytic(64)
+    probes = decaying_probes(model.dim, 20, 42)
+    thetas = tuple(round(0.1 * k, 1) for k in range(1, 10))
+    rule = QuadratureRule.for_spectrum(model.eigenvalues)
+    real_k2_batch = kf.k2_batch
+    calls = []
+
+    def counting_k2_batch(*args):
+        calls.append((np.shape(args[1]), len(args[2])))
+        return real_k2_batch(*args)
+
+    monkeypatch.setattr(kf, "k2_batch", counting_k2_batch)
+    cells = lemma_fps_sweep(model, thetas, probes, rule)
+    assert len(cells) == 9 * 20
+    batched = list(calls)
+    # the slowest cell alone needs as many doublings as the whole sweep
+    slowest = 0
+    for theta in thetas:
+        for u in probes:
+            calls.clear()
+            interp_norm(model, theta, u, rule)
+            slowest = max(slowest, len(calls))
+    assert len(batched) == slowest >= 2
+    # every call takes all 20 probes, first at every node, then at the new ones
+    new_nodes = [65] + [64 * 2**i for i in range(slowest - 1)]
+    assert batched == [((64, 20), n) for n in new_nodes]
 
 
 def test_interp_norm_identity(small_model):

@@ -43,6 +43,9 @@ def test_make_run_config_validates():
         make_run_config({"experiment": "lemma41", "thetas": [1.0]}, EXPERIMENTS)
     with pytest.raises(InvalidConfig):
         make_run_config({"experiment": "lemma41", "format": "xml"}, EXPERIMENTS)
+    for shape in ({"sizes": 5}, {"sizes": None}, {"thetas": 0.5}):
+        with pytest.raises(InvalidConfig):
+            make_run_config({"experiment": "lemma41", **shape}, EXPERIMENTS)
     for quad in (
         {"panels": 3},
         {"log_t_min": "abc"},
@@ -164,6 +167,16 @@ def test_cli_bad_config_file(tmp_path, capsys):
 def test_cli_malformed_quadrature_exits_2(tmp_path, capsys, quad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sizes": [24], "quadrature": quad}))
+    assert main(["lemma41", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+
+
+@pytest.mark.parametrize("doc", [{"sizes": 5}, {"sizes": None}, {"thetas": 0.5}])
+def test_cli_non_array_sizes_or_thetas_exit_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
     assert main(["lemma41", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from fracspace import (
     zero_boundary_basis,
 )
 from fracspace import retractions
+from fracspace.cli import main
 from fracspace.experiments import _harmonic_setup, _stokes_setup
 from fracspace.retractions import _build_retraction
 
@@ -216,3 +218,19 @@ def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
     pair, Z, T, probes, rule = _harmonic_setup(6, 42, None)
     with pytest.raises(SolverFailure, match="Cholesky"):
         verify_intersection_lemma(pair, Z, T, (0.5,), probes, rule, t_points=17)
+
+
+@pytest.mark.parametrize(
+    "experiment, sizes, window",
+    [("intersection", ["4", "4"], [-60, -50]), ("halft1", ["4", "6"], [-300, -299])],
+)
+def test_cross_check_survives_tiny_t_windows(
+    tmp_path, capsys, experiment, sizes, window
+):
+    # at the middle t, t^2 M2 lies below the rounding of M1, so the
+    # cross-check must solve for f, not cancel it out of u - g
+    quad = {"log_t_min": window[0], "log_t_max": window[1]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quadrature": quad}))
+    argv = [experiment, "--size", *sizes, "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == 0, capsys.readouterr().err

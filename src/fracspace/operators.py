@@ -6,7 +6,7 @@ discrete sine orthogonality), finite-difference
 Dirichlet Laplacians in 1D/2D, discrete Sobolev Gram forms on the full
 node set (boundary included), and a staggered-grid Stokes system: vector
 Laplacian, discrete divergence, an orthonormal basis of its null space,
-the induced orthogonal projector, and the constrained operator.
+and the constrained operator.
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
 Dense eigendecompositions only, so sizes are capped (1D n <= 2048,
@@ -234,14 +234,14 @@ class StokesSystem:
 
     Velocity components live on cell faces (x-component on vertical
     interior faces, y-component on horizontal interior faces), pressure
-    on the (n+1)^2 cell centers. nullbasis Z spans ker(divergence);
-    projector = Z Z^T; constrained_op = Z^T A Z.
+    on the (n+1)^2 cell centers. nullbasis Z is a Euclidean-orthonormal
+    basis of ker(divergence), so Z Z^T is the orthogonal projector onto
+    it; constrained_op = Z^T A Z.
     """
 
     vector_laplacian: np.ndarray
     divergence: np.ndarray
     nullbasis: np.ndarray
-    projector: np.ndarray
     constrained_op: np.ndarray
     grid: GridDomain
 
@@ -296,13 +296,12 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     if rank >= D.shape[1]:
         raise EmptyNullspace("divergence has a trivial null space")
     Z = _fix_signs(Vt[rank:].T)
-    P = Z @ Z.T
     C = Z.T @ A @ Z
 
     if np.max(np.abs(D @ Z)) > 1e-10:
         raise FactorizationFailure("null basis fails divergence-free check")
-    if np.max(np.abs(P @ P - P)) > 1e-10 or np.max(np.abs(P - P.T)) > 1e-10:
-        raise FactorizationFailure("projector fails idempotence or symmetry")
+    if np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) > 1e-10:
+        raise FactorizationFailure("null basis fails the orthonormality check")
     if np.max(np.abs(C - C.T)) > 1e-12 * max(1.0, np.max(np.abs(C))):
         raise FactorizationFailure("constrained operator is not symmetric")
     try:
@@ -313,7 +312,6 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
         vector_laplacian=A,
         divergence=D,
         nullbasis=Z,
-        projector=P,
         constrained_op=C,
         grid=domain,
     )

@@ -31,6 +31,10 @@ _QUAD_KEYS = ("log_t_min", "log_t_max", "tol", "max_panels")
 # envelopes e^((2 - 2 theta) ln t) stay far below the float range
 _LOG_T_BOUND = 300.0
 
+# smallest quadrature tolerance: below it, successive panel doublings
+# differ by rounding alone and only a bitwise tie would stop them
+_TOL_MIN = 1e-14
+
 _FORMATS = ("csv", "json", "both")
 
 
@@ -112,8 +116,10 @@ def make_run_config(doc: dict, registry: dict) -> RunConfig:
                     f"quadrature {key} must lie in [-{_LOG_T_BOUND:g}, {_LOG_T_BOUND:g}],"
                     f" got {quad[key]!r}"
                 )
-        if "tol" in quad and not quad["tol"] > 0:
-            raise InvalidConfig("quadrature tol must be positive")
+        if "tol" in quad and not quad["tol"] >= _TOL_MIN:
+            raise InvalidConfig(
+                f"quadrature tol must be at least {_TOL_MIN:g}, got {quad['tol']!r}"
+            )
         if "max_panels" in quad and (
             not isinstance(quad["max_panels"], int) or quad["max_panels"] < 2
         ):

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from fracspace import (
     report_to_json,
     weight_test,
 )
+from fracspace import experiments
 from fracspace.experiments import (
     classify_partial_sums,
     coeffs_bubble,
@@ -31,6 +34,7 @@ from fracspace.experiments import (
     run_stokes_retraction,
     stokes_equivalence_study,
 )
+from fracspace.cli import main
 from fracspace.kfunctional import interp_norms_sq
 
 
@@ -206,6 +210,39 @@ def test_run_stokes_retraction_small():
     checks = {c["check"] for c in rep.cells}
     assert "identity-on-kernel" in checks
     assert "h_bound-drift" in checks and "d_bound-drift" in checks
+
+
+def test_stokes_retraction_reruns_byte_identical(tmp_path):
+    out1 = tmp_path / "r1"
+    out2 = tmp_path / "r2"
+    for out in (out1, out2):
+        argv = ["stokes-retraction", "--size", "4", "6", "--seed", "3"]
+        assert main([*argv, "--out", str(out), "--format", "both"]) == 0
+    names = sorted(os.listdir(out1))
+    assert [n.rsplit(".", 1)[1] for n in names] == ["csv", "json"]
+    assert names == sorted(os.listdir(out2))
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_lemma41_passes_at_the_theta_window_edges(tmp_path, capsys):
+    argv = ["lemma41", "--size", "64", "--theta", "0.01", "0.99"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert "PASS 40/40 checks" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k_max", ["41", "54"])
+def test_weight_rejects_k_max_past_float_resolution(
+    tmp_path, capsys, monkeypatch, k_max
+):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before validation")
+
+    monkeypatch.setattr(experiments, "_band_integral", no_quadrature)
+    assert main(["weight", "--size", k_max, "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
 
 
 def test_stokes_equivalence_small():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracspace import (
+    FactorizationFailure,
     InvalidConfig,
     build_stokes,
     grid_domain,
@@ -123,12 +124,25 @@ def test_stokes_divergence_annihilates_kernel(stokes_small):
 
 
 def test_stokes_projector(stokes_small):
-    P = stokes_small.projector
+    Z = stokes_small.nullbasis
+    P = Z @ Z.T
     np.testing.assert_allclose(P, P.T, atol=1e-12)
     np.testing.assert_allclose(P @ P, P, atol=1e-10)
     np.testing.assert_allclose(
         P @ stokes_small.nullbasis, stokes_small.nullbasis, atol=1e-10
     )
+
+
+def test_stokes_rejects_non_orthonormal_null_basis(monkeypatch):
+    real_svd = np.linalg.svd
+
+    def scaled_svd(a, *args, **kwargs):
+        U, s, Vt = real_svd(a, *args, **kwargs)
+        return U, s, Vt * (1.0 + 1e-6)
+
+    monkeypatch.setattr(np.linalg, "svd", scaled_svd)
+    with pytest.raises(FactorizationFailure, match="orthonormal"):
+        build_stokes(grid_domain(2, 4))
 
 
 def test_stokes_constrained_operator_spd(stokes_small):

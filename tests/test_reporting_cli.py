@@ -30,7 +30,7 @@ def test_make_run_config_validates():
         EXPERIMENTS,
     )
     assert ok.sizes == (16,) and ok.thetas == (0.5,) and ok.seed == 1
-    edge = {"log_t_min": -300, "log_t_max": 300.0}
+    edge = {"log_t_min": -300, "log_t_max": 300.0, "tol": 1e-14}
     cfg = make_run_config({"experiment": "lemma41", "quadrature": edge}, EXPERIMENTS)
     assert cfg.quadrature == edge
     with pytest.raises(UnknownExperiment):
@@ -57,6 +57,9 @@ def test_make_run_config_validates():
         {"log_t_max": 1e308},
         {"log_t_min": 800, "log_t_max": 900},
         {"log_t_min": -300.5},
+        # below rounding, successive doublings tie only by luck
+        {"tol": 1e-15},
+        {"tol": 1e-30},
     ):
         with pytest.raises(InvalidConfig):
             make_run_config({"experiment": "lemma41", "quadrature": quad}, EXPERIMENTS)
@@ -162,6 +165,9 @@ def test_cli_bad_config_file(tmp_path, capsys):
         # windows past |log t| <= 300: math.exp overflows or the integrand is not finite
         {"log_t_max": 1e308},
         {"log_t_min": 800, "log_t_max": 900},
+        # tolerances below rounding
+        {"tol": 1e-15},
+        {"tol": 1e-30},
     ],
 )
 def test_cli_malformed_quadrature_exits_2(tmp_path, capsys, quad):
@@ -266,7 +272,7 @@ def test_cli_bad_env_seed(monkeypatch, capsys):
 def test_cli_verification_error_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"sizes": [24], "quadrature": {"tol": 1e-30, "max_panels": 8}})
+        json.dumps({"sizes": [24], "quadrature": {"tol": 1e-14, "max_panels": 8}})
     )
     assert main(["lemma41", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     err = json.loads(capsys.readouterr().err)

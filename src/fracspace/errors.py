@@ -39,10 +39,6 @@ class SingularSystem(FracspaceError):
     """A linear system that should be SPD failed to factorize."""
 
 
-class NotInSubspace(FracspaceError):
-    """Vector does not lie in the span of the restricting subspace basis."""
-
-
 class ConvergenceFailure(FracspaceError):
     """An iterative minimizer stalled above its tolerance."""
 

@@ -29,13 +29,11 @@ from .operators import (
     sobolev_grams,
     stokes_ambient_model,
     stokes_spectral_model,
-    zero_boundary_basis,
 )
 from .reporting import RunConfig, config_hash, make_report
 from .retractions import (
     harmonic_retraction,
     stokes_retraction,
-    subspace_probes,
     verify_intersection_lemma,
 )
 from .spectral import (
@@ -307,6 +305,11 @@ def classify_partial_sums(ladder, sums):
     )
 
 
+# largest criticality ladder: a scan keeps about 48 bytes per mode, so
+# 2^22 modes take about 0.25 GB
+MAX_CRITICALITY_MODES = 2**22
+
+
 def criticality_scan(n_modes: int, thetas, coeffs=None) -> list:
     """Partial sums S_N = sum_(j<=N) lam_j^(2 theta) c_j^2 on the dyadic
     ladder N = 2^4 .. 2^floor(log2 n_modes), classified per theta.
@@ -315,6 +318,10 @@ def criticality_scan(n_modes: int, thetas, coeffs=None) -> list:
     """
     if n_modes < 512:
         raise InvalidConfig(f"need n_modes >= 512 for a usable ladder, got {n_modes}")
+    if n_modes > MAX_CRITICALITY_MODES:
+        raise InvalidConfig(
+            f"n_modes={n_modes} exceeds the criticality cap of {MAX_CRITICALITY_MODES}"
+        )
     c = coeffs_constant_one(n_modes) if coeffs is None else np.asarray(coeffs, float)
     if c.shape[0] != n_modes:
         raise InvalidConfig(f"coefficient length {c.shape[0]} != n_modes {n_modes}")
@@ -512,32 +519,18 @@ def run_weight(config: RunConfig):
 # ---- intersection lemma (Lemma 4.3) on both concrete retractions
 
 
-def _harmonic_setup(n: int, seed: int, quadrature):
+def _harmonic_setup(n: int):
     dom = grid_domain(2, n)
     grams = sobolev_grams(dom)
     pair = build_quadratic_pair(grams.g1, grams.g2)
-    Z = zero_boundary_basis(dom)
-    T = harmonic_retraction(dom, grams)
-    probes = subspace_probes(grams.g1, grams.g2, Z, seed=seed)
-    lam_eff, _, _ = congruence(pair)
-    rule = QuadratureRule.from_config(
-        quadrature, QuadratureRule.for_spectrum(lam_eff[lam_eff > 1e-12])
-    )
-    return pair, Z, T, probes, rule
+    return pair, harmonic_retraction(dom, grams)
 
 
-def _stokes_setup(n: int, seed: int, quadrature):
+def _stokes_setup(n: int):
     sys = build_stokes(grid_domain(2, n))
-    model_a = stokes_ambient_model(sys)
-    T = stokes_retraction(sys)
     A = sys.vector_laplacian
     pair = build_quadratic_pair(np.eye(A.shape[0]), A @ A)
-    Z = sys.nullbasis
-    probes = subspace_probes(pair.m1, pair.m2, Z, seed=seed)
-    rule = QuadratureRule.from_config(
-        quadrature, QuadratureRule.for_spectrum(model_a.eigenvalues)
-    )
-    return pair, Z, T, probes, rule
+    return pair, stokes_retraction(sys)
 
 
 def run_intersection(config: RunConfig):
@@ -545,27 +538,23 @@ def run_intersection(config: RunConfig):
     n_stokes = _size(config, 1, 12)
     thetas = _thetas(config, (0.25, 0.5, 0.75))
     hash_ = config_hash(config)
-    pair, Z, T, probes, rule = _harmonic_setup(n_harmonic, config.seed, config.quadrature)
+    pair, T = _harmonic_setup(n_harmonic)
     rep_h = verify_intersection_lemma(
         pair,
-        Z,
         T,
         thetas,
-        probes,
-        rule,
+        config.quadrature,
         lemma_label="Lemma 4.3",
         grid_label=f"harmonic-n{n_harmonic}",
         seed=config.seed,
         cfg_hash=hash_,
     )
-    pair, Z, T, probes, rule = _stokes_setup(n_stokes, config.seed, config.quadrature)
+    pair, T = _stokes_setup(n_stokes)
     rep_s = verify_intersection_lemma(
         pair,
-        Z,
         T,
         thetas,
-        probes,
-        rule,
+        config.quadrature,
         lemma_label="Lemma 4.3",
         grid_label=f"stokes-n{n_stokes}",
         seed=config.seed,
@@ -590,14 +579,12 @@ def halft1_check(domain, thetas, seed=42, quadrature=None, cfg_hash=""):
     for theta in thetas:
         if not 0.5 < float(theta) < 1.0:
             raise InvalidConfig(f"halft1 needs thetas in (1/2, 1), got {theta}")
-    pair, Z, T, probes, rule = _harmonic_setup(domain.n, seed, quadrature)
+    pair, T = _harmonic_setup(domain.n)
     return verify_intersection_lemma(
         pair,
-        Z,
         T,
         thetas,
-        probes,
-        rule,
+        quadrature,
         lemma_label="Corollary 5.4",
         grid_label=f"n{domain.n}",
         experiment_name="halft1",

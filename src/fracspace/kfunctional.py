@@ -31,8 +31,6 @@ from .errors import (
     ConvergenceFailure,
     InvalidConfig,
     NonPositiveT,
-    NotInSubspace,
-    NotOrthonormal,
     QuadratureNotConverged,
     SingularSystem,
     ThetaOutOfRange,
@@ -46,17 +44,16 @@ _TINY = 1e-300
 class QuadraticPair:
     """SPD Gram forms (m1, m2) for the norm pair (X, Y).
 
-    subspace_basis, when present, restricts admissible vectors and
-    decompositions to span of its (Euclidean-orthonormal) columns; all
-    formulas then act on the reduced forms Z^T M_i Z.
+    A pair restricted to a subspace span(Z) is the pair (Z^T m1 Z,
+    Z^T m2 Z) acting on coordinates; `verify_intersection_lemma` forms it
+    from a retraction's subspace basis.
     """
 
     m1: np.ndarray
     m2: np.ndarray
-    subspace_basis: np.ndarray | None = None
 
 
-def build_quadratic_pair(m1, m2, subspace_basis=None) -> QuadraticPair:
+def build_quadratic_pair(m1, m2) -> QuadraticPair:
     """Validate symmetry and positive-definiteness (by factorization)."""
     M1 = np.array(m1, dtype=np.float64)
     M2 = np.array(m2, dtype=np.float64)
@@ -70,18 +67,9 @@ def build_quadratic_pair(m1, m2, subspace_basis=None) -> QuadraticPair:
             linalg.cholesky(M, lower=True)
         except linalg.LinAlgError as exc:
             raise SingularSystem(f"{name} is not positive definite") from exc
-    Z = None
-    if subspace_basis is not None:
-        Z = np.array(subspace_basis, dtype=np.float64)
-        if Z.ndim != 2 or Z.shape[0] != M1.shape[0] or Z.shape[1] == 0:
-            raise SingularSystem(f"subspace basis shape {Z.shape} incompatible")
-        dev = np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1])))
-        if dev > 1e-8:
-            raise NotOrthonormal(f"subspace basis Gram deviation {dev:.3e}")
-        Z.setflags(write=False)
     M1.setflags(write=False)
     M2.setflags(write=False)
-    return QuadraticPair(M1, M2, Z)
+    return QuadraticPair(M1, M2)
 
 
 def pair_from_model(model: SpectralModel) -> QuadraticPair:
@@ -104,23 +92,14 @@ def _check_theta(theta) -> float:
     return theta
 
 
-def _effective(pair: QuadraticPair, u):
-    """Reduce (pair, u) to unconstrained forms and coordinates."""
+def _forms(pair: QuadraticPair, u):
+    """The forms of pair and u as a flat float vector of matching length."""
     vec = np.asarray(u, dtype=np.float64).ravel()
-    if pair.subspace_basis is None:
-        if vec.shape != (pair.m1.shape[0],):
-            raise SingularSystem(
-                f"vector length {vec.shape} != forms of size {pair.m1.shape[0]}"
-            )
-        return pair.m1, pair.m2, vec
-    Z = pair.subspace_basis
-    if vec.shape != (Z.shape[0],):
-        raise SingularSystem(f"vector length {vec.shape} != ambient {Z.shape[0]}")
-    c = Z.T @ vec
-    resid = np.linalg.norm(vec - Z @ c)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(vec)):
-        raise NotInSubspace(f"component outside subspace: {resid:.3e}")
-    return Z.T @ pair.m1 @ Z, Z.T @ pair.m2 @ Z, c
+    if vec.shape != (pair.m1.shape[0],):
+        raise SingularSystem(
+            f"vector length {vec.shape} != forms of size {pair.m1.shape[0]}"
+        )
+    return pair.m1, pair.m2, vec
 
 
 # ---- pointwise K
@@ -141,7 +120,7 @@ def k_quadratic(pair: QuadraticPair, u, t) -> float:
     two nearly equal quadratics) keeps small-t values accurate.
     """
     t = _check_t(t)
-    M1, M2, vec = _effective(pair, u)
+    M1, M2, vec = _forms(pair, u)
     H = M1 + (t * t) * M2
     try:
         cf = linalg.cho_factor(H, lower=True)
@@ -197,7 +176,7 @@ def k_brute(model_or_pair, u, t, max_iter=200000) -> float:
             total += val
         return math.sqrt(max(total, 0.0))
 
-    M1, M2, vec = _effective(model_or_pair, u)
+    M1, M2, vec = _forms(model_or_pair, u)
     H = M1 + (t * t) * M2
     m = M1 @ vec
     f0 = float(vec @ m)  # objective at y = 0
@@ -246,7 +225,7 @@ def k_sum_brute(model_or_pair, u, t) -> float:
         norm_x = math.sqrt(float(c @ c))
         norm_y = t * math.sqrt(float(lam2 @ (c * c)))
     else:
-        M1, M2, vec = _effective(model_or_pair, u)
+        M1, M2, vec = _forms(model_or_pair, u)
         m = M1 @ vec
 
         def objective(s):
@@ -382,9 +361,6 @@ def congruence(pair: QuadraticPair):
     (identity, diag lam_eff^2).
     """
     M1, M2 = pair.m1, pair.m2
-    if pair.subspace_basis is not None:
-        Z = pair.subspace_basis
-        M1, M2 = Z.T @ M1 @ Z, Z.T @ M2 @ Z
     try:
         mu, V = linalg.eigh(M2, M1)
     except linalg.LinAlgError as exc:
@@ -402,13 +378,9 @@ def interp_norm(model_or_pair, theta, u, rule: QuadratureRule | None = None) -> 
         c = _coeffs(model, u)
     else:
         pair = model_or_pair
-        # subspace membership is enforced by _effective before reducing
-        _effective(pair, u)
+        _, _, vec = _forms(pair, u)
         lam, _, transform = congruence(pair)
-        if pair.subspace_basis is not None:
-            c = transform @ (pair.subspace_basis.T @ np.asarray(u, dtype=np.float64))
-        else:
-            c = transform @ np.asarray(u, dtype=np.float64)
+        c = transform @ vec
     if rule is None:
         rule = QuadratureRule.for_spectrum(lam)
     return math.sqrt(max(interp_norms_sq(lam, c[:, None], (theta,), rule).item(), 0.0))

@@ -81,7 +81,7 @@ def make_run_config(doc: dict, registry: dict) -> RunConfig:
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
     name = doc.get("experiment")
-    if name not in registry:
+    if not isinstance(name, str) or name not in registry:
         from .errors import UnknownExperiment
 
         raise UnknownExperiment(
@@ -93,12 +93,13 @@ def make_run_config(doc: dict, registry: dict) -> RunConfig:
             raise InvalidConfig(f"sizes must be positive integers, got {s!r}")
     thetas = _array(doc, "thetas")
     for th in thetas:
-        if not isinstance(th, (int, float)) or not 0.0 < float(th) < 1.0:
+        # compare before float(): an int beyond the float range overflows it
+        if not isinstance(th, (int, float)) or not 0.0 < th < 1.0:
             raise InvalidConfig(f"thetas must lie strictly in (0, 1), got {th!r}")
     thetas = tuple(float(th) for th in thetas)
     seed = doc.get("seed", 42)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
     quad = doc.get("quadrature")
     if quad is not None:
         if not isinstance(quad, dict) or set(quad) - set(_QUAD_KEYS):

@@ -20,10 +20,12 @@ makes its two bounds equal.
 
 The pointwise minimizers come from the generalised eigenpairs of the
 ambient pencil (M2, M1) and of the reduced pencil, the same two
-eigensolves that give the spectral coordinates of the integrated check;
-in those coordinates every t is diagonal, and `k2_batch` and
-`interp_norms_sq` take all probes at once. One Cholesky solve per pencil
-at the middle t recomputes K^2 and K0^2 as an in-run cross-check.
+eigensolves that give the spectral coordinates of the integrated check,
+the probe vectors (reduced eigenvectors) and the quadrature window
+(ambient spectrum); in those coordinates every t is diagonal, and
+`k2_batch` and `interp_norms_sq` take all probes at once. One Cholesky
+solve per pencil at the middle t recomputes K^2 and K0^2 as an in-run
+cross-check.
 
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences) and the
@@ -169,22 +171,20 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
 # ---- probe vectors
 
 
-def subspace_probes(m1, m2, Z, n_random=20, n_eig=5, seed=42) -> list:
+def subspace_probes(Z, V, n_random=20, n_eig=5, seed=42) -> list:
     """Probe family in span(Z): n_random decaying random vectors followed
-    by the n_eig lowest constrained pencil eigenvectors.
+    by the n_eig lowest reduced-pencil eigenvectors.
 
-    The pencil is (Z^T m2 Z, Z^T m1 Z); random probes decay like
-    j^(-1.5) against its modes so they lie (numerically) in every
-    intermediate space; low modes stress the large-t regime. n_eig above
-    the reduced dimension raises InvalidConfig.
+    V holds the eigenvectors of the reduced pencil (Z^T m2 Z, Z^T m1 Z)
+    in ascending eigenvalue order, as `congruence` returns them; random
+    probes decay like j^(-1.5) against these modes so they lie
+    (numerically) in every intermediate space; low modes stress the
+    large-t regime. n_eig above the reduced dimension raises
+    InvalidConfig.
     """
     r = Z.shape[1]
     if n_eig > r:
         raise InvalidConfig(f"n_eig={n_eig} probes exceed the reduced dimension {r}")
-    M1r = Z.T @ m1 @ Z
-    M2r = Z.T @ m2 @ Z
-    mu, V = linalg.eigh(M2r, M1r)
-    del mu
     rng = np.random.default_rng(seed)
     decay = np.arange(1, r + 1, dtype=np.float64) ** -1.5
     probes = []
@@ -200,24 +200,28 @@ def subspace_probes(m1, m2, Z, n_random=20, n_eig=5, seed=42) -> list:
 
 
 def verify_intersection_lemma(
-    pair_ambient: QuadraticPair,
-    Z: np.ndarray,
+    pair: QuadraticPair,
     T: Retraction,
     theta_list,
-    probe_vectors,
-    rule: QuadratureRule,
+    quadrature: dict | None = None,
+    *,
     lemma_label: str = "Lemma 4.3",
     grid_label: str = "",
     experiment_name: str = "intersection",
     t_points: int = 65,
-    seed: int | None = None,
+    seed: int = 42,
     cfg_hash: str = "",
 ):
     """Pointwise and integrated checks of the retraction inequality chain.
 
-    For each probe u in span(Z) and each t on the log-spaced grid
-    spanning the rule's window: form the ambient optimal decomposition
-    u = f + g, transport it, and check
+    pair is the ambient pair; the subspace is span(Z) for Z =
+    T.subspace_basis, and the reduced pair is (Z^T M1 Z, Z^T M2 Z). The
+    probes are `subspace_probes(Z, V_red, seed=seed)` (20 decaying plus
+    the 5 lowest modes of the reduced pencil), and the quadrature window
+    is the `for_spectrum` window of the ambient pencil, overlaid by the
+    quadrature config keys. For each probe u and each t on the
+    log-spaced grid spanning that window: form the ambient optimal
+    decomposition u = f + g, transport it, and check
 
         K <= K0,   K0^2 <= |Tf|_H^2 + t^2 |Tg|_D^2 <= 2 C^2 K^2,
 
@@ -234,22 +238,21 @@ def verify_intersection_lemma(
     (M1 + t^2 M2) f = t^2 M2 u for all probes at once recompute K^2 and
     K0^2; a relative deviation above 1e-9 raises SolverFailure.
     """
-    if pair_ambient.subspace_basis is not None:
-        raise InvalidConfig("pass the ambient pair; the subspace enters through Z")
-    M1, M2 = pair_ambient.m1, pair_ambient.m2
-    Tm = T.map
+    M1, M2 = pair.m1, pair.m2
+    Tm, Z = T.map, T.subspace_basis
     _check_identity(Tm, Z)
     C = max(T.h_bound, T.d_bound)
     c_prime = math.sqrt(2.0) * max(C, T.h_bound)
     M1r = Z.T @ M1 @ Z
     M2r = Z.T @ M2 @ Z
-    coords = [Z.T @ np.asarray(u, dtype=np.float64) for u in probe_vectors]
-    lam_amb, V_amb, w_amb = congruence(pair_ambient)
-    lam_red, _, w_red = congruence(QuadraticPair(M1r, M2r, None))
+    lam_amb, V_amb, w_amb = congruence(pair)
+    lam_red, V_red, w_red = congruence(QuadraticPair(M1r, M2r))
+    probe_vectors = subspace_probes(Z, V_red, seed=seed)
+    rule = QuadratureRule.from_config(quadrature, QuadratureRule.for_spectrum(lam_amb))
 
     # pointwise chain for every t and probe from the eigenpairs
-    U = np.column_stack([np.asarray(u, dtype=np.float64) for u in probe_vectors])
-    Cr = np.column_stack(coords)
+    U = np.column_stack(probe_vectors)
+    Cr = Z.T @ U
     a = w_amb @ U
     a_r = w_red @ Cr
     TV = Tm @ V_amb

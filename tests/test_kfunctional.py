@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fracspace import (
     InvalidConfig,
     NonPositiveT,
-    NotInSubspace,
     QuadratureNotConverged,
     QuadratureRule,
     SingularSystem,
@@ -137,28 +136,6 @@ def test_pair_validation():
         build_quadratic_pair(asym, np.eye(2))
     with pytest.raises(SingularSystem):
         build_quadratic_pair(np.eye(2), np.eye(3))
-
-
-def test_subspace_membership_enforced():
-    Z = np.zeros((3, 1))
-    Z[0, 0] = 1.0
-    pair = build_quadratic_pair(np.eye(3), np.diag([1.0, 4.0, 9.0]), Z)
-    k_quadratic(pair, np.array([2.0, 0.0, 0.0]), 1.0)  # in span: fine
-    with pytest.raises(NotInSubspace):
-        k_quadratic(pair, np.array([2.0, 1.0, 0.0]), 1.0)
-
-
-def test_subspace_pair_reduces_correctly():
-    # span of the first two axes; forms diagonal, so the reduced problem
-    # is the 2x2 head
-    Z = np.eye(4)[:, :2]
-    pair = build_quadratic_pair(np.eye(4), np.diag([1.0, 4.0, 9.0, 16.0]), Z)
-    head = build_spectral_model(np.array([1.0, 2.0]), np.eye(2))
-    u = np.array([1.0, -2.0, 0.0, 0.0])
-    for t in (0.1, 1.0, 10.0):
-        assert k_quadratic(pair, u, t) == pytest.approx(
-            k_spectral(head, u[:2], t), rel=1e-12
-        )
 
 
 # ---- quadrature rule and interpolation norm

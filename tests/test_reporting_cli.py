@@ -1,7 +1,11 @@
 import json
+import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspace import (
     EXPERIMENTS,
@@ -66,6 +70,73 @@ def test_make_run_config_validates():
     for out in (5, "", None, ["x"]):
         with pytest.raises(InvalidConfig):
             make_run_config({"experiment": "lemma41", "output_dir": out}, EXPERIMENTS)
+    # numpy.random.default_rng takes no negative seed
+    for seed in (-1, -(10**30)):
+        with pytest.raises(InvalidConfig):
+            make_run_config({"experiment": "lemma41", "seed": seed}, EXPERIMENTS)
+    assert make_run_config({"experiment": "lemma41", "seed": 0}, EXPERIMENTS).seed == 0
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.sampled_from([-1, 0, 1, 2**63, 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+_junk = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_ints = st.one_of(
+    st.integers(min_value=-3, max_value=10**6), st.sampled_from([2**63, 10**400])
+)
+_reals = st.one_of(
+    st.floats(min_value=-400.0, max_value=400.0), st.sampled_from([math.nan, math.inf, 0])
+)
+_CONFIG_KEYS = ("experiment", "sizes", "thetas", "seed", "quadrature", "output_dir", "format")
+
+
+@st.composite
+def _config_docs(draw):
+    """Mostly plausible configs, with up to two of the seven keys junk."""
+    doc = draw(
+        st.fixed_dictionaries(
+            {"experiment": st.sampled_from(sorted(EXPERIMENTS))},
+            optional={
+                "sizes": st.lists(_ints, max_size=3),
+                "thetas": st.lists(_reals, max_size=3),
+                "seed": st.integers(min_value=-(10**6), max_value=10**6),
+                "quadrature": st.dictionaries(
+                    st.sampled_from(["log_t_min", "log_t_max", "tol", "max_panels"]),
+                    st.one_of(_ints, _reals),
+                    max_size=2,
+                ),
+                "output_dir": st.just("runs"),
+                "format": st.sampled_from(["csv", "json", "both"]),
+            },
+        )
+    )
+    doc.update(draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _junk, max_size=2)))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_docs())
+def test_make_run_config_fuzz(doc):
+    # a config is either valid or refused as such, never a crash
+    try:
+        cfg = make_run_config(doc, EXPERIMENTS)
+    except (InvalidConfig, UnknownExperiment):
+        return
+    assert isinstance(cfg, RunConfig)
+    np.random.default_rng(cfg.seed)
+    assert all(isinstance(th, float) and 0.0 < th < 1.0 for th in cfg.thetas)
+    assert all(math.isfinite(v) for v in (cfg.quadrature or {}).values())
 
 
 def test_config_hash_scope():
@@ -267,6 +338,29 @@ def test_cli_bad_env_seed(monkeypatch, capsys):
     assert main(["higher-power", "--size", "24", "--format", "json"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidConfig"
+
+
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-5")])
+def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, capsys, flag, env):
+    if env is not None:
+        monkeypatch.setenv("FRACSPACE_SEED", env)
+    argv = ["higher-power", "--size", "24", *flag, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_criticality_size_cap_exits_2(tmp_path, capsys):
+    # one mode past the cap of 2^22; refused before anything is allocated
+    argv = ["criticality", "--size", str(2**22 + 1), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "InvalidConfig" and "cap" in doc["message"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_verification_error_exits_1(tmp_path, capsys):

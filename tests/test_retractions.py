@@ -11,6 +11,7 @@ from fracspace import (
     InvalidConfig,
     QuadratureRule,
     RetractionIdentityViolated,
+    RunConfig,
     SolverFailure,
     build_quadratic_pair,
     build_stokes,
@@ -26,7 +27,12 @@ from fracspace import (
 )
 from fracspace import retractions
 from fracspace.cli import main
-from fracspace.experiments import _harmonic_setup, _stokes_setup
+from fracspace.experiments import (
+    _harmonic_setup,
+    _stokes_setup,
+    run_halft1,
+    run_intersection,
+)
 from fracspace.retractions import _build_retraction
 
 
@@ -56,6 +62,11 @@ def test_build_retraction_rejects_broken_identity():
     T = np.zeros((3, 3))
     with pytest.raises(RetractionIdentityViolated):
         _build_retraction(T, Z, 1.0, 1.0)
+    # Retraction is a public dataclass, so the lemma check repeats the test
+    broken = retractions.Retraction(map=T, subspace_basis=Z, h_bound=1.0, d_bound=1.0)
+    pair = build_quadratic_pair(np.eye(3), np.eye(3))
+    with pytest.raises(RetractionIdentityViolated):
+        verify_intersection_lemma(pair, broken, (0.5,))
 
 
 def test_identity_check_bounds_the_residual_by_frobenius():
@@ -121,18 +132,28 @@ def test_stokes_retraction_identity():
         assert ret.d_bound == pytest.approx(d_norm, rel=1e-10)
 
 
+def _reduced_eigenvectors(pair, Z):
+    """Eigenvectors of the reduced pencil (Z^T M2 Z, Z^T M1 Z)."""
+    return linalg.eigh(Z.T @ pair.m2 @ Z, Z.T @ pair.m1 @ Z)[1]
+
+
 def test_subspace_probes_shape_and_span():
     d = grid_domain(2, 5)
     grams = sobolev_grams(d)
     Z = zero_boundary_basis(d)
-    probes = subspace_probes(grams.g1, grams.g2, Z, n_random=7, n_eig=3, seed=5)
+    V = _reduced_eigenvectors(build_quadratic_pair(grams.g1, grams.g2), Z)
+    probes = subspace_probes(Z, V, n_random=7, n_eig=3, seed=5)
     assert len(probes) == 10
     for v in probes:
         resid = np.linalg.norm(v - Z @ (Z.T @ v))
         assert resid <= 1e-10 * np.linalg.norm(v)
-    again = subspace_probes(grams.g1, grams.g2, Z, n_random=7, n_eig=3, seed=5)
+    # the last n_eig probes are the lowest reduced modes
+    np.testing.assert_array_equal(probes[7], Z @ V[:, 0])
+    again = subspace_probes(Z, V, n_random=7, n_eig=3, seed=5)
     for a, b in zip(probes, again):
         np.testing.assert_array_equal(a, b)
+    with pytest.raises(InvalidConfig):
+        subspace_probes(Z, V, n_eig=Z.shape[1] + 1)
 
 
 @pytest.mark.parametrize(
@@ -150,36 +171,24 @@ def test_verify_intersection_small_grid():
     d = grid_domain(2, 5)
     grams = sobolev_grams(d)
     pair = build_quadratic_pair(grams.g1, grams.g2)
-    Z = zero_boundary_basis(d)
     ret = harmonic_retraction(d, grams)
-    probes = subspace_probes(grams.g1, grams.g2, Z, n_random=4, n_eig=2, seed=3)
-    rule = QuadratureRule(-12.0, 8.0)
+    window = {"log_t_min": -12.0, "log_t_max": 8.0}
     rep = verify_intersection_lemma(
-        pair, Z, ret, (0.3, 0.7), probes, rule, grid_label="n5", t_points=17
+        pair, ret, (0.3, 0.7), window, grid_label="n5", t_points=17, seed=3
     )
     assert rep.passed
     kinds = {c["check"] for c in rep.cells}
     assert kinds == {"pointwise", "interp-ratio"}
     n_pointwise = sum(1 for c in rep.cells if c["check"] == "pointwise")
-    assert n_pointwise == 6 * 17
+    assert n_pointwise == 25 * 17
+    assert rep.parameters["n_probes"] == 25
+    assert (rep.parameters["log_t_min"], rep.parameters["log_t_max"]) == (-12.0, 8.0)
     assert rep.parameters["h_bound"] >= 1.0 - 1e-12
 
 
-def test_verify_intersection_rejects_subspace_pair():
-    d = grid_domain(2, 4)
-    grams = sobolev_grams(d)
-    Z = zero_boundary_basis(d)
-    pair = build_quadratic_pair(grams.g1, grams.g2, Z)
-    ret = harmonic_retraction(d, grams)
-    with pytest.raises(InvalidConfig):
-        verify_intersection_lemma(
-            pair, Z, ret, (0.5,), [Z[:, 0]], QuadratureRule(-8.0, 8.0)
-        )
-
-
-def _pointwise_by_cholesky(pair, Z, T, probes, rule, t_points):
+def _pointwise_by_cholesky(pair, T, probes, log_t_min, log_t_max, t_points):
     """Worst pointwise ratio per (t, probe) from per-probe Cholesky solves."""
-    M1, M2 = pair.m1, pair.m2
+    M1, M2, Z = pair.m1, pair.m2, T.subspace_basis
     M1r, M2r = Z.T @ M1 @ Z, Z.T @ M2 @ Z
     C = max(T.h_bound, T.d_bound)
 
@@ -189,7 +198,7 @@ def _pointwise_by_cholesky(pair, Z, T, probes, rule, t_points):
         return f, g, f @ F1 @ f + t2 * (g @ F2 @ g)
 
     out = []
-    for tau in np.linspace(rule.log_t_min, rule.log_t_max, t_points):
+    for tau in np.linspace(log_t_min, log_t_max, t_points):
         t = math.exp(tau)
         for u in probes:
             f, g, k2 = split(M1, M2, t * t, u)
@@ -203,11 +212,15 @@ def _pointwise_by_cholesky(pair, Z, T, probes, rule, t_points):
 
 @pytest.mark.parametrize("setup, n", [(_harmonic_setup, 6), (_stokes_setup, 4)])
 def test_pointwise_cells_match_cholesky_minimizers(setup, n):
-    pair, Z, T, probes, rule = setup(n, 42, None)
-    assert len(probes) == 25
-    rep = verify_intersection_lemma(pair, Z, T, (0.5,), probes, rule, t_points=17)
+    pair, T = setup(n)
+    rep = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
     cells = [c for c in rep.cells if c["check"] == "pointwise"]
-    oracle = _pointwise_by_cholesky(pair, Z, T, probes, rule, 17)
+    # the same probes, rebuilt from a reduced-pencil eigensolve of our own
+    Z = T.subspace_basis
+    probes = subspace_probes(Z, _reduced_eigenvectors(pair, Z), seed=42)
+    assert len(probes) == 25
+    window = rep.parameters["log_t_min"], rep.parameters["log_t_max"]
+    oracle = _pointwise_by_cholesky(pair, T, probes, *window, 17)
     assert len(cells) == len(oracle) == 17 * 25
     for cell, (t, ratio) in zip(cells, oracle):
         assert cell["t"] == t
@@ -223,9 +236,40 @@ def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
         return lam * (1.0 + 1e-6), V, transform
 
     monkeypatch.setattr(retractions, "congruence", perturbed)
-    pair, Z, T, probes, rule = _harmonic_setup(6, 42, None)
+    pair, T = _harmonic_setup(6)
     with pytest.raises(SolverFailure, match="Cholesky"):
-        verify_intersection_lemma(pair, Z, T, (0.5,), probes, rule, t_points=17)
+        verify_intersection_lemma(pair, T, (0.5,), t_points=17)
+
+
+@pytest.mark.parametrize(
+    "runner, experiment, sizes",
+    [(run_intersection, "intersection", (6, 4)), (run_halft1, "halft1", (4, 6))],
+)
+def test_one_eigensolve_per_pencil(monkeypatch, runner, experiment, sizes):
+    # two grids, each with an ambient and a reduced pencil: probes and
+    # window come from those two solves, not from solves of their own
+    calls = []
+    real_eigh = linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigh", counting)
+    rep = runner(RunConfig(experiment=experiment, sizes=sizes))
+    assert rep.passed
+    assert len(calls) == 4, calls
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_stokes_window_matches_ambient_operator_spectrum(n):
+    # the window comes from sqrt(eig(A^2, I)); eig(A) is the old route
+    rep = run_intersection(RunConfig(experiment="intersection", sizes=(4, n)))
+    params = rep.parameters["stokes"]
+    A = build_stokes(grid_domain(2, n)).vector_laplacian
+    oracle = QuadratureRule.for_spectrum(np.linalg.eigvalsh(A))
+    assert params["log_t_min"] == pytest.approx(oracle.log_t_min, rel=0.0, abs=1e-12)
+    assert params["log_t_max"] == pytest.approx(oracle.log_t_max, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

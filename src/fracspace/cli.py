@@ -5,7 +5,8 @@ fracspace <experiment> --config cfg.json [--theta ...] [--size ...]
 fracspace list
 
 Exit codes: 0 all checks passed, 1 a verification cell failed (or a
-runtime verification error), 2 unknown experiment or invalid config.
+runtime verification error), 2 unknown experiment, invalid config or an
+output directory that cannot be written.
 """
 from __future__ import annotations
 
@@ -74,6 +75,18 @@ def _env_seed() -> int | None:
         raise InvalidConfig(f"FRACSPACE_SEED must be an integer, got {raw!r}") from exc
 
 
+def _check_output_dir(path: str) -> None:
+    """Refuse, before any experiment runs, an output directory that is
+    neither a writable directory nor creatable under one."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise InvalidConfig(
+            f"output_dir {path!r} cannot be used: {probe!r} is not a writable directory"
+        )
+
+
 def _emit_error(exc: Exception) -> None:
     doc = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
@@ -105,9 +118,15 @@ def main(argv=None) -> int:
         if args.format is not None:
             doc["format"] = args.format
         config = make_run_config(doc, EXPERIMENTS)
+        _check_output_dir(config.output_dir)
         runner, _ = EXPERIMENTS[config.experiment]
         report = runner(config)
-        paths = write_report(report, config)
+        try:
+            paths = write_report(report, config)
+        except OSError as exc:
+            raise InvalidConfig(
+                f"cannot write the report to {config.output_dir!r}: {exc}"
+            ) from exc
     except (UnknownExperiment, InvalidConfig) as exc:
         _emit_error(exc)
         return 2

@@ -12,11 +12,14 @@ decompositions). Integrated, the subspace interpolation norm is
 equivalent to the ambient one within [1, sqrt(2) C].
 
 Bounds are measured as exact operator norms of the assembled discrete
-maps (largest singular value, after a Cholesky similarity for a Gram
-norm), not estimated from probes, so the inequality chain above holds
-deterministically. The harmonic lift takes one such norm per leg; the
-divergence-free retraction takes one in all, since A T A^-1 = T^T
-makes its two bounds equal.
+maps, not estimated from probes, so the inequality chain above holds
+deterministically. Each norm is the square root of the top eigenvalue
+of one symmetric Gram X X^T, taken on the short side of a factor X with
+the same largest singular value (after a Cholesky similarity for a Gram
+norm); no dense SVD is formed. The harmonic lift takes one such norm per
+leg; the divergence-free retraction takes one in all, since
+A T A^-1 = T^T makes its two bounds equal, and its factor is the r x m
+inner map B of T = Z B, as |Z B|_2 = |B|_2 for orthonormal Z.
 
 The pointwise minimizers come from the generalised eigenpairs of the
 ambient pencil (M2, M1) and of the reduced pencil, the same two
@@ -71,15 +74,32 @@ class Retraction:
     d_bound: float
 
 
+def _top_singular_value(X: np.ndarray) -> float:
+    """Largest singular value of X: sqrt of the top eigenvalue of X X^T.
+
+    A non-finite or non-positive top eigenvalue (a NaN in X, or X = 0)
+    raises SolverFailure instead of returning a number.
+    """
+    k = X.shape[0] - 1
+    try:
+        top = linalg.eigvalsh(X @ X.T, subset_by_index=[k, k])[0]
+    except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
+        raise SolverFailure(f"top eigenvalue of the Gram X X^T failed: {exc}") from exc
+    if not (math.isfinite(top) and top > 0.0):
+        raise SolverFailure(f"top eigenvalue of the Gram X X^T is {top!r}")
+    return math.sqrt(top)
+
+
 def gram_operator_norm(T: np.ndarray, gram: np.ndarray) -> float:
     """Operator norm of T in the norm |u| = sqrt(u^T gram u).
 
-    Equals the largest singular value of L^T T L^-T for gram = L L^T.
+    Equals the largest singular value of N = L^T T L^-T for
+    gram = L L^T, taken as sqrt of the top eigenvalue of N N^T.
     """
     L = linalg.cholesky(gram, lower=True)
     E = L.T @ T
     N = linalg.solve_triangular(L, E.T, lower=True).T
-    return float(np.linalg.norm(N, 2))
+    return _top_singular_value(N)
 
 
 def _check_identity(T: np.ndarray, Z: np.ndarray) -> None:
@@ -153,7 +173,9 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
     The bounds are exact operator norms: h_bound = |T|_2 and
     d_bound = |A T A^-1|_2 for the D-norm |f|_D = |A f|. A and Ac are
     symmetric, so A T A^-1 = A Z Ac^-1 Z^T = T^T and d_bound = h_bound
-    comes from the one SVD norm.
+    comes from the one norm. With T = Z B, B = Ac^-1 Z^T A, and Z
+    orthonormal, |T|_2 = |B|_2: the sqrt of the top eigenvalue of the
+    r x r Gram B B^T.
     """
     A = sys.vector_laplacian
     Z = sys.nullbasis
@@ -163,8 +185,9 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
         raise SingularConstrainedOperator(
             "constrained operator failed to factorize"
         ) from exc
-    T = Z @ linalg.cho_solve(factor, Z.T @ A)
-    bound = float(np.linalg.norm(T, 2))
+    B = linalg.cho_solve(factor, Z.T @ A)
+    T = Z @ B
+    bound = _top_singular_value(B)
     return _build_retraction(T, Z, bound, bound)
 
 

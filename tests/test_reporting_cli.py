@@ -363,6 +363,34 @@ def test_cli_criticality_size_cap_exits_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def _runner_must_not_run(config):
+    raise AssertionError("the experiment ran before the output directory was checked")
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub/dir"])
+def test_cli_unusable_out_exits_2_before_running(tmp_path, monkeypatch, capsys, out):
+    # --out at an existing file, or at a path under one
+    (tmp_path / "taken").write_text("x")
+    monkeypatch.setitem(EXPERIMENTS, "lemma41", (_runner_must_not_run, "stub"))
+    assert main(["lemma41", "--size", "8", "--out", str(tmp_path / out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+def test_cli_write_oserror_exits_2(tmp_path, monkeypatch, capsys):
+    def failing_write(report, config):
+        raise PermissionError(13, "Permission denied", config.output_dir)
+
+    monkeypatch.setattr("fracspace.cli.write_report", failing_write)
+    assert main(["higher-power", "--size", "8", "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "InvalidConfig" and "Permission denied" in doc["message"]
+
+
 def test_cli_verification_error_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -32,8 +32,16 @@ from fracspace.experiments import (
     _stokes_setup,
     run_halft1,
     run_intersection,
+    run_stokes_retraction,
 )
-from fracspace.retractions import _build_retraction
+from fracspace.retractions import _build_retraction, _top_singular_value
+
+
+def _dense_gram_norm(T, gram):
+    """|L^T T L^-T|_2 for gram = L L^T, from a full dense SVD."""
+    L = linalg.cholesky(gram, lower=True)
+    N = linalg.solve_triangular(L, (L.T @ T).T, lower=True).T
+    return np.linalg.norm(N, 2)
 
 
 def test_gram_operator_norm_euclidean():
@@ -55,6 +63,33 @@ def test_gram_operator_norm_weighted_similarity():
         worst = max(worst, num / den)
     assert worst <= norm * (1 + 1e-10)
     assert worst >= norm * 0.9  # probes come close in 4 dimensions
+
+
+@pytest.mark.parametrize("m, seed", [(5, 0), (30, 1), (80, 2)])
+def test_gram_operator_norm_matches_dense_svd_ill_conditioned(m, seed):
+    # random square T against an SPD Gram of condition number 1e10
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((m, m))
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    gram = (Q * np.logspace(-5, 5, m)) @ Q.T
+    gram = 0.5 * (gram + gram.T)
+    oracle = _dense_gram_norm(T, gram)
+    assert gram_operator_norm(T, gram) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.zeros((3, 5)),
+    ],
+    ids=["nan", "inf", "zero"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_top_singular_value_fails_loudly(X):
+    with pytest.raises(SolverFailure):
+        _top_singular_value(X)
 
 
 def test_build_retraction_rejects_broken_identity():
@@ -118,6 +153,26 @@ def test_harmonic_retraction_identity_and_bounds():
     # identity on a nontrivial subspace forces both norms >= 1
     assert ret.h_bound >= 1.0 - 1e-12
     assert ret.d_bound >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_harmonic_bounds_match_dense_svd(n):
+    d = grid_domain(2, n)
+    grams = sobolev_grams(d)
+    ret = harmonic_retraction(d, grams)
+    h_oracle = _dense_gram_norm(ret.map, grams.g1)
+    d_oracle = _dense_gram_norm(ret.map, grams.g2)
+    assert ret.h_bound == pytest.approx(h_oracle, rel=1e-12, abs=0.0)
+    assert ret.d_bound == pytest.approx(d_oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_stokes_bound_matches_dense_svd(n):
+    # |T|_2 of the full m x m map, apart from the r x r Gram route
+    ret = stokes_retraction(build_stokes(grid_domain(2, n)))
+    oracle = np.linalg.norm(ret.map, 2)
+    assert ret.h_bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert ret.d_bound == ret.h_bound
 
 
 def test_stokes_retraction_identity():
@@ -259,6 +314,32 @@ def test_one_eigensolve_per_pencil(monkeypatch, runner, experiment, sizes):
     rep = runner(RunConfig(experiment=experiment, sizes=sizes))
     assert rep.passed
     assert len(calls) == 4, calls
+
+
+@pytest.mark.parametrize(
+    "runner, experiment, expected",
+    [(run_stokes_retraction, "stokes-retraction", 2), (run_halft1, "halft1", 0)],
+)
+def test_dense_svd_count(monkeypatch, runner, experiment, expected):
+    # the only dense SVDs left are the null bases of D, one per Stokes grid;
+    # a matrix 2-norm runs an SVD inside numpy, so it counts as one
+    calls = []
+    real_svd, real_norm = np.linalg.svd, np.linalg.norm
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(("svd", np.shape(a)))
+        return real_svd(a, *args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if np.ndim(x) == 2 and ord in (2, -2, "nuc"):
+            calls.append(("norm", np.shape(x)))
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    rep = runner(RunConfig(experiment=experiment, sizes=(4, 6)))
+    assert rep.passed
+    assert len(calls) == expected, calls
 
 
 @pytest.mark.parametrize("n", [4, 12])

@@ -37,7 +37,6 @@ from .retractions import (
     verify_intersection_lemma,
 )
 from .spectral import (
-    CoeffVector,
     apply_fractional_power,
     frac_norm,
     higher_power_decomposition_check,
@@ -111,7 +110,7 @@ def lemma_fps_sweep(model, thetas, probes, rule):
     for theta, num_theta in zip(thetas, num.tolist()):
         const = i_theta(theta)
         for p in range(C.shape[1]):
-            den = const * frac_norm(model, theta, CoeffVector(C[:, p], model)) ** 2
+            den = const * frac_norm(model, theta, C[:, p]) ** 2
             ratio = num_theta[p] / den
             cells.append(
                 {
@@ -169,7 +168,7 @@ def reiteration_check(model, theta, probes, rule_sqrt, pencil):
     const = i_theta(theta)
     cells = []
     for p in range(C.shape[1]):
-        u = CoeffVector(C[:, p], model)
+        u = C[:, p]
         half_u = apply_fractional_power(model, 0.5, u)
         lhs = frac_norm(model, (1.0 + theta) / 2.0, u)
         rhs = frac_norm(model, theta / 2.0, half_u)
@@ -227,8 +226,7 @@ def run_reiteration(config: RunConfig):
     for theta in thetas:
         cells.extend(reiteration_check(model, float(theta), probes, rule_sqrt, pencil))
     # endpoint consistency: at theta = 1 the exponent chain lands on D(A)
-    for p, coeffs in enumerate(probes):
-        u = CoeffVector(np.asarray(coeffs, dtype=np.float64), model)
+    for p, u in enumerate(probes):
         lhs = frac_norm(model, 1.0, u)
         rhs = frac_norm(model, 0.5, apply_fractional_power(model, 0.5, u))
         resid = abs(lhs - rhs) / max(rhs, 1e-300)
@@ -779,17 +777,23 @@ def stokes_equivalence_study(config: RunConfig):
         probe_coords = [
             V @ c for c in decaying_probes(constrained.dim, 20, config.seed)
         ] + [V[:, i] for i in range(5)]
+        # (constrained, ambient) coefficients of each probe, shared by every theta
+        probe_coeffs = [
+            (to_coeffs(constrained, c), to_coeffs(ambient, Z @ c))
+            for c in probe_coords
+        ]
 
-        def ratio_at(theta, c):
-            num = frac_norm(constrained, theta, to_coeffs(constrained, c))
-            den = frac_norm(ambient, theta, to_coeffs(ambient, Z @ c))
-            return num / den
+        def ratio_at(theta, coeffs):
+            c_con, c_amb = coeffs
+            return frac_norm(constrained, theta, c_con) / frac_norm(
+                ambient, theta, c_amb
+            )
 
         for theta, kind, bound in (
             (0.0, "exact-at-0", 1e-10),
             (0.5, "exact-at-half", 1e-10),
         ):
-            worst = max(abs(ratio_at(theta, c) - 1.0) for c in probe_coords)
+            worst = max(abs(ratio_at(theta, c) - 1.0) for c in probe_coeffs)
             cells.append(
                 {
                     "lemma": "Lemma 5.5",
@@ -801,7 +805,7 @@ def stokes_equivalence_study(config: RunConfig):
                     "pass": bool(worst <= bound),
                 }
             )
-        worst = max(ratio_at(1.0, c) for c in probe_coords)
+        worst = max(ratio_at(1.0, c) for c in probe_coeffs)
         cells.append(
             {
                 "lemma": "Lemma 5.5",
@@ -815,7 +819,7 @@ def stokes_equivalence_study(config: RunConfig):
         )
         for theta in thetas:
             theta = float(theta)
-            ratios = [ratio_at(theta, c) for c in probe_coords]
+            ratios = [ratio_at(theta, c) for c in probe_coeffs]
             lo, hi = min(ratios), max(ratios)
             extremes.setdefault(theta, {})[n] = (lo, hi)
             cells.append(
@@ -867,10 +871,8 @@ def run_higher_power(config: RunConfig):
     probes = decaying_probes(model.dim, 10, config.seed)
     cells = []
     for alpha, beta in _HP_PAIRS:
-        for p, coeffs in enumerate(probes):
-            u = CoeffVector(np.asarray(coeffs, dtype=np.float64), model)
-            rep = higher_power_decomposition_check(model, alpha, beta, u)
-            cell = dict(rep.cells[0])
+        for p, u in enumerate(probes):
+            cell = higher_power_decomposition_check(model, alpha, beta, u)
             cell.update({"lemma": "higher-power", "grid": n, "probe": p})
             cells.append(cell)
     params = {"modes": n, "pairs": [list(p) for p in _HP_PAIRS]}

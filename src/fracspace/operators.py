@@ -1,7 +1,7 @@
 """Concrete desk-scale operators on the unit interval and unit square.
 
 Provides the 1D Dirichlet Laplacian with its analytic spectrum (sampled
-sine eigenfunctions, orthonormal under the trapezoid mass Gram by
+sine eigenfunctions, orthonormal under the trapezoid mass h by
 discrete sine orthogonality), finite-difference
 Dirichlet Laplacians in 1D/2D, discrete Sobolev Gram forms on the full
 node set (boundary included), and a staggered-grid Stokes system: vector
@@ -71,9 +71,9 @@ def laplacian_1d_analytic(n_modes: int, n_grid: int | None = None) -> SpectralMo
     """Analytic 1D Dirichlet spectrum: lam_k = (k pi)^2, sqrt(2) sin(k pi x).
 
     Eigenfunctions are sampled on n_grid interior points x_i = i h,
-    h = 1/(n_grid + 1), under the trapezoid mass Gram (h * identity for
-    zero-boundary samples). For k, l <= n_grid the samples are exactly
-    orthonormal in that Gram by discrete sine (DST-I) orthogonality,
+    h = 1/(n_grid + 1), with mass h (the trapezoid rule on zero-boundary
+    samples). For k, l <= n_grid the samples are exactly orthonormal
+    under that mass by discrete sine (DST-I) orthogonality,
     2 h sum_i sin(k pi x_i) sin(l pi x_i) = delta_kl, so the sampled
     columns are used as they are; build_spectral_model checks the Gram
     deviation against ORTHO_TOL, which guards rounding.
@@ -90,7 +90,7 @@ def laplacian_1d_analytic(n_modes: int, n_grid: int | None = None) -> SpectralMo
     x = h * np.arange(1, n_grid + 1)
     k = np.arange(1, n_modes + 1)
     basis = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
-    return build_spectral_model((k * np.pi) ** 2, basis, h * np.eye(n_grid))
+    return build_spectral_model((k * np.pi) ** 2, basis, h)
 
 
 def _second_difference_1d(n: int, h: float) -> np.ndarray:
@@ -101,25 +101,23 @@ def _second_difference_1d(n: int, h: float) -> np.ndarray:
 def laplacian_fd(domain: GridDomain) -> SpectralModel:
     """Finite-difference Dirichlet Laplacian, fully diagonalized.
 
-    3-point stencil in 1D, 5-point in 2D; mass Gram h^d * identity on
-    interior nodes, so Euclidean eigenvectors rescale by h^(-d/2).
+    3-point stencil in 1D, 5-point in 2D; mass h^d on interior nodes, so
+    Euclidean eigenvectors rescale by h^(-d/2).
     """
     h = domain.h
     T = _second_difference_1d(domain.n, h)
     if domain.dimension == 1:
         L = T
-        scale = math.sqrt(h)
+        mass = h
     else:
         eye = np.eye(domain.n)
         L = np.kron(eye, T) + np.kron(T, eye)
-        scale = h
+        mass = h * h
     try:
         lam, V = linalg.eigh(L)
     except linalg.LinAlgError as exc:
         raise EigensolveFailure("dense eigendecomposition failed") from exc
-    V = _fix_signs(V) / scale
-    gram = (scale * scale) * np.eye(L.shape[0])
-    return build_spectral_model(lam, V, gram)
+    return build_spectral_model(lam, _fix_signs(V) / math.sqrt(mass), mass)
 
 
 @dataclass(frozen=True)
@@ -329,9 +327,8 @@ def stokes_spectral_model(sys: StokesSystem) -> SpectralModel:
 def stokes_ambient_model(sys: StokesSystem) -> SpectralModel:
     """Diagonalize the full vector Laplacian on velocity unknowns.
 
-    The physical mass form is h^2 * identity; the scalar drops out of
-    every norm ratio and operator norm used here, so the ambient Gram is
-    taken as the identity.
+    The physical mass is h^2; the scalar drops out of every norm ratio
+    and operator norm used here, so the model keeps mass 1.
     """
     try:
         lam, V = linalg.eigh(sys.vector_laplacian)

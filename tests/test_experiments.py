@@ -18,6 +18,7 @@ from fracspace import (
     frac_norm,
     i_theta,
     report_to_json,
+    to_coeffs,
     weight_test,
 )
 from fracspace import experiments
@@ -251,3 +252,18 @@ def test_stokes_equivalence_small():
     assert rep.passed
     kinds = {c["check"] for c in rep.cells}
     assert {"exact-at-0", "exact-at-half", "contraction-at-1"} <= kinds
+
+
+def test_stokes_equivalence_projects_each_probe_once_per_grid(monkeypatch):
+    # 25 probes per grid, each projected onto the constrained and the
+    # ambient basis once, however many thetas are checked
+    calls = []
+
+    def counting(model, u):
+        calls.append(model.dim)
+        return to_coeffs(model, u)
+
+    monkeypatch.setattr(experiments, "to_coeffs", counting)
+    cfg = RunConfig(experiment="stokes-equivalence", sizes=(4, 5), seed=2)
+    assert stokes_equivalence_study(cfg).passed
+    assert len(calls) == 2 * 2 * 25

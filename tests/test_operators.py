@@ -35,9 +35,9 @@ def test_analytic_1d_eigendata():
     m = laplacian_1d_analytic(8)
     j = np.arange(1, 9)
     np.testing.assert_allclose(m.eigenvalues, (j * np.pi) ** 2, rtol=1e-14)
-    # columns orthonormal in the h-weighted gram
-    G = m.ambient_gram
-    np.testing.assert_allclose(m.basis.T @ G @ m.basis, np.eye(8), atol=1e-10)
+    # columns orthonormal under the mass h
+    assert m.mass == 1.0 / 18.0  # default n_grid = 2 * 8 + 1
+    np.testing.assert_allclose(m.mass * (m.basis.T @ m.basis), np.eye(8), atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -49,7 +49,7 @@ def test_analytic_1d_sampled_sines_orthonormal(n_modes, n_grid):
     # pass, with n_grid == n_modes the tightest case
     m = laplacian_1d_analytic(n_modes, n_grid)
     assert m.ambient_dim == (n_grid if n_grid is not None else 2 * n_modes + 1)
-    dev = np.max(np.abs(m.basis.T @ m.ambient_gram @ m.basis - np.eye(n_modes)))
+    dev = np.max(np.abs(m.mass * (m.basis.T @ m.basis) - np.eye(n_modes)))
     assert dev <= 1e-12
 
 
@@ -59,6 +59,29 @@ def test_fd_1d_small_spectrum():
     m = laplacian_fd(grid_domain(1, 3))
     want = np.array([16 * (2 - math.sqrt(2)), 32.0, 16 * (2 + math.sqrt(2))])
     np.testing.assert_allclose(m.eigenvalues, want, rtol=1e-12)
+
+
+def test_fd_1d_converges_at_second_order():
+    # fitted order of the eigenvalue error for k = 1..5 under mesh halving
+    ns = (31, 63, 127, 255)
+    exact = (np.arange(1, 6) * np.pi) ** 2
+    errs, hs = [], []
+    for n in ns:
+        m = laplacian_fd(grid_domain(1, n))
+        errs.append(np.abs(m.eigenvalues[:5] - exact))
+        hs.append(1.0 / (n + 1))
+    orders = np.polyfit(np.log(hs), np.log(np.array(errs)), 1)[0]
+    assert np.all((orders >= 1.95) & (orders <= 2.05)), orders
+
+
+def test_fd_mass_is_cell_volume():
+    d1 = grid_domain(1, 7)
+    assert laplacian_fd(d1).mass == d1.h
+    d2 = grid_domain(2, 5)
+    m2 = laplacian_fd(d2)
+    assert m2.mass == d2.h * d2.h
+    dev = np.max(np.abs(m2.mass * (m2.basis.T @ m2.basis) - np.eye(m2.dim)))
+    assert dev <= 1e-10
 
 
 def test_fd_converges_to_analytic():

@@ -207,6 +207,21 @@ def test_write_report_formats(tmp_path):
 # ---- CLI
 
 
+def test_all_is_the_public_surface():
+    # every public non-module name of the package is exported, and nothing else
+    import types
+
+    import fracspace
+
+    public = {
+        name
+        for name, obj in vars(fracspace).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert set(fracspace.__all__) == public | {"__version__"}
+    assert fracspace.__all__ == sorted(fracspace.__all__)
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

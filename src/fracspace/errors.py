@@ -54,24 +54,13 @@ class QuadratureNotConverged(FracspaceError):
 # ---- discrete operators
 
 
-class EigensolveFailure(FracspaceError):
-    """Dense symmetric eigendecomposition did not converge."""
-
-
-class EmptyNullspace(FracspaceError):
-    """Divergence operator has no null space; grid is degenerate."""
-
-
 class FactorizationFailure(FracspaceError):
-    """Rank-revealing factorization failed."""
+    """A dense factorization or eigendecomposition of an operator failed,
+    or its result failed a structural check."""
 
 
 class SolverFailure(FracspaceError):
     """Direct linear solve failed."""
-
-
-class SingularConstrainedOperator(FracspaceError):
-    """Constrained operator is numerically singular."""
 
 
 # ---- retractions

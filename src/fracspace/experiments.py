@@ -18,7 +18,6 @@ from .errors import AmbiguousClassification, InvalidConfig
 from .kfunctional import (
     QuadratureRule,
     build_quadratic_pair,
-    congruence,
     i_theta,
     interp_norms_sq,
 )
@@ -156,15 +155,19 @@ def reiteration_check(model, theta, probes, rule_sqrt, pencil):
     frac_norm(theta/2, u)), and the weighted-pair identity targeting the
     exponent (1+theta)/2.
 
-    pencil is congruence(pair) of the weighted pair (diag lam, diag lam^2),
-    solved once by the caller. The weighted-pair norm takes its eigenvalues
-    from the pencil's eigensolve, not from model, so it stays an
-    independent route to the exponent (1+theta)/2."""
-    lam_eff, _, transform = pencil
+    pencil = (lam_eff, scale) reduces the weighted pair (diag lam,
+    diag lam^2) to spectral form: its pencil eigenvalues are
+    lam_eff = sqrt(lam^2 / lam), and the coordinates of u, orthonormal
+    under the first form, are scale * u with scale = sqrt(lam). The pair
+    is diagonal, so the caller takes both elementwise, with no dense
+    eigensolve. The weighted-pair norm stays an independent route to the
+    exponent (1+theta)/2: it is the K-method quadrature of that pair,
+    not the coefficient formula frac_norm that it is compared with."""
+    lam_eff, scale = pencil
     C = np.column_stack([np.asarray(c, dtype=np.float64) for c in probes])
     derived = interp_norms_sq(np.sqrt(model.eigenvalues), C, (theta,), rule_sqrt)[0]
-    # in congruence coordinates the pair is (identity, diag lam_eff^2)
-    weighted = interp_norms_sq(lam_eff, transform @ C, (theta,), rule_sqrt)[0]
+    # in pencil coordinates the pair is (identity, diag lam_eff^2)
+    weighted = interp_norms_sq(lam_eff, scale[:, None] * C, (theta,), rule_sqrt)[0]
     const = i_theta(theta)
     cells = []
     for p in range(C.shape[1]):
@@ -221,7 +224,8 @@ def run_reiteration(config: RunConfig):
     lam = model.eigenvalues
     probes = decaying_probes(model.dim, 20, config.seed)
     rule_sqrt = _rule(config, np.sqrt(lam))
-    pencil = congruence(build_quadratic_pair(np.diag(lam), np.diag(lam * lam)))
+    lam2 = lam * lam
+    pencil = (np.sqrt(lam2 / lam), np.sqrt(lam))
     cells = []
     for theta in thetas:
         cells.extend(reiteration_check(model, float(theta), probes, rule_sqrt, pencil))
@@ -688,7 +692,7 @@ def run_stokes_retraction(config: RunConfig):
                 "pass": bool(worst_identity <= 1e-10),
             }
         )
-        factor = linalg.cho_factor(sys.constrained_op, lower=True)
+        factor = sys.constrained_factor
         A = sys.vector_laplacian
         worst_sym = 0.0
         for _ in range(10):

@@ -6,11 +6,18 @@ discrete sine orthogonality), finite-difference
 Dirichlet Laplacians in 1D/2D, discrete Sobolev Gram forms on the full
 node set (boundary included), and a staggered-grid Stokes system: vector
 Laplacian, discrete divergence, an orthonormal basis of its null space,
-and the constrained operator.
+and the constrained operator with its one Cholesky factor.
+
+Every grid matrix is assembled from dense 1D pieces combined with
+np.kron (the tensor-product structure of Lynch, Rice & Thomas, Numer.
+Math. 6, 1964): trapezoid weights, the edge differences of the path
+graph, Dirichlet and full-node second differences, and the staggered
+forward difference from faces to cells. A 2D operator acting along both
+axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil.
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
-Dense eigendecompositions only, so sizes are capped (1D n <= 2048,
-2D n <= 32 per axis).
+Dense matrices and eigendecompositions only, so sizes are capped (1D
+n <= 2048, 2D n <= 32 per axis).
 """
 from __future__ import annotations
 
@@ -20,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .errors import (
-    EigensolveFailure,
-    EmptyNullspace,
-    FactorizationFailure,
-    InvalidConfig,
-    SingularSystem,
-)
+from .errors import FactorizationFailure, InvalidConfig, SingularSystem
 from .spectral import SpectralModel, build_spectral_model
 
 MAX_N_1D = 2048
@@ -43,6 +44,11 @@ class GridDomain:
     @property
     def h(self) -> float:
         return 1.0 / (self.n + 1)
+
+    @property
+    def cell_volume(self) -> float:
+        """h^d as repeated products (pow may differ from h * h by an ulp)."""
+        return math.prod([self.h] * self.dimension)
 
 
 def grid_domain(dimension: int, n: int) -> GridDomain:
@@ -94,29 +100,37 @@ def laplacian_1d_analytic(n_modes: int, n_grid: int | None = None) -> SpectralMo
 
 
 def _second_difference_1d(n: int, h: float) -> np.ndarray:
+    """Dirichlet second difference on n interior nodes (zero just outside)."""
     T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     return T / (h * h)
+
+
+def _forward_difference(m: int) -> np.ndarray:
+    """(m-1) x m edge differences u[a+1] - u[a] along a path of m nodes."""
+    return np.eye(m - 1, m, k=1) - np.eye(m - 1, m)
+
+
+def _kron_sum(M: np.ndarray, d: int) -> np.ndarray:
+    """M acting along each of d axes: M in 1D, M (x) I + I (x) M in 2D."""
+    if d == 1:
+        return M
+    eye = np.eye(M.shape[0])
+    return np.kron(M, eye) + np.kron(eye, M)
 
 
 def laplacian_fd(domain: GridDomain) -> SpectralModel:
     """Finite-difference Dirichlet Laplacian, fully diagonalized.
 
-    3-point stencil in 1D, 5-point in 2D; mass h^d on interior nodes, so
-    Euclidean eigenvectors rescale by h^(-d/2).
+    3-point stencil in 1D, 5-point (the Kronecker sum of two 3-point
+    stencils) in 2D; mass h^d on interior nodes, so Euclidean
+    eigenvectors rescale by h^(-d/2).
     """
-    h = domain.h
-    T = _second_difference_1d(domain.n, h)
-    if domain.dimension == 1:
-        L = T
-        mass = h
-    else:
-        eye = np.eye(domain.n)
-        L = np.kron(eye, T) + np.kron(T, eye)
-        mass = h * h
+    L = _kron_sum(_second_difference_1d(domain.n, domain.h), domain.dimension)
+    mass = domain.cell_volume
     try:
         lam, V = linalg.eigh(L)
     except linalg.LinAlgError as exc:
-        raise EigensolveFailure("dense eigendecomposition failed") from exc
+        raise FactorizationFailure("dense eigendecomposition failed") from exc
     return build_spectral_model(lam, _fix_signs(V) / math.sqrt(mass), mass)
 
 
@@ -158,66 +172,25 @@ def zero_boundary_basis(domain: GridDomain) -> np.ndarray:
 def sobolev_grams(domain: GridDomain) -> SobolevGrams:
     """Assemble g0, g1, g2 on the full grid (boundary nodes included).
 
-    Stencils: forward differences on edges for the stiffness (weight
-    h^(d-2) per edge) and centered second differences per axis (weight
-    h^d per row) for the top form.
+    One path for both dimensions: the dimension enters only through the
+    Kronecker products of three 1D pieces on the m = n + 2 nodes of an
+    axis and the cell volume h^d.
+      g0: trapezoid weights w, diag(w) in 1D and diag(w (x) w) in 2D;
+      stiffness: P = E^T E for the edge differences E of the path graph,
+        P / h in 1D and P (x) I + I (x) P in 2D (edge weight h^(d-2));
+      top form: Q = D2^T D2 for the centred second-difference rows D2
+        (scaled by 1/h^2 before the product), h^d times the Kronecker
+        sum of Q (weight h^d per row along each axis).
     """
-    h = domain.h
+    h, d = domain.h, domain.dimension
     m = domain.n + 2
-    if domain.dimension == 1:
-        w = np.full(m, h)
-        w[0] = w[-1] = h / 2.0
-        g0 = np.diag(w)
-        S = np.zeros((m, m))
-        for a in range(m - 1):
-            b = a + 1
-            S[a, a] += 1.0 / h
-            S[b, b] += 1.0 / h
-            S[a, b] -= 1.0 / h
-            S[b, a] -= 1.0 / h
-        rows = []
-        for i in range(1, m - 1):
-            row = np.zeros(m)
-            row[i - 1], row[i], row[i + 1] = 1.0, -2.0, 1.0
-            rows.append(row / (h * h))
-        D2 = np.array(rows)
-        B = h * (D2.T @ D2)
-    else:
-        w1 = np.full(m, h)
-        w1[0] = w1[-1] = h / 2.0
-        g0 = np.diag(np.outer(w1, w1).ravel())
-
-        def idx(i, j):
-            return i * m + j
-
-        S = np.zeros((m * m, m * m))
-        for i in range(m):
-            for j in range(m):
-                for a, b in (
-                    (idx(i, j), idx(i + 1, j)) if i + 1 < m else (None, None),
-                    (idx(i, j), idx(i, j + 1)) if j + 1 < m else (None, None),
-                ):
-                    if a is None:
-                        continue
-                    S[a, a] += 1.0  # 2D edge weight h^d / h^2 = 1
-                    S[b, b] += 1.0
-                    S[a, b] -= 1.0
-                    S[b, a] -= 1.0
-        rows = []
-        for i in range(m):
-            for j in range(m):
-                if 0 < i < m - 1:
-                    row = np.zeros(m * m)
-                    row[idx(i - 1, j)], row[idx(i, j)], row[idx(i + 1, j)] = 1, -2, 1
-                    rows.append(row / (h * h))
-                if 0 < j < m - 1:
-                    row = np.zeros(m * m)
-                    row[idx(i, j - 1)], row[idx(i, j)], row[idx(i, j + 1)] = 1, -2, 1
-                    rows.append(row / (h * h))
-        D2 = np.array(rows)
-        B = (h * h) * (D2.T @ D2)
-    g1 = g0 + S
-    g2 = g1 + B
+    w = np.full(m, h)
+    w[0] = w[-1] = h / 2.0
+    E = _forward_difference(m)
+    D2 = (E[1:] - E[:-1]) / (h * h)
+    g0 = np.diag(w if d == 1 else np.kron(w, w))
+    g1 = g0 + _kron_sum(E.T @ E, d) / h ** (2 - d)
+    g2 = g1 + domain.cell_volume * _kron_sum(D2.T @ D2, d)
     for name, M in (("g0", g0), ("g1", g1), ("g2", g2)):
         try:
             linalg.cholesky(M, lower=True)
@@ -234,18 +207,29 @@ class StokesSystem:
     interior faces, y-component on horizontal interior faces), pressure
     on the (n+1)^2 cell centers. nullbasis Z is a Euclidean-orthonormal
     basis of ker(divergence), so Z Z^T is the orthogonal projector onto
-    it; constrained_op = Z^T A Z.
+    it; constrained_op = Z^T A Z, and constrained_factor is its lower
+    Cholesky factor in `scipy.linalg.cho_factor` form, the one
+    factorization of it that every solve with it uses.
     """
 
     vector_laplacian: np.ndarray
     divergence: np.ndarray
     nullbasis: np.ndarray
     constrained_op: np.ndarray
+    constrained_factor: tuple
     grid: GridDomain
 
 
 def build_stokes(domain: GridDomain) -> StokesSystem:
     """Assemble the staggered-grid Stokes system.
+
+    Both operators are Kronecker products of 1D stencils. Each velocity
+    block of the vector Laplacian is the Kronecker sum of Dirichlet
+    second differences along its two axes. The divergence is
+    [I (x) G, G (x) I] with I the identity on the n + 1 cells of an axis
+    and G = (eye(n+1, n) - eye(n+1, n, k=-1)) / h the staggered forward
+    difference from the n interior faces of an axis to its n + 1 cells
+    (the two wall faces carry no unknown: no-slip).
 
     The null space of the divergence is extracted by a rank-revealing
     orthogonal factorization (SVD), treating singular values below
@@ -257,34 +241,19 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     n = domain.n
     if n < 3:
         raise InvalidConfig(f"need n >= 3 for a staggered grid, got {n}")
-    m = n + 1  # cells per side
     h = domain.h
-    nu_x, nu_y = n, n + 1  # x-velocity unknowns per row / rows
-    n_u = nu_x * nu_y
-    n_v = (n + 1) * n
     lap = _second_difference_1d
-    Lu = np.kron(np.eye(nu_y), lap(nu_x, h)) + np.kron(lap(nu_y, h), np.eye(nu_x))
+    Lu = np.kron(np.eye(n + 1), lap(n, h)) + np.kron(lap(n + 1, h), np.eye(n))
     Lv = np.kron(np.eye(n), lap(n + 1, h)) + np.kron(lap(n, h), np.eye(n + 1))
     A = linalg.block_diag(Lu, Lv)
-
-    def iu(i, jr):  # x-velocity at interior line x = i*h, cell row jr
-        return jr * nu_x + (i - 1)
-
-    def iv(ic, jl):  # y-velocity at interior line y = jl*h, cell column ic
-        return n_u + (jl - 1) * (n + 1) + ic
-
-    D = np.zeros((m * m, n_u + n_v))
-    for a in range(m):
-        for b in range(m):
-            r = b * m + a
-            if a >= 1:
-                D[r, iu(a, b)] -= 1.0 / h
-            if a + 1 <= n:
-                D[r, iu(a + 1, b)] += 1.0 / h
-            if b >= 1:
-                D[r, iv(a, b)] -= 1.0 / h
-            if b + 1 <= n:
-                D[r, iv(a, b + 1)] += 1.0 / h
+    G = _forward_difference(n + 2)[:, 1:-1] / h
+    cells = np.eye(n + 1)
+    # filled block by block: np.hstack of the two products would hold
+    # twice the size of D at once and raised the process peak RSS
+    n_u = n * (n + 1)
+    D = np.empty(((n + 1) ** 2, 2 * n_u))
+    D[:, :n_u] = np.kron(cells, G)
+    D[:, n_u:] = np.kron(G, cells)
 
     try:
         _, s, Vt = np.linalg.svd(D)
@@ -292,7 +261,7 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
         raise FactorizationFailure("divergence factorization failed") from exc
     rank = int(np.count_nonzero(s > 1e-10 * s.max()))
     if rank >= D.shape[1]:
-        raise EmptyNullspace("divergence has a trivial null space")
+        raise FactorizationFailure("divergence has a trivial null space")
     Z = _fix_signs(Vt[rank:].T)
     C = Z.T @ A @ Z
 
@@ -303,7 +272,7 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     if np.max(np.abs(C - C.T)) > 1e-12 * max(1.0, np.max(np.abs(C))):
         raise FactorizationFailure("constrained operator is not symmetric")
     try:
-        linalg.cholesky(C, lower=True)
+        factor = linalg.cho_factor(C, lower=True)
     except linalg.LinAlgError as exc:
         raise FactorizationFailure("constrained operator is not SPD") from exc
     return StokesSystem(
@@ -311,6 +280,7 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
         divergence=D,
         nullbasis=Z,
         constrained_op=C,
+        constrained_factor=factor,
         grid=domain,
     )
 
@@ -320,7 +290,7 @@ def stokes_spectral_model(sys: StokesSystem) -> SpectralModel:
     try:
         lam, V = linalg.eigh(sys.constrained_op)
     except linalg.LinAlgError as exc:
-        raise EigensolveFailure("constrained eigendecomposition failed") from exc
+        raise FactorizationFailure("constrained eigendecomposition failed") from exc
     return build_spectral_model(lam, _fix_signs(V))
 
 
@@ -333,5 +303,7 @@ def stokes_ambient_model(sys: StokesSystem) -> SpectralModel:
     try:
         lam, V = linalg.eigh(sys.vector_laplacian)
     except linalg.LinAlgError as exc:
-        raise EigensolveFailure("vector Laplacian eigendecomposition failed") from exc
+        raise FactorizationFailure(
+            "vector Laplacian eigendecomposition failed"
+        ) from exc
     return build_spectral_model(lam, _fix_signs(V))

@@ -48,7 +48,6 @@ from .errors import (
     DimensionMismatch,
     InvalidConfig,
     RetractionIdentityViolated,
-    SingularConstrainedOperator,
     SolverFailure,
 )
 from .kfunctional import QuadraticPair, QuadratureRule, congruence, interp_norms_sq
@@ -175,17 +174,11 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
     symmetric, so A T A^-1 = A Z Ac^-1 Z^T = T^T and d_bound = h_bound
     comes from the one norm. With T = Z B, B = Ac^-1 Z^T A, and Z
     orthonormal, |T|_2 = |B|_2: the sqrt of the top eigenvalue of the
-    r x r Gram B B^T.
+    r x r Gram B B^T. Ac^-1 is applied through the system's one
+    Cholesky factor of Ac.
     """
-    A = sys.vector_laplacian
     Z = sys.nullbasis
-    try:
-        factor = linalg.cho_factor(sys.constrained_op, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SingularConstrainedOperator(
-            "constrained operator failed to factorize"
-        ) from exc
-    B = linalg.cho_solve(factor, Z.T @ A)
+    B = linalg.cho_solve(sys.constrained_factor, Z.T @ sys.vector_laplacian)
     T = Z @ B
     bound = _top_singular_value(B)
     return _build_retraction(T, Z, bound, bound)

@@ -169,22 +169,28 @@ def test_run_lemma41_small_and_deterministic():
 
 
 def test_reiteration_weighted_pair_matches_pair_route(sine_model):
-    # the hoisted pencil solve gives exactly what solving the pair again
-    # and integrating the same probe columns gives
+    # the cells are the quadrature of the elementwise pencil passed in,
+    # and that pencil agrees with the dense congruence of the same pair
     lam = sine_model.eigenvalues
-    pair = build_quadratic_pair(np.diag(lam), np.diag(lam * lam))
+    lam2 = lam * lam
+    lam_eff, scale = pencil = (np.sqrt(lam2 / lam), np.sqrt(lam))
+    lam_dense, _, transform = congruence(
+        build_quadratic_pair(np.diag(lam), np.diag(lam2))
+    )
+    np.testing.assert_allclose(lam_eff, lam_dense, rtol=1e-14, atol=0)
     rule = QuadratureRule.for_spectrum(np.sqrt(lam))
     probes = decaying_probes(sine_model.dim, 3, 7)
-    lam_eff, _, transform = congruence(pair)
     C = np.column_stack(probes)
     for theta in (0.25, 0.75):
-        cells = reiteration_check(sine_model, theta, probes, rule, congruence(pair))
+        cells = reiteration_check(sine_model, theta, probes, rule, pencil)
         ratios = [c["ratio"] for c in cells if c["check"] == "weighted-pair-ratio"]
         assert len(ratios) == len(probes)
-        num = interp_norms_sq(lam_eff, transform @ C, (theta,), rule)[0]
+        num = interp_norms_sq(lam_eff, scale[:, None] * C, (theta,), rule)[0]
+        dense = interp_norms_sq(lam_dense, transform @ C, (theta,), rule)[0]
         for p, u in enumerate(probes):
             den = i_theta(theta) * frac_norm(sine_model, (1.0 + theta) / 2.0, u) ** 2
             assert ratios[p] == num[p] / den
+            assert ratios[p] == pytest.approx(dense[p] / den, rel=1e-14, abs=0)
 
 
 def test_run_intersection_small():

@@ -116,6 +116,74 @@ def test_sobolev_grams_constant_function():
     assert one @ (grams.g1 - grams.g0) @ one == pytest.approx(0.0, abs=1e-12)
 
 
+def _node_coordinates(domain):
+    """x and y at every node of the full grid (y is None in 1D); the flat
+    node index is i * m + j with x = i h, y = j h."""
+    m = domain.n + 2
+    t = domain.h * np.arange(m)
+    if domain.dimension == 1:
+        return t, None
+    return np.kron(t, np.ones(m)), np.kron(np.ones(m), t)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_sobolev_grams_mass_closed_forms(dimension, n):
+    d = grid_domain(dimension, n)
+    grams = sobolev_grams(d)
+    x, _ = _node_coordinates(d)
+    one = np.ones_like(x)
+    # the trapezoid rule is exact for 1 and x
+    assert one @ grams.g0 @ one == pytest.approx(1.0, rel=1e-13)
+    assert one @ grams.g0 @ x == pytest.approx(0.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_sobolev_grams_stiffness_closed_forms(dimension, n):
+    d = grid_domain(dimension, n)
+    h, m = d.h, n + 2
+    grams = sobolev_grams(d)
+    stiff = grams.g1 - grams.g0
+    x, y = _node_coordinates(d)
+    # each edge along x carries the difference h at weight h^(d-2)
+    edges = (m - 1) * m ** (dimension - 1)
+    want = edges * h ** (dimension - 2) * h * h
+    assert x @ stiff @ x == pytest.approx(want, rel=1e-12)
+    if dimension == 2:
+        assert y @ stiff @ y == pytest.approx(want, rel=1e-12)
+        assert x @ stiff @ y == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_sobolev_grams_top_form_closed_forms(dimension, n):
+    d = grid_domain(dimension, n)
+    h, m = d.h, n + 2
+    grams = sobolev_grams(d)
+    top = grams.g2 - grams.g1
+    x, y = _node_coordinates(d)
+    # every interior second difference of x^2 along x is 2, weight h^d
+    x_rows = (m - 2) * m ** (dimension - 1)
+    want = 4.0 * h**dimension * x_rows
+    assert (x * x) @ top @ (x * x) == pytest.approx(want, rel=1e-10)
+    if dimension == 2:
+        r2 = x * x + y * y
+        assert r2 @ top @ r2 == pytest.approx(2.0 * want, rel=1e-10)
+        assert (x * y) @ top @ (x * y) == pytest.approx(0.0, abs=1e-10 * want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 7])
+def test_sobolev_grams_2d_commute_with_the_axis_swap(n):
+    # swapping x and y permutes node indices; the Kronecker sums are
+    # invariant under it entry for entry
+    m = n + 2
+    swap = np.arange(m * m).reshape(m, m).T.ravel()
+    grams = sobolev_grams(grid_domain(2, n))
+    for g in (grams.g0, grams.g1, grams.g2):
+        np.testing.assert_array_equal(g[np.ix_(swap, swap)], g)
+
+
 def test_sobolev_grams_2d_are_spd(grams_2d):
     for g in (grams_2d.g0, grams_2d.g1, grams_2d.g2):
         np.testing.assert_allclose(g, g.T, atol=1e-14)
@@ -144,6 +212,40 @@ def test_stokes_kernel_dimension(stokes_small):
 def test_stokes_divergence_annihilates_kernel(stokes_small):
     DZ = stokes_small.divergence @ stokes_small.nullbasis
     assert np.max(np.abs(DZ)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_divergence_of_uniform_flows(n):
+    # a uniform flow leaves only the wall cells of each row (or column):
+    # (delta_{a,0} - delta_{a,n}) / h; cell index b (n + 1) + a
+    sys = build_stokes(grid_domain(2, n))
+    h = sys.grid.h
+    wall = np.zeros(n + 1)
+    wall[0], wall[-1] = 1.0 / h, -1.0 / h
+    n_u = n * (n + 1)
+    x_flow = np.concatenate([np.ones(n_u), np.zeros(n_u)])
+    y_flow = x_flow[::-1]
+    D = sys.divergence
+    tol = dict(rtol=1e-15, atol=1e-12)
+    np.testing.assert_allclose(D @ x_flow, np.tile(wall, n + 1), **tol)
+    np.testing.assert_allclose(D @ y_flow, np.repeat(wall, n + 1), **tol)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_divergence_annihilates_the_discrete_curl(n):
+    # stream function on the n^2 interior cell corners, zero on the walls:
+    # u = d psi / dy on vertical faces, v = -d psi / dx on horizontal faces
+    sys = build_stokes(grid_domain(2, n))
+    h = sys.grid.h
+    psi = np.pad(np.random.default_rng(n).standard_normal((n, n)), 1)  # psi[j, i]
+    u = np.diff(psi[:, 1:-1], axis=0) / h  # u[b, i - 1]: cell row b, face x = i h
+    v = -np.diff(psi[1:-1, :], axis=1) / h  # v[j - 1, a]: face y = j h, column a
+    vel = np.concatenate([u.ravel(), v.ravel()])
+    scale = np.max(np.abs(vel)) / h
+    assert np.max(np.abs(sys.divergence @ vel)) <= 1e-13 * scale
+    Z = sys.nullbasis
+    dev = np.linalg.norm(Z @ (Z.T @ vel) - vel) / np.linalg.norm(vel)
+    assert dev <= 1e-12
 
 
 def test_stokes_projector(stokes_small):

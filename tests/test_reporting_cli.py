@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from fracspace import (
     EXPERIMENTS,
@@ -233,6 +234,18 @@ def test_cli_unknown_experiment(capsys):
     assert main(["definitely-not-real"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UnknownExperiment"
+
+
+def test_cli_eigensolve_failure_exits_1(monkeypatch, tmp_path, capsys):
+    # a dense eigensolve of an operator that does not converge: exit 1 and
+    # one JSON line naming FactorizationFailure
+    def failing(*args, **kwargs):
+        raise linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(linalg, "eigh", failing)
+    assert main(["stokes-equivalence", "--size", "4", "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FactorizationFailure"
 
 
 def test_cli_bad_config_file(tmp_path, capsys):

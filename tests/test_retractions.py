@@ -316,6 +316,27 @@ def test_one_eigensolve_per_pencil(monkeypatch, runner, experiment, sizes):
     assert len(calls) == 4, calls
 
 
+def test_one_stokes_factorization_per_grid(monkeypatch):
+    # build_stokes factors Ac once for its SPD check; the retraction and
+    # the adjoint chain solve with that factor instead of their own
+    calls = []
+
+    def counting(real):
+        def wrapped(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(linalg, "cho_factor", counting(linalg.cho_factor))
+    monkeypatch.setattr(linalg, "cholesky", counting(linalg.cholesky))
+    rep = run_stokes_retraction(
+        RunConfig(experiment="stokes-retraction", sizes=(4, 6))
+    )
+    assert rep.passed
+    assert calls == [(16, 16), (36, 36)], calls
+
+
 @pytest.mark.parametrize(
     "runner, experiment, expected",
     [(run_stokes_retraction, "stokes-retraction", 2), (run_halft1, "halft1", 0)],

@@ -16,23 +16,8 @@ import os
 import sys
 
 from .errors import FracspaceError, InvalidConfig, UnknownExperiment
-from .experiments import EXPERIMENTS
+from .experiments import DEFAULT_SIZES, EXPERIMENTS
 from .reporting import make_run_config, write_report
-
-# experiments that want positional grid sizes get them prefilled so a
-# bare `fracspace <name>` runs the documented default sweep
-_DEFAULT_SIZES = {
-    "lemma41": [256],
-    "reiteration": [256],
-    "criticality": [2**14],
-    "weight": [20],
-    "intersection": [16, 12],
-    "halft1": [8, 12, 16],
-    "stokes-retraction": [8, 16, 24],
-    "stokes-equivalence": [8, 12, 16],
-    "higher-power": [128],
-}
-
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -103,8 +88,9 @@ def main(argv=None) -> int:
         doc["experiment"] = args.experiment
         if args.size is not None:
             doc["sizes"] = args.size
-        elif "sizes" not in doc and args.experiment in _DEFAULT_SIZES:
-            doc["sizes"] = _DEFAULT_SIZES[args.experiment]
+        elif "sizes" not in doc and args.experiment in DEFAULT_SIZES:
+            # a bare `fracspace <name>` runs the documented default sweep
+            doc["sizes"] = list(DEFAULT_SIZES[args.experiment])
         if args.theta is not None:
             doc["thetas"] = args.theta
         if args.seed is not None:  # precedence: flag > env > config file

@@ -39,10 +39,6 @@ class SingularSystem(FracspaceError):
     """A linear system that should be SPD failed to factorize."""
 
 
-class ConvergenceFailure(FracspaceError):
-    """An iterative minimizer stalled above its tolerance."""
-
-
 class ThetaOutOfRange(FracspaceError):
     """Interpolation parameter theta must lie strictly inside (0, 1)."""
 

@@ -27,16 +27,19 @@ from .operators import (
     laplacian_1d_analytic,
     sobolev_grams,
     stokes_ambient_model,
+    stokes_domain,
     stokes_spectral_model,
 )
 from .reporting import RunConfig, config_hash, make_report
 from .retractions import (
     harmonic_retraction,
+    probe_coordinates,
     stokes_retraction,
     verify_intersection_lemma,
 )
 from .spectral import (
     apply_fractional_power,
+    decaying_probes,
     frac_norm,
     higher_power_decomposition_check,
     to_coeffs,
@@ -69,33 +72,34 @@ def coeffs_bubble(n: int) -> np.ndarray:
     return c
 
 
-def decaying_probes(dim: int, count: int, seed: int) -> list:
-    """Random coefficient probes with j^(-1.5) decay, components uniform
-    on [-1, 1]; the decay keeps them (numerically) in every intermediate
-    space of the sweeps."""
-    rng = np.random.default_rng(seed)
-    decay = np.arange(1, dim + 1, dtype=np.float64) ** -1.5
-    return [decay * rng.uniform(-1.0, 1.0, size=dim) for _ in range(count)]
-
-
 # ---- config helpers
 
+# documented default sizes per experiment: the CLI prefills them, and a
+# runner falls back to them for every position its config leaves out
+DEFAULT_SIZES = {
+    "lemma41": (256,),
+    "reiteration": (256,),
+    "criticality": (2**14,),
+    "weight": (20,),
+    "intersection": (16, 12),
+    "halft1": (8, 12, 16),
+    "stokes-retraction": (8, 16, 24),
+    "stokes-equivalence": (8, 12, 16),
+    "higher-power": (128,),
+}
 
-def _size(config: RunConfig, i: int, default: int) -> int:
-    return config.sizes[i] if len(config.sizes) > i else default
 
-def _sizes(config: RunConfig, default: tuple) -> tuple:
-    return tuple(config.sizes) if config.sizes else default
+def _size(config: RunConfig, i: int) -> int:
+    sizes = config.sizes if len(config.sizes) > i else DEFAULT_SIZES[config.experiment]
+    return sizes[i]
+
+
+def _sizes(config: RunConfig) -> tuple:
+    return tuple(config.sizes) if config.sizes else DEFAULT_SIZES[config.experiment]
 
 
 def _thetas(config: RunConfig, default: tuple) -> tuple:
     return tuple(config.thetas) if config.thetas else default
-
-
-def _rule(config: RunConfig, eigenvalues) -> QuadratureRule:
-    return QuadratureRule.from_config(
-        config.quadrature, QuadratureRule.for_spectrum(eigenvalues)
-    )
 
 
 # ---- interpolation identity sweep (Lemma 4.1)
@@ -127,11 +131,11 @@ def lemma_fps_sweep(model, thetas, probes, rule):
 
 
 def run_lemma41(config: RunConfig):
-    n = _size(config, 0, 256)
+    n = _size(config, 0)
     thetas = _thetas(config, tuple(round(0.1 * k, 1) for k in range(1, 10)))
     model = laplacian_1d_analytic(n)
     probes = decaying_probes(model.dim, 20, config.seed)
-    rule = _rule(config, model.eigenvalues)
+    rule = QuadratureRule.from_config(config.quadrature, model.eigenvalues)
     cells = lemma_fps_sweep(model, thetas, probes, rule)
     params = {
         "modes": n,
@@ -218,12 +222,12 @@ def reiteration_check(model, theta, probes, rule_sqrt, pencil):
 
 
 def run_reiteration(config: RunConfig):
-    n = _size(config, 0, 256)
+    n = _size(config, 0)
     thetas = _thetas(config, (0.25, 0.5, 0.75))
     model = laplacian_1d_analytic(n)
     lam = model.eigenvalues
     probes = decaying_probes(model.dim, 20, config.seed)
-    rule_sqrt = _rule(config, np.sqrt(lam))
+    rule_sqrt = QuadratureRule.from_config(config.quadrature, np.sqrt(lam))
     lam2 = lam * lam
     pencil = (np.sqrt(lam2 / lam), np.sqrt(lam))
     cells = []
@@ -365,7 +369,7 @@ def _expected_class(theta: float):
 
 
 def run_criticality(config: RunConfig):
-    n = _size(config, 0, 2**14)
+    n = _size(config, 0)
     thetas = _thetas(config, (0.20, 0.25, 0.30))
     profiles = criticality_scan(n, thetas)
     cells = []
@@ -477,7 +481,7 @@ _WEIGHT_PROBES = (
 
 
 def run_weight(config: RunConfig):
-    k_max = _size(config, 0, 20)
+    k_max = _size(config, 0)
     n_modes = 2**14
     cells = []
     for name, func, coeff_fn in _WEIGHT_PROBES:
@@ -521,97 +525,70 @@ def run_weight(config: RunConfig):
 # ---- intersection lemma (Lemma 4.3) on both concrete retractions
 
 
-def _harmonic_setup(n: int):
-    dom = grid_domain(2, n)
+def _harmonic_setup(dom):
     grams = sobolev_grams(dom)
     pair = build_quadratic_pair(grams.g1, grams.g2)
     return pair, harmonic_retraction(dom, grams)
 
 
-def _stokes_setup(n: int):
-    sys = build_stokes(grid_domain(2, n))
+def _stokes_setup(dom):
+    sys = build_stokes(dom)
     A = sys.vector_laplacian
     pair = build_quadratic_pair(np.eye(A.shape[0]), A @ A)
     return pair, stokes_retraction(sys)
 
 
 def run_intersection(config: RunConfig):
-    n_harmonic = _size(config, 0, 16)
-    n_stokes = _size(config, 1, 12)
+    # both grids are checked before either is assembled
+    grids = (
+        ("harmonic", _harmonic_setup, grid_domain(2, _size(config, 0))),
+        ("stokes", _stokes_setup, stokes_domain(_size(config, 1))),
+    )
     thetas = _thetas(config, (0.25, 0.5, 0.75))
-    hash_ = config_hash(config)
-    pair, T = _harmonic_setup(n_harmonic)
-    rep_h = verify_intersection_lemma(
-        pair,
-        T,
-        thetas,
-        config.quadrature,
-        lemma_label="Lemma 4.3",
-        grid_label=f"harmonic-n{n_harmonic}",
-        seed=config.seed,
-        cfg_hash=hash_,
-    )
-    pair, T = _stokes_setup(n_stokes)
-    rep_s = verify_intersection_lemma(
-        pair,
-        T,
-        thetas,
-        config.quadrature,
-        lemma_label="Lemma 4.3",
-        grid_label=f"stokes-n{n_stokes}",
-        seed=config.seed,
-        cfg_hash=hash_,
-    )
-    params = {"harmonic": rep_h.parameters, "stokes": rep_s.parameters}
+    cells, params = [], {}
+    for kind, setup, dom in grids:
+        pair, T = setup(dom)
+        grid_cells, params[kind] = verify_intersection_lemma(
+            pair,
+            T,
+            thetas,
+            config.quadrature,
+            grid_label=f"{kind}-n{dom.n}",
+            seed=config.seed,
+        )
+        cells += grid_cells
     return make_report(
-        "intersection",
-        params,
-        rep_h.cells + rep_s.cells,
-        seed=config.seed,
-        cfg_hash=hash_,
+        "intersection", params, cells, seed=config.seed, cfg_hash=config_hash(config)
     )
 
 
 # ---- zero-boundary pair above theta = 1/2 (Corollary 5.4)
 
 
-def halft1_check(domain, thetas, seed=42, quadrature=None, cfg_hash=""):
-    """Intersection-lemma run for the pair (g1, g2) with the zero-boundary
-    subspace and the harmonic retraction, restricted to 1/2 < theta < 1."""
+def run_halft1(config: RunConfig):
+    """Intersection-lemma runs for the pair (g1, g2) with the zero-boundary
+    subspace and the harmonic retraction, restricted to 1/2 < theta < 1,
+    on a ladder of grids."""
+    thetas = _thetas(config, (0.6, 0.75, 0.9))
     for theta in thetas:
         if not 0.5 < float(theta) < 1.0:
             raise InvalidConfig(f"halft1 needs thetas in (1/2, 1), got {theta}")
-    pair, T = _harmonic_setup(domain.n)
-    return verify_intersection_lemma(
-        pair,
-        T,
-        thetas,
-        quadrature,
-        lemma_label="Corollary 5.4",
-        grid_label=f"n{domain.n}",
-        experiment_name="halft1",
-        seed=seed,
-        cfg_hash=cfg_hash,
-    )
-
-
-def run_halft1(config: RunConfig):
-    sizes = _sizes(config, (8, 12, 16))
-    thetas = _thetas(config, (0.6, 0.75, 0.9))
-    hash_ = config_hash(config)
+    sizes = _sizes(config)
+    domains = [grid_domain(2, n) for n in sizes]
     cells = []
     worst = {}
     lift_bounds = {}
-    for n in sizes:
-        rep = halft1_check(
-            grid_domain(2, n),
+    for n, dom in zip(sizes, domains):
+        grid_cells, grid_params = verify_intersection_lemma(
+            *_harmonic_setup(dom),
             thetas,
+            config.quadrature,
+            lemma_label="Corollary 5.4",
+            grid_label=f"n{n}",
             seed=config.seed,
-            quadrature=config.quadrature,
-            cfg_hash=hash_,
         )
-        cells.extend(rep.cells)
-        lift_bounds[n] = (rep.parameters["h_bound"], rep.parameters["d_bound"])
+        cells.extend(grid_cells)
+        lift_bounds[n] = (grid_params["h_bound"], grid_params["d_bound"])
         cells.append(
             {
                 "lemma": "Lemma 5.3",
@@ -622,7 +599,7 @@ def run_halft1(config: RunConfig):
                 "pass": True,  # recorded; drift is reported below
             }
         )
-        for cell in rep.cells:
+        for cell in grid_cells:
             if cell["check"] == "interp-ratio":
                 key = cell["theta"]
                 worst.setdefault(key, {})[n] = max(
@@ -657,7 +634,7 @@ def run_halft1(config: RunConfig):
         )
     params = {"sizes": list(sizes), "thetas": [float(t) for t in thetas]}
     return make_report(
-        "halft1", params, cells, seed=config.seed, cfg_hash=hash_
+        "halft1", params, cells, seed=config.seed, cfg_hash=config_hash(config)
     )
 
 
@@ -665,13 +642,14 @@ def run_halft1(config: RunConfig):
 
 
 def run_stokes_retraction(config: RunConfig):
-    sizes = _sizes(config, (8, 16, 24))
+    sizes = _sizes(config)
+    domains = [stokes_domain(n) for n in sizes]
     rng = np.random.default_rng(config.seed)
     cells = []
     bounds = {}
     eig_low = {}
-    for n in sizes:
-        sys = build_stokes(grid_domain(2, n))
+    for n, dom in zip(sizes, domains):
+        sys = build_stokes(dom)
         T = stokes_retraction(sys)
         Z = sys.nullbasis
         r = Z.shape[1]
@@ -768,23 +746,20 @@ def run_stokes_retraction(config: RunConfig):
 
 
 def stokes_equivalence_study(config: RunConfig):
-    sizes = _sizes(config, (8, 12, 16))
+    sizes = _sizes(config)
+    domains = [stokes_domain(n) for n in sizes]
     thetas = _thetas(config, (0.25, 0.5, 0.75))
     cells = []
     extremes = {}
-    for n in sizes:
-        sys = build_stokes(grid_domain(2, n))
+    for n, dom in zip(sizes, domains):
+        sys = build_stokes(dom)
         constrained = stokes_spectral_model(sys)
         ambient = stokes_ambient_model(sys)
         Z = sys.nullbasis
-        V = constrained.basis
-        probe_coords = [
-            V @ c for c in decaying_probes(constrained.dim, 20, config.seed)
-        ] + [V[:, i] for i in range(5)]
         # (constrained, ambient) coefficients of each probe, shared by every theta
         probe_coeffs = [
             (to_coeffs(constrained, c), to_coeffs(ambient, Z @ c))
-            for c in probe_coords
+            for c in probe_coordinates(constrained.basis, config.seed)
         ]
 
         def ratio_at(theta, coeffs):
@@ -870,7 +845,7 @@ _HP_PAIRS = ((0.0, 0.5), (0.25, 0.75), (0.5, 1.0), (0.3, 0.9), (1.0, 1.5), (0.75
 
 
 def run_higher_power(config: RunConfig):
-    n = _size(config, 0, 128)
+    n = _size(config, 0)
     model = laplacian_1d_analytic(n)
     probes = decaying_probes(model.dim, 10, config.seed)
     cells = []

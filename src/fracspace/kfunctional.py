@@ -11,6 +11,8 @@ t by the NumPy kernel `_kernels.k2_batch`. The interpolation norm
 is |u|_theta = ( int_0^inf t^(-2 theta) K(u,t)^2 dt/t )^(1/2); `interp_norms_sq`
 computes it for many vectors and thetas by Simpson in tau = ln t with panel
 doubling, plus tails from the analytic envelopes K <= |u|_X and K <= t |u|_Y.
+It bounds the kernel's (nodes x modes) buffer by passing the nodes in
+blocks of at most _K2_PAIRS // modes.
 
 Identity linking the two scales, exact for finite spectra up to
 quadrature error:  |u|_theta^2 = i_theta(theta) * frac_norm(theta, u)^2.
@@ -28,11 +30,11 @@ from scipy import linalg
 
 from ._kernels import k2_batch
 from .errors import (
-    ConvergenceFailure,
     InvalidConfig,
     NonPositiveT,
     QuadratureNotConverged,
     SingularSystem,
+    SolverFailure,
     ThetaOutOfRange,
 )
 from .spectral import SpectralModel, _coeffs
@@ -113,22 +115,30 @@ def k_spectral(model: SpectralModel, u, t) -> float:
     return math.sqrt(max(float(val), 0.0))
 
 
-def k_quadratic(pair: QuadraticPair, u, t) -> float:
-    """K by the SPD minimizer: solve (M1 + t^2 M2) y = M1 u, evaluate at y.
+def k2_by_cholesky(m1, m2, X, t2) -> np.ndarray:
+    """K(x, t)^2 for every column x of X, from one Cholesky factor of
+    m1 + t2 m2 (t2 = t^2).
 
-    Evaluating the objective at the minimizer (rather than subtracting
-    two nearly equal quadratics) keeps small-t values accurate.
+    The minimizing split x = f + g solves (m1 + t2 m2) g = m1 x and
+    (m1 + t2 m2) f = t2 m2 x, both parts in one solve; f comes from its
+    own equation, not as x - g, since at small t, t2 m2 lies below the
+    rounding of m1 and the subtraction cancels. Raises SingularSystem
+    when the factorization fails.
     """
-    t = _check_t(t)
-    M1, M2, vec = _forms(pair, u)
-    H = M1 + (t * t) * M2
     try:
-        cf = linalg.cho_factor(H, lower=True)
+        factor = linalg.cho_factor(m1 + t2 * m2, lower=True)
     except linalg.LinAlgError as exc:
         raise SingularSystem("minimizer system failed to factorize") from exc
-    y = linalg.cho_solve(cf, M1 @ vec)
-    r = vec - y
-    k2 = float(r @ (M1 @ r) + (t * t) * (y @ (M2 @ y)))
+    gf = linalg.cho_solve(factor, np.hstack([m1 @ X, t2 * (m2 @ X)]))
+    g, f = np.hsplit(gf, 2)
+    return np.sum(f * (m1 @ f), axis=0) + t2 * np.sum(g * (m2 @ g), axis=0)
+
+
+def k_quadratic(pair: QuadraticPair, u, t) -> float:
+    """K by the SPD minimizer of the pair: `k2_by_cholesky` of one column."""
+    t = _check_t(t)
+    M1, M2, vec = _forms(pair, u)
+    k2 = float(k2_by_cholesky(M1, M2, vec[:, None], t * t)[0])
     return math.sqrt(max(k2, 0.0))
 
 
@@ -195,7 +205,7 @@ def k_brute(model_or_pair, u, t, max_iter=200000) -> float:
         if decrease <= 1e-16 * max(fval, _TINY):
             break
     else:
-        raise ConvergenceFailure("descent did not stall below tolerance")
+        raise SolverFailure("descent did not stall below tolerance")
     r = vec - y
     k2 = float(r @ (M1 @ r) + (t * t) * (y @ (M2 @ y)))
     return math.sqrt(max(k2, 0.0))
@@ -290,31 +300,36 @@ class QuadratureRule:
         )
 
     @classmethod
-    def from_config(cls, doc: dict | None, fallback: "QuadratureRule"):
-        """Overlay CLI config keys (log_t_min, log_t_max, tol, max_panels)."""
+    def from_config(cls, doc: dict | None, eigenvalues) -> "QuadratureRule":
+        """The `for_spectrum` rule of eigenvalues, overlaid by the CLI
+        config keys (log_t_min, log_t_max, tol, max_panels)."""
+        rule = cls.for_spectrum(eigenvalues)
         if not doc:
-            return fallback
+            return rule
         return cls(
-            log_t_min=float(doc.get("log_t_min", fallback.log_t_min)),
-            log_t_max=float(doc.get("log_t_max", fallback.log_t_max)),
-            refinement_tol=float(doc.get("tol", fallback.refinement_tol)),
-            max_panels=int(doc.get("max_panels", fallback.max_panels)),
+            log_t_min=float(doc.get("log_t_min", rule.log_t_min)),
+            log_t_max=float(doc.get("log_t_max", rule.log_t_max)),
+            refinement_tol=float(doc.get("tol", rule.refinement_tol)),
+            max_panels=int(doc.get("max_panels", rule.max_panels)),
         )
 
 
-# new nodes per kernel call: no array spans every node of a 2^20-panel grid
-_NODE_BLOCK = 2**15
+# (nodes x modes) per kernel call, about 64 MB of doubles: max_panels has
+# no upper bound, and 2^20 + 1 nodes x 2048 modes at once would be 16 GiB
+_K2_PAIRS = 2**23
 
 
 def interp_norms_sq(lam, coeffs, thetas, rule: QuadratureRule) -> np.ndarray:
     """|u_k|_theta^2 for every theta and column u_k of coeffs (m, q), as a
     (len(thetas), q) array: Simpson in tau = ln t plus analytic tails.
 
-    K^2 is theta-free and the grids nest, so a doubling makes one kernel
-    call, at the new nodes only, and e^(-2 theta tau) weighs every theta at
-    once: Simpson is (2 S + 4 N) h / 3 with S the trapezoid sum of the
-    coarser grid and N the new nodes' sum. Each cell keeps its first total
-    within refinement_tol of the previous doubling's.
+    K^2 is theta-free and the grids nest, so a doubling evaluates the
+    kernel at the new nodes only, and e^(-2 theta tau) weighs every theta
+    at once: Simpson is (2 S + 4 N) h / 3 with S the trapezoid sum of the
+    coarser grid and N the new nodes' sum. The new nodes go to the kernel
+    in blocks of at most _K2_PAIRS // m, which caps its buffer at
+    _K2_PAIRS doubles per column. Each cell keeps its first total within
+    refinement_tol of the previous doubling's.
     """
     thetas = np.array([_check_theta(th) for th in thetas])[:, None]
     c2 = np.asarray(coeffs, dtype=np.float64) ** 2
@@ -330,6 +345,7 @@ def interp_norms_sq(lam, coeffs, thetas, rule: QuadratureRule) -> np.ndarray:
     weights[:, [0, -1]] /= 2.0  # trapezoid ends
     k2 = k2_batch(lam, c2, np.exp(tau))
     coarse, new = weights[:, 0::2] @ k2[0::2], weights[:, 1::2] @ k2[1::2]
+    block = max(1, _K2_PAIRS // len(lam))
     while True:
         simpson = (2.0 * coarse + 4.0 * new) * ((b - a) / panels) / 3.0 + tail
         total = np.where(done, prev, simpson)
@@ -347,8 +363,8 @@ def interp_norms_sq(lam, coeffs, thetas, rule: QuadratureRule) -> np.ndarray:
         odd = np.linspace(a, b, panels + 1)[1::2]
         coarse = coarse + new
         new = sum(
-            np.exp(-2.0 * thetas * block) @ k2_batch(lam, c2, np.exp(block))
-            for block in np.array_split(odd, 1 + odd.size // _NODE_BLOCK)
+            np.exp(-2.0 * thetas * nodes) @ k2_batch(lam, c2, np.exp(nodes))
+            for nodes in np.array_split(odd, 1 + odd.size // block)
         )
 
 

@@ -65,6 +65,14 @@ def grid_domain(dimension: int, n: int) -> GridDomain:
     return dom
 
 
+def stokes_domain(n: int) -> GridDomain:
+    """`grid_domain(2, n)` for a staggered Stokes grid, which needs n >= 3."""
+    dom = grid_domain(2, n)
+    if n < 3:
+        raise InvalidConfig(f"need n >= 3 for a staggered grid, got {n}")
+    return dom
+
+
 def _fix_signs(V: np.ndarray) -> np.ndarray:
     """Deterministic column orientation: largest-magnitude entry positive."""
     idx = np.argmax(np.abs(V), axis=0)
@@ -238,10 +246,8 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     """
     if domain.dimension != 2:
         raise InvalidConfig("the Stokes system is assembled on the unit square")
-    n = domain.n
-    if n < 3:
-        raise InvalidConfig(f"need n >= 3 for a staggered grid, got {n}")
-    h = domain.h
+    stokes_domain(domain.n)  # the same size rules as the runners' check
+    n, h = domain.n, domain.h
     lap = _second_difference_1d
     Lu = np.kron(np.eye(n + 1), lap(n, h)) + np.kron(lap(n + 1, h), np.eye(n))
     Lv = np.kron(np.eye(n), lap(n + 1, h)) + np.kron(lap(n, h), np.eye(n + 1))

@@ -24,11 +24,13 @@ inner map B of T = Z B, as |Z B|_2 = |B|_2 for orthonormal Z.
 The pointwise minimizers come from the generalised eigenpairs of the
 ambient pencil (M2, M1) and of the reduced pencil, the same two
 eigensolves that give the spectral coordinates of the integrated check,
-the probe vectors (reduced eigenvectors) and the quadrature window
-(ambient spectrum); in those coordinates every t is diagonal, and
-`k2_batch` and `interp_norms_sq` take all probes at once. One Cholesky
-solve per pencil at the middle t recomputes K^2 and K0^2 as an in-run
-cross-check.
+the probe vectors (`probe_coordinates` of the reduced eigenvectors) and
+the quadrature window (`QuadratureRule.from_config` of the ambient
+spectrum); in those coordinates every t is diagonal, and `k2_batch` and
+`interp_norms_sq` take all probes at once. `k2_by_cholesky` of each
+pencil at the middle t recomputes K^2 and K0^2 as an in-run cross-check.
+The identity T z = z on the subspace is checked once, when a
+`Retraction` is constructed, so the verification trusts its input.
 
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences) and the
@@ -50,7 +52,13 @@ from .errors import (
     RetractionIdentityViolated,
     SolverFailure,
 )
-from .kfunctional import QuadraticPair, QuadratureRule, congruence, interp_norms_sq
+from .kfunctional import (
+    QuadraticPair,
+    QuadratureRule,
+    congruence,
+    interp_norms_sq,
+    k2_by_cholesky,
+)
 from .operators import (
     GridDomain,
     SobolevGrams,
@@ -58,19 +66,42 @@ from .operators import (
     interior_indices,
     zero_boundary_basis,
 )
-from .reporting import make_report
+from .spectral import decaying_probes
 
 IDENTITY_TOL = 1e-10
+
+# probes per verification: decaying random combinations of the reduced
+# modes, then the lowest modes themselves
+N_RANDOM_PROBES = 20
+N_MODE_PROBES = 5
 
 
 @dataclass(frozen=True)
 class Retraction:
-    """Linear map with T|span(Z) = identity and measured pair bounds."""
+    """Linear map with T|span(Z) = identity and measured pair bounds.
+
+    Construction checks the identity: the Frobenius norm of T Z - Z,
+    which bounds the 2-norm from above and needs no SVD, must not exceed
+    IDENTITY_TOL, or RetractionIdentityViolated is raised. The map is
+    then stored read-only, without a copy for a float64 array.
+    """
 
     map: np.ndarray
     subspace_basis: np.ndarray
     h_bound: float
     d_bound: float
+
+    def __post_init__(self):
+        Z = self.subspace_basis
+        resid = float(np.linalg.norm(self.map @ Z - Z))
+        if not resid <= IDENTITY_TOL:
+            raise RetractionIdentityViolated(
+                "retraction deviates from the identity on the subspace: "
+                f"Frobenius residual {resid:.3e}"
+            )
+        T = np.asarray(self.map, dtype=np.float64)
+        T.setflags(write=False)
+        object.__setattr__(self, "map", T)
 
 
 def _top_singular_value(X: np.ndarray) -> float:
@@ -99,23 +130,6 @@ def gram_operator_norm(T: np.ndarray, gram: np.ndarray) -> float:
     E = L.T @ T
     N = linalg.solve_triangular(L, E.T, lower=True).T
     return _top_singular_value(N)
-
-
-def _check_identity(T: np.ndarray, Z: np.ndarray) -> None:
-    # the Frobenius norm bounds the 2-norm from above and needs no SVD
-    resid = float(np.linalg.norm(T @ Z - Z))
-    if not resid <= IDENTITY_TOL:
-        raise RetractionIdentityViolated(
-            "retraction deviates from the identity on the subspace: "
-            f"Frobenius residual {resid:.3e}"
-        )
-
-
-def _build_retraction(T, Z, h_bound, d_bound) -> Retraction:
-    _check_identity(T, Z)
-    T = np.asarray(T, dtype=np.float64)
-    T.setflags(write=False)
-    return Retraction(map=T, subspace_basis=Z, h_bound=h_bound, d_bound=d_bound)
 
 
 # ---- harmonic lift
@@ -158,7 +172,7 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
     T = np.zeros((m, m))
     T[idx, :] = linalg.cho_solve(factor, S[idx, :])
     Z = zero_boundary_basis(domain)
-    return _build_retraction(
+    return Retraction(
         T, Z, gram_operator_norm(T, grams.g1), gram_operator_norm(T, grams.g2)
     )
 
@@ -181,35 +195,37 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
     B = linalg.cho_solve(sys.constrained_factor, Z.T @ sys.vector_laplacian)
     T = Z @ B
     bound = _top_singular_value(B)
-    return _build_retraction(T, Z, bound, bound)
+    return Retraction(T, Z, bound, bound)
 
 
 # ---- probe vectors
 
 
-def subspace_probes(Z, V, n_random=20, n_eig=5, seed=42) -> list:
-    """Probe family in span(Z): n_random decaying random vectors followed
-    by the n_eig lowest reduced-pencil eigenvectors.
+def probe_coordinates(V, seed=42) -> list:
+    """Probe coordinates against the eigenvector columns of V: the
+    N_RANDOM_PROBES `decaying_probes` combinations of the columns,
+    followed by the N_MODE_PROBES first columns.
 
-    V holds the eigenvectors of the reduced pencil (Z^T m2 Z, Z^T m1 Z)
-    in ascending eigenvalue order, as `congruence` returns them; random
-    probes decay like j^(-1.5) against these modes so they lie
-    (numerically) in every intermediate space; low modes stress the
-    large-t regime. n_eig above the reduced dimension raises
+    V holds eigenvectors in ascending eigenvalue order, as `congruence`
+    returns them; random probes decay like j^(-1.5) against these modes
+    so they lie (numerically) in every intermediate space; low modes
+    stress the large-t regime. Fewer than N_MODE_PROBES columns raise
     InvalidConfig.
     """
-    r = Z.shape[1]
-    if n_eig > r:
-        raise InvalidConfig(f"n_eig={n_eig} probes exceed the reduced dimension {r}")
-    rng = np.random.default_rng(seed)
-    decay = np.arange(1, r + 1, dtype=np.float64) ** -1.5
-    probes = []
-    for _ in range(n_random):
-        coeffs = decay * rng.uniform(-1.0, 1.0, size=r)
-        probes.append(Z @ (V @ coeffs))
-    for i in range(n_eig):
-        probes.append(Z @ V[:, i])
-    return probes
+    r = V.shape[1]
+    if N_MODE_PROBES > r:
+        raise InvalidConfig(
+            f"{N_MODE_PROBES} mode probes exceed the reduced dimension {r}"
+        )
+    return [V @ c for c in decaying_probes(r, N_RANDOM_PROBES, seed)] + [
+        V[:, i] for i in range(N_MODE_PROBES)
+    ]
+
+
+def subspace_probes(Z, V, seed=42) -> list:
+    """Probe family in span(Z): `probe_coordinates` of the eigenvectors V
+    of the reduced pencil (Z^T m2 Z, Z^T m1 Z), mapped by Z."""
+    return [Z @ c for c in probe_coordinates(V, seed)]
 
 
 # ---- the intersection-lemma verification
@@ -223,21 +239,20 @@ def verify_intersection_lemma(
     *,
     lemma_label: str = "Lemma 4.3",
     grid_label: str = "",
-    experiment_name: str = "intersection",
     t_points: int = 65,
     seed: int = 42,
-    cfg_hash: str = "",
 ):
     """Pointwise and integrated checks of the retraction inequality chain.
 
     pair is the ambient pair; the subspace is span(Z) for Z =
-    T.subspace_basis, and the reduced pair is (Z^T M1 Z, Z^T M2 Z). The
-    probes are `subspace_probes(Z, V_red, seed=seed)` (20 decaying plus
-    the 5 lowest modes of the reduced pencil), and the quadrature window
-    is the `for_spectrum` window of the ambient pencil, overlaid by the
-    quadrature config keys. For each probe u and each t on the
-    log-spaced grid spanning that window: form the ambient optimal
-    decomposition u = f + g, transport it, and check
+    T.subspace_basis, and the reduced pair is (Z^T M1 Z, Z^T M2 Z). T
+    satisfies T z = z on span(Z) by construction, so it is not checked
+    again. The probes are `subspace_probes(Z, V_red, seed)` (20 decaying
+    plus the 5 lowest modes of the reduced pencil), and the quadrature
+    rule is `QuadratureRule.from_config(quadrature, ambient spectrum)`.
+    For each probe u and each t on the log-spaced grid spanning that
+    window: form the ambient optimal decomposition u = f + g, transport
+    it, and check
 
         K <= K0,   K0^2 <= |Tf|_H^2 + t^2 |Tg|_D^2 <= 2 C^2 K^2,
 
@@ -250,21 +265,23 @@ def verify_intersection_lemma(
     returns (V^T M1 V = I, V^T M2 V = diag lam^2): for u = V a, with
     x = t^2 lam^2 and s = 1 / (1 + x), g = V (s a), f = V (x s a) and
     K^2 = sum a^2 x s; the transported term uses the Grams of T V, formed
-    once. At the middle t, Cholesky solves of (M1 + t^2 M2) g = M1 u and
-    (M1 + t^2 M2) f = t^2 M2 u for all probes at once recompute K^2 and
-    K0^2; a relative deviation above 1e-9 raises SolverFailure.
+    once. At the middle t, `k2_by_cholesky` of each pencil recomputes K^2
+    and K0^2 for all probes at once; a relative deviation above 1e-9
+    raises SolverFailure, a failed factorization SingularSystem.
+
+    Returns (cells, parameters): the report cells and the run's window,
+    probe count and bounds, for the caller's report.
     """
     M1, M2 = pair.m1, pair.m2
     Tm, Z = T.map, T.subspace_basis
-    _check_identity(Tm, Z)
     C = max(T.h_bound, T.d_bound)
     c_prime = math.sqrt(2.0) * max(C, T.h_bound)
     M1r = Z.T @ M1 @ Z
     M2r = Z.T @ M2 @ Z
     lam_amb, V_amb, w_amb = congruence(pair)
     lam_red, V_red, w_red = congruence(QuadraticPair(M1r, M2r))
-    probe_vectors = subspace_probes(Z, V_red, seed=seed)
-    rule = QuadratureRule.from_config(quadrature, QuadratureRule.for_spectrum(lam_amb))
+    probe_vectors = subspace_probes(Z, V_red, seed)
+    rule = QuadratureRule.from_config(quadrature, lam_amb)
 
     # pointwise chain for every t and probe from the eigenpairs
     U = np.column_stack(probe_vectors)
@@ -290,20 +307,11 @@ def verify_intersection_lemma(
     # independent route at one t: Cholesky minimizers of all probes at once
     im = t_points // 2
     t2 = float(t2s[im])
-    try:
-        amb = linalg.cho_factor(M1 + t2 * M2, lower=True)
-        red = linalg.cho_factor(M1r + t2 * M2r, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SolverFailure(f"minimizer factorization failed at t={ts[im]}") from exc
-    for name, factor, F1, F2, X, eig in (
-        ("K", amb, M1, M2, U, k2[im]),
-        ("K0", red, M1r, M2r, Cr, k02[im]),
+    for name, F1, F2, X, eig in (
+        ("K", M1, M2, U, k2[im]),
+        ("K0", M1r, M2r, Cr, k02[im]),
     ):
-        # f from its own equation, not as X - g: at small t, t^2 F2 lies
-        # below the rounding of F1 and the subtraction cancels
-        gf = linalg.cho_solve(factor, np.hstack([F1 @ X, t2 * (F2 @ X)]))
-        g, f = np.hsplit(gf, 2)
-        chol = np.sum(f * (F1 @ f), axis=0) + t2 * np.sum(g * (F2 @ g), axis=0)
+        chol = k2_by_cholesky(F1, F2, X, t2)
         dev = float(np.max(np.abs(eig - chol) / chol))
         if not dev <= 1e-9:
             raise SolverFailure(
@@ -370,4 +378,4 @@ def verify_intersection_lemma(
         "c_measured": C,
         "c_prime": c_prime,
     }
-    return make_report(experiment_name, parameters, cells, seed=seed, cfg_hash=cfg_hash)
+    return cells, parameters

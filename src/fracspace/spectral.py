@@ -86,6 +86,15 @@ def build_spectral_model(eigenvalues, basis, mass=1.0) -> SpectralModel:
     return SpectralModel(lam, B, mass)
 
 
+def decaying_probes(dim: int, count: int, seed: int) -> list:
+    """Random coefficient probes with j^(-1.5) decay, components uniform
+    on [-1, 1]; the decay keeps them (numerically) in every intermediate
+    space of the sweeps."""
+    rng = np.random.default_rng(seed)
+    decay = np.arange(1, dim + 1, dtype=np.float64) ** -1.5
+    return [decay * rng.uniform(-1.0, 1.0, size=dim) for _ in range(count)]
+
+
 def _coeffs(model: SpectralModel, u) -> np.ndarray:
     c = np.asarray(u, dtype=np.float64).ravel()
     if c.shape != (model.dim,):

@@ -27,7 +27,6 @@ from fracspace.experiments import (
     coeffs_bubble,
     coeffs_constant_one,
     coeffs_sin_pi,
-    halft1_check,
     reiteration_check,
     run_halft1,
     run_intersection,
@@ -153,10 +152,9 @@ def test_weight_validation():
 
 
 def test_halft1_rejects_low_theta():
-    from fracspace import grid_domain
-
-    with pytest.raises(InvalidConfig):
-        halft1_check(grid_domain(2, 4), (0.4,))
+    cfg = RunConfig(experiment="halft1", sizes=(4,), thetas=(0.4,))
+    with pytest.raises(InvalidConfig, match="halft1 needs thetas"):
+        run_halft1(cfg)
 
 
 def test_run_lemma41_small_and_deterministic():
@@ -199,6 +197,48 @@ def test_run_intersection_small():
     assert rep.passed
     grids = {c["grid"] for c in rep.cells}
     assert grids == {"harmonic-n5", "stokes-n4"}
+
+
+@pytest.mark.parametrize(
+    "experiment, sizes",
+    [
+        ("stokes-retraction", ["32", "33"]),
+        ("intersection", ["32", "2"]),
+        ("halft1", ["24", "40"]),
+        ("stokes-retraction", ["24", "2"]),
+        ("stokes-equivalence", ["8", "2"]),
+    ],
+)
+def test_cli_checks_every_grid_size_before_assembly(
+    tmp_path, monkeypatch, capsys, experiment, sizes
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a grid was assembled before every size was checked")
+
+    monkeypatch.setattr(experiments, "sobolev_grams", must_not_run)
+    monkeypatch.setattr(experiments, "build_stokes", must_not_run)
+    assert main([experiment, "--size", *sizes, "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+    assert os.listdir(tmp_path) == []
+
+
+def test_default_sizes_fill_the_cli_and_missing_positions(monkeypatch, tmp_path):
+    assert set(experiments.DEFAULT_SIZES) == set(EXPERIMENTS)
+    # a missing position falls back to the table: intersection --size 20
+    cfg = RunConfig(experiment="intersection", sizes=(20,))
+    assert (experiments._size(cfg, 0), experiments._size(cfg, 1)) == (20, 12)
+    seen = []
+
+    def stub(config):
+        seen.append(config.sizes)
+        return experiments.make_report(config.experiment, {}, [{"pass": True}])
+
+    for name in EXPERIMENTS:
+        monkeypatch.setitem(EXPERIMENTS, name, (stub, "stub"))
+        assert main([name, "--out", str(tmp_path)]) == 0
+    assert seen == [experiments.DEFAULT_SIZES[name] for name in EXPERIMENTS]
 
 
 def test_run_halft1_small():

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspace import _kernels
 from fracspace._kernels import k2_batch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,22 +67,6 @@ def test_limits():
     assert tiny == pytest.approx(1e-18 * (4.0 * 1.0 + 25.0 * 4.0), rel=1e-6)
     huge = k2_batch(lam, c2, np.array([1e9]))[0]
     assert huge == pytest.approx(5.0, rel=1e-6)
-
-
-def test_reference_chunking_matches(monkeypatch):
-    monkeypatch.setattr(_kernels, "_CHUNK", 64)
-    rng = np.random.default_rng(1)
-    lam = rng.uniform(0.5, 50.0, 37)
-    c2 = rng.uniform(0.0, 1.0, 37)
-    ts = np.geomspace(0.01, 100.0, 29)
-    C2 = rng.uniform(0.0, 1.0, (37, 4))
-    chunked = k2_batch(lam, c2, ts)
-    chunked_cols = k2_batch(lam, C2, ts)
-    monkeypatch.setattr(_kernels, "_CHUNK", 8_000_000)
-    whole = k2_batch(lam, c2, ts)
-    np.testing.assert_allclose(chunked, whole, rtol=1e-14)
-    assert chunked_cols.shape == (29, 4)
-    np.testing.assert_allclose(chunked_cols, k2_batch(lam, C2, ts), rtol=1e-14)
 
 
 def test_monotone_in_t():

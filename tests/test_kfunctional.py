@@ -158,12 +158,16 @@ def test_rule_default_window():
 
 
 def test_rule_from_config_overlay():
-    base = QuadratureRule(-1.0, 1.0)
-    rule = QuadratureRule.from_config({"tol": 1e-8, "max_panels": 512}, base)
+    lam = np.array([2.0, 8.0])
+    base = QuadratureRule.for_spectrum(lam)
+    rule = QuadratureRule.from_config({"tol": 1e-8, "max_panels": 512}, lam)
     assert rule.refinement_tol == 1e-8
     assert rule.max_panels == 512
-    assert rule.log_t_min == -1.0 and rule.log_t_max == 1.0
-    assert QuadratureRule.from_config(None, base) is base
+    assert (rule.log_t_min, rule.log_t_max) == (base.log_t_min, base.log_t_max)
+    assert QuadratureRule.from_config(None, lam) == base
+    window = QuadratureRule.from_config({"log_t_min": -1.0, "log_t_max": 1.0}, lam)
+    assert (window.log_t_min, window.log_t_max) == (-1.0, 1.0)
+    assert window.refinement_tol == base.refinement_tol
 
 
 def test_quadrature_not_converged():
@@ -215,9 +219,34 @@ def test_interp_norms_sq_node_blocks_match(monkeypatch, small_model):
     C = np.random.default_rng(13).standard_normal((6, 3))
     rule = QuadratureRule.for_spectrum(small_model.eigenvalues, tol=1e-10)
     whole = interp_norms_sq(small_model.eigenvalues, C, (0.3, 0.7), rule)
-    monkeypatch.setattr(kf, "_NODE_BLOCK", 7)
+    monkeypatch.setattr(kf, "_K2_PAIRS", 7 * small_model.dim)  # blocks of 7 nodes
     blocked = interp_norms_sq(small_model.eigenvalues, C, (0.3, 0.7), rule)
     np.testing.assert_allclose(blocked, whole, rtol=1e-13)
+
+
+def test_interp_norms_sq_bounds_the_kernel_buffer(monkeypatch):
+    # at 2048 modes a doubling's new nodes reach the kernel in blocks of
+    # 2^23 // 2048 nodes, up to the panel cap, which this rule always hits
+    import fracspace.kfunctional as kf
+
+    real_k2_batch = kf.k2_batch
+    pairs = []
+
+    def counting_k2_batch(lam, c2, ts):
+        pairs.append(len(ts) * len(lam))
+        return real_k2_batch(lam, c2, ts)
+
+    monkeypatch.setattr(kf, "k2_batch", counting_k2_batch)
+    model = laplacian_1d_analytic(2048)
+    window = QuadratureRule.for_spectrum(model.eigenvalues)
+    rule = QuadratureRule(
+        window.log_t_min, window.log_t_max, refinement_tol=1e-300, max_panels=2**16
+    )
+    C = np.column_stack(decaying_probes(model.dim, 1, 42))
+    with pytest.raises(QuadratureNotConverged, match="panel cap"):
+        interp_norms_sq(model.eigenvalues, C, (0.1, 0.5, 0.9), rule)
+    assert max(pairs) <= 2**23
+    assert sum(pairs) == (2**16 + 1) * 2048  # every node evaluated once
 
 
 def test_lemma_sweep_makes_one_kernel_call_per_doubling(monkeypatch):

@@ -34,7 +34,12 @@ from fracspace.experiments import (
     run_intersection,
     run_stokes_retraction,
 )
-from fracspace.retractions import _build_retraction, _top_singular_value
+from fracspace.retractions import (
+    N_MODE_PROBES,
+    N_RANDOM_PROBES,
+    Retraction,
+    _top_singular_value,
+)
 
 
 def _dense_gram_norm(T, gram):
@@ -93,15 +98,19 @@ def test_top_singular_value_fails_loudly(X):
 
 
 def test_build_retraction_rejects_broken_identity():
-    Z = np.eye(3)[:, :1]
-    T = np.zeros((3, 3))
+    # the public dataclass checks the identity itself, so no broken
+    # retraction can reach the lemma check
     with pytest.raises(RetractionIdentityViolated):
-        _build_retraction(T, Z, 1.0, 1.0)
-    # Retraction is a public dataclass, so the lemma check repeats the test
-    broken = retractions.Retraction(map=T, subspace_basis=Z, h_bound=1.0, d_bound=1.0)
-    pair = build_quadratic_pair(np.eye(3), np.eye(3))
-    with pytest.raises(RetractionIdentityViolated):
-        verify_intersection_lemma(pair, broken, (0.5,))
+        Retraction(
+            map=np.zeros((3, 3)), subspace_basis=np.eye(3)[:, :1], h_bound=1.0, d_bound=1.0
+        )
+
+
+def test_retraction_map_is_stored_read_only_without_a_copy():
+    T = np.eye(3)
+    ret = Retraction(map=T, subspace_basis=np.eye(3)[:, :2], h_bound=1.0, d_bound=1.0)
+    assert ret.map is T
+    assert not ret.map.flags.writeable
 
 
 def test_identity_check_bounds_the_residual_by_frobenius():
@@ -109,7 +118,7 @@ def test_identity_check_bounds_the_residual_by_frobenius():
     Z = np.eye(4)
     T = (1.0 + 0.8e-10) * np.eye(4)
     with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
-        _build_retraction(T, Z, 1.0, 1.0)
+        Retraction(map=T, subspace_basis=Z, h_bound=1.0, d_bound=1.0)
 
 
 def test_harmonic_lift_fixes_zero_boundary_vectors():
@@ -197,18 +206,18 @@ def test_subspace_probes_shape_and_span():
     grams = sobolev_grams(d)
     Z = zero_boundary_basis(d)
     V = _reduced_eigenvectors(build_quadratic_pair(grams.g1, grams.g2), Z)
-    probes = subspace_probes(Z, V, n_random=7, n_eig=3, seed=5)
-    assert len(probes) == 10
+    probes = subspace_probes(Z, V, seed=5)
+    assert len(probes) == N_RANDOM_PROBES + N_MODE_PROBES
     for v in probes:
         resid = np.linalg.norm(v - Z @ (Z.T @ v))
         assert resid <= 1e-10 * np.linalg.norm(v)
-    # the last n_eig probes are the lowest reduced modes
-    np.testing.assert_array_equal(probes[7], Z @ V[:, 0])
-    again = subspace_probes(Z, V, n_random=7, n_eig=3, seed=5)
+    # the last N_MODE_PROBES probes are the lowest reduced modes
+    np.testing.assert_array_equal(probes[N_RANDOM_PROBES], Z @ V[:, 0])
+    again = subspace_probes(Z, V, seed=5)
     for a, b in zip(probes, again):
         np.testing.assert_array_equal(a, b)
     with pytest.raises(InvalidConfig):
-        subspace_probes(Z, V, n_eig=Z.shape[1] + 1)
+        subspace_probes(Z[:, : N_MODE_PROBES - 1], V[: N_MODE_PROBES - 1, : N_MODE_PROBES - 1])
 
 
 @pytest.mark.parametrize(
@@ -228,17 +237,17 @@ def test_verify_intersection_small_grid():
     pair = build_quadratic_pair(grams.g1, grams.g2)
     ret = harmonic_retraction(d, grams)
     window = {"log_t_min": -12.0, "log_t_max": 8.0}
-    rep = verify_intersection_lemma(
+    cells, params = verify_intersection_lemma(
         pair, ret, (0.3, 0.7), window, grid_label="n5", t_points=17, seed=3
     )
-    assert rep.passed
-    kinds = {c["check"] for c in rep.cells}
+    assert all(c["pass"] for c in cells)
+    kinds = {c["check"] for c in cells}
     assert kinds == {"pointwise", "interp-ratio"}
-    n_pointwise = sum(1 for c in rep.cells if c["check"] == "pointwise")
+    n_pointwise = sum(1 for c in cells if c["check"] == "pointwise")
     assert n_pointwise == 25 * 17
-    assert rep.parameters["n_probes"] == 25
-    assert (rep.parameters["log_t_min"], rep.parameters["log_t_max"]) == (-12.0, 8.0)
-    assert rep.parameters["h_bound"] >= 1.0 - 1e-12
+    assert params["n_probes"] == 25
+    assert (params["log_t_min"], params["log_t_max"]) == (-12.0, 8.0)
+    assert params["h_bound"] >= 1.0 - 1e-12
 
 
 def _pointwise_by_cholesky(pair, T, probes, log_t_min, log_t_max, t_points):
@@ -267,20 +276,20 @@ def _pointwise_by_cholesky(pair, T, probes, log_t_min, log_t_max, t_points):
 
 @pytest.mark.parametrize("setup, n", [(_harmonic_setup, 6), (_stokes_setup, 4)])
 def test_pointwise_cells_match_cholesky_minimizers(setup, n):
-    pair, T = setup(n)
-    rep = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
-    cells = [c for c in rep.cells if c["check"] == "pointwise"]
+    pair, T = setup(grid_domain(2, n))
+    all_cells, params = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
+    cells = [c for c in all_cells if c["check"] == "pointwise"]
     # the same probes, rebuilt from a reduced-pencil eigensolve of our own
     Z = T.subspace_basis
     probes = subspace_probes(Z, _reduced_eigenvectors(pair, Z), seed=42)
     assert len(probes) == 25
-    window = rep.parameters["log_t_min"], rep.parameters["log_t_max"]
+    window = params["log_t_min"], params["log_t_max"]
     oracle = _pointwise_by_cholesky(pair, T, probes, *window, 17)
     assert len(cells) == len(oracle) == 17 * 25
     for cell, (t, ratio) in zip(cells, oracle):
         assert cell["t"] == t
         assert cell["ratio"] == pytest.approx(ratio, rel=1e-10, abs=0.0)
-    assert rep.passed
+    assert all(c["pass"] for c in all_cells)
 
 
 def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
@@ -291,7 +300,7 @@ def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
         return lam * (1.0 + 1e-6), V, transform
 
     monkeypatch.setattr(retractions, "congruence", perturbed)
-    pair, T = _harmonic_setup(6)
+    pair, T = _harmonic_setup(grid_domain(2, 6))
     with pytest.raises(SolverFailure, match="Cholesky"):
         verify_intersection_lemma(pair, T, (0.5,), t_points=17)
 

@@ -5,8 +5,10 @@ fracspace <experiment> --config cfg.json [--theta ...] [--size ...]
 fracspace list
 
 Exit codes: 0 all checks passed, 1 a verification cell failed (or a
-runtime verification error), 2 unknown experiment, invalid config or an
-output directory that cannot be written.
+runtime verification error, or any other exception), 2 unknown
+experiment, invalid config or an output directory that cannot be
+written. Past argument parsing, every error exit writes one JSON line to
+stderr and no traceback.
 """
 from __future__ import annotations
 
@@ -117,6 +119,9 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return 2
     except FracspaceError as exc:
+        _emit_error(exc)
+        return 1
+    except Exception as exc:  # NumPy/SciPy errors, MemoryError: one line, no traceback
         _emit_error(exc)
         return 1
     n_pass = report.summary["n_pass"]

@@ -5,8 +5,10 @@ sine eigenfunctions, orthonormal under the trapezoid mass h by
 discrete sine orthogonality), finite-difference
 Dirichlet Laplacians in 1D/2D, discrete Sobolev Gram forms on the full
 node set (boundary included), and a staggered-grid Stokes system: vector
-Laplacian, discrete divergence, an orthonormal basis of its null space,
-and the constrained operator with its one Cholesky factor.
+Laplacian, discrete divergence, an orthonormal basis of its null space
+in closed form (the discrete curl of DST-I stream-function modes, with
+no factorization of the divergence), and the constrained operator with
+its one Cholesky factor.
 
 Every grid matrix is assembled from dense 1D pieces combined with
 np.kron (the tensor-product structure of Lynch, Rice & Thomas, Numer.
@@ -113,6 +115,19 @@ def _second_difference_1d(n: int, h: float) -> np.ndarray:
     return T / (h * h)
 
 
+def _dirichlet_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of `_second_difference_1d(n, h)`.
+
+    For i, k = 1..n and h = 1/(n+1): the orthonormal DST-I matrix S,
+    S[i-1, k-1] = sqrt(2/(n+1)) sin(pi i k / (n+1)), whose columns are
+    the eigenvectors, and the eigenvalues mu_k = (4/h^2) sin^2(k pi h / 2).
+    """
+    k = np.arange(1, n + 1)
+    S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    mu = (4.0 / (h * h)) * np.sin(k * (np.pi * h / 2.0)) ** 2
+    return S, mu
+
+
 def _forward_difference(m: int) -> np.ndarray:
     """(m-1) x m edge differences u[a+1] - u[a] along a path of m nodes."""
     return np.eye(m - 1, m, k=1) - np.eye(m - 1, m)
@@ -214,8 +229,10 @@ class StokesSystem:
     Velocity components live on cell faces (x-component on vertical
     interior faces, y-component on horizontal interior faces), pressure
     on the (n+1)^2 cell centers. nullbasis Z is a Euclidean-orthonormal
-    basis of ker(divergence), so Z Z^T is the orthogonal projector onto
-    it; constrained_op = Z^T A Z, and constrained_factor is its lower
+    basis of ker(divergence): the discrete curls of the n^2 DST-I
+    stream-function modes on the interior cell corners, each scaled to
+    unit length. Z Z^T is the orthogonal projector onto ker(divergence);
+    constrained_op = Z^T A Z, and constrained_factor is its lower
     Cholesky factor in `scipy.linalg.cho_factor` form, the one
     factorization of it that every solve with it uses.
     """
@@ -239,10 +256,19 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     difference from the n interior faces of an axis to its n + 1 cells
     (the two wall faces carry no unknown: no-slip).
 
-    The null space of the divergence is extracted by a rank-revealing
-    orthogonal factorization (SVD), treating singular values below
-    1e-10 * sigma_max as zero; the divergence always has rank
-    deficiency one (the constant pressure mode).
+    The null space of the divergence is built in closed form (Harlow &
+    Welch 1965). A stream function psi on the n^2 interior cell corners,
+    zero on the walls, has the discrete curl C psi with
+    C = [G (x) I_n; -(I_n (x) G)], and D C = G (x) G - G (x) G = 0.
+    C^T C = G^T G (x) I + I (x) G^T G is the 5-point corner Laplacian,
+    diagonalized by S (x) S for the DST-I matrix S with eigenvalues
+    mu_k + mu_l, so Z = C (S (x) S) diag((mu_k + mu_l)^(-1/2)) has
+    orthonormal columns by construction. span(Z) = ker D needs
+    rank D = (n+1)^2 - 1 (only the constant pressure mode is
+    incompatible): that is measured, not assumed, by one Cholesky of the
+    pressure matrix D D^T + 1 1^T / (n+1)^2, which is SPD exactly then;
+    a failure raises FactorizationFailure. Runtime checks on D Z, Z^T Z
+    and the symmetry of Z^T A Z guard the rounding.
     """
     if domain.dimension != 2:
         raise InvalidConfig("the Stokes system is assembled on the unit square")
@@ -261,14 +287,19 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     D[:, :n_u] = np.kron(cells, G)
     D[:, n_u:] = np.kron(G, cells)
 
-    try:
-        _, s, Vt = np.linalg.svd(D)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure("divergence factorization failed") from exc
-    rank = int(np.count_nonzero(s > 1e-10 * s.max()))
-    if rank >= D.shape[1]:
-        raise FactorizationFailure("divergence has a trivial null space")
-    Z = _fix_signs(Vt[rank:].T)
+    # the discrete curl of the corner stream functions, in DST-I modes
+    S, mu = _dirichlet_modes(n, h)
+    GS = G @ S
+    scale = 1.0 / np.sqrt(np.add.outer(mu, mu)).ravel()
+    Z = np.empty((2 * n_u, n * n))
+    Z[:n_u] = np.kron(GS, S) * scale
+    Z[n_u:] = -np.kron(S, GS) * scale
+    try:  # D D^T + 1 1^T / (n+1)^2 is SPD iff rank D = (n+1)^2 - 1
+        linalg.cholesky(_kron_sum(G @ G.T, 2) + 1.0 / (n + 1) ** 2, lower=True)
+    except linalg.LinAlgError as exc:
+        raise FactorizationFailure(
+            "divergence rank check failed: the pressure matrix is not SPD"
+        ) from exc
     C = Z.T @ A @ Z
 
     if np.max(np.abs(D @ Z)) > 1e-10:

@@ -201,6 +201,16 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
 # ---- probe vectors
 
 
+def check_probe_dimension(r: int) -> int:
+    """Return r, the reduced dimension, if it holds the N_MODE_PROBES
+    mode probes; raise InvalidConfig otherwise."""
+    if N_MODE_PROBES > r:
+        raise InvalidConfig(
+            f"{N_MODE_PROBES} mode probes exceed the reduced dimension {r}"
+        )
+    return r
+
+
 def probe_coordinates(V, seed=42) -> list:
     """Probe coordinates against the eigenvector columns of V: the
     N_RANDOM_PROBES `decaying_probes` combinations of the columns,
@@ -212,11 +222,7 @@ def probe_coordinates(V, seed=42) -> list:
     stress the large-t regime. Fewer than N_MODE_PROBES columns raise
     InvalidConfig.
     """
-    r = V.shape[1]
-    if N_MODE_PROBES > r:
-        raise InvalidConfig(
-            f"{N_MODE_PROBES} mode probes exceed the reduced dimension {r}"
-        )
+    r = check_probe_dimension(V.shape[1])
     return [V @ c for c in decaying_probes(r, N_RANDOM_PROBES, seed)] + [
         V[:, i] for i in range(N_MODE_PROBES)
     ]

@@ -12,10 +12,12 @@ from fracspace import (
     QuadratureRule,
     RunConfig,
     build_quadratic_pair,
+    build_stokes,
     congruence,
     criticality_scan,
     decaying_probes,
     frac_norm,
+    grid_domain,
     i_theta,
     report_to_json,
     to_coeffs,
@@ -207,6 +209,9 @@ def test_run_intersection_small():
         ("halft1", ["24", "40"]),
         ("stokes-retraction", ["24", "2"]),
         ("stokes-equivalence", ["8", "2"]),
+        # n = 2 is a valid grid, but its n^2 = 4 dimensions hold too few probes
+        ("halft1", ["24", "2"]),
+        ("intersection", ["2", "12"]),
     ],
 )
 def test_cli_checks_every_grid_size_before_assembly(
@@ -222,6 +227,17 @@ def test_cli_checks_every_grid_size_before_assembly(
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "InvalidConfig"
     assert os.listdir(tmp_path) == []
+
+
+def test_lambda_min_constrained_is_the_lowest_eigenvalue():
+    # the one-eigenvalue solve against the full spectrum of Ac
+    sizes = tuple(range(3, 9))
+    rep = run_stokes_retraction(RunConfig(experiment="stokes-retraction", sizes=sizes))
+    recorded = [c for c in rep.cells if c["check"] == "bounds-recorded"]
+    low = {c["grid"]: c["lambda_min_constrained"] for c in recorded}
+    for n in sizes:
+        full = np.linalg.eigvalsh(build_stokes(grid_domain(2, n)).constrained_op)
+        assert low[n] == pytest.approx(full[0], rel=1e-12, abs=0), n
 
 
 def test_default_sizes_fill_the_cli_and_missing_positions(monkeypatch, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from fracspace import (
     FactorizationFailure,
@@ -16,6 +17,7 @@ from fracspace import (
     stokes_spectral_model,
     zero_boundary_basis,
 )
+from fracspace import operators
 
 
 def test_grid_domain_validation():
@@ -201,12 +203,24 @@ def test_interior_indices_and_zero_boundary_basis():
     assert set(np.flatnonzero(Z.sum(axis=1))) == set(idx.tolist())
 
 
-def test_stokes_kernel_dimension(stokes_small):
-    n = stokes_small.grid.n
-    assert stokes_small.nullbasis.shape[1] == n * n
-    D = stokes_small.divergence
-    rank = D.shape[1] - n * n
-    assert D.shape[0] - rank == 1  # one incompatible constraint (total flux)
+def test_stokes_kernel_dimension():
+    # oracle: the closed-form curl basis spans the SVD null space of D
+    for n in range(3, 11):
+        sys = build_stokes(grid_domain(2, n))
+        N = linalg.null_space(sys.divergence)
+        assert N.shape[1] == sys.nullbasis.shape[1] == n * n
+        Z = sys.nullbasis
+        assert np.max(np.abs(Z @ Z.T - N @ N.T)) <= 1e-12, n
+
+
+def test_stokes_rank_check_raises(monkeypatch):
+    # a pressure matrix that fails its Cholesky means rank D < (n+1)^2 - 1
+    def singular(a, *args, **kwargs):
+        raise linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(linalg, "cholesky", singular)
+    with pytest.raises(FactorizationFailure, match="rank"):
+        build_stokes(grid_domain(2, 4))
 
 
 def test_stokes_divergence_annihilates_kernel(stokes_small):
@@ -259,13 +273,13 @@ def test_stokes_projector(stokes_small):
 
 
 def test_stokes_rejects_non_orthonormal_null_basis(monkeypatch):
-    real_svd = np.linalg.svd
+    real_modes = operators._dirichlet_modes
 
-    def scaled_svd(a, *args, **kwargs):
-        U, s, Vt = real_svd(a, *args, **kwargs)
-        return U, s, Vt * (1.0 + 1e-6)
+    def scaled_modes(n, h):
+        S, mu = real_modes(n, h)
+        return S * (1.0 + 1e-6), mu
 
-    monkeypatch.setattr(np.linalg, "svd", scaled_svd)
+    monkeypatch.setattr(operators, "_dirichlet_modes", scaled_modes)
     with pytest.raises(FactorizationFailure, match="orthonormal"):
         build_stokes(grid_domain(2, 4))
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -417,6 +419,77 @@ def test_cli_write_oserror_exits_2(tmp_path, monkeypatch, capsys):
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["error"] == "InvalidConfig" and "Permission denied" in doc["message"]
+
+
+def test_cli_unexpected_exception_exits_1_with_one_json_line(
+    tmp_path, monkeypatch, capsys
+):
+    def broken(config):
+        raise RuntimeError("not a package error")
+
+    monkeypatch.setitem(EXPERIMENTS, "lemma41", (broken, "broken"))
+    assert main(["lemma41", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "RuntimeError",
+        "message": "not a package error",
+    }
+
+
+_SIZE_TOKENS = st.one_of(
+    st.integers(min_value=2, max_value=6).map(str),
+    st.sampled_from(["0", "-1", "x", "", "7.5", "1e3"]),
+)
+_EXTRA_ARGS = st.sampled_from(
+    [
+        ["--theta", "0.5"],
+        ["--theta", "0.7", "0.8"],
+        ["--theta", "nan"],
+        ["--theta", "-inf"],
+        ["--theta", "1"],
+        ["--theta", "x"],
+        ["--theta"],
+        ["--seed", "7"],
+        ["--seed", "-1"],
+        ["--seed", "1e9"],
+        ["--seed", str(2**70)],
+        ["--format", "json"],
+        ["--format", "xml"],
+        ["--config", "/nonexistent/cfg.json"],
+        ["--bogus"],
+        ["extra"],
+    ]
+)
+
+
+@st.composite
+def _malformed_argv(draw):
+    """An experiment token, --size with 2..3 tokens (valid ones in 2..6,
+    so that no grid is large) and up to two further flags, some junk."""
+    argv = [draw(st.sampled_from([*sorted(EXPERIMENTS), "list", "nope", "", "-x"]))]
+    argv += ["--size", *draw(st.lists(_SIZE_TOKENS, min_size=2, max_size=3))]
+    for extra in draw(st.lists(_EXTRA_ARGS, max_size=2)):
+        argv += extra
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_malformed_argv())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("fuzz")
+    err = io.StringIO()
+    parsed = True
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse refuses the argv: usage on stderr
+            code, parsed = exc.code, False
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if parsed and err.getvalue():
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0]), argv
 
 
 def test_cli_verification_error_exits_1(tmp_path, capsys):

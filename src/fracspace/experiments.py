@@ -664,7 +664,7 @@ def run_stokes_retraction(config: RunConfig):
         r = Z.shape[1]
         # row i of one (100, r) draw is the i-th of 100 draws of size r
         Zs = Z @ rng.standard_normal((100, r)).T
-        resid = np.linalg.norm(T.map @ Zs - Zs, axis=0) / np.linalg.norm(Zs, axis=0)
+        resid = np.linalg.norm(Z @ (T.inner @ Zs) - Zs, axis=0) / np.linalg.norm(Zs, axis=0)
         worst_identity = float(np.max(resid))
         cells.append(
             {
@@ -685,7 +685,7 @@ def run_stokes_retraction(config: RunConfig):
         Psi /= np.linalg.norm(Psi, axis=0)
         Phi = np.column_stack([phi for _, phi in draws])
         Phi /= np.linalg.norm(Phi, axis=0)
-        lhs = np.sum(Psi * (T.map @ Phi), axis=0)
+        lhs = np.sum(Psi * (Z @ (T.inner @ Phi)), axis=0)
         rhs = np.sum((A @ (Z @ linalg.cho_solve(factor, Z.T @ Psi))) * Phi, axis=0)
         worst_sym = float(np.max(np.abs(lhs - rhs)))
         cells.append(

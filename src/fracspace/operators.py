@@ -15,11 +15,16 @@ np.kron (the tensor-product structure of Lynch, Rice & Thomas, Numer.
 Math. 6, 1964): trapezoid weights, the edge differences of the path
 graph, Dirichlet and full-node second differences, and the staggered
 forward difference from faces to cells. A 2D operator acting along both
-axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil.
+axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil. The same
+structure gives the spectra of the Dirichlet Kronecker sums in closed
+form: `laplacian_fd` and `stokes_ambient_model` take tensor products of
+DST-I modes and sums of their eigenvalues, with no eigensolver. Only
+the constrained operator Z^T A Z, which is not a Kronecker sum, is
+diagonalized densely.
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
-Dense matrices and eigendecompositions only, so sizes are capped (1D
-n <= 2048, 2D n <= 32 per axis).
+Dense matrices only, so sizes are capped (1D n <= 2048, 2D n <= 32 per
+axis).
 """
 from __future__ import annotations
 
@@ -115,17 +120,27 @@ def _second_difference_1d(n: int, h: float) -> np.ndarray:
     return T / (h * h)
 
 
-def _dirichlet_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs of `_second_difference_1d(n, h)`.
+def _dirichlet_modes(size: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of `_second_difference_1d(size, h)`.
 
-    For i, k = 1..n and h = 1/(n+1): the orthonormal DST-I matrix S,
-    S[i-1, k-1] = sqrt(2/(n+1)) sin(pi i k / (n+1)), whose columns are
-    the eigenvectors, and the eigenvalues mu_k = (4/h^2) sin^2(k pi h / 2).
+    For i, k = 1..size: the orthonormal DST-I matrix S,
+    S[i-1, k-1] = sqrt(2/(size+1)) sin(pi i k / (size+1)), whose columns
+    are the eigenvectors, and the eigenvalues
+    mu_k = (4/h^2) sin^2(k pi / (2 (size+1))). The mesh width h scales
+    the eigenvalues only: it is 1/(size+1) on the n interior nodes of an
+    axis, where mu_k = (4/h^2) sin^2(k pi h / 2) bit for bit, and
+    1/size on the n+1 cells of a staggered axis.
     """
-    k = np.arange(1, n + 1)
-    S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-    mu = (4.0 / (h * h)) * np.sin(k * (np.pi * h / 2.0)) ** 2
+    k = np.arange(1, size + 1)
+    S = math.sqrt(2.0 / (size + 1)) * np.sin(np.pi * np.outer(k, k) / (size + 1))
+    mu = (4.0 / (h * h)) * np.sin(k * (np.pi * (1.0 / (size + 1)) / 2.0)) ** 2
     return S, mu
+
+
+def _kron_sum_modes(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of P (x) I + I (x) Q from the eigenpairs (S, mu) of P
+    and of Q: the columns of S_P (x) S_Q with eigenvalues mu_P + mu_Q."""
+    return np.kron(p[0], q[0]), np.add.outer(p[1], q[1]).ravel()
 
 
 def _forward_difference(m: int) -> np.ndarray:
@@ -142,19 +157,20 @@ def _kron_sum(M: np.ndarray, d: int) -> np.ndarray:
 
 
 def laplacian_fd(domain: GridDomain) -> SpectralModel:
-    """Finite-difference Dirichlet Laplacian, fully diagonalized.
+    """Finite-difference Dirichlet Laplacian, diagonalized in closed form.
 
     3-point stencil in 1D, 5-point (the Kronecker sum of two 3-point
-    stencils) in 2D; mass h^d on interior nodes, so Euclidean
-    eigenvectors rescale by h^(-d/2).
+    stencils) in 2D. Its eigenpairs are the DST-I modes of
+    `_dirichlet_modes` in 1D and their tensor products in 2D, with no
+    eigensolver; mass h^d on interior nodes, so Euclidean eigenvectors
+    rescale by h^(-d/2).
     """
-    L = _kron_sum(_second_difference_1d(domain.n, domain.h), domain.dimension)
+    modes = _dirichlet_modes(domain.n, domain.h)
+    if domain.dimension == 2:
+        modes = _kron_sum_modes(modes, modes)
+    V, lam = modes
     mass = domain.cell_volume
-    try:
-        lam, V = linalg.eigh(L)
-    except linalg.LinAlgError as exc:
-        raise FactorizationFailure("dense eigendecomposition failed") from exc
-    return build_spectral_model(lam, _fix_signs(V) / math.sqrt(mass), mass)
+    return build_spectral_model(lam, V / math.sqrt(mass), mass)
 
 
 @dataclass(frozen=True)
@@ -332,15 +348,18 @@ def stokes_spectral_model(sys: StokesSystem) -> SpectralModel:
 
 
 def stokes_ambient_model(sys: StokesSystem) -> SpectralModel:
-    """Diagonalize the full vector Laplacian on velocity unknowns.
+    """The full vector Laplacian on velocity unknowns, in closed form.
 
-    The physical mass is h^2; the scalar drops out of every norm ratio
-    and operator norm used here, so the model keeps mass 1.
+    Each velocity block is a Kronecker sum of Dirichlet second
+    differences on n faces and on n + 1 cells of an axis, so its
+    eigenpairs are tensor products of their DST-I modes (Lynch, Rice &
+    Thomas 1964), with no eigensolver. The physical mass is h^2; the
+    scalar drops out of every norm ratio and operator norm used here, so
+    the model keeps mass 1.
     """
-    try:
-        lam, V = linalg.eigh(sys.vector_laplacian)
-    except linalg.LinAlgError as exc:
-        raise FactorizationFailure(
-            "vector Laplacian eigendecomposition failed"
-        ) from exc
-    return build_spectral_model(lam, _fix_signs(V))
+    n, h = sys.grid.n, sys.grid.h
+    faces, cells = _dirichlet_modes(n, h), _dirichlet_modes(n + 1, h)
+    Vu, lam_u = _kron_sum_modes(cells, faces)
+    Vv, lam_v = _kron_sum_modes(faces, cells)
+    lam = np.concatenate([lam_u, lam_v])
+    return build_spectral_model(lam, linalg.block_diag(Vu, Vv))

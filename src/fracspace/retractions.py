@@ -11,15 +11,19 @@ alongside the free inequality K <= K0 (the subspace admits fewer
 decompositions). Integrated, the subspace interpolation norm is
 equivalent to the ambient one within [1, sqrt(2) C].
 
-Bounds are measured as exact operator norms of the assembled discrete
-maps, not estimated from probes, so the inequality chain above holds
+Both concrete retractions factor through the subspace, T = Z B with
+an r x m inner map B, and a `Retraction` is that pair: T x = Z (B x),
+and no m x m map is stored.
+
+Bounds are measured as exact operator norms of the discrete maps, not
+estimated from probes, so the inequality chain above holds
 deterministically. Each norm is the square root of the top eigenvalue
 of one symmetric Gram X X^T, taken on the short side of a factor X with
 the same largest singular value (after a Cholesky similarity for a Gram
 norm); no dense SVD is formed. The harmonic lift takes one such norm per
-leg; the divergence-free retraction takes one in all, since
-A T A^-1 = T^T makes its two bounds equal, and its factor is the r x m
-inner map B of T = Z B, as |Z B|_2 = |B|_2 for orthonormal Z.
+leg, of its dense map formed locally; the divergence-free retraction
+takes one in all, since A T A^-1 = T^T makes its two bounds equal, and
+its factor is B itself, as |Z B|_2 = |B|_2 for orthonormal Z.
 
 The pointwise minimizers come from the generalised eigenpairs of the
 ambient pencil (M2, M1) and of the reduced pencil, the same two
@@ -27,15 +31,18 @@ eigensolves that give the spectral coordinates of the integrated check,
 the probe vectors (`probe_coordinates` of the reduced eigenvectors) and
 the quadrature window (`QuadratureRule.from_config` of the ambient
 spectrum); in those coordinates every t is diagonal, and `k2_batch` and
-`interp_norms_sq` take all probes at once. `k2_by_cholesky` of each
-pencil at the middle t recomputes K^2 and K0^2 as an in-run cross-check.
+`interp_norms_sq` take all probes at once. The transported term reads
+the reduced forms Z^T M Z through B, never the ambient forms through an
+m x m map. `k2_by_cholesky` of each pencil at the middle t recomputes
+K^2 and K0^2 as an in-run cross-check.
 The identity T z = z on the subspace is checked once, when a
 `Retraction` is constructed, so the verification trusts its input.
 
 Two concrete retractions: the harmonic lift (solve the zero-boundary
-Dirichlet problem with the same interior second differences) and the
+Dirichlet problem with the same interior second differences; Z the
+interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S) and the
 divergence-free retraction T = Z Ac^-1 Z^T A built from a staggered-grid
-Stokes system (Ac the constrained operator).
+Stokes system (Ac the constrained operator, B = Ac^-1 Z^T A).
 """
 from __future__ import annotations
 
@@ -78,30 +85,33 @@ N_MODE_PROBES = 5
 
 @dataclass(frozen=True)
 class Retraction:
-    """Linear map with T|span(Z) = identity and measured pair bounds.
+    """Linear map T = Z B with T|span(Z) = identity and measured pair bounds.
 
-    Construction checks the identity: the Frobenius norm of T Z - Z,
-    which bounds the 2-norm from above and needs no SVD, must not exceed
-    IDENTITY_TOL, or RetractionIdentityViolated is raised. The map is
-    then stored read-only, without a copy for a float64 array.
+    subspace_basis Z (m x r) spans the subspace and inner B (r x m) maps
+    into its coordinates, so T x = Z (B x); no m x m map is stored.
+    Construction checks the identity: the Frobenius norm of Z (B Z) - Z,
+    which bounds the 2-norm from above, needs no SVD and does not assume
+    Z orthonormal, must not exceed IDENTITY_TOL, or
+    RetractionIdentityViolated is raised. B is then stored read-only,
+    without a copy for a float64 array.
     """
 
-    map: np.ndarray
     subspace_basis: np.ndarray
+    inner: np.ndarray
     h_bound: float
     d_bound: float
 
     def __post_init__(self):
         Z = self.subspace_basis
-        resid = float(np.linalg.norm(self.map @ Z - Z))
+        resid = float(np.linalg.norm(Z @ (self.inner @ Z) - Z))
         if not resid <= IDENTITY_TOL:
             raise RetractionIdentityViolated(
                 "retraction deviates from the identity on the subspace: "
                 f"Frobenius residual {resid:.3e}"
             )
-        T = np.asarray(self.map, dtype=np.float64)
-        T.setflags(write=False)
-        object.__setattr__(self, "map", T)
+        B = np.asarray(self.inner, dtype=np.float64)
+        B.setflags(write=False)
+        object.__setattr__(self, "inner", B)
 
 
 def _top_singular_value(X: np.ndarray) -> float:
@@ -165,16 +175,19 @@ def harmonic_lift(domain: GridDomain, grams: SobolevGrams, u) -> np.ndarray:
 
 
 def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
-    """The harmonic lift as a retraction for the pair (g1, g2)."""
+    """The harmonic lift as a retraction for the pair (g1, g2).
+
+    T = Z B for the interior indicator columns Z and B = S_ii^-1 S[idx, :].
+    The two Gram-norm bounds take the dense map, B scattered into the
+    interior rows, which is formed here and not kept.
+    """
     idx = interior_indices(domain)
     S, factor = _stiffness_solver(grams, idx)
-    m = grams.g0.shape[0]
-    T = np.zeros((m, m))
-    T[idx, :] = linalg.cho_solve(factor, S[idx, :])
-    Z = zero_boundary_basis(domain)
-    return Retraction(
-        T, Z, gram_operator_norm(T, grams.g1), gram_operator_norm(T, grams.g2)
-    )
+    B = linalg.cho_solve(factor, S[idx, :])
+    T = np.zeros((grams.g0.shape[0], B.shape[1]))
+    T[idx, :] = B
+    bounds = gram_operator_norm(T, grams.g1), gram_operator_norm(T, grams.g2)
+    return Retraction(zero_boundary_basis(domain), B, *bounds)
 
 
 # ---- divergence-free retraction
@@ -189,13 +202,13 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
     comes from the one norm. With T = Z B, B = Ac^-1 Z^T A, and Z
     orthonormal, |T|_2 = |B|_2: the sqrt of the top eigenvalue of the
     r x r Gram B B^T. Ac^-1 is applied through the system's one
-    Cholesky factor of Ac.
+    Cholesky factor of Ac. The retraction keeps (Z, B); the m x m
+    product Z B is never formed.
     """
     Z = sys.nullbasis
     B = linalg.cho_solve(sys.constrained_factor, Z.T @ sys.vector_laplacian)
-    T = Z @ B
     bound = _top_singular_value(B)
-    return Retraction(T, Z, bound, bound)
+    return Retraction(Z, B, bound, bound)
 
 
 # ---- probe vectors
@@ -270,16 +283,18 @@ def verify_intersection_lemma(
     Both minimizers are read off the pencil eigenpairs that `congruence`
     returns (V^T M1 V = I, V^T M2 V = diag lam^2): for u = V a, with
     x = t^2 lam^2 and s = 1 / (1 + x), g = V (s a), f = V (x s a) and
-    K^2 = sum a^2 x s; the transported term uses the Grams of T V, formed
-    once. At the middle t, `k2_by_cholesky` of each pencil recomputes K^2
-    and K0^2 for all probes at once; a relative deviation above 1e-9
-    raises SolverFailure, a failed factorization SingularSystem.
+    K^2 = sum a^2 x s. The transported term uses the Grams of T V, formed
+    once from the reduced forms: T V = Z W with W = B V, so
+    (T V)^T M1 (T V) = W^T (Z^T M1 Z) W, and likewise for M2. At the
+    middle t, `k2_by_cholesky` of each pencil recomputes K^2 and K0^2
+    for all probes at once; a relative deviation above 1e-9 raises
+    SolverFailure, a failed factorization SingularSystem.
 
     Returns (cells, parameters): the report cells and the run's window,
     probe count and bounds, for the caller's report.
     """
     M1, M2 = pair.m1, pair.m2
-    Tm, Z = T.map, T.subspace_basis
+    Z = T.subspace_basis
     C = max(T.h_bound, T.d_bound)
     c_prime = math.sqrt(2.0) * max(C, T.h_bound)
     M1r = Z.T @ M1 @ Z
@@ -294,9 +309,9 @@ def verify_intersection_lemma(
     Cr = Z.T @ U
     a = w_amb @ U
     a_r = w_red @ Cr
-    TV = Tm @ V_amb
-    P1 = TV.T @ M1 @ TV
-    P2 = TV.T @ M2 @ TV
+    W = T.inner @ V_amb
+    P1 = W.T @ M1r @ W
+    P2 = W.T @ M2r @ W
     taus = np.linspace(rule.log_t_min, rule.log_t_max, t_points)
     ts = [math.exp(tau) for tau in taus]
     t2s = np.array(ts) ** 2

@@ -275,11 +275,21 @@ def test_run_stokes_retraction_small():
     assert "h_bound-drift" in checks and "d_bound-drift" in checks
 
 
-def test_stokes_retraction_reruns_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "experiment, sizes",
+    [
+        ("intersection", ["4", "4"]),
+        ("halft1", ["4", "5"]),
+        ("stokes-retraction", ["4", "6"]),
+        ("stokes-equivalence", ["4", "5"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(v),
+)
+def test_2d_runner_reruns_byte_identical(tmp_path, experiment, sizes):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
     for out in (out1, out2):
-        argv = ["stokes-retraction", "--size", "4", "6", "--seed", "3"]
+        argv = [experiment, "--size", *sizes, "--seed", "3"]
         assert main([*argv, "--out", str(out), "--format", "both"]) == 0
     names = sorted(os.listdir(out1))
     assert [n.rsplit(".", 1)[1] for n in names] == ["csv", "json"]

@@ -93,6 +93,46 @@ def test_fd_converges_to_analytic():
     np.testing.assert_allclose(fd.eigenvalues[:5], exact, rtol=5e-4)
 
 
+def _dirichlet_matrix(domain):
+    """The 3-point (1D) or 5-point (2D) Dirichlet Laplacian, assembled."""
+    n, h = domain.n, domain.h
+    T = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / (h * h)
+    if domain.dimension == 1:
+        return T
+    return np.kron(T, np.eye(n)) + np.kron(np.eye(n), T)
+
+
+def _assert_closed_form_diagonalizes(model, L):
+    # eigenvalues against a dense eigensolve, eigenvectors by reconstruction
+    np.testing.assert_allclose(model.eigenvalues, np.linalg.eigvalsh(L), rtol=1e-12)
+    V = model.basis * math.sqrt(model.mass)
+    rebuilt = (V * model.eigenvalues) @ V.T
+    assert np.max(np.abs(rebuilt - L)) <= 1e-12 * np.max(np.abs(L))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_fd_closed_form_matches_dense_eigensolve(dimension, n):
+    d = grid_domain(dimension, n)
+    _assert_closed_form_diagonalizes(laplacian_fd(d), _dirichlet_matrix(d))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_stokes_ambient_closed_form_matches_dense_eigensolve(n):
+    sys = build_stokes(grid_domain(2, n))
+    _assert_closed_form_diagonalizes(stokes_ambient_model(sys), sys.vector_laplacian)
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_dirichlet_modes_keep_the_grid_eigenvalue_expression(n):
+    # build_stokes reads these eigenvalues; on the interior axis they must
+    # be the h-form bit for bit
+    h = 1.0 / (n + 1)
+    k = np.arange(1, n + 1)
+    want = (4.0 / (h * h)) * np.sin(k * (np.pi * h / 2.0)) ** 2
+    np.testing.assert_array_equal(operators._dirichlet_modes(n, h)[1], want)
+
+
 def test_fd_2d_lowest_eigenvalue():
     m = laplacian_fd(grid_domain(2, 15))
     # lowest mode of the 5-point stencil approximates 2 pi^2

@@ -43,6 +43,11 @@ from fracspace.retractions import (
 )
 
 
+def _dense_map(ret):
+    """T = Z B as one dense m x m array, for the dense oracles."""
+    return ret.subspace_basis @ ret.inner
+
+
 def _dense_gram_norm(T, gram):
     """|L^T T L^-T|_2 for gram = L L^T, from a full dense SVD."""
     L = linalg.cholesky(gram, lower=True)
@@ -103,23 +108,39 @@ def test_build_retraction_rejects_broken_identity():
     # retraction can reach the lemma check
     with pytest.raises(RetractionIdentityViolated):
         Retraction(
-            map=np.zeros((3, 3)), subspace_basis=np.eye(3)[:, :1], h_bound=1.0, d_bound=1.0
+            subspace_basis=np.eye(3)[:, :1], inner=np.zeros((1, 3)), h_bound=1.0, d_bound=1.0
         )
 
 
-def test_retraction_map_is_stored_read_only_without_a_copy():
-    T = np.eye(3)
-    ret = Retraction(map=T, subspace_basis=np.eye(3)[:, :2], h_bound=1.0, d_bound=1.0)
-    assert ret.map is T
-    assert not ret.map.flags.writeable
+def test_retraction_inner_is_stored_read_only_without_a_copy():
+    B = np.eye(3)[:2]
+    ret = Retraction(subspace_basis=np.eye(3)[:, :2], inner=B, h_bound=1.0, d_bound=1.0)
+    assert ret.inner is B
+    assert not ret.inner.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (lambda d: harmonic_retraction(d, sobolev_grams(d)), 6),
+        (lambda d: stokes_retraction(build_stokes(d)), 4),
+    ],
+    ids=["harmonic", "stokes"],
+)
+def test_retractions_store_no_ambient_square_map(make, n):
+    ret = make(grid_domain(2, n))
+    m, r = ret.subspace_basis.shape
+    assert r < m
+    assert ret.inner.shape == (r, m)
+    assert not hasattr(ret, "map")
 
 
 def test_identity_check_bounds_the_residual_by_frobenius():
     # residual 0.8e-10 I: its 2-norm passes 1e-10, its Frobenius norm does not
     Z = np.eye(4)
-    T = (1.0 + 0.8e-10) * np.eye(4)
+    B = (1.0 + 0.8e-10) * np.eye(4)
     with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
-        Retraction(map=T, subspace_basis=Z, h_bound=1.0, d_bound=1.0)
+        Retraction(subspace_basis=Z, inner=B, h_bound=1.0, d_bound=1.0)
 
 
 def test_harmonic_lift_fixes_zero_boundary_vectors():
@@ -159,7 +180,8 @@ def test_harmonic_retraction_identity_and_bounds():
     grams = sobolev_grams(d)
     ret = harmonic_retraction(d, grams)
     Z = zero_boundary_basis(d)
-    assert np.max(np.abs(ret.map @ Z - Z)) <= 1e-10
+    np.testing.assert_array_equal(ret.subspace_basis, Z)
+    assert np.max(np.abs(_dense_map(ret) @ Z - Z)) <= 1e-10
     # identity on a nontrivial subspace forces both norms >= 1
     assert ret.h_bound >= 1.0 - 1e-12
     assert ret.d_bound >= 1.0 - 1e-12
@@ -170,8 +192,9 @@ def test_harmonic_bounds_match_dense_svd(n):
     d = grid_domain(2, n)
     grams = sobolev_grams(d)
     ret = harmonic_retraction(d, grams)
-    h_oracle = _dense_gram_norm(ret.map, grams.g1)
-    d_oracle = _dense_gram_norm(ret.map, grams.g2)
+    T = _dense_map(ret)
+    h_oracle = _dense_gram_norm(T, grams.g1)
+    d_oracle = _dense_gram_norm(T, grams.g2)
     assert ret.h_bound == pytest.approx(h_oracle, rel=1e-12, abs=0.0)
     assert ret.d_bound == pytest.approx(d_oracle, rel=1e-12, abs=0.0)
 
@@ -180,7 +203,7 @@ def test_harmonic_bounds_match_dense_svd(n):
 def test_stokes_bound_matches_dense_svd(n):
     # |T|_2 of the full m x m map, apart from the r x r Gram route
     ret = stokes_retraction(build_stokes(grid_domain(2, n)))
-    oracle = np.linalg.norm(ret.map, 2)
+    oracle = np.linalg.norm(_dense_map(ret), 2)
     assert ret.h_bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert ret.d_bound == ret.h_bound
 
@@ -212,10 +235,11 @@ def test_stokes_retraction_identity():
         sys = build_stokes(grid_domain(2, n))
         ret = stokes_retraction(sys)
         Z = sys.nullbasis
-        assert np.max(np.abs(ret.map @ Z - Z)) <= 1e-10
+        T = _dense_map(ret)
+        assert np.max(np.abs(T @ Z - Z)) <= 1e-10
         # the D-norm bound |A T A^-1|_2 measured densely, apart from the code
         A = sys.vector_laplacian
-        d_norm = np.linalg.norm(A @ ret.map @ np.linalg.inv(A), 2)
+        d_norm = np.linalg.norm(A @ T @ np.linalg.inv(A), 2)
         assert ret.d_bound == pytest.approx(d_norm, rel=1e-10)
 
 
@@ -278,6 +302,7 @@ def _pointwise_by_cholesky(pair, T, probes, log_t_min, log_t_max, t_points):
     M1, M2, Z = pair.m1, pair.m2, T.subspace_basis
     M1r, M2r = Z.T @ M1 @ Z, Z.T @ M2 @ Z
     C = max(T.h_bound, T.d_bound)
+    Tm = _dense_map(T)
 
     def split(F1, F2, t2, u):
         g = linalg.solve(F1 + t2 * F2, F1 @ u, assume_a="pos")
@@ -290,7 +315,7 @@ def _pointwise_by_cholesky(pair, T, probes, log_t_min, log_t_max, t_points):
         for u in probes:
             f, g, k2 = split(M1, M2, t * t, u)
             _, _, k02 = split(M1r, M2r, t * t, Z.T @ u)
-            tf, tg = T.map @ f, T.map @ g
+            tf, tg = Tm @ f, Tm @ g
             mid = tf @ M1 @ tf + t * t * (tg @ M2 @ tg)
             worst = max(math.sqrt(k2 / k02), k02 / mid, mid / (2 * C * C * k2))
             out.append((t, worst))

@@ -8,11 +8,15 @@ node set (boundary included), and a staggered-grid Stokes system: vector
 Laplacian, discrete divergence, an orthonormal basis of its null space
 in closed form (the discrete curl of DST-I stream-function modes, with
 no factorization of the divergence), and the constrained operator with
-its one Cholesky factor.
+its one Cholesky factor. The same Stokes system also comes in sparse
+stream-function form (`stokes_pencil`): A, D and the discrete curl C
+as scipy.sparse arrays and the n^2 x n^2 pencil (C^T A C, C^T C) with
+one sparse LU, with no dense null basis.
 
 Every grid matrix is assembled from dense 1D pieces combined with
-np.kron (the tensor-product structure of Lynch, Rice & Thomas, Numer.
-Math. 6, 1964): trapezoid weights, the edge differences of the path
+np.kron, or with scipy.sparse.kron in the sparse pencil (the
+tensor-product structure of Lynch, Rice & Thomas, Numer. Math. 6,
+1964): trapezoid weights, the edge differences of the path
 graph, Dirichlet and full-node second differences, and the staggered
 forward difference from faces to cells. A 2D operator acting along both
 axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil. The same
@@ -23,8 +27,9 @@ the constrained operator Z^T A Z, which is not a Kronecker sum, is
 diagonalized densely.
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
-Dense matrices only, so sizes are capped (1D n <= 2048, 2D n <= 32 per
-axis).
+Apart from the sparse pencil the matrices are dense, so sizes are
+capped (1D n <= 2048, 2D n <= 32 per axis). scipy.sparse is imported
+inside `stokes_pencil`, not with the package.
 """
 from __future__ import annotations
 
@@ -238,6 +243,37 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
     return SobolevGrams(g0=g0, g1=g1, g2=g2)
 
 
+def _staggered_difference(n: int, h: float) -> np.ndarray:
+    """(n+1) x n forward difference from the n interior faces of an axis
+    to its n + 1 cells; the two wall faces carry no unknown (no-slip)."""
+    return _forward_difference(n + 2)[:, 1:-1] / h
+
+
+def _stream_function_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The DST-I matrix S on the n interior corners of an axis and the
+    scale (mu_k + mu_l)^(-1/2), flattened row-major over (k, l), that
+    makes the curls of the columns of S (x) S orthonormal."""
+    S, mu = _dirichlet_modes(n, h)
+    return S, 1.0 / np.sqrt(np.add.outer(mu, mu)).ravel()
+
+
+def _check_divergence_rank(G: np.ndarray) -> None:
+    """Measure rank D = (n+1)^2 - 1 for D = [I (x) G, G (x) I].
+
+    The pressure matrix D D^T + 1 1^T / (n+1)^2 = G G^T (x) I + I (x) G G^T
+    + 1 1^T / (n+1)^2 is SPD exactly then (only the constant pressure
+    mode is incompatible); one dense Cholesky of it decides, and a
+    failure raises FactorizationFailure.
+    """
+    cells = G.shape[0]
+    try:
+        linalg.cholesky(_kron_sum(G @ G.T, 2) + 1.0 / cells**2, lower=True)
+    except linalg.LinAlgError as exc:
+        raise FactorizationFailure(
+            "divergence rank check failed: the pressure matrix is not SPD"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class StokesSystem:
     """Staggered-grid Stokes data on the unit square.
@@ -294,7 +330,7 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     Lu = np.kron(np.eye(n + 1), lap(n, h)) + np.kron(lap(n + 1, h), np.eye(n))
     Lv = np.kron(np.eye(n), lap(n + 1, h)) + np.kron(lap(n, h), np.eye(n + 1))
     A = linalg.block_diag(Lu, Lv)
-    G = _forward_difference(n + 2)[:, 1:-1] / h
+    G = _staggered_difference(n, h)
     cells = np.eye(n + 1)
     # filled block by block: np.hstack of the two products would hold
     # twice the size of D at once and raised the process peak RSS
@@ -304,18 +340,12 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     D[:, n_u:] = np.kron(G, cells)
 
     # the discrete curl of the corner stream functions, in DST-I modes
-    S, mu = _dirichlet_modes(n, h)
+    S, scale = _stream_function_modes(n, h)
     GS = G @ S
-    scale = 1.0 / np.sqrt(np.add.outer(mu, mu)).ravel()
     Z = np.empty((2 * n_u, n * n))
     Z[:n_u] = np.kron(GS, S) * scale
     Z[n_u:] = -np.kron(S, GS) * scale
-    try:  # D D^T + 1 1^T / (n+1)^2 is SPD iff rank D = (n+1)^2 - 1
-        linalg.cholesky(_kron_sum(G @ G.T, 2) + 1.0 / (n + 1) ** 2, lower=True)
-    except linalg.LinAlgError as exc:
-        raise FactorizationFailure(
-            "divergence rank check failed: the pressure matrix is not SPD"
-        ) from exc
+    _check_divergence_rank(G)
     C = Z.T @ A @ Z
 
     if np.max(np.abs(D @ Z)) > 1e-10:
@@ -363,3 +393,91 @@ def stokes_ambient_model(sys: StokesSystem) -> SpectralModel:
     Vv, lam_v = _kron_sum_modes(faces, cells)
     lam = np.concatenate([lam_u, lam_v])
     return build_spectral_model(lam, linalg.block_diag(Vu, Vv))
+
+
+@dataclass(frozen=True)
+class StokesPencil:
+    """The staggered-grid Stokes system in stream-function form, sparse.
+
+    vector_laplacian A (m x m), divergence D and curl C (m x n^2) are the
+    operators of `build_stokes`, as scipy.sparse CSR arrays. The stream
+    function on the n^2 interior cell corners carries the pencil
+    (K, C^T C) of the stiffness K = C^T A C (CSC) and the corner
+    Laplacian C^T C (curl_gram); stiffness_lu is the one sparse LU of K
+    (SuperLU), through which every solve with K goes. Since
+    span C = ker D, the divergence-free retraction is T = C K^-1 C^T A
+    and the spectrum of the constrained operator Z^T A Z is that of
+    (K, C^T C), with no dense null basis. The orthonormal basis of `build_stokes` is Z = C W with
+    W = (S (x) S) diag(scale) for the DST-I matrix S (`dst`);
+    `null_vectors` applies it without forming it.
+    """
+
+    vector_laplacian: "sparse.csr_array"
+    divergence: "sparse.csr_array"
+    curl: "sparse.csr_array"
+    stiffness: "sparse.csc_array"
+    curl_gram: "sparse.csr_array"
+    stiffness_lu: "sparse.linalg.SuperLU"
+    dst: np.ndarray
+    scale: np.ndarray
+    grid: GridDomain
+
+    def stream_modes(self, c: np.ndarray) -> np.ndarray:
+        """W c for coordinates c (n^2 x k): each column scaled, reshaped
+        to n x n (row-major) and taken through the 2D DST-I S X S^T."""
+        n, S = self.grid.n, self.dst
+        X = (self.scale[:, None] * c).T.reshape(-1, n, n)
+        return (S @ X @ S.T).reshape(-1, n * n).T
+
+    def null_vectors(self, c: np.ndarray) -> np.ndarray:
+        """Z c = C W c: the divergence-free fields with null-basis
+        coordinates c (n^2 x k), as `build_stokes(grid).nullbasis @ c`."""
+        return self.curl @ self.stream_modes(c)
+
+
+def stokes_pencil(domain: GridDomain) -> StokesPencil:
+    """Assemble the sparse stream-function form of the Stokes system.
+
+    A, D and C are the Kronecker products of `build_stokes`, taken with
+    scipy.sparse.kron from the same dense 1D stencils, so A and D equal
+    the dense matrices in value (dense np.kron writes some zeros as
+    -0.0). The rank of D is measured by the same pressure Cholesky, and
+    D C = 0 is checked; K is factored once by splu. No m x m or
+    m x n^2 dense array is formed. scipy.sparse is imported here, not
+    with the package.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    if domain.dimension != 2:
+        raise InvalidConfig("the Stokes system is assembled on the unit square")
+    stokes_domain(domain.n)
+    n, h = domain.n, domain.h
+    G = _staggered_difference(n, h)
+    _check_divergence_rank(G)
+
+    def kron(a, b):
+        return sparse.kron(sparse.csr_array(a), sparse.csr_array(b), format="csr")
+
+    faces, cells = np.eye(n), np.eye(n + 1)
+    lap = _second_difference_1d
+    Lu = kron(cells, lap(n, h)) + kron(lap(n + 1, h), faces)
+    Lv = kron(faces, lap(n + 1, h)) + kron(lap(n, h), cells)
+    A = sparse.block_diag([Lu, Lv], format="csr")
+    D = sparse.hstack([kron(cells, G), kron(G, cells)], format="csr")
+    C = sparse.vstack([kron(G, faces), -kron(faces, G)], format="csr")
+    if abs(D @ C).max() > 1e-10:
+        raise FactorizationFailure("the discrete curl is not divergence-free")
+    K = (C.T @ (A @ C)).tocsc()
+    S, scale = _stream_function_modes(n, h)
+    return StokesPencil(
+        vector_laplacian=A,
+        divergence=D,
+        curl=C,
+        stiffness=K,
+        curl_gram=(C.T @ C).tocsr(),
+        stiffness_lu=splu(K),
+        dst=S,
+        scale=scale,
+        grid=domain,
+    )

@@ -17,13 +17,18 @@ and no m x m map is stored.
 
 Bounds are measured as exact operator norms of the discrete maps, not
 estimated from probes, so the inequality chain above holds
-deterministically. Each norm is the square root of the top eigenvalue
-of one symmetric Gram X X^T, taken on the short side of a factor X with
-the same largest singular value (after a Cholesky similarity for a Gram
-norm); no dense SVD is formed. The harmonic lift takes one such norm per
-leg, of its dense map formed locally; the divergence-free retraction
-takes one in all, since A T A^-1 = T^T makes its two bounds equal, and
-its factor is B itself, as |Z B|_2 = |B|_2 for orthonormal Z.
+deterministically, and no dense SVD is formed. The harmonic lift takes
+one norm per leg, of its dense map formed locally: the square root of
+the top eigenvalue of the symmetric Gram N N^T of the Cholesky-similar
+map N (`gram_operator_norm`). The divergence-free retraction takes one
+norm in all, since A T A^-1 = T^T makes its two bounds equal. Its one
+route is `stokes_bound` on the sparse stream-function pencil of
+`operators.stokes_pencil`: T = C K^-1 C^T A for the discrete curl C and
+K = C^T A C, and |T|_2^2 is the top eigenvalue of T^T T, taken by
+Lanczos (`lanczos_eigenvalue`, ARPACK through
+scipy.sparse.linalg.eigsh) with T and T^T applied through the one LU
+of K. The same routine in shift-invert mode gives the lowest
+eigenvalue of the constrained operator, from the pencil (K, C^T C).
 
 The pointwise minimizers come from the generalised eigenpairs of the
 ambient pencil (M2, M1) and of the reduced pencil, the same two
@@ -42,7 +47,9 @@ Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences; Z the
 interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S) and the
 divergence-free retraction T = Z Ac^-1 Z^T A built from a staggered-grid
-Stokes system (Ac the constrained operator, B = Ac^-1 Z^T A).
+Stokes system (Ac the constrained operator, B = Ac^-1 Z^T A). The
+latter also runs on the sparse pencil alone (`stokes_apply`,
+`check_stokes_identity`), with no dense Z, Ac or B.
 """
 from __future__ import annotations
 
@@ -69,13 +76,19 @@ from .kfunctional import (
 from .operators import (
     GridDomain,
     SobolevGrams,
+    StokesPencil,
     StokesSystem,
     interior_indices,
+    stokes_pencil,
     zero_boundary_basis,
 )
 from .spectral import decaying_probes
 
 IDENTITY_TOL = 1e-10
+
+# seed of the Lanczos start vector, fixed apart from the run seed so that
+# every eigenvalue repeats bit for bit
+LANCZOS_SEED = 0
 
 # probes per verification: decaying random combinations of the reduced
 # modes, then the lowest modes themselves
@@ -128,6 +141,41 @@ def _top_singular_value(X: np.ndarray) -> float:
     if not (math.isfinite(top) and top > 0.0):
         raise SolverFailure(f"top eigenvalue of the Gram X X^T is {top!r}")
     return math.sqrt(top)
+
+
+def lanczos_eigenvalue(op, size: int, *, mass=None, inverse=None) -> float:
+    """One end eigenvalue of a symmetric operator by Lanczos (ARPACK).
+
+    Without `inverse`: the largest eigenvalue of op, a symmetric
+    size x size operator (a matrix or a function applying it). With
+    `inverse` (a function applying op^-1) and the symmetric positive
+    definite `mass`: the eigenvalue of the pencil (op, mass) nearest 0,
+    in shift-invert mode about 0, which for an SPD pencil is the
+    smallest. `scipy.sparse.linalg.eigsh` runs with tol=0 (machine
+    precision) from a fixed start vector, the standard normal draw of
+    LANCZOS_SEED, so a call repeats exactly whatever the run seed.
+    Non-convergence, an ARPACK failure (a NaN in op), or a non-finite
+    or non-positive eigenvalue raises SolverFailure.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    def operator(a):
+        if callable(a):
+            return LinearOperator((size, size), matvec=a, dtype=np.float64)
+        return a
+
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(size)
+    mode = {"which": "LA"}
+    if inverse is not None:
+        mode = {"which": "LM", "sigma": 0.0, "M": mass, "OPinv": operator(inverse)}
+    try:
+        ends = eigsh(operator(op), k=1, v0=v0, tol=0, return_eigenvectors=False, **mode)
+    except ArpackError as exc:  # ArpackNoConvergence is one
+        raise SolverFailure(f"Lanczos eigenvalue failed: {exc}") from exc
+    value = float(ends[0])
+    if not (math.isfinite(value) and value > 0.0):
+        raise SolverFailure(f"Lanczos eigenvalue is {value!r}")
+    return value
 
 
 def gram_operator_norm(T: np.ndarray, gram: np.ndarray) -> float:
@@ -193,21 +241,61 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
 # ---- divergence-free retraction
 
 
+def stokes_apply(p: StokesPencil, X: np.ndarray, *, transpose: bool = False):
+    """T X for T = C K^-1 C^T A, or T^T X = A C K^-1 C^T X, on the columns
+    of X; K^-1 goes through the pencil's one LU."""
+    C, A, solve = p.curl, p.vector_laplacian, p.stiffness_lu.solve
+    if transpose:
+        return A @ (C @ solve(C.T @ X))
+    return C @ solve(C.T @ (A @ X))
+
+
+def stokes_bound(p: StokesPencil) -> float:
+    """|T|_2 of the divergence-free retraction T = C K^-1 C^T A.
+
+    The sqrt of the top eigenvalue of T^T T, by `lanczos_eigenvalue` on
+    the sparse pencil: each step applies T and T^T through the one LU of
+    K. It equals |B|_2 for T = Z B of any orthonormal basis Z of ker D,
+    and it is the one route of this bound.
+    """
+    m = p.vector_laplacian.shape[0]
+    top = lanczos_eigenvalue(
+        lambda x: stokes_apply(p, stokes_apply(p, x), transpose=True), m
+    )
+    return math.sqrt(top)
+
+
+def check_stokes_identity(p: StokesPencil) -> float:
+    """The Frobenius residual of T Z - Z = C (K^-1 K W - W) over the
+    whole orthonormal basis Z = C W of ker D, the check that `Retraction`
+    makes on construction; above IDENTITY_TOL it raises
+    RetractionIdentityViolated."""
+    W = p.stream_modes(np.eye(p.stiffness.shape[0]))
+    E = p.stiffness_lu.solve(p.stiffness @ W) - W
+    resid = float(np.linalg.norm(p.curl @ E))
+    if not resid <= IDENTITY_TOL:
+        raise RetractionIdentityViolated(
+            "retraction deviates from the identity on the subspace: "
+            f"Frobenius residual {resid:.3e}"
+        )
+    return resid
+
+
 def stokes_retraction(sys: StokesSystem) -> Retraction:
     """T = Z Ac^-1 Z^T A on velocity unknowns; identity on ker(divergence).
 
     The bounds are exact operator norms: h_bound = |T|_2 and
     d_bound = |A T A^-1|_2 for the D-norm |f|_D = |A f|. A and Ac are
     symmetric, so A T A^-1 = A Z Ac^-1 Z^T = T^T and d_bound = h_bound
-    comes from the one norm. With T = Z B, B = Ac^-1 Z^T A, and Z
-    orthonormal, |T|_2 = |B|_2: the sqrt of the top eigenvalue of the
-    r x r Gram B B^T. Ac^-1 is applied through the system's one
-    Cholesky factor of Ac. The retraction keeps (Z, B); the m x m
-    product Z B is never formed.
+    comes from the one norm, `stokes_bound` of the grid's sparse
+    stream-function pencil, which does not depend on the basis Z. The
+    retraction keeps (Z, B) with B = Ac^-1 Z^T A, solved through the
+    system's one Cholesky factor of Ac; the m x m product Z B is never
+    formed.
     """
     Z = sys.nullbasis
     B = linalg.cho_solve(sys.constrained_factor, Z.T @ sys.vector_laplacian)
-    bound = _top_singular_value(B)
+    bound = stokes_bound(stokes_pencil(sys.grid))
     return Retraction(Z, B, bound, bound)
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from fracspace import (
     laplacian_fd,
     sobolev_grams,
     stokes_ambient_model,
+    stokes_pencil,
     stokes_spectral_model,
     zero_boundary_basis,
 )
@@ -348,3 +352,64 @@ def test_stokes_models(stokes_small):
     # constrained eigenvalues interlace above the ambient floor
     assert con.eigenvalues[0] >= amb.eigenvalues[0] * (1 - 1e-12)
 
+
+
+# ---- the sparse stream-function pencil
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_sparse_pencil_matches_build_stokes(n):
+    # A and D equal in value (the dense np.kron writes some zeros as -0.0),
+    # and C W is the closed-form null basis
+    sys = build_stokes(grid_domain(2, n))
+    p = stokes_pencil(grid_domain(2, n))
+    assert np.array_equal(p.vector_laplacian.toarray(), sys.vector_laplacian)
+    assert np.array_equal(p.divergence.toarray(), sys.divergence)
+    CW = p.null_vectors(np.eye(n * n))
+    assert np.max(np.abs(CW - sys.nullbasis)) <= 1e-14, n
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_sparse_pencil_stiffness_and_curl_gram(n):
+    # K = C^T A C is symmetric, and W^T K W is the constrained operator Ac
+    # while W^T G W = I for G = C^T C
+    p = stokes_pencil(grid_domain(2, n))
+    sys = build_stokes(grid_domain(2, n))
+    K, G = p.stiffness.toarray(), p.curl_gram.toarray()
+    assert np.array_equal(K, K.T)
+    W = p.stream_modes(np.eye(n * n))
+    scale = max(1.0, np.max(np.abs(sys.constrained_op)))
+    assert np.max(np.abs(W.T @ K @ W - sys.constrained_op)) <= 1e-12 * scale
+    assert np.max(np.abs(W.T @ G @ W - np.eye(n * n))) <= 1e-12
+    assert np.max(np.abs(p.divergence @ p.curl)) == 0.0
+
+
+def test_sparse_pencil_rank_check_raises(monkeypatch):
+    # the same pressure Cholesky as build_stokes decides the rank of D
+    def singular(a, *args, **kwargs):
+        raise linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(linalg, "cholesky", singular)
+    with pytest.raises(FactorizationFailure, match="rank"):
+        stokes_pencil(grid_domain(2, 4))
+
+
+def test_sparse_pencil_rejects_tiny_grid():
+    with pytest.raises(InvalidConfig):
+        stokes_pencil(grid_domain(2, 2))
+
+
+def test_import_leaves_scipy_sparse_out():
+    # the sparse routes import scipy.sparse on first use, not the package
+    code = (
+        "import sys, fracspace; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg') "
+        "if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(operators.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

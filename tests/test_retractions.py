@@ -20,13 +20,16 @@ from fracspace import (
     grid_domain,
     harmonic_lift,
     harmonic_retraction,
+    lanczos_eigenvalue,
     sobolev_grams,
+    stokes_bound,
+    stokes_pencil,
     stokes_retraction,
     subspace_probes,
     verify_intersection_lemma,
     zero_boundary_basis,
 )
-from fracspace import retractions
+from fracspace import experiments, operators, retractions
 from fracspace.cli import main
 from fracspace.experiments import (
     _harmonic_setup,
@@ -101,6 +104,59 @@ def test_gram_operator_norm_matches_dense_svd_ill_conditioned(m, seed):
 def test_top_singular_value_fails_loudly(X):
     with pytest.raises(SolverFailure):
         _top_singular_value(X)
+
+
+def _spd_matrix(m, seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    M = (Q * np.logspace(0, 2, m)) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("m, seed", [(12, 0), (60, 1)])
+def test_lanczos_eigenvalue_matches_dense_ends(m, seed):
+    # the top eigenvalue, and the lowest of a pencil by shift-invert,
+    # against a dense eigvalsh
+    K, M = _spd_matrix(m, seed), _spd_matrix(m, seed + 10)
+    top = lanczos_eigenvalue(lambda x: K @ x, m)
+    assert top == pytest.approx(np.linalg.eigvalsh(K)[-1], rel=1e-12, abs=0)
+    K_inv = np.linalg.inv(K)
+    low = lanczos_eigenvalue(K, m, mass=M, inverse=lambda x: K_inv @ x)
+    assert low == pytest.approx(linalg.eigvalsh(K, M)[0], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda x: x * np.nan, lambda x: -x, lambda x: 0.0 * x],
+    ids=["nan", "negative", "zero"],
+)
+def test_lanczos_eigenvalue_fails_loudly(op):
+    with pytest.raises(SolverFailure, match="Lanczos"):
+        lanczos_eigenvalue(op, 20)
+
+
+def test_lanczos_non_convergence_raises_solver_failure(monkeypatch):
+    from scipy.sparse import linalg as splinalg
+
+    def stalled(*args, **kwargs):
+        raise splinalg.ArpackNoConvergence("no convergence", np.array([]), None)
+
+    monkeypatch.setattr(splinalg, "eigsh", stalled)
+    with pytest.raises(SolverFailure, match="no convergence"):
+        lanczos_eigenvalue(lambda x: x, 20)
+
+
+def test_lanczos_repeats_exactly():
+    # a fixed start vector: eigsh without v0 draws a new one per call
+    p = stokes_pencil(grid_domain(2, 12))
+
+    def ends():
+        low = lanczos_eigenvalue(
+            p.stiffness, 144, mass=p.curl_gram, inverse=p.stiffness_lu.solve
+        )
+        return [stokes_bound(p), low]
+
+    assert repr(ends()) == repr(ends())
 
 
 def test_build_retraction_rejects_broken_identity():
@@ -220,11 +276,15 @@ def _svd_basis_system(sys):
 
 @pytest.mark.parametrize("n", [4, 8, 12])
 def test_stokes_results_do_not_depend_on_the_null_basis(n):
-    # T and the spectrum of Ac are invariant under a change of basis of ker D
+    # T and the spectrum of Ac are invariant under a change of basis of ker D:
+    # the Lanczos bound of the stream-function pencil against the dense |B|_2
+    # of the SVD-basis system, B = Ac^-1 Z^T A
     sys = build_stokes(grid_domain(2, n))
     svd_sys = _svd_basis_system(sys)
+    Z = svd_sys.nullbasis
+    B = linalg.cho_solve(svd_sys.constrained_factor, Z.T @ sys.vector_laplacian)
     bound = stokes_retraction(sys).h_bound
-    assert stokes_retraction(svd_sys).h_bound == pytest.approx(bound, rel=1e-11, abs=0)
+    assert np.linalg.norm(B, 2) == pytest.approx(bound, rel=1e-11, abs=0)
     lam_min = np.linalg.eigvalsh(sys.constrained_op)[0]
     svd_lam_min = np.linalg.eigvalsh(svd_sys.constrained_op)[0]
     assert svd_lam_min == pytest.approx(lam_min, rel=1e-11, abs=0)
@@ -374,9 +434,8 @@ def test_one_eigensolve_per_pencil(monkeypatch, runner, experiment, sizes):
 
 
 def test_one_stokes_factorization_per_grid(monkeypatch):
-    # build_stokes factors the (n+1)^2 pressure matrix once for its rank
-    # check and Ac once for its SPD check; the retraction and the adjoint
-    # chain solve with that factor instead of their own
+    # the only dense factorization is the (n+1)^2 pressure Cholesky of the
+    # rank check; the constrained operator Ac is never formed
     calls = []
 
     def counting(real):
@@ -392,7 +451,40 @@ def test_one_stokes_factorization_per_grid(monkeypatch):
         RunConfig(experiment="stokes-retraction", sizes=(4, 6))
     )
     assert rep.passed
-    assert calls == [(25, 25), (16, 16), (49, 49), (36, 36)], calls
+    assert calls == [(25, 25), (49, 49)], calls
+
+
+def test_one_sparse_lu_of_the_stiffness_per_grid(monkeypatch):
+    # the bound, lambda_min, both probe cells and the identity check all
+    # solve with the pencil's one LU of K; every SuperLU factorization,
+    # also one made inside eigsh, goes through gstrf
+    from scipy.sparse.linalg._dsolve import _superlu
+
+    calls = []
+    real = _superlu.gstrf
+
+    def counting(N, *args, **kwargs):
+        calls.append(N)
+        return real(N, *args, **kwargs)
+
+    monkeypatch.setattr(_superlu, "gstrf", counting)
+    rep = run_stokes_retraction(
+        RunConfig(experiment="stokes-retraction", sizes=(4, 6))
+    )
+    assert rep.passed
+    assert calls == [16, 36], calls
+
+
+def test_stokes_retraction_runs_without_the_dense_system(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("stokes-retraction built the dense Stokes system")
+
+    monkeypatch.setattr(experiments, "build_stokes", must_not_run)
+    monkeypatch.setattr(operators, "build_stokes", must_not_run)
+    rep = run_stokes_retraction(
+        RunConfig(experiment="stokes-retraction", sizes=(4, 6))
+    )
+    assert rep.passed
 
 
 @pytest.mark.parametrize(

@@ -184,11 +184,16 @@ class SobolevGrams:
 
     g0: trapezoid mass; g1 = g0 + first-difference stiffness;
     g2 = g1 + Gram of centered second difference quotients.
+    g1_factor and g2_factor are the lower Cholesky factors of g1 and g2
+    from the SPD check of `sobolev_grams`, the one factorization of
+    each that the Gram-norm bounds use.
     """
 
     g0: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
+    g1_factor: np.ndarray
+    g2_factor: np.ndarray
 
 
 def _node_count(domain: GridDomain) -> int:
@@ -225,6 +230,8 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
       top form: Q = D2^T D2 for the centred second-difference rows D2
         (scaled by 1/h^2 before the product), h^d times the Kronecker
         sum of Q (weight h^d per row along each axis).
+    Each form passes an SPD check by Cholesky; the factors of g1 and g2
+    are kept.
     """
     h, d = domain.h, domain.dimension
     m = domain.n + 2
@@ -235,12 +242,13 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
     g0 = np.diag(w if d == 1 else np.kron(w, w))
     g1 = g0 + _kron_sum(E.T @ E, d) / h ** (2 - d)
     g2 = g1 + domain.cell_volume * _kron_sum(D2.T @ D2, d)
+    factors = []
     for name, M in (("g0", g0), ("g1", g1), ("g2", g2)):
         try:
-            linalg.cholesky(M, lower=True)
+            factors.append(linalg.cholesky(M, lower=True))
         except linalg.LinAlgError as exc:
             raise SingularSystem(f"{name} failed the SPD check") from exc
-    return SobolevGrams(g0=g0, g1=g1, g2=g2)
+    return SobolevGrams(g0, g1, g2, g1_factor=factors[1], g2_factor=factors[2])
 
 
 def _staggered_difference(n: int, h: float) -> np.ndarray:
@@ -442,7 +450,10 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     scipy.sparse.kron from the same dense 1D stencils, so A and D equal
     the dense matrices in value (dense np.kron writes some zeros as
     -0.0). The rank of D is measured by the same pressure Cholesky, and
-    D C = 0 is checked; K is factored once by splu. No m x m or
+    D C = 0 is checked; K is factored once by splu. K is SPD, so the LU
+    runs in SuperLU's symmetric mode: a minimum-degree ordering of
+    K^T + K applied to rows and columns alike, and diagonal pivots,
+    which keeps less fill than the default column ordering. No m x m or
     m x n^2 dense array is formed. scipy.sparse is imported here, not
     with the package.
     """
@@ -476,7 +487,12 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
         curl=C,
         stiffness=K,
         curl_gram=(C.T @ C).tocsr(),
-        stiffness_lu=splu(K),
+        stiffness_lu=splu(
+            K,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ),
         dst=S,
         scale=scale,
         grid=domain,

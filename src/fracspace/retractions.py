@@ -18,9 +18,16 @@ and no m x m map is stored.
 Bounds are measured as exact operator norms of the discrete maps, not
 estimated from probes, so the inequality chain above holds
 deterministically, and no dense SVD is formed. The harmonic lift takes
-one norm per leg, of its dense map formed locally: the square root of
-the top eigenvalue of the symmetric Gram N N^T of the Cholesky-similar
-map N (`gram_operator_norm`). The divergence-free retraction takes one
+one norm per leg from its complement. T = Z B with B Z = I is
+idempotent, T^2 = Z (B Z) B = T, and for an idempotent other than 0
+and I the norm of T equals that of I - T in every inner-product norm
+(Kato's identity; see Szyld, Numer. Algorithms 42, 2006). For the
+lift, I - T = Y R^T has rank nb, the number of boundary nodes: it sends
+u to the discrete harmonic extension of its boundary values u[bdy].
+`_low_rank_gram_norm` takes the Gram norm of that rank-nb map from the
+Cholesky factor of the Gram that `sobolev_grams` keeps, with nb
+triangular solves, a thin QR and one nb x nb eigensolve; no m x m
+array is formed. The divergence-free retraction takes one
 norm in all, since A T A^-1 = T^T makes its two bounds equal. Its one
 route is `stokes_bound` on the sparse stream-function pencil of
 `operators.stokes_pencil`: T = C K^-1 C^T A for the discrete curl C and
@@ -85,6 +92,10 @@ from .operators import (
 from .spectral import decaying_probes
 
 IDENTITY_TOL = 1e-10
+
+# columns per block of the Stokes whole-subspace identity check: all
+# 1024 columns of the n = 32 grid at once held about 40 MB of temporaries
+IDENTITY_BLOCK = 128
 
 # seed of the Lanczos start vector, fixed apart from the run seed so that
 # every eigenvalue repeats bit for bit
@@ -178,28 +189,35 @@ def lanczos_eigenvalue(op, size: int, *, mass=None, inverse=None) -> float:
     return value
 
 
-def gram_operator_norm(T: np.ndarray, gram: np.ndarray) -> float:
-    """Operator norm of T in the norm |u| = sqrt(u^T gram u).
+def _low_rank_gram_norm(Y: np.ndarray, R: np.ndarray, L: np.ndarray) -> float:
+    """Operator norm of the rank-k map Y R^T (Y and R m x k) in the norm
+    |u| = sqrt(u^T G u), for G = L L^T with L lower triangular.
 
-    Equals the largest singular value of N = L^T T L^-T for
-    gram = L L^T, taken as sqrt of the top eigenvalue of N N^T.
+    It is the largest singular value of L^T Y R^T L^-T = (L^T Y) X^T for
+    X = L^-1 R. With the thin QR X = Q R_x, X^T = R_x^T Q^T and Q has
+    orthonormal columns, so it is the largest singular value of the
+    k x m matrix R_x (L^T Y)^T: k triangular solves, a thin QR and one
+    k x k eigensolve (`_top_singular_value`), with no m x m array. L is
+    not scanned for non-finite entries (that scan builds an m x m mask):
+    a NaN in L, Y or R reaches the eigensolve, which raises SolverFailure.
     """
-    L = linalg.cholesky(gram, lower=True)
-    E = L.T @ T
-    N = linalg.solve_triangular(L, E.T, lower=True).T
-    return _top_singular_value(N)
+    X = linalg.solve_triangular(L, R, lower=True, check_finite=False)
+    R_x = np.linalg.qr(X, mode="r")
+    return _top_singular_value(R_x @ (L.T @ Y).T)
 
 
 # ---- harmonic lift
 
 
 def _stiffness_solver(grams: SobolevGrams, idx: np.ndarray):
-    S = grams.g1 - grams.g0
+    """The interior rows S[idx, :] of the stiffness S = g1 - g0 and the
+    Cholesky factor of their interior block S_ii; S itself is not formed."""
+    S_i = grams.g1[idx] - grams.g0[idx]
     try:
-        factor = linalg.cho_factor(S[np.ix_(idx, idx)], lower=True)
+        factor = linalg.cho_factor(S_i[:, idx], lower=True)
     except linalg.LinAlgError as exc:
         raise SolverFailure("interior stiffness failed to factorize") from exc
-    return S, factor
+    return S_i, factor
 
 
 def harmonic_lift(domain: GridDomain, grams: SobolevGrams, u) -> np.ndarray:
@@ -216,9 +234,9 @@ def harmonic_lift(domain: GridDomain, grams: SobolevGrams, u) -> np.ndarray:
             f"grid function length {u.shape[0]} != {grams.g0.shape[0]}"
         )
     idx = interior_indices(domain)
-    S, factor = _stiffness_solver(grams, idx)
+    S_i, factor = _stiffness_solver(grams, idx)
     w = np.zeros_like(u)
-    w[idx] = linalg.cho_solve(factor, S[idx, :] @ u)
+    w[idx] = linalg.cho_solve(factor, S_i @ u)
     return w
 
 
@@ -226,15 +244,24 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
     """The harmonic lift as a retraction for the pair (g1, g2).
 
     T = Z B for the interior indicator columns Z and B = S_ii^-1 S[idx, :].
-    The two Gram-norm bounds take the dense map, B scattered into the
-    interior rows, which is formed here and not kept.
+    Since B Z = I, T is idempotent, so each bound |T|_G equals
+    |I - T|_G (Kato's identity). I - T = Y R^T for the indicator
+    columns R of the boundary nodes, R^T u = u[bdy], and Y = (I - T) R:
+    Y[bdy] = I and Y[idx] = -B[:, bdy], the discrete harmonic extension
+    of each boundary node. `_low_rank_gram_norm` takes both bounds from
+    the Cholesky factors of g1 and g2 that `sobolev_grams` keeps, so no
+    Gram is factored here and no m x m array is formed.
     """
     idx = interior_indices(domain)
-    S, factor = _stiffness_solver(grams, idx)
-    B = linalg.cho_solve(factor, S[idx, :])
-    T = np.zeros((grams.g0.shape[0], B.shape[1]))
-    T[idx, :] = B
-    bounds = gram_operator_norm(T, grams.g1), gram_operator_norm(T, grams.g2)
+    S_i, factor = _stiffness_solver(grams, idx)
+    B = linalg.cho_solve(factor, S_i)
+    m = B.shape[1]
+    bdy = np.setdiff1d(np.arange(m), idx)
+    R = np.zeros((m, bdy.size))
+    R[bdy, np.arange(bdy.size)] = 1.0
+    Y = R.copy()
+    Y[idx] = -B[:, bdy]
+    bounds = [_low_rank_gram_norm(Y, R, L) for L in (grams.g1_factor, grams.g2_factor)]
     return Retraction(zero_boundary_basis(domain), B, *bounds)
 
 
@@ -269,10 +296,15 @@ def check_stokes_identity(p: StokesPencil) -> float:
     """The Frobenius residual of T Z - Z = C (K^-1 K W - W) over the
     whole orthonormal basis Z = C W of ker D, the check that `Retraction`
     makes on construction; above IDENTITY_TOL it raises
-    RetractionIdentityViolated."""
-    W = p.stream_modes(np.eye(p.stiffness.shape[0]))
-    E = p.stiffness_lu.solve(p.stiffness @ W) - W
-    resid = float(np.linalg.norm(p.curl @ E))
+    RetractionIdentityViolated. The columns of W go through in blocks of
+    IDENTITY_BLOCK, and the squared block residuals add up."""
+    r = p.stiffness.shape[0]
+    sq = 0.0
+    for j in range(0, r, IDENTITY_BLOCK):
+        W = p.stream_modes(np.eye(r, min(IDENTITY_BLOCK, r - j), k=-j))
+        E = p.stiffness_lu.solve(p.stiffness @ W) - W
+        sq += float(np.linalg.norm(p.curl @ E)) ** 2
+    resid = math.sqrt(sq)
     if not resid <= IDENTITY_TOL:
         raise RetractionIdentityViolated(
             "retraction deviates from the identity on the subspace: "

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+from sys import setprofile
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from fracspace import (
     SolverFailure,
     build_quadratic_pair,
     build_stokes,
-    gram_operator_norm,
     grid_domain,
     harmonic_lift,
     harmonic_retraction,
@@ -39,9 +39,12 @@ from fracspace.experiments import (
     run_stokes_retraction,
 )
 from fracspace.retractions import (
+    IDENTITY_BLOCK,
     N_MODE_PROBES,
     N_RANDOM_PROBES,
     Retraction,
+    check_stokes_identity,
+    _low_rank_gram_norm,
     _top_singular_value,
 )
 
@@ -58,16 +61,35 @@ def _dense_gram_norm(T, gram):
     return np.linalg.norm(N, 2)
 
 
+def _indicator_columns(m, rows):
+    """The m x k identity columns at rows: R^T u = u[rows]."""
+    R = np.zeros((m, len(rows)))
+    R[rows, np.arange(len(rows))] = 1.0
+    return R
+
+
+def _gram_norm(Y, R, gram):
+    """`_low_rank_gram_norm` of Y R^T from a Cholesky factor of gram."""
+    return _low_rank_gram_norm(Y, R, linalg.cholesky(gram, lower=True))
+
+
 def test_gram_operator_norm_euclidean():
-    T = np.diag([3.0, 1.0, 0.5])
-    assert gram_operator_norm(T, np.eye(3)) == pytest.approx(3.0, rel=1e-12)
+    # rank-2 map e0 -> 3 e0, e2 -> e2 - 0.5 e3 in 4 dimensions
+    R = _indicator_columns(4, [0, 2])
+    Y = np.array([[3.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, -0.5]])
+    assert _gram_norm(Y, R, np.eye(4)) == pytest.approx(3.0, rel=1e-12)
+    assert _gram_norm(Y, R, np.eye(4)) == pytest.approx(
+        _dense_gram_norm(Y @ R.T, np.eye(4)), rel=1e-12, abs=0.0
+    )
 
 
 def test_gram_operator_norm_weighted_similarity():
     rng = np.random.default_rng(0)
-    T = rng.standard_normal((4, 4))
+    Y, R = rng.standard_normal((4, 2)), _indicator_columns(4, [1, 3])
+    T = Y @ R.T
     g = np.diag([1.0, 2.0, 4.0, 8.0])
-    norm = gram_operator_norm(T, g)
+    norm = _gram_norm(Y, R, g)
+    assert norm == pytest.approx(_dense_gram_norm(T, g), rel=1e-12, abs=0.0)
     # definition: sup |Tu|_g / |u|_g over random probes never exceeds it
     worst = 0.0
     for _ in range(200):
@@ -79,16 +101,50 @@ def test_gram_operator_norm_weighted_similarity():
     assert worst >= norm * 0.9  # probes come close in 4 dimensions
 
 
-@pytest.mark.parametrize("m, seed", [(5, 0), (30, 1), (80, 2)])
-def test_gram_operator_norm_matches_dense_svd_ill_conditioned(m, seed):
-    # random square T against an SPD Gram of condition number 1e10
-    rng = np.random.default_rng(seed)
-    T = rng.standard_normal((m, m))
+def _ill_conditioned_gram(m, rng):
+    """A random SPD Gram of condition number 1e10."""
     Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     gram = (Q * np.logspace(-5, 5, m)) @ Q.T
-    gram = 0.5 * (gram + gram.T)
-    oracle = _dense_gram_norm(T, gram)
-    assert gram_operator_norm(T, gram) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    return 0.5 * (gram + gram.T)
+
+
+@pytest.mark.parametrize("m, seed", [(5, 0), (30, 1), (80, 2)])
+def test_gram_operator_norm_matches_dense_svd_ill_conditioned(m, seed):
+    # random rank-k maps Y R^T, for indicator and for dense R, against an
+    # SPD Gram of condition number 1e10
+    rng = np.random.default_rng(seed)
+    gram = _ill_conditioned_gram(m, rng)
+    k = max(1, m // 4)
+    Y = rng.standard_normal((m, k))
+    rows = np.sort(rng.choice(m, k, replace=False))
+    for R in (_indicator_columns(m, rows), rng.standard_normal((m, k))):
+        oracle = _dense_gram_norm(Y @ R.T, gram)
+        assert _gram_norm(Y, R, gram) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m, k, seed", [(5, 3, 0), (30, 24, 1), (80, 60, 2)])
+def test_oblique_projection_norm_equals_its_complement(m, k, seed):
+    # Kato's identity |P|_G = |I - P|_G for a random oblique idempotent
+    # P = X (W^T X)^-1 W^T of rank k: I - P = Y R^T with R an orthonormal
+    # basis of (range X)^perp and Y = (I - P) R, since (I - P) X = 0
+    rng = np.random.default_rng(seed)
+    gram = _ill_conditioned_gram(m, rng)
+    X, W = rng.standard_normal((m, k)), rng.standard_normal((m, k))
+    P = X @ np.linalg.solve(W.T @ X, W.T)
+    R = np.linalg.qr(X, mode="complete")[0][:, k:]
+    Y = R - P @ R
+    oracle = _dense_gram_norm(P, gram)
+    assert oracle > 1.0 + 1e-3  # oblique, not orthogonal in the G-norm
+    assert _gram_norm(Y, R, gram) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("where", ["Y", "R", "L"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_gram_norm_of_a_nan_map_fails_loudly(where):
+    args = {"Y": np.ones((6, 2)), "R": _indicator_columns(6, [0, 5]), "L": np.eye(6)}
+    args[where][3, 1] = np.nan
+    with pytest.raises(SolverFailure):
+        _low_rank_gram_norm(**args)
 
 
 @pytest.mark.parametrize(
@@ -243,9 +299,12 @@ def test_harmonic_retraction_identity_and_bounds():
     assert ret.d_bound >= 1.0 - 1e-12
 
 
-@pytest.mark.parametrize("n", range(3, 17))
-def test_harmonic_bounds_match_dense_svd(n):
-    d = grid_domain(2, n)
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(grid_domain(2, n), id=str(n)) for n in [*range(3, 17), 24]]
+    + [pytest.param(grid_domain(1, 32), id="1d-32")],
+)
+def test_harmonic_bounds_match_dense_svd(d):
     grams = sobolev_grams(d)
     ret = harmonic_retraction(d, grams)
     T = _dense_map(ret)
@@ -255,6 +314,64 @@ def test_harmonic_bounds_match_dense_svd(n):
     assert ret.d_bound == pytest.approx(d_oracle, rel=1e-12, abs=0.0)
 
 
+def _counting_cholesky(monkeypatch):
+    """Record the shape of every scipy.linalg.cholesky call."""
+    calls = []
+    real = linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cholesky", counting)
+    return calls
+
+
+def test_harmonic_retraction_factors_no_gram_and_forms_no_square_array(monkeypatch):
+    # the bounds read the factors that sobolev_grams kept. Every array
+    # bound to a name or returned by a Python function during the call,
+    # in this package or in numpy and scipy, is checked: none is m x m
+    # unless it is one of the Grams or their factors, or a view of them
+    d = grid_domain(2, 6)
+    grams = sobolev_grams(d)
+    m = grams.g0.shape[0]
+    inputs = [getattr(grams, f.name) for f in dataclasses.fields(grams)]
+    calls = _counting_cholesky(monkeypatch)
+    square = []
+
+    def check(where, value):
+        if (
+            isinstance(value, np.ndarray)
+            and value.shape == (m, m)
+            and not any(np.may_share_memory(value, g) for g in inputs)
+        ):
+            square.append(where)
+
+    def profile(frame, event, arg):
+        if event not in ("call", "return"):
+            return
+        if event == "return":
+            check(f"{frame.f_code.co_name} returned", arg)
+        for name, value in frame.f_locals.items():
+            check(f"{frame.f_code.co_name}.{name}", value)
+
+    setprofile(profile)
+    try:
+        harmonic_retraction(d, grams)
+    finally:
+        setprofile(None)
+    assert calls == []
+    assert square == [], square
+
+
+def test_harmonic_setup_makes_five_choleskys(monkeypatch):
+    # the SPD checks of g0, g1, g2 (sobolev_grams) and of m1, m2
+    # (build_quadratic_pair); the bounds factor no Gram again
+    calls = _counting_cholesky(monkeypatch)
+    _harmonic_setup(grid_domain(2, 6))
+    assert calls == [(64, 64)] * 5, calls
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
 def test_stokes_bound_matches_dense_svd(n):
     # |T|_2 of the full m x m map, apart from the r x r Gram route
@@ -262,6 +379,24 @@ def test_stokes_bound_matches_dense_svd(n):
     oracle = np.linalg.norm(_dense_map(ret), 2)
     assert ret.h_bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert ret.d_bound == ret.h_bound
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_stokes_identity_check_covers_every_column(n):
+    # r = n^2 columns: 16 fill part of one block, 144 a block and a part.
+    # The block sum equals the residual of all columns at once, and the
+    # LU of a perturbed stiffness fails the check
+    from scipy.sparse.linalg import splu
+
+    p = stokes_pencil(grid_domain(2, n))
+    r = n * n
+    assert r % IDENTITY_BLOCK != 0
+    W = p.stream_modes(np.eye(r))
+    whole = np.linalg.norm(p.curl @ (p.stiffness_lu.solve(p.stiffness @ W) - W))
+    assert check_stokes_identity(p) == pytest.approx(whole, rel=1e-12, abs=0.0)
+    broken = dataclasses.replace(p, stiffness_lu=splu(p.stiffness * (1.0 + 1e-6)))
+    with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
+        check_stokes_identity(broken)
 
 
 def _svd_basis_system(sys):

@@ -15,6 +15,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import AmbiguousClassification, InvalidConfig
 from .kfunctional import (
+    QuadraticPair,
     QuadratureRule,
     build_quadratic_pair,
     i_theta,
@@ -531,9 +532,8 @@ def run_weight(config: RunConfig):
 
 
 def _harmonic_setup(dom):
-    grams = sobolev_grams(dom)
-    pair = build_quadratic_pair(grams.g1, grams.g2)
-    return pair, harmonic_retraction(dom, grams)
+    grams = sobolev_grams(dom)  # validated, factored and read-only
+    return QuadraticPair(grams.g1, grams.g2), harmonic_retraction(dom, grams)
 
 
 def _probed_grid(dom):
@@ -767,7 +767,7 @@ def stokes_equivalence_study(config: RunConfig):
     for n, dom in zip(sizes, domains):
         sys = build_stokes(dom)
         constrained = stokes_spectral_model(sys)
-        ambient = stokes_ambient_model(sys)
+        ambient = stokes_ambient_model(dom)
         Z = sys.nullbasis
         # (constrained, ambient) coefficients of each probe, shared by every theta
         probe_coeffs = [

@@ -4,17 +4,17 @@ Provides the 1D Dirichlet Laplacian with its analytic spectrum (sampled
 sine eigenfunctions, orthonormal under the trapezoid mass h by
 discrete sine orthogonality), finite-difference
 Dirichlet Laplacians in 1D/2D, discrete Sobolev Gram forms on the full
-node set (boundary included), and a staggered-grid Stokes system: vector
-Laplacian, discrete divergence, an orthonormal basis of its null space
-in closed form (the discrete curl of DST-I stream-function modes, with
-no factorization of the divergence), and the constrained operator with
-its one Cholesky factor. The same Stokes system also comes in sparse
-stream-function form (`stokes_pencil`): A, D and the discrete curl C
-as scipy.sparse arrays and the n^2 x n^2 pencil (C^T A C, C^T C) with
-one sparse LU, with no dense null basis.
+node set (boundary included), and a staggered-grid Stokes system.
+`stokes_pencil` is the one assembly of the Stokes operators: the vector
+Laplacian A, the divergence D and the discrete curl C as scipy.sparse
+arrays, and the n^2 x n^2 stream-function pencil (C^T A C, C^T C) with
+one sparse LU. `build_stokes` is its dense view: A as a dense array, the
+orthonormal basis Z = C W of ker D in closed form (the discrete curl of
+DST-I stream-function modes, with no factorization of D), and the
+constrained operator Z^T A Z with its one Cholesky factor.
 
 Every grid matrix is assembled from dense 1D pieces combined with
-np.kron, or with scipy.sparse.kron in the sparse pencil (the
+np.kron, or with scipy.sparse.kron for the Stokes operators (the
 tensor-product structure of Lynch, Rice & Thomas, Numer. Math. 6,
 1964): trapezoid weights, the edge differences of the path
 graph, Dirichlet and full-node second differences, and the staggered
@@ -83,6 +83,13 @@ def stokes_domain(n: int) -> GridDomain:
     if n < 3:
         raise InvalidConfig(f"need n >= 3 for a staggered grid, got {n}")
     return dom
+
+
+def _check_stokes_grid(domain: GridDomain) -> None:
+    """Raise InvalidConfig unless domain passes the rules of `stokes_domain`."""
+    if domain.dimension != 2:
+        raise InvalidConfig("the Stokes system is assembled on the unit square")
+    stokes_domain(domain.n)
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -184,9 +191,10 @@ class SobolevGrams:
 
     g0: trapezoid mass; g1 = g0 + first-difference stiffness;
     g2 = g1 + Gram of centered second difference quotients.
-    g1_factor and g2_factor are the lower Cholesky factors of g1 and g2
-    from the SPD check of `sobolev_grams`, the one factorization of
-    each that the Gram-norm bounds use.
+    The three forms are read-only, so a pair can wrap g1 and g2 without
+    a copy. g1_factor and g2_factor are the lower Cholesky factors of g1
+    and g2 from the SPD check of `sobolev_grams`, the one factorization
+    of each.
     """
 
     g0: np.ndarray
@@ -230,8 +238,8 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
       top form: Q = D2^T D2 for the centred second-difference rows D2
         (scaled by 1/h^2 before the product), h^d times the Kronecker
         sum of Q (weight h^d per row along each axis).
-    Each form passes an SPD check by Cholesky; the factors of g1 and g2
-    are kept.
+    Each form passes an SPD check by Cholesky and is stored read-only;
+    the factors of g1 and g2 are kept.
     """
     h, d = domain.h, domain.dimension
     m = domain.n + 2
@@ -248,6 +256,7 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
             factors.append(linalg.cholesky(M, lower=True))
         except linalg.LinAlgError as exc:
             raise SingularSystem(f"{name} failed the SPD check") from exc
+        M.setflags(write=False)
     return SobolevGrams(g0, g1, g2, g1_factor=factors[1], g2_factor=factors[2])
 
 
@@ -257,167 +266,24 @@ def _staggered_difference(n: int, h: float) -> np.ndarray:
     return _forward_difference(n + 2)[:, 1:-1] / h
 
 
-def _stream_function_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The DST-I matrix S on the n interior corners of an axis and the
-    scale (mu_k + mu_l)^(-1/2), flattened row-major over (k, l), that
-    makes the curls of the columns of S (x) S orthonormal."""
-    S, mu = _dirichlet_modes(n, h)
-    return S, 1.0 / np.sqrt(np.add.outer(mu, mu)).ravel()
-
-
-def _check_divergence_rank(G: np.ndarray) -> None:
-    """Measure rank D = (n+1)^2 - 1 for D = [I (x) G, G (x) I].
-
-    The pressure matrix D D^T + 1 1^T / (n+1)^2 = G G^T (x) I + I (x) G G^T
-    + 1 1^T / (n+1)^2 is SPD exactly then (only the constant pressure
-    mode is incompatible); one dense Cholesky of it decides, and a
-    failure raises FactorizationFailure.
-    """
-    cells = G.shape[0]
-    try:
-        linalg.cholesky(_kron_sum(G @ G.T, 2) + 1.0 / cells**2, lower=True)
-    except linalg.LinAlgError as exc:
-        raise FactorizationFailure(
-            "divergence rank check failed: the pressure matrix is not SPD"
-        ) from exc
-
-
-@dataclass(frozen=True)
-class StokesSystem:
-    """Staggered-grid Stokes data on the unit square.
-
-    Velocity components live on cell faces (x-component on vertical
-    interior faces, y-component on horizontal interior faces), pressure
-    on the (n+1)^2 cell centers. nullbasis Z is a Euclidean-orthonormal
-    basis of ker(divergence): the discrete curls of the n^2 DST-I
-    stream-function modes on the interior cell corners, each scaled to
-    unit length. Z Z^T is the orthogonal projector onto ker(divergence);
-    constrained_op = Z^T A Z, and constrained_factor is its lower
-    Cholesky factor in `scipy.linalg.cho_factor` form, the one
-    factorization of it that every solve with it uses.
-    """
-
-    vector_laplacian: np.ndarray
-    divergence: np.ndarray
-    nullbasis: np.ndarray
-    constrained_op: np.ndarray
-    constrained_factor: tuple
-    grid: GridDomain
-
-
-def build_stokes(domain: GridDomain) -> StokesSystem:
-    """Assemble the staggered-grid Stokes system.
-
-    Both operators are Kronecker products of 1D stencils. Each velocity
-    block of the vector Laplacian is the Kronecker sum of Dirichlet
-    second differences along its two axes. The divergence is
-    [I (x) G, G (x) I] with I the identity on the n + 1 cells of an axis
-    and G = (eye(n+1, n) - eye(n+1, n, k=-1)) / h the staggered forward
-    difference from the n interior faces of an axis to its n + 1 cells
-    (the two wall faces carry no unknown: no-slip).
-
-    The null space of the divergence is built in closed form (Harlow &
-    Welch 1965). A stream function psi on the n^2 interior cell corners,
-    zero on the walls, has the discrete curl C psi with
-    C = [G (x) I_n; -(I_n (x) G)], and D C = G (x) G - G (x) G = 0.
-    C^T C = G^T G (x) I + I (x) G^T G is the 5-point corner Laplacian,
-    diagonalized by S (x) S for the DST-I matrix S with eigenvalues
-    mu_k + mu_l, so Z = C (S (x) S) diag((mu_k + mu_l)^(-1/2)) has
-    orthonormal columns by construction. span(Z) = ker D needs
-    rank D = (n+1)^2 - 1 (only the constant pressure mode is
-    incompatible): that is measured, not assumed, by one Cholesky of the
-    pressure matrix D D^T + 1 1^T / (n+1)^2, which is SPD exactly then;
-    a failure raises FactorizationFailure. Runtime checks on D Z, Z^T Z
-    and the symmetry of Z^T A Z guard the rounding.
-    """
-    if domain.dimension != 2:
-        raise InvalidConfig("the Stokes system is assembled on the unit square")
-    stokes_domain(domain.n)  # the same size rules as the runners' check
-    n, h = domain.n, domain.h
-    lap = _second_difference_1d
-    Lu = np.kron(np.eye(n + 1), lap(n, h)) + np.kron(lap(n + 1, h), np.eye(n))
-    Lv = np.kron(np.eye(n), lap(n + 1, h)) + np.kron(lap(n, h), np.eye(n + 1))
-    A = linalg.block_diag(Lu, Lv)
-    G = _staggered_difference(n, h)
-    cells = np.eye(n + 1)
-    # filled block by block: np.hstack of the two products would hold
-    # twice the size of D at once and raised the process peak RSS
-    n_u = n * (n + 1)
-    D = np.empty(((n + 1) ** 2, 2 * n_u))
-    D[:, :n_u] = np.kron(cells, G)
-    D[:, n_u:] = np.kron(G, cells)
-
-    # the discrete curl of the corner stream functions, in DST-I modes
-    S, scale = _stream_function_modes(n, h)
-    GS = G @ S
-    Z = np.empty((2 * n_u, n * n))
-    Z[:n_u] = np.kron(GS, S) * scale
-    Z[n_u:] = -np.kron(S, GS) * scale
-    _check_divergence_rank(G)
-    C = Z.T @ A @ Z
-
-    if np.max(np.abs(D @ Z)) > 1e-10:
-        raise FactorizationFailure("null basis fails divergence-free check")
-    if np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) > 1e-10:
-        raise FactorizationFailure("null basis fails the orthonormality check")
-    if np.max(np.abs(C - C.T)) > 1e-12 * max(1.0, np.max(np.abs(C))):
-        raise FactorizationFailure("constrained operator is not symmetric")
-    try:
-        factor = linalg.cho_factor(C, lower=True)
-    except linalg.LinAlgError as exc:
-        raise FactorizationFailure("constrained operator is not SPD") from exc
-    return StokesSystem(
-        vector_laplacian=A,
-        divergence=D,
-        nullbasis=Z,
-        constrained_op=C,
-        constrained_factor=factor,
-        grid=domain,
-    )
-
-
-def stokes_spectral_model(sys: StokesSystem) -> SpectralModel:
-    """Diagonalize the constrained operator over null-space coordinates."""
-    try:
-        lam, V = linalg.eigh(sys.constrained_op)
-    except linalg.LinAlgError as exc:
-        raise FactorizationFailure("constrained eigendecomposition failed") from exc
-    return build_spectral_model(lam, _fix_signs(V))
-
-
-def stokes_ambient_model(sys: StokesSystem) -> SpectralModel:
-    """The full vector Laplacian on velocity unknowns, in closed form.
-
-    Each velocity block is a Kronecker sum of Dirichlet second
-    differences on n faces and on n + 1 cells of an axis, so its
-    eigenpairs are tensor products of their DST-I modes (Lynch, Rice &
-    Thomas 1964), with no eigensolver. The physical mass is h^2; the
-    scalar drops out of every norm ratio and operator norm used here, so
-    the model keeps mass 1.
-    """
-    n, h = sys.grid.n, sys.grid.h
-    faces, cells = _dirichlet_modes(n, h), _dirichlet_modes(n + 1, h)
-    Vu, lam_u = _kron_sum_modes(cells, faces)
-    Vv, lam_v = _kron_sum_modes(faces, cells)
-    lam = np.concatenate([lam_u, lam_v])
-    return build_spectral_model(lam, linalg.block_diag(Vu, Vv))
-
-
 @dataclass(frozen=True)
 class StokesPencil:
     """The staggered-grid Stokes system in stream-function form, sparse.
 
-    vector_laplacian A (m x m), divergence D and curl C (m x n^2) are the
-    operators of `build_stokes`, as scipy.sparse CSR arrays. The stream
-    function on the n^2 interior cell corners carries the pencil
-    (K, C^T C) of the stiffness K = C^T A C (CSC) and the corner
-    Laplacian C^T C (curl_gram); stiffness_lu is the one sparse LU of K
-    (SuperLU), through which every solve with K goes. Since
-    span C = ker D, the divergence-free retraction is T = C K^-1 C^T A
-    and the spectrum of the constrained operator Z^T A Z is that of
-    (K, C^T C), with no dense null basis. The orthonormal basis of `build_stokes` is Z = C W with
-    W = (S (x) S) diag(scale) for the DST-I matrix S (`dst`);
-    `null_vectors` applies it without forming it.
+    Velocity components live on cell faces (x-component on vertical
+    interior faces, y-component on horizontal interior faces), pressure
+    on the (n+1)^2 cell centers, the stream function on the n^2 interior
+    cell corners. vector_laplacian A (m x m), divergence D and curl C
+    (m x n^2) are scipy.sparse CSR arrays, the one assembly of the
+    Stokes operators. The stream function carries the pencil (K, C^T C)
+    of the stiffness K = C^T A C (CSC) and the corner Laplacian C^T C
+    (curl_gram); stiffness_lu is the one sparse LU of K (SuperLU),
+    through which every solve with K goes. Since span C = ker D, the
+    divergence-free retraction is T = C K^-1 C^T A and the spectrum of
+    the constrained operator Z^T A Z is that of (K, C^T C). The
+    orthonormal basis of ker D is Z = C W with W = (S (x) S) diag(scale)
+    for the DST-I matrix S (`dst`); `null_vectors` applies it without
+    forming it.
     """
 
     vector_laplacian: "sparse.csr_array"
@@ -444,28 +310,44 @@ class StokesPencil:
 
 
 def stokes_pencil(domain: GridDomain) -> StokesPencil:
-    """Assemble the sparse stream-function form of the Stokes system.
+    """Assemble the staggered-grid Stokes system, sparse.
 
-    A, D and C are the Kronecker products of `build_stokes`, taken with
-    scipy.sparse.kron from the same dense 1D stencils, so A and D equal
-    the dense matrices in value (dense np.kron writes some zeros as
-    -0.0). The rank of D is measured by the same pressure Cholesky, and
-    D C = 0 is checked; K is factored once by splu. K is SPD, so the LU
-    runs in SuperLU's symmetric mode: a minimum-degree ordering of
-    K^T + K applied to rows and columns alike, and diagonal pivots,
-    which keeps less fill than the default column ordering. No m x m or
-    m x n^2 dense array is formed. scipy.sparse is imported here, not
-    with the package.
+    Every operator is a Kronecker product of dense 1D stencils, taken
+    with scipy.sparse.kron. Each velocity block of A is the Kronecker
+    sum of Dirichlet second differences along its two axes, and
+    D = [I (x) G, G (x) I] for the identity I on the n + 1 cells of an
+    axis and the staggered difference G from its n interior faces to
+    its cells. The null space of D is in closed form (Harlow & Welch
+    1965): a stream function psi on the corners, zero on the walls, has
+    the discrete curl C psi with C = [G (x) I_n; -(I_n (x) G)], and
+    D C = G (x) G - G (x) G = 0, which is checked. C^T C = G^T G (x) I
+    + I (x) G^T G is diagonalized by S (x) S with eigenvalues
+    mu_k + mu_l, which gives scale = (mu_k + mu_l)^(-1/2).
+
+    span C = ker D needs rank D = (n+1)^2 - 1 (only the constant
+    pressure mode is incompatible). That is measured, not assumed: the
+    pressure matrix D D^T + 1 1^T / (n+1)^2 = G G^T (x) I + I (x) G G^T
+    + 1 1^T / (n+1)^2 is SPD exactly then, and a failed dense Cholesky
+    of it raises FactorizationFailure.
+
+    K is SPD, so its one splu runs in SuperLU's symmetric mode: a
+    minimum-degree ordering of K^T + K applied to rows and columns
+    alike, and diagonal pivots, which keeps less fill than the default
+    column ordering. No m x m or m x n^2 dense array is formed.
+    scipy.sparse is imported here, not with the package.
     """
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    if domain.dimension != 2:
-        raise InvalidConfig("the Stokes system is assembled on the unit square")
-    stokes_domain(domain.n)
+    _check_stokes_grid(domain)  # the same size rules as the runners' check
     n, h = domain.n, domain.h
     G = _staggered_difference(n, h)
-    _check_divergence_rank(G)
+    try:
+        linalg.cholesky(_kron_sum(G @ G.T, 2) + 1.0 / (n + 1) ** 2, lower=True)
+    except linalg.LinAlgError as exc:
+        raise FactorizationFailure(
+            "divergence rank check failed: the pressure matrix is not SPD"
+        ) from exc
 
     def kron(a, b):
         return sparse.kron(sparse.csr_array(a), sparse.csr_array(b), format="csr")
@@ -480,7 +362,7 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     if abs(D @ C).max() > 1e-10:
         raise FactorizationFailure("the discrete curl is not divergence-free")
     K = (C.T @ (A @ C)).tocsc()
-    S, scale = _stream_function_modes(n, h)
+    S, mu = _dirichlet_modes(n, h)
     return StokesPencil(
         vector_laplacian=A,
         divergence=D,
@@ -494,6 +376,98 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
             options={"SymmetricMode": True},
         ),
         dst=S,
-        scale=scale,
+        scale=1.0 / np.sqrt(np.add.outer(mu, mu)).ravel(),
         grid=domain,
     )
+
+
+@dataclass(frozen=True)
+class StokesSystem:
+    """The dense view of a Stokes pencil, which it holds.
+
+    vector_laplacian is the pencil's A as a dense array; D stays sparse
+    in the pencil. nullbasis Z = C W is the orthonormal basis of ker D,
+    so Z Z^T is the orthogonal projector onto it. constrained_op
+    Ac = Z^T A Z, and constrained_factor is its lower Cholesky factor in
+    `scipy.linalg.cho_factor` form, the one factorization of Ac.
+    """
+
+    pencil: StokesPencil
+    vector_laplacian: np.ndarray
+    nullbasis: np.ndarray
+    constrained_op: np.ndarray
+    constrained_factor: tuple
+
+    @property
+    def grid(self) -> GridDomain:
+        return self.pencil.grid
+
+
+def build_stokes(domain: GridDomain) -> StokesSystem:
+    """The dense view of `stokes_pencil(domain)`.
+
+    Z = C W is formed in blocks, [(G S) (x) S; -(S (x) G S)] diag(scale),
+    orthonormal by construction and spanning ker D by the pencil's rank
+    check; runtime checks on D Z, Z^T Z and the symmetry of Ac guard the
+    rounding. The products with A are dense and Z does not come from
+    `null_vectors`: either sparse route rounds Ac differently, which
+    rotates LAPACK's eigenbasis inside its degenerate eigenspaces and so
+    moves the probes built from it.
+    """
+    p = stokes_pencil(domain)
+    n = domain.n
+    A = p.vector_laplacian.toarray()
+    S, scale = p.dst, p.scale
+    GS = _staggered_difference(n, domain.h) @ S
+    n_u = n * (n + 1)
+    Z = np.empty((2 * n_u, n * n))
+    Z[:n_u] = np.kron(GS, S) * scale
+    Z[n_u:] = -np.kron(S, GS) * scale
+    C = Z.T @ A @ Z
+
+    if np.max(np.abs(p.divergence @ Z)) > 1e-10:
+        raise FactorizationFailure("null basis fails divergence-free check")
+    if np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) > 1e-10:
+        raise FactorizationFailure("null basis fails the orthonormality check")
+    if np.max(np.abs(C - C.T)) > 1e-12 * max(1.0, np.max(np.abs(C))):
+        raise FactorizationFailure("constrained operator is not symmetric")
+    try:
+        factor = linalg.cho_factor(C, lower=True)
+    except linalg.LinAlgError as exc:
+        raise FactorizationFailure("constrained operator is not SPD") from exc
+    return StokesSystem(
+        pencil=p,
+        vector_laplacian=A,
+        nullbasis=Z,
+        constrained_op=C,
+        constrained_factor=factor,
+    )
+
+
+def stokes_spectral_model(sys: StokesSystem) -> SpectralModel:
+    """Diagonalize the constrained operator over null-space coordinates."""
+    try:
+        lam, V = linalg.eigh(sys.constrained_op)
+    except linalg.LinAlgError as exc:
+        raise FactorizationFailure("constrained eigendecomposition failed") from exc
+    return build_spectral_model(lam, _fix_signs(V))
+
+
+def stokes_ambient_model(domain: GridDomain) -> SpectralModel:
+    """The full vector Laplacian on the velocity unknowns of a staggered
+    grid (the rules of `stokes_domain`), in closed form.
+
+    Each velocity block is a Kronecker sum of Dirichlet second
+    differences on n faces and on n + 1 cells of an axis, so its
+    eigenpairs are tensor products of their DST-I modes (Lynch, Rice &
+    Thomas 1964), with no eigensolver and no assembly. The physical mass
+    is h^2; the scalar drops out of every norm ratio and operator norm
+    used here, so the model keeps mass 1.
+    """
+    _check_stokes_grid(domain)
+    n, h = domain.n, domain.h
+    faces, cells = _dirichlet_modes(n, h), _dirichlet_modes(n + 1, h)
+    Vu, lam_u = _kron_sum_modes(cells, faces)
+    Vv, lam_v = _kron_sum_modes(faces, cells)
+    lam = np.concatenate([lam_u, lam_v])
+    return build_spectral_model(lam, linalg.block_diag(Vu, Vv))

@@ -30,7 +30,8 @@ triangular solves, a thin QR and one nb x nb eigensolve; no m x m
 array is formed. The divergence-free retraction takes one
 norm in all, since A T A^-1 = T^T makes its two bounds equal. Its one
 route is `stokes_bound` on the sparse stream-function pencil of
-`operators.stokes_pencil`: T = C K^-1 C^T A for the discrete curl C and
+`operators.stokes_pencil`, the one assembly of a Stokes grid, which the
+dense `StokesSystem` holds: T = C K^-1 C^T A for the discrete curl C and
 K = C^T A C, and |T|_2^2 is the top eigenvalue of T^T T, taken by
 Lanczos (`lanczos_eigenvalue`, ARPACK through
 scipy.sparse.linalg.eigsh) with T and T^T applied through the one LU
@@ -53,10 +54,11 @@ The identity T z = z on the subspace is checked once, when a
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences; Z the
 interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S) and the
-divergence-free retraction T = Z Ac^-1 Z^T A built from a staggered-grid
-Stokes system (Ac the constrained operator, B = Ac^-1 Z^T A). The
-latter also runs on the sparse pencil alone (`stokes_apply`,
-`check_stokes_identity`), with no dense Z, Ac or B.
+divergence-free retraction T = Z Ac^-1 Z^T A built from the dense view
+of a staggered-grid Stokes pencil (Ac the constrained operator,
+B = Ac^-1 Z^T A), with its bound from that pencil. The latter also runs
+on the sparse pencil alone (`stokes_apply`, `check_stokes_identity`),
+with no dense Z, Ac or B.
 """
 from __future__ import annotations
 
@@ -86,7 +88,6 @@ from .operators import (
     StokesPencil,
     StokesSystem,
     interior_indices,
-    stokes_pencil,
     zero_boundary_basis,
 )
 from .spectral import decaying_probes
@@ -319,15 +320,15 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
     The bounds are exact operator norms: h_bound = |T|_2 and
     d_bound = |A T A^-1|_2 for the D-norm |f|_D = |A f|. A and Ac are
     symmetric, so A T A^-1 = A Z Ac^-1 Z^T = T^T and d_bound = h_bound
-    comes from the one norm, `stokes_bound` of the grid's sparse
-    stream-function pencil, which does not depend on the basis Z. The
-    retraction keeps (Z, B) with B = Ac^-1 Z^T A, solved through the
-    system's one Cholesky factor of Ac; the m x m product Z B is never
-    formed.
+    comes from the one norm, `stokes_bound` of the sparse
+    stream-function pencil that the system holds, which does not depend
+    on the basis Z. The retraction keeps (Z, B) with B = Ac^-1 Z^T A,
+    solved through the system's one Cholesky factor of Ac; the m x m
+    product Z B is never formed.
     """
     Z = sys.nullbasis
     B = linalg.cho_solve(sys.constrained_factor, Z.T @ sys.vector_laplacian)
-    bound = stokes_bound(stokes_pencil(sys.grid))
+    bound = stokes_bound(sys.pencil)
     return Retraction(Z, B, bound, bound)
 
 

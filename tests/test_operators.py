@@ -124,7 +124,7 @@ def test_fd_closed_form_matches_dense_eigensolve(dimension, n):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_stokes_ambient_closed_form_matches_dense_eigensolve(n):
     sys = build_stokes(grid_domain(2, n))
-    _assert_closed_form_diagonalizes(stokes_ambient_model(sys), sys.vector_laplacian)
+    _assert_closed_form_diagonalizes(stokes_ambient_model(sys.grid), sys.vector_laplacian)
 
 
 @pytest.mark.parametrize("n", range(2, 33))
@@ -251,7 +251,7 @@ def test_stokes_kernel_dimension():
     # oracle: the closed-form curl basis spans the SVD null space of D
     for n in range(3, 11):
         sys = build_stokes(grid_domain(2, n))
-        N = linalg.null_space(sys.divergence)
+        N = linalg.null_space(sys.pencil.divergence.toarray())
         assert N.shape[1] == sys.nullbasis.shape[1] == n * n
         Z = sys.nullbasis
         assert np.max(np.abs(Z @ Z.T - N @ N.T)) <= 1e-12, n
@@ -268,7 +268,7 @@ def test_stokes_rank_check_raises(monkeypatch):
 
 
 def test_stokes_divergence_annihilates_kernel(stokes_small):
-    DZ = stokes_small.divergence @ stokes_small.nullbasis
+    DZ = stokes_small.pencil.divergence @ stokes_small.nullbasis
     assert np.max(np.abs(DZ)) <= 1e-10
 
 
@@ -283,7 +283,7 @@ def test_divergence_of_uniform_flows(n):
     n_u = n * (n + 1)
     x_flow = np.concatenate([np.ones(n_u), np.zeros(n_u)])
     y_flow = x_flow[::-1]
-    D = sys.divergence
+    D = sys.pencil.divergence
     tol = dict(rtol=1e-15, atol=1e-12)
     np.testing.assert_allclose(D @ x_flow, np.tile(wall, n + 1), **tol)
     np.testing.assert_allclose(D @ y_flow, np.repeat(wall, n + 1), **tol)
@@ -300,7 +300,7 @@ def test_divergence_annihilates_the_discrete_curl(n):
     v = -np.diff(psi[1:-1, :], axis=1) / h  # v[j - 1, a]: face y = j h, column a
     vel = np.concatenate([u.ravel(), v.ravel()])
     scale = np.max(np.abs(vel)) / h
-    assert np.max(np.abs(sys.divergence @ vel)) <= 1e-13 * scale
+    assert np.max(np.abs(sys.pencil.divergence @ vel)) <= 1e-13 * scale
     Z = sys.nullbasis
     dev = np.linalg.norm(Z @ (Z.T @ vel) - vel) / np.linalg.norm(vel)
     assert dev <= 1e-12
@@ -339,9 +339,16 @@ def test_stokes_rejects_tiny_grid():
         build_stokes(grid_domain(2, 2))
 
 
+def test_stokes_ambient_model_takes_a_staggered_grid():
+    # the ambient model needs no assembly, but the same grid rules
+    for dom in (grid_domain(1, 4), grid_domain(2, 2)):
+        with pytest.raises(InvalidConfig):
+            stokes_ambient_model(dom)
+
+
 def test_stokes_models(stokes_small):
     con = stokes_spectral_model(stokes_small)
-    amb = stokes_ambient_model(stokes_small)
+    amb = stokes_ambient_model(stokes_small.grid)
     assert con.dim == stokes_small.nullbasis.shape[1]
     assert amb.dim == stokes_small.vector_laplacian.shape[0]
     assert np.all(np.diff(con.eigenvalues) >= 0)
@@ -357,16 +364,43 @@ def test_stokes_models(stokes_small):
 # ---- the sparse stream-function pencil
 
 
+def _kron_stokes_oracle(n):
+    """A and D by dense np.kron of 1D stencils written out here, apart
+    from the package's assembly, and the orthonormal curl basis
+    Z = C (S (x) S) diag((mu_k + mu_l)^(-1/2)) from the dense curl C."""
+    h = 1.0 / (n + 1)
+
+    def lap(k):
+        return (2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)) / (h * h)
+
+    G = (np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)) / h
+    faces, cells = np.eye(n), np.eye(n + 1)
+    Lu = np.kron(cells, lap(n)) + np.kron(lap(n + 1), faces)
+    Lv = np.kron(faces, lap(n + 1)) + np.kron(lap(n), cells)
+    A = linalg.block_diag(Lu, Lv)
+    D = np.hstack([np.kron(cells, G), np.kron(G, cells)])
+    C = np.vstack([np.kron(G, faces), -np.kron(faces, G)])
+    k = np.arange(1, n + 1)
+    S = math.sqrt(2.0 * h) * np.sin(np.pi * h * np.outer(k, k))
+    mu = (4.0 / (h * h)) * np.sin(k * np.pi * h / 2.0) ** 2
+    Z = C @ np.kron(S, S) / np.sqrt(np.add.outer(mu, mu)).ravel()
+    return A, D, Z
+
+
 @pytest.mark.parametrize("n", range(3, 33))
 def test_sparse_pencil_matches_build_stokes(n):
-    # A and D equal in value (the dense np.kron writes some zeros as -0.0),
-    # and C W is the closed-form null basis
-    sys = build_stokes(grid_domain(2, n))
+    # the pencil's A and D equal the dense np.kron oracle in value (np.kron
+    # writes some zeros as -0.0), and C W is the oracle's curl basis; so is
+    # the null basis of build_stokes, the dense view of the pencil
+    A, D, Z = _kron_stokes_oracle(n)
     p = stokes_pencil(grid_domain(2, n))
-    assert np.array_equal(p.vector_laplacian.toarray(), sys.vector_laplacian)
-    assert np.array_equal(p.divergence.toarray(), sys.divergence)
+    assert np.array_equal(p.vector_laplacian.toarray(), A)
+    assert np.array_equal(p.divergence.toarray(), D)
     CW = p.null_vectors(np.eye(n * n))
-    assert np.max(np.abs(CW - sys.nullbasis)) <= 1e-14, n
+    assert np.max(np.abs(CW - Z)) <= 1e-14, n
+    sys = build_stokes(grid_domain(2, n))
+    assert np.array_equal(sys.vector_laplacian, A)
+    assert np.max(np.abs(sys.nullbasis - Z)) <= 1e-14, n
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -385,7 +419,7 @@ def test_sparse_pencil_stiffness_and_curl_gram(n):
 
 
 def test_sparse_pencil_rank_check_raises(monkeypatch):
-    # the same pressure Cholesky as build_stokes decides the rank of D
+    # one pressure Cholesky decides the rank of D
     def singular(a, *args, **kwargs):
         raise linalg.LinAlgError("not positive definite")
 

@@ -37,6 +37,7 @@ from fracspace.experiments import (
     run_halft1,
     run_intersection,
     run_stokes_retraction,
+    stokes_equivalence_study,
 )
 from fracspace.retractions import (
     IDENTITY_BLOCK,
@@ -364,12 +365,49 @@ def test_harmonic_retraction_factors_no_gram_and_forms_no_square_array(monkeypat
     assert square == [], square
 
 
-def test_harmonic_setup_makes_five_choleskys(monkeypatch):
-    # the SPD checks of g0, g1, g2 (sobolev_grams) and of m1, m2
-    # (build_quadratic_pair); the bounds factor no Gram again
+def test_harmonic_setup_makes_three_choleskys(monkeypatch):
+    # the SPD checks of g0, g1, g2 (sobolev_grams); the pair wraps the
+    # read-only g1 and g2 as they are, and the bounds factor no Gram again
     calls = _counting_cholesky(monkeypatch)
-    _harmonic_setup(grid_domain(2, 6))
-    assert calls == [(64, 64)] * 5, calls
+    pair, _ = _harmonic_setup(grid_domain(2, 6))
+    assert calls == [(64, 64)] * 3, calls
+    grams = sobolev_grams(grid_domain(2, 6))
+    assert np.array_equal(pair.m1, grams.g1) and np.array_equal(pair.m2, grams.g2)
+    assert not (pair.m1.flags.writeable or pair.m2.flags.writeable)
+
+
+def test_intersection_makes_one_pressure_cholesky_per_stokes_grid(monkeypatch):
+    # three SPD checks of the harmonic Grams (n = 4), then the one
+    # (n+1)^2 pressure Cholesky of the Stokes grid (n = 12) and the SPD
+    # checks of its pair (I, A^2); the retraction reuses the grid's pencil
+    calls = _counting_cholesky(monkeypatch)
+    rep = run_intersection(RunConfig(experiment="intersection", sizes=(4, 12)))
+    assert rep.passed
+    assert calls == [(36, 36)] * 3 + [(169, 169), (312, 312), (312, 312)], calls
+
+
+@pytest.mark.parametrize(
+    "runner, experiment, sizes, expected",
+    [
+        (run_intersection, "intersection", (4, 6), [6]),
+        (stokes_equivalence_study, "stokes-equivalence", (4, 6), [4, 6]),
+    ],
+)
+def test_one_stokes_assembly_per_grid(monkeypatch, runner, experiment, sizes, expected):
+    # build_stokes is the dense view of one pencil, and stokes_retraction
+    # reads that pencil instead of assembling its own
+    calls = []
+    real = operators.stokes_pencil
+
+    def counting(domain):
+        calls.append(domain.n)
+        return real(domain)
+
+    monkeypatch.setattr(operators, "stokes_pencil", counting)
+    monkeypatch.setattr(experiments, "stokes_pencil", counting)
+    rep = runner(RunConfig(experiment=experiment, sizes=sizes))
+    assert rep.passed
+    assert calls == expected, calls
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
@@ -402,7 +440,7 @@ def test_stokes_identity_check_covers_every_column(n):
 def _svd_basis_system(sys):
     """sys with the null basis of D from a dense SVD, the route the closed
     form replaced, and the constrained operator and factor rebuilt on it."""
-    Z = linalg.null_space(sys.divergence)
+    Z = linalg.null_space(sys.pencil.divergence.toarray())
     C = Z.T @ sys.vector_laplacian @ Z
     return dataclasses.replace(
         sys, nullbasis=Z, constrained_op=C, constrained_factor=linalg.cho_factor(C)

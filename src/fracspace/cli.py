@@ -13,6 +13,8 @@ stderr and no traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -74,6 +76,53 @@ def _check_output_dir(path: str) -> None:
         )
 
 
+@functools.cache
+def _scipy_blas():
+    """SciPy's vendored OpenBLAS as (get_num_threads, set_num_threads), or
+    None where no loaded library exports `scipy_openblas_set_num_threads`
+    (another BLAS, another OS). NumPy vendors its own copy, which exports
+    only the `...64_` names. One scan of the process's mappings serves
+    every later call."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_scipy_blas_thread():
+    """Run the block with SciPy's OpenBLAS pool at one thread, then restore
+    its previous count. NumPy's pool keeps the environment's count: with
+    both pools multithreaded, every switch between a NumPy product and a
+    SciPy factorisation runs more busy threads than there are cores."""
+    blas = _scipy_blas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _emit_error(exc: Exception) -> None:
     doc = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
@@ -108,7 +157,8 @@ def main(argv=None) -> int:
         config = make_run_config(doc, EXPERIMENTS)
         _check_output_dir(config.output_dir)
         runner, _ = EXPERIMENTS[config.experiment]
-        report = runner(config)
+        with _one_scipy_blas_thread():
+            report = runner(config)
         try:
             paths = write_report(report, config)
         except OSError as exc:

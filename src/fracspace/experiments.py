@@ -17,7 +17,6 @@ from .errors import AmbiguousClassification, InvalidConfig
 from .kfunctional import (
     QuadraticPair,
     QuadratureRule,
-    build_quadratic_pair,
     i_theta,
     interp_norms_sq,
 )
@@ -547,8 +546,12 @@ def _probed_grid(dom):
 def _stokes_setup(dom):
     sys = build_stokes(dom)
     A = sys.vector_laplacian
-    pair = build_quadratic_pair(np.eye(A.shape[0]), A @ A)
-    return pair, stokes_retraction(sys)
+    # (I, A^2) is SPD by construction, as the pencil's A is SPD, so the
+    # pair skips build_quadratic_pair's copies and Cholesky checks
+    m1, m2 = np.eye(A.shape[0]), A @ A
+    m1.setflags(write=False)
+    m2.setflags(write=False)
+    return QuadraticPair(m1, m2), stokes_retraction(sys)
 
 
 def run_intersection(config: RunConfig):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +298,52 @@ def test_2d_runner_reruns_byte_identical(tmp_path, experiment, sizes):
     assert names == sorted(os.listdir(out2))
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _float_moves(a, b, where=""):
+    """Relative moves of the floats of two JSON documents whose keys,
+    lengths and non-float values agree."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        return [m for k in a for m in _float_moves(a[k], b[k], f"{where}/{k}")]
+    if isinstance(a, list):
+        assert len(a) == len(b), where
+        return [
+            m for i, (x, y) in enumerate(zip(a, b)) for m in _float_moves(x, y, f"{where}[{i}]")
+        ]
+    if isinstance(a, float) and isinstance(b, float):
+        return [(abs(a - b) / max(abs(a), abs(b)), where)] if a != b else []
+    assert a == b, (where, a, b)
+    return []
+
+
+def test_2d_reports_agree_across_blas_thread_counts(tmp_path):
+    # SciPy's LAPACK runs on one thread inside cli.main, so the eigenbasis
+    # inside degenerate eigenspaces, and the probes built from it, no
+    # longer depend on OPENBLAS_NUM_THREADS; NumPy's products still do,
+    # by rounding only
+    code = (
+        "import sys; from fracspace.cli import main; out = sys.argv[1]; "
+        "fmt = ['--seed', '42', '--out', out, '--format', 'json']; "
+        "assert main(['halft1', '--size', '8', '12', *fmt]) == 0; "
+        "assert main(['intersection', '--size', '8', '8', *fmt]) == 0"
+    )
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / threads)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert len(names) == 2 and names == sorted(os.listdir(tmp_path / "2"))
+    for name in names:
+        one, two = (json.loads((tmp_path / t / name).read_text()) for t in ("1", "2"))
+        moves = _float_moves(one, two)  # pass counts and keys agree exactly
+        assert max(moves, default=(0.0, ""))[0] <= 1e-12, (name, max(moves))
 
 
 def test_lemma41_passes_at_the_theta_window_edges(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import contextlib
+import ctypes
+import glob
 import io
 import json
 import math
@@ -6,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
@@ -22,6 +25,7 @@ from fracspace import (
     report_to_json,
     write_report,
 )
+from fracspace import cli
 from fracspace.cli import main
 from fracspace.reporting import summarize
 
@@ -512,3 +516,68 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert f1 == f2
     for name in f1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _scipy_openblas():
+    """(get, set) of the thread count of SciPy's vendored OpenBLAS, opened
+    by its file name in the wheel, apart from the cli's own lookup."""
+    paths = glob.glob(os.path.dirname(scipy.__file__) + ".libs/libscipy_openblas*.so")
+    if len(paths) != 1:
+        pytest.skip("this SciPy does not vendor one OpenBLAS")
+    lib = ctypes.CDLL(paths[0])
+    get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def test_cli_runs_experiments_on_one_scipy_blas_thread(tmp_path, monkeypatch, capsys):
+    # the runner sees SciPy's pool at one thread; the previous count is
+    # back afterwards, also when the runner raises
+    get, set_ = _scipy_openblas()
+    real = EXPERIMENTS["criticality"][0]
+    seen = []
+
+    def spying(config):
+        seen.append(get())
+        return real(config)
+
+    def raising(config):
+        seen.append(get())
+        raise RuntimeError("runner failed")
+
+    before = get()
+    set_(2)
+    try:
+        monkeypatch.setitem(EXPERIMENTS, "criticality", (spying, "spy"))
+        assert main(["criticality", "--out", str(tmp_path)]) == 0
+        assert get() == 2
+        monkeypatch.setitem(EXPERIMENTS, "criticality", (raising, "raise"))
+        assert main(["criticality", "--out", str(tmp_path)]) == 1
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen == [1, 1]
+    assert json.loads(capsys.readouterr().err)["error"] == "RuntimeError"
+
+
+def test_cli_scans_the_process_mappings_once(tmp_path, monkeypatch):
+    scans = []
+
+    def counting_open(path, *args, **kwargs):
+        if path == "/proc/self/maps":
+            scans.append(path)
+        return open(path, *args, **kwargs)
+
+    cli._scipy_blas.cache_clear()
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    for _ in range(2):
+        assert main(["criticality", "--out", str(tmp_path)]) == 0
+    assert len(scans) == 1
+
+
+def test_cli_runs_where_no_scipy_openblas_is_found(tmp_path, monkeypatch, capsys):
+    # another BLAS or another OS: the pool is left alone and the run reports
+    monkeypatch.setattr(cli, "_scipy_blas", lambda: None)
+    assert main(["criticality", "--out", str(tmp_path)]) == 0
+    assert "criticality: PASS 3/3 checks" in capsys.readouterr().out

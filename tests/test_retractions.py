@@ -378,12 +378,21 @@ def test_harmonic_setup_makes_three_choleskys(monkeypatch):
 
 def test_intersection_makes_one_pressure_cholesky_per_stokes_grid(monkeypatch):
     # three SPD checks of the harmonic Grams (n = 4), then the one
-    # (n+1)^2 pressure Cholesky of the Stokes grid (n = 12) and the SPD
-    # checks of its pair (I, A^2); the retraction reuses the grid's pencil
+    # (n+1)^2 pressure Cholesky of the Stokes grid (n = 12); its pair
+    # (I, A^2) is SPD by construction and is not factored, and the
+    # retraction reuses the grid's pencil
     calls = _counting_cholesky(monkeypatch)
     rep = run_intersection(RunConfig(experiment="intersection", sizes=(4, 12)))
     assert rep.passed
-    assert calls == [(36, 36)] * 3 + [(169, 169), (312, 312), (312, 312)], calls
+    assert calls == [(36, 36)] * 3 + [(169, 169)], calls
+
+
+def test_stokes_setup_pair_is_the_read_only_identity_and_square():
+    pair, _ = _stokes_setup(grid_domain(2, 4))
+    A = build_stokes(grid_domain(2, 4)).vector_laplacian
+    assert np.array_equal(pair.m1, np.eye(A.shape[0]))
+    assert np.array_equal(pair.m2, A @ A)
+    assert not (pair.m1.flags.writeable or pair.m2.flags.writeable)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ import os
 import sys
 
 from .errors import FracspaceError, InvalidConfig, UnknownExperiment
-from .experiments import DEFAULT_SIZES, EXPERIMENTS
+from .experiments import DEFAULT_SIZES, EXPERIMENTS, SCIPY_EXPERIMENTS
 from .reporting import make_run_config, write_report
 
 def _parser() -> argparse.ArgumentParser:
@@ -81,9 +81,12 @@ def _scipy_blas():
     """SciPy's vendored OpenBLAS as (get_num_threads, set_num_threads), or
     None where no loaded library exports `scipy_openblas_set_num_threads`
     (another BLAS, another OS). NumPy vendors its own copy, which exports
-    only the `...64_` names. One scan of the process's mappings serves
-    every later call."""
+    only the `...64_` names. scipy.linalg, which links that library, is
+    imported first, so the one scan of the process's mappings finds it
+    whenever SciPy vendors it, and serves every later call."""
     import ctypes
+
+    import scipy.linalg  # noqa: F401  (loads SciPy's OpenBLAS before the scan)
 
     try:
         with open("/proc/self/maps") as fh:
@@ -157,7 +160,8 @@ def main(argv=None) -> int:
         config = make_run_config(doc, EXPERIMENTS)
         _check_output_dir(config.output_dir)
         runner, _ = EXPERIMENTS[config.experiment]
-        with _one_scipy_blas_thread():
+        scipy_run = config.experiment in SCIPY_EXPERIMENTS
+        with _one_scipy_blas_thread() if scipy_run else contextlib.nullcontext():
             report = runner(config)
         try:
             paths = write_report(report, config)

@@ -7,11 +7,11 @@ refer to the Verified statements section of the README.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AmbiguousClassification, InvalidConfig
 from .kfunctional import (
@@ -417,12 +417,19 @@ class WeightFunctional:
     levels: tuple
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1],
+    made on first use: numpy.polynomial stays off the package import."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(16)
 
 
 def _band_integral(f, a, b):
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(_GL_WEIGHTS @ f(x))
+    nodes, weights = _gauss_legendre()
+    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    return 0.5 * (b - a) * float(weights @ f(x))
 
 
 # finest level: on the mirrored band near x = 1, 1 - x carries a relative
@@ -917,3 +924,9 @@ EXPERIMENTS = {
         "Higher-power decomposition identity: norm_beta(u) = norm_alpha(A^(beta-alpha) u).",
     ),
 }
+
+# the runners that call SciPy, the only ones that cli.main runs with
+# SciPy's BLAS pool pinned; the other five load no SciPy module
+SCIPY_EXPERIMENTS = frozenset(
+    {"intersection", "halft1", "stokes-retraction", "stokes-equivalence"}
+)

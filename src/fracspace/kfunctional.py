@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from ._kernels import k2_batch
 from .errors import (
@@ -57,6 +56,8 @@ class QuadraticPair:
 
 def build_quadratic_pair(m1, m2) -> QuadraticPair:
     """Validate symmetry and positive-definiteness (by factorization)."""
+    from scipy import linalg
+
     M1 = np.array(m1, dtype=np.float64)
     M2 = np.array(m2, dtype=np.float64)
     for name, M in (("m1", M1), ("m2", M2)):
@@ -125,6 +126,8 @@ def k2_by_cholesky(m1, m2, X, t2) -> np.ndarray:
     rounding of m1 and the subtraction cancels. Raises SingularSystem
     when the factorization fails.
     """
+    from scipy import linalg
+
     try:
         factor = linalg.cho_factor(m1 + t2 * m2, lower=True)
     except linalg.LinAlgError as exc:
@@ -235,6 +238,8 @@ def k_sum_brute(model_or_pair, u, t) -> float:
         norm_x = math.sqrt(float(c @ c))
         norm_y = t * math.sqrt(float(lam2 @ (c * c)))
     else:
+        from scipy import linalg
+
         M1, M2, vec = _forms(model_or_pair, u)
         m = M1 @ vec
 
@@ -376,6 +381,8 @@ def congruence(pair: QuadraticPair):
     are transform @ vector. In those coordinates the pair is
     (identity, diag lam_eff^2).
     """
+    from scipy import linalg
+
     M1, M2 = pair.m1, pair.m2
     try:
         mu, V = linalg.eigh(M2, M1)

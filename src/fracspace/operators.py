@@ -28,8 +28,8 @@ diagonalized densely.
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
 Apart from the sparse pencil the matrices are dense, so sizes are
-capped (1D n <= 2048, 2D n <= 32 per axis). scipy.sparse is imported
-inside `stokes_pencil`, not with the package.
+capped (1D n <= 2048, 2D n <= 32 per axis). SciPy is imported inside
+each function that calls it, not with the package.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import FactorizationFailure, InvalidConfig, SingularSystem
 from .spectral import SpectralModel, build_spectral_model
@@ -238,26 +237,33 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
       top form: Q = D2^T D2 for the centred second-difference rows D2
         (scaled by 1/h^2 before the product), h^d times the Kronecker
         sum of Q (weight h^d per row along each axis).
-    Each form passes an SPD check by Cholesky and is stored read-only;
-    the factors of g1 and g2 are kept.
+    g0 is diagonal, so its SPD check is a finite, positive diagonal; g1
+    and g2 pass an SPD check by Cholesky, and their factors are kept.
+    Each form is stored read-only.
     """
+    from scipy import linalg
+
     h, d = domain.h, domain.dimension
     m = domain.n + 2
     w = np.full(m, h)
     w[0] = w[-1] = h / 2.0
     E = _forward_difference(m)
     D2 = (E[1:] - E[:-1]) / (h * h)
-    g0 = np.diag(w if d == 1 else np.kron(w, w))
+    w0 = w if d == 1 else np.kron(w, w)
+    if not (np.isfinite(w0).all() and (w0 > 0.0).all()):
+        raise SingularSystem("g0 failed the SPD check")
+    g0 = np.diag(w0)
+    g0.setflags(write=False)
     g1 = g0 + _kron_sum(E.T @ E, d) / h ** (2 - d)
     g2 = g1 + domain.cell_volume * _kron_sum(D2.T @ D2, d)
     factors = []
-    for name, M in (("g0", g0), ("g1", g1), ("g2", g2)):
+    for name, M in (("g1", g1), ("g2", g2)):
         try:
             factors.append(linalg.cholesky(M, lower=True))
         except linalg.LinAlgError as exc:
             raise SingularSystem(f"{name} failed the SPD check") from exc
         M.setflags(write=False)
-    return SobolevGrams(g0, g1, g2, g1_factor=factors[1], g2_factor=factors[2])
+    return SobolevGrams(g0, g1, g2, g1_factor=factors[0], g2_factor=factors[1])
 
 
 def _staggered_difference(n: int, h: float) -> np.ndarray:
@@ -334,9 +340,9 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     minimum-degree ordering of K^T + K applied to rows and columns
     alike, and diagonal pivots, which keeps less fill than the default
     column ordering. No m x m or m x n^2 dense array is formed.
-    scipy.sparse is imported here, not with the package.
+    SciPy is imported here, not with the package.
     """
-    from scipy import sparse
+    from scipy import linalg, sparse
     from scipy.sparse.linalg import splu
 
     _check_stokes_grid(domain)  # the same size rules as the runners' check
@@ -414,6 +420,8 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
     rotates LAPACK's eigenbasis inside its degenerate eigenspaces and so
     moves the probes built from it.
     """
+    from scipy import linalg
+
     p = stokes_pencil(domain)
     n = domain.n
     A = p.vector_laplacian.toarray()
@@ -446,6 +454,8 @@ def build_stokes(domain: GridDomain) -> StokesSystem:
 
 def stokes_spectral_model(sys: StokesSystem) -> SpectralModel:
     """Diagonalize the constrained operator over null-space coordinates."""
+    from scipy import linalg
+
     try:
         lam, V = linalg.eigh(sys.constrained_op)
     except linalg.LinAlgError as exc:
@@ -464,6 +474,8 @@ def stokes_ambient_model(domain: GridDomain) -> SpectralModel:
     is h^2; the scalar drops out of every norm ratio and operator norm
     used here, so the model keeps mass 1.
     """
+    from scipy import linalg
+
     _check_stokes_grid(domain)
     n, h = domain.n, domain.h
     faces, cells = _dirichlet_modes(n, h), _dirichlet_modes(n + 1, h)

@@ -66,7 +66,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from ._kernels import k2_batch
 from .errors import (
@@ -145,6 +144,8 @@ def _top_singular_value(X: np.ndarray) -> float:
     A non-finite or non-positive top eigenvalue (a NaN in X, or X = 0)
     raises SolverFailure instead of returning a number.
     """
+    from scipy import linalg
+
     k = X.shape[0] - 1
     try:
         top = linalg.eigvalsh(X @ X.T, subset_by_index=[k, k])[0]
@@ -202,6 +203,8 @@ def _low_rank_gram_norm(Y: np.ndarray, R: np.ndarray, L: np.ndarray) -> float:
     not scanned for non-finite entries (that scan builds an m x m mask):
     a NaN in L, Y or R reaches the eigensolve, which raises SolverFailure.
     """
+    from scipy import linalg
+
     X = linalg.solve_triangular(L, R, lower=True, check_finite=False)
     R_x = np.linalg.qr(X, mode="r")
     return _top_singular_value(R_x @ (L.T @ Y).T)
@@ -213,6 +216,8 @@ def _low_rank_gram_norm(Y: np.ndarray, R: np.ndarray, L: np.ndarray) -> float:
 def _stiffness_solver(grams: SobolevGrams, idx: np.ndarray):
     """The interior rows S[idx, :] of the stiffness S = g1 - g0 and the
     Cholesky factor of their interior block S_ii; S itself is not formed."""
+    from scipy import linalg
+
     S_i = grams.g1[idx] - grams.g0[idx]
     try:
         factor = linalg.cho_factor(S_i[:, idx], lower=True)
@@ -229,6 +234,8 @@ def harmonic_lift(domain: GridDomain, grams: SobolevGrams, u) -> np.ndarray:
     already vanishes on the boundary, and the gradient energy of w never
     exceeds that of u.
     """
+    from scipy import linalg
+
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.shape[0] != grams.g0.shape[0]:
         raise DimensionMismatch(
@@ -253,6 +260,8 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
     the Cholesky factors of g1 and g2 that `sobolev_grams` keeps, so no
     Gram is factored here and no m x m array is formed.
     """
+    from scipy import linalg
+
     idx = interior_indices(domain)
     S_i, factor = _stiffness_solver(grams, idx)
     B = linalg.cho_solve(factor, S_i)
@@ -326,6 +335,8 @@ def stokes_retraction(sys: StokesSystem) -> Retraction:
     solved through the system's one Cholesky factor of Ac; the m x m
     product Z B is never formed.
     """
+    from scipy import linalg
+
     Z = sys.nullbasis
     B = linalg.cho_solve(sys.constrained_factor, Z.T @ sys.vector_laplacian)
     bound = stokes_bound(sys.pencil)

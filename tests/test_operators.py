@@ -9,7 +9,9 @@ from scipy import linalg
 
 from fracspace import (
     FactorizationFailure,
+    GridDomain,
     InvalidConfig,
+    SingularSystem,
     build_stokes,
     grid_domain,
     interior_indices,
@@ -236,6 +238,15 @@ def test_sobolev_grams_2d_are_spd(grams_2d):
         assert np.linalg.eigvalsh(g)[0] > 0
 
 
+@pytest.mark.parametrize("h", [-0.2, math.nan, math.inf])
+def test_sobolev_grams_g0_check_rejects_a_bad_trapezoid_weight(monkeypatch, h):
+    # g0 is diagonal: a non-positive or non-finite weight fails its SPD
+    # check without a factorization
+    monkeypatch.setattr(GridDomain, "h", property(lambda self: h))
+    with pytest.raises(SingularSystem, match="g0 failed the SPD check"):
+        sobolev_grams(GridDomain(1, 4))
+
+
 def test_interior_indices_and_zero_boundary_basis():
     d = grid_domain(2, 4)
     idx = interior_indices(d)
@@ -434,11 +445,11 @@ def test_sparse_pencil_rejects_tiny_grid():
 
 
 def test_import_leaves_scipy_sparse_out():
-    # the sparse routes import scipy.sparse on first use, not the package
+    # every route imports SciPy on first use, not the package: no scipy
+    # module, scipy.sparse and scipy.linalg included, is loaded
     code = (
         "import sys, fracspace; "
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = os.path.dirname(os.path.dirname(operators.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from fracspace import (
 )
 from fracspace import cli
 from fracspace.cli import main
+from fracspace.experiments import SCIPY_EXPERIMENTS
 from fracspace.reporting import summarize
 
 _CELLS = [
@@ -531,11 +534,16 @@ def _scipy_openblas():
     return get, set_
 
 
+# the cheapest run of an experiment that calls SciPy, the experiments
+# that cli.main runs inside the one-pool pin
+_SCIPY_RUN = ["stokes-retraction", "--size", "4"]
+
+
 def test_cli_runs_experiments_on_one_scipy_blas_thread(tmp_path, monkeypatch, capsys):
     # the runner sees SciPy's pool at one thread; the previous count is
     # back afterwards, also when the runner raises
     get, set_ = _scipy_openblas()
-    real = EXPERIMENTS["criticality"][0]
+    real = EXPERIMENTS["stokes-retraction"][0]
     seen = []
 
     def spying(config):
@@ -549,11 +557,11 @@ def test_cli_runs_experiments_on_one_scipy_blas_thread(tmp_path, monkeypatch, ca
     before = get()
     set_(2)
     try:
-        monkeypatch.setitem(EXPERIMENTS, "criticality", (spying, "spy"))
-        assert main(["criticality", "--out", str(tmp_path)]) == 0
+        monkeypatch.setitem(EXPERIMENTS, "stokes-retraction", (spying, "spy"))
+        assert main([*_SCIPY_RUN, "--out", str(tmp_path)]) == 0
         assert get() == 2
-        monkeypatch.setitem(EXPERIMENTS, "criticality", (raising, "raise"))
-        assert main(["criticality", "--out", str(tmp_path)]) == 1
+        monkeypatch.setitem(EXPERIMENTS, "stokes-retraction", (raising, "raise"))
+        assert main([*_SCIPY_RUN, "--out", str(tmp_path)]) == 1
         assert get() == 2
     finally:
         set_(before)
@@ -572,12 +580,90 @@ def test_cli_scans_the_process_mappings_once(tmp_path, monkeypatch):
     cli._scipy_blas.cache_clear()
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
     for _ in range(2):
-        assert main(["criticality", "--out", str(tmp_path)]) == 0
+        assert main([*_SCIPY_RUN, "--out", str(tmp_path)]) == 0
     assert len(scans) == 1
 
 
 def test_cli_runs_where_no_scipy_openblas_is_found(tmp_path, monkeypatch, capsys):
     # another BLAS or another OS: the pool is left alone and the run reports
     monkeypatch.setattr(cli, "_scipy_blas", lambda: None)
-    assert main(["criticality", "--out", str(tmp_path)]) == 0
-    assert "criticality: PASS 3/3 checks" in capsys.readouterr().out
+    assert main([*_SCIPY_RUN, "--out", str(tmp_path)]) == 0
+    assert "stokes-retraction: PASS 6/6 checks" in capsys.readouterr().out
+
+
+def _run_python(code, *args, **env):
+    """Run code in a fresh interpreter that imports this checkout's
+    package; fail the test on a non-zero exit."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_1d_runs_load_no_scipy(tmp_path):
+    # every experiment outside SCIPY_EXPERIMENTS runs through cli.main,
+    # pin included, without loading any scipy module
+    code = (
+        "import sys; from fracspace.cli import main\n"
+        "for name in sys.argv[2:]:\n"
+        "    assert main([name, '--out', sys.argv[1]]) == 0\n"
+        "    print(name, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    names = sorted(set(EXPERIMENTS) - SCIPY_EXPERIMENTS)
+    assert len(names) == 5
+    lines = _run_python(code, str(tmp_path), *names).splitlines()
+    assert [line for line in lines if "PASS" not in line] == [f"{n} []" for n in names]
+
+
+@pytest.mark.parametrize("experiment, sizes", [
+    ("intersection", (4, 4)),
+    ("halft1", (4,)),
+    ("stokes-retraction", (4,)),
+    ("stokes-equivalence", (4,)),
+])
+def test_scipy_experiments_load_scipy_linalg(experiment, sizes):
+    # the runner itself, called apart from the pin (which imports
+    # scipy.linalg on its own), loads scipy.linalg in a fresh interpreter
+    assert experiment in SCIPY_EXPERIMENTS and len(SCIPY_EXPERIMENTS) == 4
+    code = (
+        "import sys; from fracspace import EXPERIMENTS, RunConfig\n"
+        "name, sizes = sys.argv[1], tuple(map(int, sys.argv[2:]))\n"
+        "assert EXPERIMENTS[name][0](RunConfig(experiment=name, sizes=sizes)).passed\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    assert _run_python(code, experiment, *map(str, sizes)).strip() == "True"
+
+
+@pytest.mark.parametrize("first", [[], ["criticality"]])
+def test_first_scipy_run_of_a_process_is_pinned(tmp_path, first):
+    # the pin loads SciPy before its one scan of the process's mappings:
+    # a fresh process whose first run is a SciPy experiment, or whose
+    # first run loads no SciPy, still runs that experiment on one SciPy
+    # thread. The spy opens SciPy's OpenBLAS only once the pin has run.
+    _scipy_openblas()  # skips where SciPy vendors no OpenBLAS
+    code = (
+        "import ctypes, glob, os, sys, scipy\n"
+        "from fracspace.cli import main; from fracspace.experiments import EXPERIMENTS\n"
+        "out, first = sys.argv[1], sys.argv[2:]\n"
+        "real = EXPERIMENTS['stokes-retraction'][0]\n"
+        "def spying(config):\n"
+        "    lib_dir = os.path.dirname(scipy.__file__) + '.libs'\n"
+        "    lib = ctypes.CDLL(glob.glob(lib_dir + '/libscipy_openblas*.so')[0])\n"
+        "    get = lib.scipy_openblas_get_num_threads\n"
+        "    get.argtypes, get.restype = [], ctypes.c_int\n"
+        "    print('threads', get())\n"
+        "    return real(config)\n"
+        "EXPERIMENTS['stokes-retraction'] = (spying, 'spy')\n"
+        "for name in first:\n"
+        "    assert main([name, '--out', out]) == 0\n"
+        "assert main(['stokes-retraction', '--size', '4', '--out', out]) == 0\n"
+    )
+    stdout = _run_python(code, str(tmp_path), *first, OPENBLAS_NUM_THREADS="2")
+    assert [line for line in stdout.splitlines() if line.startswith("threads")] == [
+        "threads 1"
+    ]

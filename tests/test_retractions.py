@@ -365,26 +365,27 @@ def test_harmonic_retraction_factors_no_gram_and_forms_no_square_array(monkeypat
     assert square == [], square
 
 
-def test_harmonic_setup_makes_three_choleskys(monkeypatch):
-    # the SPD checks of g0, g1, g2 (sobolev_grams); the pair wraps the
-    # read-only g1 and g2 as they are, and the bounds factor no Gram again
+def test_harmonic_setup_makes_two_choleskys(monkeypatch):
+    # the SPD checks of g1 and g2 (sobolev_grams; g0 is diagonal and is
+    # not factored); the pair wraps the read-only g1 and g2 as they are,
+    # and the bounds factor no Gram again
     calls = _counting_cholesky(monkeypatch)
     pair, _ = _harmonic_setup(grid_domain(2, 6))
-    assert calls == [(64, 64)] * 3, calls
+    assert calls == [(64, 64)] * 2, calls
     grams = sobolev_grams(grid_domain(2, 6))
     assert np.array_equal(pair.m1, grams.g1) and np.array_equal(pair.m2, grams.g2)
     assert not (pair.m1.flags.writeable or pair.m2.flags.writeable)
 
 
 def test_intersection_makes_one_pressure_cholesky_per_stokes_grid(monkeypatch):
-    # three SPD checks of the harmonic Grams (n = 4), then the one
+    # two SPD checks of the harmonic Grams (n = 4), then the one
     # (n+1)^2 pressure Cholesky of the Stokes grid (n = 12); its pair
     # (I, A^2) is SPD by construction and is not factored, and the
     # retraction reuses the grid's pencil
     calls = _counting_cholesky(monkeypatch)
     rep = run_intersection(RunConfig(experiment="intersection", sizes=(4, 12)))
     assert rep.passed
-    assert calls == [(36, 36)] * 3 + [(169, 169)], calls
+    assert calls == [(36, 36)] * 2 + [(169, 169)], calls
 
 
 def test_stokes_setup_pair_is_the_read_only_identity_and_square():

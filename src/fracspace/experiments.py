@@ -782,7 +782,9 @@ def stokes_equivalence_study(config: RunConfig):
         # (constrained, ambient) coefficients of each probe, shared by every theta
         probe_coeffs = [
             (to_coeffs(constrained, c), to_coeffs(ambient, Z @ c))
-            for c in probe_coordinates(constrained.basis, config.seed)
+            for c in probe_coordinates(
+                constrained.eigenvalues, constrained.basis, constrained.basis.T, config.seed
+            ).T
         ]
 
         def ratio_at(theta, coeffs):

@@ -11,12 +11,14 @@ from scipy import linalg
 from fracspace import (
     DimensionMismatch,
     InvalidConfig,
+    QuadraticPair,
     QuadratureRule,
     RetractionIdentityViolated,
     RunConfig,
     SolverFailure,
     build_quadratic_pair,
     build_stokes,
+    congruence,
     grid_domain,
     harmonic_lift,
     harmonic_retraction,
@@ -25,7 +27,7 @@ from fracspace import (
     stokes_bound,
     stokes_pencil,
     stokes_retraction,
-    subspace_probes,
+    stokes_spectral_model,
     verify_intersection_lemma,
     zero_boundary_basis,
 )
@@ -40,11 +42,13 @@ from fracspace.experiments import (
     stokes_equivalence_study,
 )
 from fracspace.retractions import (
+    CLUSTER_RTOL,
     IDENTITY_BLOCK,
     N_MODE_PROBES,
     N_RANDOM_PROBES,
     Retraction,
     check_stokes_identity,
+    probe_coordinates,
     _low_rank_gram_norm,
     _top_singular_value,
 )
@@ -486,28 +490,99 @@ def test_stokes_retraction_identity():
         assert ret.d_bound == pytest.approx(d_norm, rel=1e-10)
 
 
-def _reduced_eigenvectors(pair, Z):
-    """Eigenvectors of the reduced pencil (Z^T M2 Z, Z^T M1 Z)."""
-    return linalg.eigh(Z.T @ pair.m2 @ Z, Z.T @ pair.m1 @ Z)[1]
+def _reduced_probes(pair, Z, seed):
+    """Z times the probe coordinates of the reduced pencil
+    (Z^T M2 Z, Z^T M1 Z), from an eigensolve of our own."""
+    M1r = Z.T @ pair.m1 @ Z
+    mu, V = linalg.eigh(Z.T @ pair.m2 @ Z, M1r)
+    return Z @ probe_coordinates(np.sqrt(mu), V, V.T @ M1r, seed)
 
 
-def test_subspace_probes_shape_and_span():
+def test_probe_coordinates_shape_and_span():
     d = grid_domain(2, 5)
     grams = sobolev_grams(d)
     Z = zero_boundary_basis(d)
-    V = _reduced_eigenvectors(build_quadratic_pair(grams.g1, grams.g2), Z)
-    probes = subspace_probes(Z, V, seed=5)
-    assert len(probes) == N_RANDOM_PROBES + N_MODE_PROBES
-    for v in probes:
-        resid = np.linalg.norm(v - Z @ (Z.T @ v))
-        assert resid <= 1e-10 * np.linalg.norm(v)
-    # the last N_MODE_PROBES probes are the lowest reduced modes
-    np.testing.assert_array_equal(probes[N_RANDOM_PROBES], Z @ V[:, 0])
-    again = subspace_probes(Z, V, seed=5)
-    for a, b in zip(probes, again):
-        np.testing.assert_array_equal(a, b)
+    pair = build_quadratic_pair(grams.g1, grams.g2)
+    probes = _reduced_probes(pair, Z, seed=5)
+    assert probes.shape == (Z.shape[0], N_RANDOM_PROBES + N_MODE_PROBES)
+    resid = np.linalg.norm(probes - Z @ (Z.T @ probes), axis=0)
+    assert np.all(resid <= 1e-10 * np.linalg.norm(probes, axis=0))
+    # the lowest eigenvalue is simple, so the first mode probe is a
+    # multiple of the lowest reduced mode
+    M1r = Z.T @ pair.m1 @ Z
+    v0 = Z @ linalg.eigh(Z.T @ pair.m2 @ Z, M1r, subset_by_index=[0, 0])[1][:, 0]
+    first = probes[:, N_RANDOM_PROBES]
+    cos = abs(first @ v0) / (np.linalg.norm(first) * np.linalg.norm(v0))
+    assert cos == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    np.testing.assert_array_equal(probes, _reduced_probes(pair, Z, seed=5))
     with pytest.raises(InvalidConfig):
-        subspace_probes(Z[:, : N_MODE_PROBES - 1], V[: N_MODE_PROBES - 1, : N_MODE_PROBES - 1])
+        probe_coordinates(np.arange(1.0, N_MODE_PROBES), np.eye(4), np.eye(4))
+
+
+def _rotate_in_clusters(lam, V, seed):
+    """V Q for a seeded Q: orthogonal inside each cluster of eigenvalues
+    that agree to CLUSTER_RTOL, with random column signs; and the sizes
+    of the clusters."""
+    rng = np.random.default_rng(seed)
+    cuts = np.flatnonzero(np.diff(lam) > CLUSTER_RTOL * lam[1:]) + 1
+    Q = np.zeros((lam.size, lam.size))
+    sizes = []
+    for block in np.split(np.arange(lam.size), cuts):
+        q = np.linalg.qr(rng.standard_normal((block.size, block.size)))[0]
+        Q[np.ix_(block, block)] = q * rng.choice([-1.0, 1.0], size=block.size)
+        sizes.append(block.size)
+    return V @ Q, Q, sizes
+
+
+def _assert_same_probes(got, want):
+    dev = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.max(dev) <= 1e-10, dev
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_harmonic_probes_do_not_depend_on_the_eigenbasis(seed):
+    # the reduced pencil of the zero-boundary subspace, transform != V^T;
+    # the x <-> y symmetry of the square pairs its eigenvalues
+    d = grid_domain(2, 6)
+    grams = sobolev_grams(d)
+    Z = zero_boundary_basis(d)
+    lam, V, transform = congruence(
+        QuadraticPair(Z.T @ grams.g1 @ Z, Z.T @ grams.g2 @ Z)
+    )
+    VQ, Q, sizes = _rotate_in_clusters(lam, V, seed)
+    assert max(sizes[:N_MODE_PROBES]) >= 2 and max(sizes) >= 2
+    _assert_same_probes(
+        probe_coordinates(lam, VQ, Q.T @ transform, 42),
+        probe_coordinates(lam, V, transform, 42),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stokes_probes_do_not_depend_on_the_eigenbasis(seed):
+    # the constrained model of a Stokes grid, mass 1, transform = V^T
+    model = stokes_spectral_model(build_stokes(grid_domain(2, 6)))
+    lam, V = model.eigenvalues, model.basis
+    VQ, _, sizes = _rotate_in_clusters(lam, V, seed)
+    assert max(sizes[:N_MODE_PROBES]) >= 2
+    _assert_same_probes(
+        probe_coordinates(lam, VQ, VQ.T, 7), probe_coordinates(lam, V, V.T, 7)
+    )
+
+
+def test_probes_need_five_eigenvalue_clusters():
+    # six dimensions hold five probes, but two clusters do not
+    lam = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    with pytest.raises(InvalidConfig, match="clusters"):
+        probe_coordinates(lam, np.eye(6), np.eye(6))
+    # a relative gap of 1e-9 stays inside one cluster, 1e-7 splits it
+    split = probe_coordinates(
+        np.array([1.0, 1.0 + 1e-7, 2.0, 3.0, 4.0, 5.0]), np.eye(6), np.eye(6)
+    )
+    assert np.count_nonzero(split[:, N_RANDOM_PROBES]) == 1
+    with pytest.raises(InvalidConfig, match="clusters"):
+        probe_coordinates(
+            np.array([1.0, 1.0 + 1e-9, 2.0, 3.0, 4.0, 4.0]), np.eye(6), np.eye(6)
+        )
 
 
 @pytest.mark.parametrize(
@@ -571,8 +646,7 @@ def test_pointwise_cells_match_cholesky_minimizers(setup, n):
     all_cells, params = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
     cells = [c for c in all_cells if c["check"] == "pointwise"]
     # the same probes, rebuilt from a reduced-pencil eigensolve of our own
-    Z = T.subspace_basis
-    probes = subspace_probes(Z, _reduced_eigenvectors(pair, Z), seed=42)
+    probes = _reduced_probes(pair, T.subspace_basis, seed=42).T
     assert len(probes) == 25
     window = params["log_t_min"], params["log_t_max"]
     oracle = _pointwise_by_cholesky(pair, T, probes, *window, 17)

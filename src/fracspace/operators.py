@@ -8,10 +8,10 @@ node set (boundary included), and a staggered-grid Stokes system.
 `stokes_pencil` is the one assembly of the Stokes operators: the vector
 Laplacian A, the divergence D and the discrete curl C as scipy.sparse
 arrays, and the n^2 x n^2 stream-function pencil (C^T A C, C^T C) with
-one sparse LU. `build_stokes` is its dense view: A as a dense array, the
-orthonormal basis Z = C W of ker D in closed form (the discrete curl of
-DST-I stream-function modes, with no factorization of D), and the
-constrained operator Z^T A Z with its one Cholesky factor.
+one sparse LU. The runners that need dense arrays read them from that
+pencil: the orthonormal basis Z = C W of ker D in closed form (the
+discrete curl of DST-I stream-function modes, with no factorization of
+D), the constrained operator Z^T A Z, and A by `.toarray()`.
 
 Every grid matrix is assembled from dense 1D pieces combined with
 np.kron, or with scipy.sparse.kron for the Stokes operators (the
@@ -89,14 +89,6 @@ def _check_stokes_grid(domain: GridDomain) -> None:
     if domain.dimension != 2:
         raise InvalidConfig("the Stokes system is assembled on the unit square")
     stokes_domain(domain.n)
-
-
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Deterministic column orientation: largest-magnitude entry positive."""
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return V * signs
 
 
 def laplacian_1d_analytic(n_modes: int, n_grid: int | None = None) -> SpectralModel:
@@ -289,7 +281,8 @@ class StokesPencil:
     the constrained operator Z^T A Z is that of (K, C^T C). The
     orthonormal basis of ker D is Z = C W with W = (S (x) S) diag(scale)
     for the DST-I matrix S (`dst`); `null_vectors` applies it without
-    forming it.
+    forming it, and `null_basis` and `constrained_op` form the dense Z
+    and Ac = Z^T A Z, each with its runtime checks.
     """
 
     vector_laplacian: "sparse.csr_array"
@@ -311,8 +304,35 @@ class StokesPencil:
 
     def null_vectors(self, c: np.ndarray) -> np.ndarray:
         """Z c = C W c: the divergence-free fields with null-basis
-        coordinates c (n^2 x k), as `build_stokes(grid).nullbasis @ c`."""
+        coordinates c (n^2 x k)."""
         return self.curl @ self.stream_modes(c)
+
+    def null_basis(self) -> np.ndarray:
+        """The dense orthonormal basis Z = C W of ker D (m x n^2).
+
+        It is orthonormal by construction and spans ker D by the rank
+        check of `stokes_pencil`; runtime checks of |D Z| and
+        |Z^T Z - I| (1e-10 each) guard the rounding and raise
+        FactorizationFailure.
+        """
+        Z = self.null_vectors(np.eye(self.stiffness.shape[0]))
+        if np.max(np.abs(self.divergence @ Z)) > 1e-10:
+            raise FactorizationFailure("null basis fails divergence-free check")
+        if np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) > 1e-10:
+            raise FactorizationFailure("null basis fails the orthonormality check")
+        return Z
+
+    def constrained_op(self, Z: np.ndarray) -> np.ndarray:
+        """The dense constrained operator Ac = Z^T (A Z) on the
+        `null_basis` Z, with the sparse A; checked symmetric to 1e-12
+        relative (FactorizationFailure). The same operator is W^T K W,
+        but K = C^T A C has entries of order h^-4 whose products with
+        the smooth modes cancel, so that route rounds the low end of Ac
+        more."""
+        Ac = Z.T @ (self.vector_laplacian @ Z)
+        if np.max(np.abs(Ac - Ac.T)) > 1e-12 * max(1.0, np.max(np.abs(Ac))):
+            raise FactorizationFailure("constrained operator is not symmetric")
+        return Ac
 
 
 def stokes_pencil(domain: GridDomain) -> StokesPencil:
@@ -387,80 +407,15 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     )
 
 
-@dataclass(frozen=True)
-class StokesSystem:
-    """The dense view of a Stokes pencil, which it holds.
-
-    vector_laplacian is the pencil's A as a dense array; D stays sparse
-    in the pencil. nullbasis Z = C W is the orthonormal basis of ker D,
-    so Z Z^T is the orthogonal projector onto it. constrained_op
-    Ac = Z^T A Z, and constrained_factor is its lower Cholesky factor in
-    `scipy.linalg.cho_factor` form, the one factorization of Ac.
-    """
-
-    pencil: StokesPencil
-    vector_laplacian: np.ndarray
-    nullbasis: np.ndarray
-    constrained_op: np.ndarray
-    constrained_factor: tuple
-
-    @property
-    def grid(self) -> GridDomain:
-        return self.pencil.grid
-
-
-def build_stokes(domain: GridDomain) -> StokesSystem:
-    """The dense view of `stokes_pencil(domain)`.
-
-    Z = C W is formed in blocks, [(G S) (x) S; -(S (x) G S)] diag(scale),
-    orthonormal by construction and spanning ker D by the pencil's rank
-    check; runtime checks on D Z, Z^T Z and the symmetry of Ac guard the
-    rounding. The products with A are dense and Z does not come from
-    `null_vectors`: either sparse route rounds Ac differently, which
-    rotates LAPACK's eigenbasis inside its degenerate eigenspaces and so
-    moves the probes built from it.
-    """
-    from scipy import linalg
-
-    p = stokes_pencil(domain)
-    n = domain.n
-    A = p.vector_laplacian.toarray()
-    S, scale = p.dst, p.scale
-    GS = _staggered_difference(n, domain.h) @ S
-    n_u = n * (n + 1)
-    Z = np.empty((2 * n_u, n * n))
-    Z[:n_u] = np.kron(GS, S) * scale
-    Z[n_u:] = -np.kron(S, GS) * scale
-    C = Z.T @ A @ Z
-
-    if np.max(np.abs(p.divergence @ Z)) > 1e-10:
-        raise FactorizationFailure("null basis fails divergence-free check")
-    if np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) > 1e-10:
-        raise FactorizationFailure("null basis fails the orthonormality check")
-    if np.max(np.abs(C - C.T)) > 1e-12 * max(1.0, np.max(np.abs(C))):
-        raise FactorizationFailure("constrained operator is not symmetric")
-    try:
-        factor = linalg.cho_factor(C, lower=True)
-    except linalg.LinAlgError as exc:
-        raise FactorizationFailure("constrained operator is not SPD") from exc
-    return StokesSystem(
-        pencil=p,
-        vector_laplacian=A,
-        nullbasis=Z,
-        constrained_op=C,
-        constrained_factor=factor,
-    )
-
-
-def stokes_spectral_model(sys: StokesSystem) -> SpectralModel:
-    """Diagonalize the constrained operator over null-space coordinates."""
+def stokes_spectral_model(p: StokesPencil) -> SpectralModel:
+    """Diagonalize the constrained operator Ac over null-space coordinates."""
     from scipy import linalg
 
     try:
-        lam, V = linalg.eigh(sys.constrained_op)
+        lam, V = linalg.eigh(p.constrained_op(p.null_basis()))
     except linalg.LinAlgError as exc:
         raise FactorizationFailure("constrained eigendecomposition failed") from exc
-    return build_spectral_model(lam, _fix_signs(V))
+    return build_spectral_model(lam, V)
 
 
 def stokes_ambient_model(domain: GridDomain) -> SpectralModel:

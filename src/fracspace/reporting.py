@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, SolverFailure
 
 __version__ = "0.1.0"
 
@@ -212,7 +212,7 @@ def _csv_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         if not math.isfinite(v):
-            raise InvalidConfig(f"non-finite value in report cell: {v}")
+            raise SolverFailure(f"non-finite value in report cell: {v}")
         return repr(v)
     return str(v)
 
@@ -236,22 +236,30 @@ def report_to_json(report: VerificationReport) -> str:
         "summary": report.summary,
         "provenance": report.provenance,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or inf anywhere in the report
+        raise SolverFailure(f"non-finite value in report: {exc}") from exc
 
 
 def write_report(report: VerificationReport, config: RunConfig) -> list:
-    """Write <experiment>-<hash>.{csv,json} per config.format; return paths."""
-    os.makedirs(config.output_dir, exist_ok=True)
+    """Write <experiment>-<hash>.{csv,json} per config.format; return paths.
+
+    Every requested format is serialized before any file is opened, so a
+    report that cannot be written (a non-finite cell raises SolverFailure
+    in either format) leaves no file behind.
+    """
     stem = f"{config.experiment}-{report.provenance['config_hash']}"
-    paths = []
+    texts = []
     if config.format in ("csv", "both"):
-        path = os.path.join(config.output_dir, stem + ".csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(report_to_csv(report))
-        paths.append(path)
+        texts.append((".csv", report_to_csv(report)))
     if config.format in ("json", "both"):
-        path = os.path.join(config.output_dir, stem + ".json")
-        with open(path, "w") as fh:
-            fh.write(report_to_json(report))
+        texts.append((".json", report_to_json(report)))
+    os.makedirs(config.output_dir, exist_ok=True)
+    paths = []
+    for suffix, text in texts:
+        path = os.path.join(config.output_dir, stem + suffix)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
         paths.append(path)
     return paths

@@ -30,8 +30,8 @@ triangular solves, a thin QR and one nb x nb eigensolve; no m x m
 array is formed. The divergence-free retraction takes one
 norm in all, since A T A^-1 = T^T makes its two bounds equal. Its one
 route is `stokes_bound` on the sparse stream-function pencil of
-`operators.stokes_pencil`, the one assembly of a Stokes grid, which the
-dense `StokesSystem` holds: T = C K^-1 C^T A for the discrete curl C and
+`operators.stokes_pencil`, the one assembly of a Stokes grid:
+T = C K^-1 C^T A for the discrete curl C and
 K = C^T A C, and |T|_2^2 is the top eigenvalue of T^T T, taken by
 Lanczos (`lanczos_eigenvalue`, ARPACK through
 scipy.sparse.linalg.eigsh) with T and T^T applied through the one LU
@@ -55,8 +55,8 @@ The identity T z = z on the subspace is checked once, when a
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences; Z the
 interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S) and the
-divergence-free retraction T = Z Ac^-1 Z^T A built from the dense view
-of a staggered-grid Stokes pencil (Ac the constrained operator,
+divergence-free retraction T = Z Ac^-1 Z^T A built from the dense Z and
+Ac of a staggered-grid Stokes pencil (Ac the constrained operator,
 B = Ac^-1 Z^T A), with its bound from that pencil. The latter also runs
 on the sparse pencil alone (`stokes_apply`, `check_stokes_identity`),
 with no dense Z, Ac or B.
@@ -71,6 +71,7 @@ import numpy as np
 from ._kernels import k2_batch
 from .errors import (
     DimensionMismatch,
+    FactorizationFailure,
     InvalidConfig,
     RetractionIdentityViolated,
     SolverFailure,
@@ -86,7 +87,6 @@ from .operators import (
     GridDomain,
     SobolevGrams,
     StokesPencil,
-    StokesSystem,
     interior_indices,
     zero_boundary_basis,
 )
@@ -326,23 +326,27 @@ def check_stokes_identity(p: StokesPencil) -> float:
     return resid
 
 
-def stokes_retraction(sys: StokesSystem) -> Retraction:
+def stokes_retraction(p: StokesPencil) -> Retraction:
     """T = Z Ac^-1 Z^T A on velocity unknowns; identity on ker(divergence).
 
     The bounds are exact operator norms: h_bound = |T|_2 and
     d_bound = |A T A^-1|_2 for the D-norm |f|_D = |A f|. A and Ac are
     symmetric, so A T A^-1 = A Z Ac^-1 Z^T = T^T and d_bound = h_bound
-    comes from the one norm, `stokes_bound` of the sparse
-    stream-function pencil that the system holds, which does not depend
-    on the basis Z. The retraction keeps (Z, B) with B = Ac^-1 Z^T A,
-    solved through the system's one Cholesky factor of Ac; the m x m
-    product Z B is never formed.
+    comes from the one norm, `stokes_bound` of the pencil, which does not
+    depend on the basis Z. The retraction keeps (Z, B) for the pencil's
+    `null_basis` Z and B = Ac^-1 Z^T A = Ac^-1 (A Z)^T, solved through
+    one Cholesky factor of its `constrained_op` Ac (FactorizationFailure
+    if Ac is not SPD); the m x m product Z B is never formed.
     """
     from scipy import linalg
 
-    Z = sys.nullbasis
-    B = linalg.cho_solve(sys.constrained_factor, Z.T @ sys.vector_laplacian)
-    bound = stokes_bound(sys.pencil)
+    Z = p.null_basis()
+    try:
+        factor = linalg.cho_factor(p.constrained_op(Z), lower=True)
+    except linalg.LinAlgError as exc:
+        raise FactorizationFailure("constrained operator is not SPD") from exc
+    B = linalg.cho_solve(factor, (p.vector_laplacian @ Z).T)
+    bound = stokes_bound(p)
     return Retraction(Z, B, bound, bound)
 
 
@@ -378,7 +382,7 @@ def probe_coordinates(lam, V, transform, seed=42) -> np.ndarray:
     there. Fewer than N_MODE_PROBES clusters raise InvalidConfig.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    r = check_probe_dimension(lam.size)
+    r = lam.size
     cluster = np.cumsum(np.r_[False, np.diff(lam) > CLUSTER_RTOL * lam[1:]])
     if cluster[-1] + 1 < N_MODE_PROBES:
         raise InvalidConfig(

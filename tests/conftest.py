@@ -4,10 +4,10 @@ import pytest
 from fracspace import (
     build_quadratic_pair,
     build_spectral_model,
-    build_stokes,
     grid_domain,
     laplacian_1d_analytic,
     sobolev_grams,
+    stokes_pencil,
 )
 
 
@@ -31,7 +31,7 @@ def grams_2d():
 
 @pytest.fixture(scope="session")
 def stokes_small():
-    return build_stokes(grid_domain(2, 4))
+    return stokes_pencil(grid_domain(2, 4))
 
 
 @pytest.fixture(scope="session")

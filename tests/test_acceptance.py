@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from fracspace import (
     RunConfig,
-    build_stokes,
     grid_domain,
     harmonic_lift,
     i_theta,

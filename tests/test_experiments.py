@@ -14,7 +14,6 @@ from fracspace import (
     QuadratureRule,
     RunConfig,
     build_quadratic_pair,
-    build_stokes,
     congruence,
     criticality_scan,
     decaying_probes,
@@ -22,6 +21,7 @@ from fracspace import (
     grid_domain,
     i_theta,
     report_to_json,
+    stokes_pencil,
     to_coeffs,
     weight_test,
 )
@@ -223,7 +223,7 @@ def test_cli_checks_every_grid_size_before_assembly(
         raise AssertionError("a grid was assembled before every size was checked")
 
     monkeypatch.setattr(experiments, "sobolev_grams", must_not_run)
-    monkeypatch.setattr(experiments, "build_stokes", must_not_run)
+    monkeypatch.setattr(experiments, "stokes_pencil", must_not_run)
     assert main([experiment, "--size", *sizes, "--out", str(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -238,8 +238,28 @@ def test_lambda_min_constrained_is_the_lowest_eigenvalue():
     recorded = [c for c in rep.cells if c["check"] == "bounds-recorded"]
     low = {c["grid"]: c["lambda_min_constrained"] for c in recorded}
     for n in sizes:
-        full = np.linalg.eigvalsh(build_stokes(grid_domain(2, n)).constrained_op)
+        p = stokes_pencil(grid_domain(2, n))
+        full = np.linalg.eigvalsh(p.constrained_op(p.null_basis()))
         assert low[n] == pytest.approx(full[0], rel=1e-12, abs=0), n
+
+
+def test_nan_identity_residual_is_reported_as_nan(monkeypatch, tmp_path, capsys):
+    # a NaN residual is written as it is, not as 0.0, so the cell fails
+    # and the report cannot be written: exit 1, one JSON line, no file
+    def nan_apply(p, X, *, transpose=False):
+        return np.full(X.shape, np.nan)
+
+    monkeypatch.setattr(experiments, "stokes_apply", nan_apply)
+    rep = run_stokes_retraction(RunConfig(experiment="stokes-retraction", sizes=(4,)))
+    identity = [c for c in rep.cells if c["check"] == "identity-on-kernel"]
+    assert len(identity) == 1 and math.isnan(identity[0]["ratio"])
+    assert not identity[0]["pass"]
+    out = tmp_path / "out"
+    assert main(["stokes-retraction", "--size", "4", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "SolverFailure"
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_default_sizes_fill_the_cli_and_missing_positions(monkeypatch, tmp_path):

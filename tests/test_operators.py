@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,19 +12,21 @@ from fracspace import (
     FactorizationFailure,
     GridDomain,
     InvalidConfig,
+    RunConfig,
     SingularSystem,
-    build_stokes,
     grid_domain,
     interior_indices,
     laplacian_1d_analytic,
     laplacian_fd,
     sobolev_grams,
     stokes_ambient_model,
+    stokes_domain,
     stokes_pencil,
     stokes_spectral_model,
     zero_boundary_basis,
 )
 from fracspace import operators
+from fracspace.experiments import stokes_equivalence_study
 
 
 def test_grid_domain_validation():
@@ -125,13 +128,15 @@ def test_fd_closed_form_matches_dense_eigensolve(dimension, n):
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_stokes_ambient_closed_form_matches_dense_eigensolve(n):
-    sys = build_stokes(grid_domain(2, n))
-    _assert_closed_form_diagonalizes(stokes_ambient_model(sys.grid), sys.vector_laplacian)
+    p = stokes_pencil(grid_domain(2, n))
+    _assert_closed_form_diagonalizes(
+        stokes_ambient_model(p.grid), p.vector_laplacian.toarray()
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 33))
 def test_dirichlet_modes_keep_the_grid_eigenvalue_expression(n):
-    # build_stokes reads these eigenvalues; on the interior axis they must
+    # stokes_pencil reads these eigenvalues; on the interior axis they must
     # be the h-form bit for bit
     h = 1.0 / (n + 1)
     k = np.arange(1, n + 1)
@@ -261,10 +266,10 @@ def test_interior_indices_and_zero_boundary_basis():
 def test_stokes_kernel_dimension():
     # oracle: the closed-form curl basis spans the SVD null space of D
     for n in range(3, 11):
-        sys = build_stokes(grid_domain(2, n))
-        N = linalg.null_space(sys.pencil.divergence.toarray())
-        assert N.shape[1] == sys.nullbasis.shape[1] == n * n
-        Z = sys.nullbasis
+        p = stokes_pencil(grid_domain(2, n))
+        N = linalg.null_space(p.divergence.toarray())
+        Z = p.null_basis()
+        assert N.shape[1] == Z.shape[1] == n * n
         assert np.max(np.abs(Z @ Z.T - N @ N.T)) <= 1e-12, n
 
 
@@ -274,12 +279,13 @@ def test_stokes_rank_check_raises(monkeypatch):
         raise linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(linalg, "cholesky", singular)
+    cfg = RunConfig(experiment="stokes-equivalence", sizes=(4,))
     with pytest.raises(FactorizationFailure, match="rank"):
-        build_stokes(grid_domain(2, 4))
+        stokes_equivalence_study(cfg)
 
 
 def test_stokes_divergence_annihilates_kernel(stokes_small):
-    DZ = stokes_small.pencil.divergence @ stokes_small.nullbasis
+    DZ = stokes_small.divergence @ stokes_small.null_basis()
     assert np.max(np.abs(DZ)) <= 1e-10
 
 
@@ -287,14 +293,14 @@ def test_stokes_divergence_annihilates_kernel(stokes_small):
 def test_divergence_of_uniform_flows(n):
     # a uniform flow leaves only the wall cells of each row (or column):
     # (delta_{a,0} - delta_{a,n}) / h; cell index b (n + 1) + a
-    sys = build_stokes(grid_domain(2, n))
-    h = sys.grid.h
+    p = stokes_pencil(grid_domain(2, n))
+    h = p.grid.h
     wall = np.zeros(n + 1)
     wall[0], wall[-1] = 1.0 / h, -1.0 / h
     n_u = n * (n + 1)
     x_flow = np.concatenate([np.ones(n_u), np.zeros(n_u)])
     y_flow = x_flow[::-1]
-    D = sys.pencil.divergence
+    D = p.divergence
     tol = dict(rtol=1e-15, atol=1e-12)
     np.testing.assert_allclose(D @ x_flow, np.tile(wall, n + 1), **tol)
     np.testing.assert_allclose(D @ y_flow, np.repeat(wall, n + 1), **tol)
@@ -304,27 +310,25 @@ def test_divergence_of_uniform_flows(n):
 def test_divergence_annihilates_the_discrete_curl(n):
     # stream function on the n^2 interior cell corners, zero on the walls:
     # u = d psi / dy on vertical faces, v = -d psi / dx on horizontal faces
-    sys = build_stokes(grid_domain(2, n))
-    h = sys.grid.h
+    p = stokes_pencil(grid_domain(2, n))
+    h = p.grid.h
     psi = np.pad(np.random.default_rng(n).standard_normal((n, n)), 1)  # psi[j, i]
     u = np.diff(psi[:, 1:-1], axis=0) / h  # u[b, i - 1]: cell row b, face x = i h
     v = -np.diff(psi[1:-1, :], axis=1) / h  # v[j - 1, a]: face y = j h, column a
     vel = np.concatenate([u.ravel(), v.ravel()])
     scale = np.max(np.abs(vel)) / h
-    assert np.max(np.abs(sys.pencil.divergence @ vel)) <= 1e-13 * scale
-    Z = sys.nullbasis
+    assert np.max(np.abs(p.divergence @ vel)) <= 1e-13 * scale
+    Z = p.null_basis()
     dev = np.linalg.norm(Z @ (Z.T @ vel) - vel) / np.linalg.norm(vel)
     assert dev <= 1e-12
 
 
 def test_stokes_projector(stokes_small):
-    Z = stokes_small.nullbasis
+    Z = stokes_small.null_basis()
     P = Z @ Z.T
     np.testing.assert_allclose(P, P.T, atol=1e-12)
     np.testing.assert_allclose(P @ P, P, atol=1e-10)
-    np.testing.assert_allclose(
-        P @ stokes_small.nullbasis, stokes_small.nullbasis, atol=1e-10
-    )
+    np.testing.assert_allclose(P @ Z, Z, atol=1e-10)
 
 
 def test_stokes_rejects_non_orthonormal_null_basis(monkeypatch):
@@ -335,19 +339,39 @@ def test_stokes_rejects_non_orthonormal_null_basis(monkeypatch):
         return S * (1.0 + 1e-6), mu
 
     monkeypatch.setattr(operators, "_dirichlet_modes", scaled_modes)
-    with pytest.raises(FactorizationFailure, match="orthonormal"):
-        build_stokes(grid_domain(2, 4))
+    p = stokes_pencil(grid_domain(2, 4))
+    for dense in (p.null_basis, lambda: stokes_spectral_model(p)):
+        with pytest.raises(FactorizationFailure, match="orthonormal"):
+            dense()
+
+
+def test_stokes_rejects_a_null_basis_outside_ker_d(stokes_small):
+    # a divergence off by one entry no longer annihilates Z = C W
+    D = stokes_small.divergence.tolil()
+    D[0, 0] += 1.0
+    broken = dataclasses.replace(stokes_small, divergence=D.tocsr())
+    with pytest.raises(FactorizationFailure, match="divergence-free"):
+        broken.null_basis()
+
+
+def test_stokes_rejects_an_asymmetric_constrained_operator(stokes_small):
+    A = stokes_small.vector_laplacian.tolil()
+    A[0, 1] += 1.0
+    broken = dataclasses.replace(stokes_small, vector_laplacian=A.tocsr())
+    with pytest.raises(FactorizationFailure, match="symmetric"):
+        broken.constrained_op(stokes_small.null_basis())
 
 
 def test_stokes_constrained_operator_spd(stokes_small):
-    C = stokes_small.constrained_op
+    C = stokes_small.constrained_op(stokes_small.null_basis())
     np.testing.assert_allclose(C, C.T, atol=1e-10)
     assert np.linalg.eigvalsh(C)[0] > 0
 
 
 def test_stokes_rejects_tiny_grid():
-    with pytest.raises(InvalidConfig):
-        build_stokes(grid_domain(2, 2))
+    for make in (stokes_domain, lambda n: stokes_pencil(grid_domain(2, n))):
+        with pytest.raises(InvalidConfig):
+            make(2)
 
 
 def test_stokes_ambient_model_takes_a_staggered_grid():
@@ -360,13 +384,13 @@ def test_stokes_ambient_model_takes_a_staggered_grid():
 def test_stokes_models(stokes_small):
     con = stokes_spectral_model(stokes_small)
     amb = stokes_ambient_model(stokes_small.grid)
-    assert con.dim == stokes_small.nullbasis.shape[1]
+    assert con.dim == stokes_small.curl.shape[1]
     assert amb.dim == stokes_small.vector_laplacian.shape[0]
     assert np.all(np.diff(con.eigenvalues) >= 0)
     assert con.eigenvalues[0] > 0
     # ambient model reconstructs the vector Laplacian
     A = amb.basis @ np.diag(amb.eigenvalues) @ amb.basis.T
-    np.testing.assert_allclose(A, stokes_small.vector_laplacian, atol=1e-8)
+    np.testing.assert_allclose(A, stokes_small.vector_laplacian.toarray(), atol=1e-8)
     # constrained eigenvalues interlace above the ambient floor
     assert con.eigenvalues[0] >= amb.eigenvalues[0] * (1 - 1e-12)
 
@@ -402,16 +426,14 @@ def _kron_stokes_oracle(n):
 def test_sparse_pencil_matches_build_stokes(n):
     # the pencil's A and D equal the dense np.kron oracle in value (np.kron
     # writes some zeros as -0.0), and C W is the oracle's curl basis; so is
-    # the null basis of build_stokes, the dense view of the pencil
+    # the checked dense null basis of the pencil
     A, D, Z = _kron_stokes_oracle(n)
     p = stokes_pencil(grid_domain(2, n))
     assert np.array_equal(p.vector_laplacian.toarray(), A)
     assert np.array_equal(p.divergence.toarray(), D)
     CW = p.null_vectors(np.eye(n * n))
     assert np.max(np.abs(CW - Z)) <= 1e-14, n
-    sys = build_stokes(grid_domain(2, n))
-    assert np.array_equal(sys.vector_laplacian, A)
-    assert np.max(np.abs(sys.nullbasis - Z)) <= 1e-14, n
+    assert np.array_equal(p.null_basis(), CW)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -419,12 +441,12 @@ def test_sparse_pencil_stiffness_and_curl_gram(n):
     # K = C^T A C is symmetric, and W^T K W is the constrained operator Ac
     # while W^T G W = I for G = C^T C
     p = stokes_pencil(grid_domain(2, n))
-    sys = build_stokes(grid_domain(2, n))
+    Ac = p.constrained_op(p.null_basis())
     K, G = p.stiffness.toarray(), p.curl_gram.toarray()
     assert np.array_equal(K, K.T)
     W = p.stream_modes(np.eye(n * n))
-    scale = max(1.0, np.max(np.abs(sys.constrained_op)))
-    assert np.max(np.abs(W.T @ K @ W - sys.constrained_op)) <= 1e-12 * scale
+    scale = max(1.0, np.max(np.abs(Ac)))
+    assert np.max(np.abs(W.T @ K @ W - Ac)) <= 1e-12 * scale
     assert np.max(np.abs(W.T @ G @ W - np.eye(n * n))) <= 1e-12
     assert np.max(np.abs(p.divergence @ p.curl)) == 0.0
 

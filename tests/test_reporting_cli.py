@@ -19,6 +19,7 @@ from fracspace import (
     EXPERIMENTS,
     InvalidConfig,
     RunConfig,
+    SolverFailure,
     UnknownExperiment,
     config_hash,
     make_report,
@@ -195,12 +196,18 @@ def test_json_shape():
     assert text.index('"cells"') < text.index('"experiment"')
 
 
-def test_json_rejects_nonfinite():
+def test_json_rejects_nonfinite(tmp_path):
+    # one error class in every format, raised before any file is opened
     rep = make_report("demo", {}, [{"ratio": float("nan"), "pass": True}])
-    with pytest.raises(ValueError):
+    with pytest.raises(SolverFailure):
         report_to_json(rep)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(SolverFailure):
         report_to_csv(rep)
+    for fmt in ("csv", "json", "both"):
+        cfg = RunConfig(experiment="demo", output_dir=str(tmp_path), format=fmt)
+        with pytest.raises(SolverFailure, match="non-finite"):
+            write_report(rep, cfg)
+        assert os.listdir(tmp_path) == [], fmt
 
 
 def test_write_report_formats(tmp_path):

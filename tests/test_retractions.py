@@ -17,7 +17,6 @@ from fracspace import (
     RunConfig,
     SolverFailure,
     build_quadratic_pair,
-    build_stokes,
     congruence,
     grid_domain,
     harmonic_lift,
@@ -240,7 +239,7 @@ def test_retraction_inner_is_stored_read_only_without_a_copy():
     "make, n",
     [
         (lambda d: harmonic_retraction(d, sobolev_grams(d)), 6),
-        (lambda d: stokes_retraction(build_stokes(d)), 4),
+        (lambda d: stokes_retraction(stokes_pencil(d)), 4),
     ],
     ids=["harmonic", "stokes"],
 )
@@ -394,7 +393,7 @@ def test_intersection_makes_one_pressure_cholesky_per_stokes_grid(monkeypatch):
 
 def test_stokes_setup_pair_is_the_read_only_identity_and_square():
     pair, _ = _stokes_setup(grid_domain(2, 4))
-    A = build_stokes(grid_domain(2, 4)).vector_laplacian
+    A = stokes_pencil(grid_domain(2, 4)).vector_laplacian.toarray()
     assert np.array_equal(pair.m1, np.eye(A.shape[0]))
     assert np.array_equal(pair.m2, A @ A)
     assert not (pair.m1.flags.writeable or pair.m2.flags.writeable)
@@ -408,8 +407,9 @@ def test_stokes_setup_pair_is_the_read_only_identity_and_square():
     ],
 )
 def test_one_stokes_assembly_per_grid(monkeypatch, runner, experiment, sizes, expected):
-    # build_stokes is the dense view of one pencil, and stokes_retraction
-    # reads that pencil instead of assembling its own
+    # the dense Z, Ac and A of a grid come from its one pencil, and
+    # stokes_retraction and stokes_spectral_model read that pencil instead
+    # of assembling their own
     calls = []
     real = operators.stokes_pencil
 
@@ -427,7 +427,7 @@ def test_one_stokes_assembly_per_grid(monkeypatch, runner, experiment, sizes, ex
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
 def test_stokes_bound_matches_dense_svd(n):
     # |T|_2 of the full m x m map, apart from the r x r Gram route
-    ret = stokes_retraction(build_stokes(grid_domain(2, n)))
+    ret = stokes_retraction(stokes_pencil(grid_domain(2, n)))
     oracle = np.linalg.norm(_dense_map(ret), 2)
     assert ret.h_bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert ret.d_bound == ret.h_bound
@@ -451,14 +451,11 @@ def test_stokes_identity_check_covers_every_column(n):
         check_stokes_identity(broken)
 
 
-def _svd_basis_system(sys):
-    """sys with the null basis of D from a dense SVD, the route the closed
-    form replaced, and the constrained operator and factor rebuilt on it."""
-    Z = linalg.null_space(sys.pencil.divergence.toarray())
-    C = Z.T @ sys.vector_laplacian @ Z
-    return dataclasses.replace(
-        sys, nullbasis=Z, constrained_op=C, constrained_factor=linalg.cho_factor(C)
-    )
+def _svd_basis_system(p):
+    """The null basis Z of D from a dense SVD, the route the closed form
+    replaced, and the constrained operator Z^T A Z on it."""
+    Z = linalg.null_space(p.divergence.toarray())
+    return Z, Z.T @ p.vector_laplacian.toarray() @ Z
 
 
 @pytest.mark.parametrize("n", [4, 8, 12])
@@ -466,26 +463,25 @@ def test_stokes_results_do_not_depend_on_the_null_basis(n):
     # T and the spectrum of Ac are invariant under a change of basis of ker D:
     # the Lanczos bound of the stream-function pencil against the dense |B|_2
     # of the SVD-basis system, B = Ac^-1 Z^T A
-    sys = build_stokes(grid_domain(2, n))
-    svd_sys = _svd_basis_system(sys)
-    Z = svd_sys.nullbasis
-    B = linalg.cho_solve(svd_sys.constrained_factor, Z.T @ sys.vector_laplacian)
-    bound = stokes_retraction(sys).h_bound
+    p = stokes_pencil(grid_domain(2, n))
+    Z, Ac = _svd_basis_system(p)
+    B = linalg.cho_solve(linalg.cho_factor(Ac), Z.T @ p.vector_laplacian.toarray())
+    bound = stokes_retraction(p).h_bound
     assert np.linalg.norm(B, 2) == pytest.approx(bound, rel=1e-11, abs=0)
-    lam_min = np.linalg.eigvalsh(sys.constrained_op)[0]
-    svd_lam_min = np.linalg.eigvalsh(svd_sys.constrained_op)[0]
+    lam_min = np.linalg.eigvalsh(p.constrained_op(p.null_basis()))[0]
+    svd_lam_min = np.linalg.eigvalsh(Ac)[0]
     assert svd_lam_min == pytest.approx(lam_min, rel=1e-11, abs=0)
 
 
 def test_stokes_retraction_identity():
     for n in (4, 5, 8):
-        sys = build_stokes(grid_domain(2, n))
-        ret = stokes_retraction(sys)
-        Z = sys.nullbasis
+        p = stokes_pencil(grid_domain(2, n))
+        ret = stokes_retraction(p)
+        Z = p.null_basis()
         T = _dense_map(ret)
         assert np.max(np.abs(T @ Z - Z)) <= 1e-10
         # the D-norm bound |A T A^-1|_2 measured densely, apart from the code
-        A = sys.vector_laplacian
+        A = p.vector_laplacian.toarray()
         d_norm = np.linalg.norm(A @ T @ np.linalg.inv(A), 2)
         assert ret.d_bound == pytest.approx(d_norm, rel=1e-10)
 
@@ -560,7 +556,7 @@ def test_harmonic_probes_do_not_depend_on_the_eigenbasis(seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stokes_probes_do_not_depend_on_the_eigenbasis(seed):
     # the constrained model of a Stokes grid, mass 1, transform = V^T
-    model = stokes_spectral_model(build_stokes(grid_domain(2, 6)))
+    model = stokes_spectral_model(stokes_pencil(grid_domain(2, 6)))
     lam, V = model.eigenvalues, model.basis
     VQ, _, sizes = _rotate_in_clusters(lam, V, seed)
     assert max(sizes[:N_MODE_PROBES]) >= 2
@@ -690,9 +686,8 @@ def test_one_eigensolve_per_pencil(monkeypatch, runner, experiment, sizes):
     assert len(calls) == 4, calls
 
 
-def test_one_stokes_factorization_per_grid(monkeypatch):
-    # the only dense factorization is the (n+1)^2 pressure Cholesky of the
-    # rank check; the constrained operator Ac is never formed
+def _counting_dense_factorizations(monkeypatch):
+    """Record the shape of every scipy.linalg.cho_factor and cholesky call."""
     calls = []
 
     def counting(real):
@@ -704,8 +699,27 @@ def test_one_stokes_factorization_per_grid(monkeypatch):
 
     monkeypatch.setattr(linalg, "cho_factor", counting(linalg.cho_factor))
     monkeypatch.setattr(linalg, "cholesky", counting(linalg.cholesky))
+    return calls
+
+
+def test_one_stokes_factorization_per_grid(monkeypatch):
+    # the only dense factorization is the (n+1)^2 pressure Cholesky of the
+    # rank check; the constrained operator Ac is never formed
+    calls = _counting_dense_factorizations(monkeypatch)
     rep = run_stokes_retraction(
         RunConfig(experiment="stokes-retraction", sizes=(4, 6))
+    )
+    assert rep.passed
+    assert calls == [(25, 25), (49, 49)], calls
+
+
+def test_stokes_equivalence_makes_only_the_pressure_cholesky(monkeypatch):
+    # the constrained model diagonalizes Ac = Z^T A Z without factoring it,
+    # so the pressure Cholesky of each grid's rank check is the only dense
+    # factorization
+    calls = _counting_dense_factorizations(monkeypatch)
+    rep = stokes_equivalence_study(
+        RunConfig(experiment="stokes-equivalence", sizes=(4, 6))
     )
     assert rep.passed
     assert calls == [(25, 25), (49, 49)], calls
@@ -734,10 +748,10 @@ def test_one_sparse_lu_of_the_stiffness_per_grid(monkeypatch):
 
 def test_stokes_retraction_runs_without_the_dense_system(monkeypatch):
     def must_not_run(*args, **kwargs):
-        raise AssertionError("stokes-retraction built the dense Stokes system")
+        raise AssertionError("stokes-retraction formed a dense Z or Ac")
 
-    monkeypatch.setattr(experiments, "build_stokes", must_not_run)
-    monkeypatch.setattr(operators, "build_stokes", must_not_run)
+    monkeypatch.setattr(operators.StokesPencil, "null_basis", must_not_run)
+    monkeypatch.setattr(operators.StokesPencil, "constrained_op", must_not_run)
     rep = run_stokes_retraction(
         RunConfig(experiment="stokes-retraction", sizes=(4, 6))
     )
@@ -776,7 +790,7 @@ def test_stokes_window_matches_ambient_operator_spectrum(n):
     # the window comes from sqrt(eig(A^2, I)); eig(A) is the old route
     rep = run_intersection(RunConfig(experiment="intersection", sizes=(4, n)))
     params = rep.parameters["stokes"]
-    A = build_stokes(grid_domain(2, n)).vector_laplacian
+    A = stokes_pencil(grid_domain(2, n)).vector_laplacian.toarray()
     oracle = QuadratureRule.for_spectrum(np.linalg.eigvalsh(A))
     assert params["log_t_min"] == pytest.approx(oracle.log_t_min, rel=0.0, abs=1e-12)
     assert params["log_t_max"] == pytest.approx(oracle.log_t_max, rel=0.0, abs=1e-12)

@@ -29,7 +29,16 @@ from .operators import (
     stokes_pencil,
     stokes_spectral_model,
 )
-from .reporting import RunConfig, config_hash, make_report
+from .reporting import (
+    RunConfig,
+    at_most,
+    cell,
+    config_hash,
+    ladder_drift,
+    make_report,
+    near_one,
+    recorded,
+)
 from .retractions import (
     check_probe_dimension,
     check_stokes_identity,
@@ -118,18 +127,16 @@ def lemma_fps_sweep(model, thetas, probes, rule):
         const = i_theta(theta)
         for p in range(C.shape[1]):
             den = const * frac_norm(model, theta, C[:, p]) ** 2
-            ratio = num_theta[p] / den
             cells.append(
-                {
-                    "lemma": "Lemma 4.1",
-                    "grid": model.dim,
-                    "check": "identity-ratio",
-                    "theta": float(theta),
-                    "probe": p,
-                    "ratio": ratio,
-                    "bound": 1e-3,
-                    "pass": bool(abs(ratio - 1.0) <= 1e-3),
-                }
+                near_one(
+                    num_theta[p] / den,
+                    1e-3,
+                    lemma="Lemma 4.1",
+                    grid=model.dim,
+                    check="identity-ratio",
+                    theta=float(theta),
+                    probe=p,
+                )
             )
     return cells
 
@@ -183,46 +190,34 @@ def reiteration_check(model, theta, probes, rule_sqrt, pencil):
         half_u = apply_fractional_power(model, 0.5, u)
         lhs = frac_norm(model, (1.0 + theta) / 2.0, u)
         rhs = frac_norm(model, theta / 2.0, half_u)
-        resid = abs(lhs - rhs) / max(rhs, 1e-300)
+        fields = {"lemma": "Corollary 4.2", "grid": model.dim, "theta": theta, "probe": p}
         cells.append(
-            {
-                "lemma": "Corollary 4.2",
-                "grid": model.dim,
-                "check": "coefficient-identity",
-                "theta": theta,
-                "probe": p,
-                "ratio": lhs / max(rhs, 1e-300),
-                "bound": 1e-12,
-                "pass": bool(resid <= 1e-12),
-            }
+            _exponent_chain_cell(lhs, rhs, check="coefficient-identity", **fields)
         )
-        ratio = float(derived[p]) / (const * frac_norm(model, theta / 2.0, u) ** 2)
         cells.append(
-            {
-                "lemma": "Corollary 4.2",
-                "grid": model.dim,
-                "check": "derived-model-ratio",
-                "theta": theta,
-                "probe": p,
-                "ratio": ratio,
-                "bound": 1e-3,
-                "pass": bool(abs(ratio - 1.0) <= 1e-3),
-            }
+            near_one(
+                float(derived[p]) / (const * frac_norm(model, theta / 2.0, u) ** 2),
+                1e-3,
+                check="derived-model-ratio",
+                **fields,
+            )
         )
-        ratio = float(weighted[p]) / (const * lhs**2)
         cells.append(
-            {
-                "lemma": "Corollary 4.2",
-                "grid": model.dim,
-                "check": "weighted-pair-ratio",
-                "theta": theta,
-                "probe": p,
-                "ratio": ratio,
-                "bound": 1e-3,
-                "pass": bool(abs(ratio - 1.0) <= 1e-3),
-            }
+            near_one(
+                float(weighted[p]) / (const * lhs**2),
+                1e-3,
+                check="weighted-pair-ratio",
+                **fields,
+            )
         )
     return cells
+
+
+def _exponent_chain_cell(lhs, rhs, **fields):
+    """Corollary 4.2's coefficient identity lhs = rhs, exact up to rounding:
+    the relative residual must stay within 1e-12."""
+    den = max(rhs, 1e-300)
+    return at_most(abs(lhs - rhs) / den, 1e-12, ratio=lhs / den, **fields)
 
 
 def run_reiteration(config: RunConfig):
@@ -241,18 +236,16 @@ def run_reiteration(config: RunConfig):
     for p, u in enumerate(probes):
         lhs = frac_norm(model, 1.0, u)
         rhs = frac_norm(model, 0.5, apply_fractional_power(model, 0.5, u))
-        resid = abs(lhs - rhs) / max(rhs, 1e-300)
         cells.append(
-            {
-                "lemma": "Corollary 4.2",
-                "grid": model.dim,
-                "check": "endpoint-theta1",
-                "theta": 1.0,
-                "probe": p,
-                "ratio": lhs / max(rhs, 1e-300),
-                "bound": 1e-12,
-                "pass": bool(resid <= 1e-12),
-            }
+            _exponent_chain_cell(
+                lhs,
+                rhs,
+                lemma="Corollary 4.2",
+                grid=model.dim,
+                check="endpoint-theta1",
+                theta=1.0,
+                probe=p,
+            )
         )
     params = {"modes": n, "thetas": list(thetas), "n_probes": len(probes)}
     return make_report(
@@ -386,18 +379,18 @@ def run_criticality(config: RunConfig):
         if ok and expected == "log-divergent":
             ok = prof.r_squared is not None and prof.r_squared > 0.999
         cells.append(
-            {
-                "lemma": "Corollary 5.2",
-                "check": "classification",
-                "theta": prof.theta,
-                "classification": prof.classification,
-                "expected": expected,
-                "fitted_exponent": prof.fitted_exponent,
-                "r_squared": prof.r_squared,
-                "s_final": prof.partial_sums[-1],
-                "ladder_top": prof.ladder[-1],
-                "pass": bool(ok),
-            }
+            cell(
+                ok,
+                lemma="Corollary 5.2",
+                check="classification",
+                theta=prof.theta,
+                classification=prof.classification,
+                expected=expected,
+                fitted_exponent=prof.fitted_exponent,
+                r_squared=prof.r_squared,
+                s_final=prof.partial_sums[-1],
+                ladder_top=prof.ladder[-1],
+            )
         )
     params = {"modes": n, "thetas": [float(t) for t in thetas]}
     return make_report(
@@ -499,34 +492,22 @@ def run_weight(config: RunConfig):
         wf = weight_test(func, k_max=k_max)
         prof = criticality_scan(n_modes, [0.25], coeffs=coeff_fn(n_modes))[0]
         member = prof.classification == "convergent"
-        agree = wf.divergence_flag == (not member)
+        fields = {"lemma": "Corollary 5.2", "theta": 0.25, "probe": name}
         cells.append(
-            {
-                "lemma": "Corollary 5.2",
-                "check": "agreement",
-                "theta": 0.25,
-                "probe": name,
-                "weight_value": wf.value,
-                "weight_divergent": wf.divergence_flag,
-                "criticality_class": prof.classification,
-                "pass": bool(agree),
-            }
+            cell(
+                wf.divergence_flag == (not member),
+                check="agreement",
+                weight_value=wf.value,
+                weight_divergent=wf.divergence_flag,
+                criticality_class=prof.classification,
+                **fields,
+            )
         )
         if name == "one":
             # each level adds about ln 2 per graded endpoint
             inc = wf.values[-1] - wf.values[-2]
             ratio = inc / (2.0 * math.log(2.0))
-            cells.append(
-                {
-                    "lemma": "Corollary 5.2",
-                    "check": "log-increment",
-                    "theta": 0.25,
-                    "probe": name,
-                    "ratio": ratio,
-                    "bound": 1e-3,
-                    "pass": bool(abs(ratio - 1.0) <= 1e-3),
-                }
-            )
+            cells.append(near_one(ratio, 1e-3, check="log-increment", **fields))
     params = {"k_max": k_max, "modes": n_modes}
     return make_report(
         "weight", params, cells, seed=config.seed, cfg_hash=config_hash(config)
@@ -597,9 +578,7 @@ def run_halft1(config: RunConfig):
             raise InvalidConfig(f"halft1 needs thetas in (1/2, 1), got {theta}")
     sizes = _sizes(config)
     domains = [_probed_grid(grid_domain(2, n)) for n in sizes]
-    cells = []
-    worst = {}
-    lift_bounds = {}
+    cells, lifts, peaks = [], [], []
     for n, dom in zip(sizes, domains):
         grid_cells, grid_params = verify_intersection_lemma(
             *_harmonic_setup(dom),
@@ -610,49 +589,33 @@ def run_halft1(config: RunConfig):
             seed=config.seed,
         )
         cells.extend(grid_cells)
-        lift_bounds[n] = (grid_params["h_bound"], grid_params["d_bound"])
-        cells.append(
-            {
-                "lemma": "Lemma 5.3",
-                "grid": n,
-                "check": "lift-bounds",
-                "h_bound": lift_bounds[n][0],
-                "d_bound": lift_bounds[n][1],
-                "pass": True,  # recorded; drift is reported below
-            }
-        )
-        for cell in grid_cells:
-            if cell["check"] == "interp-ratio":
-                key = cell["theta"]
-                worst.setdefault(key, {})[n] = max(
-                    worst.get(key, {}).get(n, 0.0), cell["ratio"]
-                )
+        lift = {key: grid_params[key] for key in ("h_bound", "d_bound")}
+        lifts.append(lift)
+        cells.append(recorded(lemma="Lemma 5.3", grid=n, check="lift-bounds", **lift))
+        # the interp-ratio cells run theta by theta, probe by probe
+        interp = [c["ratio"] for c in grid_cells if c["check"] == "interp-ratio"]
+        peaks.append(np.max(np.reshape(interp, (len(thetas), -1)), axis=1))
     if len(sizes) > 1:
-        for which, pick in (("h_bound", 0), ("d_bound", 1)):
-            vals = [lift_bounds[n][pick] for n in sizes]
+        for which in ("h_bound", "d_bound"):
             cells.append(
-                {
-                    "lemma": "Lemma 5.3",
-                    "grid": "ladder",
-                    "check": f"lift-{which}-drift",
-                    "ratio": max(vals) / min(vals),
-                    "bound": None,
-                    "pass": True,
-                }
+                ladder_drift(
+                    [lift[which] for lift in lifts],
+                    bound=None,
+                    lemma="Lemma 5.3",
+                    grid="ladder",
+                    check=f"lift-{which}-drift",
+                )
             )
-    for theta in sorted(worst):
-        per_grid = worst[theta]
-        drift = max(per_grid.values()) / min(per_grid.values())
+    for theta in sorted(set(thetas)):
         cells.append(
-            {
-                "lemma": "Corollary 5.4",
-                "grid": "ladder",
-                "check": "ratio-drift",
-                "theta": theta,
-                "ratio": drift,
-                "bound": 2.0,
-                "pass": bool(drift < 2.0),
-            }
+            ladder_drift(
+                [peak[thetas.index(theta)] for peak in peaks],
+                bound=2.0,
+                lemma="Corollary 5.4",
+                grid="ladder",
+                check="ratio-drift",
+                theta=theta,
+            )
         )
     params = {"sizes": list(sizes), "thetas": [float(t) for t in thetas]}
     return make_report(
@@ -671,9 +634,7 @@ def run_stokes_retraction(config: RunConfig):
     sizes = _sizes(config)
     domains = [stokes_domain(n) for n in sizes]
     rng = np.random.default_rng(config.seed)
-    cells = []
-    bounds = {}
-    eig_low = {}
+    cells, bounds, lows = [], [], []
     for n, dom in zip(sizes, domains):
         p = stokes_pencil(dom)
         check_stokes_identity(p)
@@ -682,16 +643,9 @@ def run_stokes_retraction(config: RunConfig):
         # row i of one (100, r) draw is the i-th of 100 draws of size r
         Zs = p.null_vectors(rng.standard_normal((100, r)).T)
         resid = np.linalg.norm(stokes_apply(p, Zs) - Zs, axis=0) / np.linalg.norm(Zs, axis=0)
-        worst_identity = float(np.max(resid))
+        fields = {"lemma": "Lemma 5.5", "grid": n}
         cells.append(
-            {
-                "lemma": "Lemma 5.5",
-                "grid": n,
-                "check": "identity-on-kernel",
-                "ratio": worst_identity,
-                "bound": 1e-10,
-                "pass": bool(worst_identity <= 1e-10),
-            }
+            at_most(np.max(resid), 1e-10, check="identity-on-kernel", **fields)
         )
         # the psi and phi draws interleave, pair by pair
         draws = [(rng.standard_normal(r), rng.standard_normal(m)) for _ in range(10)]
@@ -701,58 +655,33 @@ def run_stokes_retraction(config: RunConfig):
         Phi /= np.linalg.norm(Phi, axis=0)
         lhs = np.sum(Psi * stokes_apply(p, Phi), axis=0)
         rhs = np.sum(stokes_apply(p, Psi, transpose=True) * Phi, axis=0)
-        worst_sym = float(np.max(np.abs(lhs - rhs)))
         cells.append(
-            {
-                "lemma": "Lemma 5.5",
-                "grid": n,
-                "check": "adjoint-chain",
-                "ratio": worst_sym,
-                "bound": 1e-8,
-                "pass": bool(worst_sym <= 1e-8),
-            }
+            at_most(np.max(np.abs(lhs - rhs)), 1e-8, check="adjoint-chain", **fields)
         )
-        bounds[n] = (bound, bound)
+        bounds.append(bound)
         # lambda_min(Z^T A Z) is the lowest eigenvalue of the pencil (K, C^T C)
-        eig_low[n] = lanczos_eigenvalue(
-            p.stiffness, r, mass=p.curl_gram, inverse=p.stiffness_lu.solve
+        lows.append(
+            lanczos_eigenvalue(
+                p.stiffness, r, mass=p.curl_gram, inverse=p.stiffness_lu.solve
+            )
         )
         cells.append(
-            {
-                "lemma": "Lemma 5.5",
-                "grid": n,
-                "check": "bounds-recorded",
-                "h_bound": bound,
-                "d_bound": bound,
-                "kernel_dim": r,
-                "rank_deficiency": p.divergence.shape[0] - (m - r),
-                "lambda_min_constrained": eig_low[n],
-                "pass": True,
-            }
+            recorded(
+                check="bounds-recorded",
+                h_bound=bound,
+                d_bound=bound,
+                kernel_dim=r,
+                rank_deficiency=p.divergence.shape[0] - (m - r),
+                lambda_min_constrained=lows[-1],
+                **fields,
+            )
         )
-    for which, pick in (("h_bound", 0), ("d_bound", 1)):
-        vals = [bounds[n][pick] for n in sizes]
-        drift = max(vals) / min(vals)
-        cells.append(
-            {
-                "lemma": "Lemma 5.5",
-                "grid": "ladder",
-                "check": f"{which}-drift",
-                "ratio": drift,
-                "bound": 2.0,
-                "pass": bool(drift < 2.0),
-            }
-        )
-    lows = [eig_low[n] for n in sizes]
+    ladder = {"lemma": "Lemma 5.5", "grid": "ladder"}
+    # one Lanczos bound serves as both h_bound and d_bound
+    for which in ("h_bound", "d_bound"):
+        cells.append(ladder_drift(bounds, bound=2.0, check=f"{which}-drift", **ladder))
     cells.append(
-        {
-            "lemma": "Lemma 5.5",
-            "grid": "ladder",
-            "check": "lowest-eigenvalue-drift",
-            "ratio": max(lows) / min(lows),
-            "bound": None,
-            "pass": True,  # recorded, not asserted
-        }
+        ladder_drift(lows, bound=None, check="lowest-eigenvalue-drift", **ladder)
     )
     params = {"sizes": list(sizes)}
     return make_report(
@@ -770,9 +699,8 @@ def run_stokes_retraction(config: RunConfig):
 def stokes_equivalence_study(config: RunConfig):
     sizes = _sizes(config)
     domains = [stokes_domain(n) for n in sizes]
-    thetas = _thetas(config, (0.25, 0.5, 0.75))
-    cells = []
-    extremes = {}
+    thetas = tuple(float(t) for t in _thetas(config, (0.25, 0.5, 0.75)))
+    cells, los, his = [], [], []
     for n, dom in zip(sizes, domains):
         p = stokes_pencil(dom)
         constrained = stokes_spectral_model(p)
@@ -785,73 +713,62 @@ def stokes_equivalence_study(config: RunConfig):
             for c, u in zip(coords.T, p.null_vectors(coords).T)
         ]
 
-        def ratio_at(theta, coeffs):
-            c_con, c_amb = coeffs
-            return frac_norm(constrained, theta, c_con) / frac_norm(
-                ambient, theta, c_amb
+        def ratios(theta):
+            """constrained / ambient norm of every probe at theta"""
+            return np.array(
+                [
+                    frac_norm(constrained, theta, c_con)
+                    / frac_norm(ambient, theta, c_amb)
+                    for c_con, c_amb in probe_coeffs
+                ]
             )
 
-        for theta, kind, bound in (
-            (0.0, "exact-at-0", 1e-10),
-            (0.5, "exact-at-half", 1e-10),
-        ):
-            worst = max(abs(ratio_at(theta, c) - 1.0) for c in probe_coeffs)
+        fields = {"lemma": "Lemma 5.5", "grid": n}
+        for theta, kind in ((0.0, "exact-at-0"), (0.5, "exact-at-half")):
+            worst = np.max(np.abs(ratios(theta) - 1.0))
             cells.append(
-                {
-                    "lemma": "Lemma 5.5",
-                    "grid": n,
-                    "check": kind,
-                    "theta": theta,
-                    "ratio": 1.0 + worst,
-                    "bound": bound,
-                    "pass": bool(worst <= bound),
-                }
+                at_most(
+                    worst, 1e-10, ratio=1.0 + worst, check=kind, theta=theta, **fields
+                )
             )
-        worst = max(ratio_at(1.0, c) for c in probe_coeffs)
         cells.append(
-            {
-                "lemma": "Lemma 5.5",
-                "grid": n,
-                "check": "contraction-at-1",
-                "theta": 1.0,
-                "ratio": worst,
-                "bound": 1.0,
-                "pass": bool(worst <= 1.0 + 1e-12),
-            }
+            at_most(
+                np.max(ratios(1.0)),
+                1.0,
+                rel=1e-12,
+                check="contraction-at-1",
+                theta=1.0,
+                **fields,
+            )
         )
-        for theta in thetas:
-            theta = float(theta)
-            ratios = [ratio_at(theta, c) for c in probe_coeffs]
-            lo, hi = min(ratios), max(ratios)
-            extremes.setdefault(theta, {})[n] = (lo, hi)
+        per_theta = np.array([ratios(theta) for theta in thetas])
+        los.append(np.min(per_theta, axis=1))
+        his.append(np.max(per_theta, axis=1))
+        for theta, lo, hi in zip(thetas, los[-1], his[-1]):
             cells.append(
-                {
-                    "lemma": "Lemma 5.5",
-                    "grid": n,
-                    "check": "ratio-range",
-                    "theta": theta,
-                    "ratio_min": lo,
-                    "ratio_max": hi,
-                    "pass": bool(math.isfinite(lo) and math.isfinite(hi) and lo > 0),
-                }
+                cell(
+                    math.isfinite(lo) and math.isfinite(hi) and lo > 0,
+                    check="ratio-range",
+                    theta=theta,
+                    ratio_min=lo,
+                    ratio_max=hi,
+                    **fields,
+                )
             )
-    for theta in sorted(extremes):
-        per_grid = extremes[theta]
-        los = [per_grid[n][0] for n in sizes]
-        his = [per_grid[n][1] for n in sizes]
-        drift = max(max(his) / min(his), max(los) / min(los))
+    for theta in sorted(set(thetas)):
+        i = thetas.index(theta)
         cells.append(
-            {
-                "lemma": "Lemma 5.5",
-                "grid": "ladder",
-                "check": "equivalence-drift",
-                "theta": theta,
-                "ratio": drift,
-                "bound": 2.0,
-                "pass": bool(drift < 2.0),
-            }
+            ladder_drift(
+                [hi[i] for hi in his],
+                [lo[i] for lo in los],
+                bound=2.0,
+                lemma="Lemma 5.5",
+                grid="ladder",
+                check="equivalence-drift",
+                theta=theta,
+            )
         )
-    params = {"sizes": list(sizes), "thetas": [float(t) for t in thetas]}
+    params = {"sizes": list(sizes), "thetas": list(thetas)}
     return make_report(
         "stokes-equivalence",
         params,

@@ -313,12 +313,12 @@ class StokesPencil:
         It is orthonormal by construction and spans ker D by the rank
         check of `stokes_pencil`; runtime checks of |D Z| and
         |Z^T Z - I| (1e-10 each) guard the rounding and raise
-        FactorizationFailure.
+        FactorizationFailure, also for a NaN.
         """
         Z = self.null_vectors(np.eye(self.stiffness.shape[0]))
-        if np.max(np.abs(self.divergence @ Z)) > 1e-10:
+        if not np.max(np.abs(self.divergence @ Z)) <= 1e-10:
             raise FactorizationFailure("null basis fails divergence-free check")
-        if np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) > 1e-10:
+        if not np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-10:
             raise FactorizationFailure("null basis fails the orthonormality check")
         return Z
 
@@ -330,7 +330,7 @@ class StokesPencil:
         the smooth modes cancel, so that route rounds the low end of Ac
         more."""
         Ac = Z.T @ (self.vector_laplacian @ Z)
-        if np.max(np.abs(Ac - Ac.T)) > 1e-12 * max(1.0, np.max(np.abs(Ac))):
+        if not np.max(np.abs(Ac - Ac.T)) <= 1e-12 * max(1.0, np.max(np.abs(Ac))):
             raise FactorizationFailure("constrained operator is not symmetric")
         return Ac
 
@@ -385,7 +385,7 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     A = sparse.block_diag([Lu, Lv], format="csr")
     D = sparse.hstack([kron(cells, G), kron(G, cells)], format="csr")
     C = sparse.vstack([kron(G, faces), -kron(faces, G)], format="csr")
-    if abs(D @ C).max() > 1e-10:
+    if not abs(D @ C).max() <= 1e-10:
         raise FactorizationFailure("the discrete curl is not divergence-free")
     K = (C.T @ (A @ C)).tocsc()
     S, mu = _dirichlet_modes(n, h)

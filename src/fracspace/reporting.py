@@ -1,11 +1,28 @@
-"""Verification reports, run configuration, and deterministic file output.
+"""Verification reports, their cells, run configuration, and deterministic
+file output.
 
-A report is a flat list of cells (dicts), each carrying at least a "pass"
-bool; the summary is recomputable from the cells. CSV output is RFC-4180
-with a header row and one cell per line; JSON output is sorted-key nested.
-Identical configs (including seed) must produce byte-identical files, so
-floats are serialized via repr and nothing time- or path-dependent enters
-the payload.
+A report is a flat list of cells (dicts), each carrying a "pass" bool;
+the summary is recomputable from the cells. Every cell is made here, by
+`cell` or by one of the pass rules built on it:
+
+- `near_one`: |ratio - 1| <= bound;
+- `at_most`: value <= bound (1 + rel), optionally also
+  floor (1 - rel) <= value;
+- `ladder_drift`: the largest max/min over per-grid series, which passes
+  when below its bound, or is only recorded for bound None;
+- `recorded`: values written down, not asserted.
+
+A NaN fails every rule: each rule is a comparison that NaN makes false,
+a recorded value must be finite, and the ladder reductions go through
+NumPy's max/min, which propagate NaN where Python's drop it unless it
+comes first. `cell` casts NumPy floats to float (repr(np.float64(x)) is
+'np.float64(x)' and would reach the CSV) and the pass flag to bool (an
+np.bool_ is no JSON value).
+
+CSV output is RFC-4180 with a header row and one cell per line; JSON
+output is sorted-key nested. Identical configs (including seed) must
+produce byte-identical files, so floats are serialized via repr and
+nothing time- or path-dependent enters the payload.
 """
 from __future__ import annotations
 
@@ -16,6 +33,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidConfig, SolverFailure
 
@@ -177,16 +196,62 @@ class VerificationReport:
 
 
 def summarize(cells: list) -> dict:
-    """Summary recomputable from the cells (tested as an invariant)."""
+    """Summary recomputable from the cells (tested as an invariant). A NaN
+    ratio is the worst: max compares keys, and a NaN key would be skipped."""
     ratios = [c["ratio"] for c in cells if isinstance(c.get("ratio"), float)]
     worst = None
     if ratios:
-        worst = max(ratios, key=lambda r: abs(r - 1.0))
+        worst = max(ratios, key=lambda r: math.inf if math.isnan(r) else abs(r - 1.0))
     return {
         "n_cells": len(cells),
         "n_pass": sum(1 for c in cells if c.get("pass", False)),
         "worst_ratio": worst,
     }
+
+
+def cell(ok, **fields) -> dict:
+    """One report cell: the fields, with NumPy floats cast to float, and
+    "pass" = bool(ok). ok must be a comparison result, never a number:
+    bool(nan) is True."""
+    for key, value in fields.items():
+        if isinstance(value, float) and type(value) is not float:
+            fields[key] = float(value)
+    fields["pass"] = bool(ok)
+    return fields
+
+
+def near_one(ratio, bound, **fields) -> dict:
+    """A cell that passes when |ratio - 1| <= bound."""
+    ratio = float(ratio)
+    return cell(abs(ratio - 1.0) <= bound, ratio=ratio, bound=bound, **fields)
+
+
+def at_most(value, bound, *, rel=0.0, floor=None, **fields) -> dict:
+    """A cell that passes when value <= bound (1 + rel) and, for a floor,
+    floor (1 - rel) <= value. value is recorded as the ratio unless the
+    fields name another."""
+    value = float(value)
+    ok = value <= bound * (1.0 + rel)
+    if floor is not None:
+        ok = ok and floor * (1.0 - rel) <= value
+    fields.setdefault("ratio", value)
+    return cell(ok, bound=bound, **fields)
+
+
+def ladder_drift(*series, bound, **fields) -> dict:
+    """A cell for the drift of per-grid values along a ladder: the largest
+    max/min over the series. It passes when below bound; for bound None
+    it is recorded and passes when finite."""
+    ratio = float(np.max([np.max(s) / np.min(s) for s in series]))
+    ok = math.isfinite(ratio) if bound is None else ratio < bound
+    return cell(ok, ratio=ratio, bound=bound, **fields)
+
+
+def recorded(**fields) -> dict:
+    """A cell that records values without a bound; it passes when every
+    float among them is finite."""
+    ok = all(math.isfinite(v) for v in fields.values() if isinstance(v, float))
+    return cell(ok, **fields)
 
 
 def make_report(

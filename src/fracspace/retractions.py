@@ -90,6 +90,7 @@ from .operators import (
     interior_indices,
     zero_boundary_basis,
 )
+from .reporting import at_most
 
 IDENTITY_TOL = 1e-10
 
@@ -445,7 +446,7 @@ def verify_intersection_lemma(
     """
     M1, M2 = pair.m1, pair.m2
     Z = T.subspace_basis
-    C = max(T.h_bound, T.d_bound)
+    C = float(np.maximum(T.h_bound, T.d_bound))  # a NaN bound stays NaN
     c_prime = math.sqrt(2.0) * C
     M1r = Z.T @ M1 @ Z
     M2r = Z.T @ M2 @ Z
@@ -490,50 +491,46 @@ def verify_intersection_lemma(
                 f"minimizers by {dev:.3e} relative at t={ts[im]}"
             )
 
+    # each cell's ratio is the largest of K/K0, K0^2/mid and mid/(2 C^2 K^2);
+    # np.maximum propagates a NaN from any of the three
+    worst = np.maximum(
+        np.maximum(np.sqrt(k2 / k02), k02 / mid), mid / (2.0 * C * C * k2)
+    )
     cells = []
-    slack = 1.0 + 1e-9
-    for t, k2_t, k02_t, mid_t in zip(ts, k2.tolist(), k02.tolist(), mid.tolist()):
-        for p in range(n_probes):
-            r1 = math.sqrt(k2_t[p] / k02_t[p])
-            r2 = k02_t[p] / mid_t[p]
-            r3 = mid_t[p] / (2.0 * C * C * k2_t[p])
-            worst = max(r1, r2, r3)
+    for t, worst_t in zip(ts, worst.tolist()):
+        for p, ratio in enumerate(worst_t):
             cells.append(
-                {
-                    "lemma": lemma_label,
-                    "grid": grid_label,
-                    "check": "pointwise",
-                    "theta": None,
-                    "t": t,
-                    "probe": p,
-                    "ratio": worst,
-                    "bound": 1.0,
-                    "pass": bool(worst <= slack),
-                }
+                at_most(
+                    ratio,
+                    1.0,
+                    rel=1e-9,
+                    lemma=lemma_label,
+                    grid=grid_label,
+                    check="pointwise",
+                    theta=None,
+                    t=t,
+                    probe=p,
+                )
             )
 
     # integrated comparison in the same spectral coordinates
-    sq_amb = interp_norms_sq(lam_amb, a, theta_list, rule).tolist()
-    sq_red = interp_norms_sq(lam_red, a_r, theta_list, rule).tolist()
-    for theta, amb_theta, red_theta in zip(theta_list, sq_amb, sq_red):
-        theta = float(theta)
-        for p in range(n_probes):
-            n_amb = math.sqrt(max(amb_theta[p], 0.0))
-            n_red = math.sqrt(max(red_theta[p], 0.0))
-            ratio = n_red / n_amb
-            ok = (1.0 - 1e-5) <= ratio <= c_prime * (1.0 + 1e-5)
+    n_amb = np.sqrt(np.maximum(interp_norms_sq(lam_amb, a, theta_list, rule), 0.0))
+    n_red = np.sqrt(np.maximum(interp_norms_sq(lam_red, a_r, theta_list, rule), 0.0))
+    for theta, ratio_theta in zip(theta_list, (n_red / n_amb).tolist()):
+        for p, ratio in enumerate(ratio_theta):
             cells.append(
-                {
-                    "lemma": lemma_label,
-                    "grid": grid_label,
-                    "check": "interp-ratio",
-                    "theta": theta,
-                    "t": None,
-                    "probe": p,
-                    "ratio": ratio,
-                    "bound": c_prime,
-                    "pass": bool(ok),
-                }
+                at_most(
+                    ratio,
+                    c_prime,
+                    rel=1e-5,
+                    floor=1.0,
+                    lemma=lemma_label,
+                    grid=grid_label,
+                    check="interp-ratio",
+                    theta=float(theta),
+                    t=None,
+                    probe=p,
+                )
             )
 
     parameters = {

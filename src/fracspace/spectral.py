@@ -23,6 +23,7 @@ from .errors import (
     NotOrthonormal,
     SingularSystem,
 )
+from .reporting import at_most
 
 # Gram deviation allowed at construction; exactly-orthonormal inputs are
 # held to 1e-10 in the tests.
@@ -145,13 +146,12 @@ def higher_power_decomposition_check(model: SpectralModel, alpha, beta, u) -> di
     lhs = frac_norm(model, b, u)
     rhs = frac_norm(model, a, apply_fractional_power(model, b - a, u))
     residual = abs(lhs - rhs)
-    bound = 1e-10 * max(lhs, 1e-300)
-    return {
-        "check": "higher-power",
-        "alpha": a,
-        "beta": b,
-        "ratio": rhs / lhs if lhs > 0 else 1.0,
-        "residual": residual,
-        "bound": bound,
-        "pass": bool(residual <= bound),
-    }
+    return at_most(
+        residual,
+        1e-10 * max(lhs, 1e-300),
+        check="higher-power",
+        alpha=a,
+        beta=b,
+        ratio=rhs / lhs if lhs > 0 else 1.0,
+        residual=residual,
+    )

@@ -13,6 +13,7 @@ from fracspace import (
     InvalidConfig,
     QuadratureRule,
     RunConfig,
+    SolverFailure,
     build_quadratic_pair,
     congruence,
     criticality_scan,
@@ -407,3 +408,110 @@ def test_stokes_equivalence_projects_each_probe_once_per_grid(monkeypatch):
     cfg = RunConfig(experiment="stokes-equivalence", sizes=(4, 5), seed=2)
     assert stokes_equivalence_study(cfg).passed
     assert len(calls) == 2 * 2 * 25
+
+
+def test_stokes_equivalence_fails_on_a_nan_probe(monkeypatch):
+    # NaN ambient coefficients for the second probe of the first grid:
+    # a reduction that kept the finite first probe would pass the grid
+    calls = []
+
+    def poisoned(model, u):
+        calls.append(model.dim)
+        c = to_coeffs(model, u)
+        return np.full_like(c, np.nan) if len(calls) == 4 else c
+
+    monkeypatch.setattr(experiments, "to_coeffs", poisoned)
+    cfg = RunConfig(experiment="stokes-equivalence", sizes=(4, 5), seed=2)
+    try:
+        rep = stokes_equivalence_study(cfg)
+    except SolverFailure:
+        return
+    assert not rep.passed
+    first = [c for c in rep.cells if c["grid"] == 4]
+    assert first and not any(c["pass"] for c in first)
+    drift = [c for c in rep.cells if c["check"] == "equivalence-drift"]
+    assert drift and not any(c["pass"] for c in drift)
+
+
+# the key set of every (experiment, check) pair: the CSV header of a report
+# is their union, so a changed set changes the file format
+_CELL_KEYS = {
+    "lemma41": {
+        "identity-ratio": "bound check grid lemma pass probe ratio theta",
+    },
+    "reiteration": {
+        "coefficient-identity": "bound check grid lemma pass probe ratio theta",
+        "derived-model-ratio": "bound check grid lemma pass probe ratio theta",
+        "weighted-pair-ratio": "bound check grid lemma pass probe ratio theta",
+        "endpoint-theta1": "bound check grid lemma pass probe ratio theta",
+    },
+    "criticality": {
+        "classification": "check classification expected fitted_exponent ladder_top"
+        " lemma pass r_squared s_final theta",
+    },
+    "weight": {
+        "agreement": "check criticality_class lemma pass probe theta"
+        " weight_divergent weight_value",
+        "log-increment": "bound check lemma pass probe ratio theta",
+    },
+    "intersection": {
+        "pointwise": "bound check grid lemma pass probe ratio t theta",
+        "interp-ratio": "bound check grid lemma pass probe ratio t theta",
+    },
+    "halft1": {
+        "pointwise": "bound check grid lemma pass probe ratio t theta",
+        "interp-ratio": "bound check grid lemma pass probe ratio t theta",
+        "lift-bounds": "check d_bound grid h_bound lemma pass",
+        "lift-h_bound-drift": "bound check grid lemma pass ratio",
+        "lift-d_bound-drift": "bound check grid lemma pass ratio",
+        "ratio-drift": "bound check grid lemma pass ratio theta",
+    },
+    "stokes-retraction": {
+        "identity-on-kernel": "bound check grid lemma pass ratio",
+        "adjoint-chain": "bound check grid lemma pass ratio",
+        "bounds-recorded": "check d_bound grid h_bound kernel_dim"
+        " lambda_min_constrained lemma pass rank_deficiency",
+        "h_bound-drift": "bound check grid lemma pass ratio",
+        "d_bound-drift": "bound check grid lemma pass ratio",
+        "lowest-eigenvalue-drift": "bound check grid lemma pass ratio",
+    },
+    "stokes-equivalence": {
+        "exact-at-0": "bound check grid lemma pass ratio theta",
+        "exact-at-half": "bound check grid lemma pass ratio theta",
+        "contraction-at-1": "bound check grid lemma pass ratio theta",
+        "ratio-range": "check grid lemma pass ratio_max ratio_min theta",
+        "equivalence-drift": "bound check grid lemma pass ratio theta",
+    },
+    "higher-power": {
+        "higher-power": "alpha beta bound check grid lemma pass probe ratio residual",
+    },
+}
+
+_SCHEMA_SIZES = {
+    "lemma41": (32,),
+    "reiteration": (32,),
+    "criticality": (1024,),
+    "weight": (16,),
+    "intersection": (4, 4),
+    "halft1": (4, 5),
+    "stokes-retraction": (4, 5),
+    "stokes-equivalence": (4, 5),
+    "higher-power": (16,),
+}
+
+
+def test_cell_schema_of_every_runner():
+    assert set(_CELL_KEYS) == set(EXPERIMENTS) == set(_SCHEMA_SIZES)
+    for name, (runner, _) in EXPERIMENTS.items():
+        rep = runner(RunConfig(experiment=name, sizes=_SCHEMA_SIZES[name]))
+        assert rep.passed, name
+        seen = {}
+        for c in rep.cells:
+            seen.setdefault(c["check"], set()).add(frozenset(c))
+            # plain Python values only: an np.float64 would reach the CSV
+            # as 'np.float64(x)' and an np.bool_ is no JSON value
+            assert all(
+                v is None or type(v) in (bool, int, float, str) for v in c.values()
+            ), (name, c)
+        want = {check: {frozenset(k.split())} for check, k in _CELL_KEYS[name].items()}
+        assert seen == want, name

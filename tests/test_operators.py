@@ -22,6 +22,7 @@ from fracspace import (
     stokes_ambient_model,
     stokes_domain,
     stokes_pencil,
+    stokes_retraction,
     stokes_spectral_model,
     zero_boundary_basis,
 )
@@ -358,6 +359,26 @@ def test_stokes_rejects_an_asymmetric_constrained_operator(stokes_small):
     A = stokes_small.vector_laplacian.tolil()
     A[0, 1] += 1.0
     broken = dataclasses.replace(stokes_small, vector_laplacian=A.tocsr())
+    with pytest.raises(FactorizationFailure, match="symmetric"):
+        broken.constrained_op(stokes_small.null_basis())
+
+
+def test_stokes_nan_pencil_fails_its_guards(stokes_small):
+    # a NaN scale makes the whole null basis NaN; the |D Z| guard must
+    # reject it rather than hand it on to SciPy's finiteness check
+    nan_scale = np.full_like(stokes_small.scale, np.nan)
+    broken = dataclasses.replace(stokes_small, scale=nan_scale)
+    for dense in (broken.null_basis, lambda: stokes_spectral_model(broken)):
+        with pytest.raises(FactorizationFailure, match="divergence-free"):
+            dense()
+    with pytest.raises(FactorizationFailure, match="divergence-free"):
+        stokes_retraction(broken)
+
+
+def test_stokes_nan_operator_fails_the_symmetry_guard(stokes_small):
+    A = stokes_small.vector_laplacian.copy()
+    A.data[0] = np.nan
+    broken = dataclasses.replace(stokes_small, vector_laplacian=A)
     with pytest.raises(FactorizationFailure, match="symmetric"):
         broken.constrained_op(stokes_small.null_basis())
 

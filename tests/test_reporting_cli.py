@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import ctypes
 import glob
@@ -28,10 +29,17 @@ from fracspace import (
     report_to_json,
     write_report,
 )
-from fracspace import cli
+from fracspace import cli, reporting
 from fracspace.cli import main
 from fracspace.experiments import SCIPY_EXPERIMENTS
-from fracspace.reporting import summarize
+from fracspace.reporting import (
+    at_most,
+    cell,
+    ladder_drift,
+    near_one,
+    recorded,
+    summarize,
+)
 
 _CELLS = [
     {"check": "a", "ratio": 1.0005, "bound": 1e-3, "pass": True, "theta": 0.5},
@@ -674,3 +682,102 @@ def test_first_scipy_run_of_a_process_is_pinned(tmp_path, first):
     assert [line for line in stdout.splitlines() if line.startswith("threads")] == [
         "threads 1"
     ]
+
+
+NAN = float("nan")
+
+
+def test_cell_casts_numpy_scalars():
+    # repr(np.float64(x)) is 'np.float64(x)' and an np.bool_ is no JSON value
+    c = cell(np.bool_(True), ratio=np.float64(0.5), grid=3, theta=None)
+    assert c == {"ratio": 0.5, "grid": 3, "theta": None, "pass": True}
+    assert type(c["ratio"]) is float and type(c["pass"]) is bool
+    rep = make_report("demo", {}, [c])
+    assert "np." not in report_to_csv(rep)
+    assert json.loads(report_to_json(rep))["cells"] == [c]
+
+
+def test_summary_reports_a_nan_ratio_as_the_worst():
+    cells = [near_one(1.5, 1e-3), near_one(NAN, 1e-3), near_one(0.9, 1e-3)]
+    assert math.isnan(summarize(cells)["worst_ratio"])
+    assert summarize(cells[::2])["worst_ratio"] == 1.5
+
+
+def test_near_one_rule():
+    assert near_one(1.0 + 1e-3, 1e-3)["pass"]
+    assert not near_one(1.0 + 2e-3, 1e-3)["pass"]
+    c = near_one(np.float64(0.9995), 1e-3, check="x")
+    assert c == {"ratio": 0.9995, "bound": 1e-3, "check": "x", "pass": True}
+    assert type(c["ratio"]) is float
+    assert not near_one(NAN, 1e-3)["pass"]
+    assert not near_one(1.0, NAN)["pass"]
+
+
+def test_at_most_rule():
+    assert at_most(1.0, 1.0)["pass"]
+    assert not at_most(1.0 + 1e-9, 1.0)["pass"]
+    assert at_most(1.0 + 1e-9, 1.0, rel=1e-9)["pass"]
+    # the value is the ratio unless the cell records another
+    assert at_most(0.25, 1.0)["ratio"] == 0.25
+    c = at_most(1e-13, 1e-12, ratio=1.0000000000001, residual=1e-13)
+    assert (c["ratio"], c["residual"], c["bound"], c["pass"]) == (
+        1.0000000000001,
+        1e-13,
+        1e-12,
+        True,
+    )
+    # a floor makes the rule two-sided, with the same relative slack
+    assert at_most(1.0 - 1e-6, 2.0, rel=1e-5, floor=1.0)["pass"]
+    assert not at_most(0.99, 2.0, rel=1e-5, floor=1.0)["pass"]
+    assert not at_most(2.1, 2.0, rel=1e-5, floor=1.0)["pass"]
+    for kwargs in ({}, {"rel": 1e-9}, {"floor": 0.0}):
+        assert not at_most(NAN, 1.0, **kwargs)["pass"]
+        assert not at_most(0.5, NAN, **kwargs)["pass"]
+
+
+def test_ladder_drift_rule():
+    c = ladder_drift([1.0, 1.5, 1.2], bound=2.0, check="d")
+    assert c == {"ratio": 1.5, "bound": 2.0, "check": "d", "pass": True}
+    assert type(c["ratio"]) is float
+    assert not ladder_drift([1.0, 2.0], bound=2.0)["pass"]  # strict
+    # the largest drift over several series
+    assert ladder_drift([1.0, 1.1], [1.0, 1.8], bound=2.0)["ratio"] == 1.8
+    # bound None records the drift; it passes while finite
+    c = ladder_drift([2.0, 6.0], bound=None)
+    assert (c["ratio"], c["bound"], c["pass"]) == (3.0, None, True)
+    # a NaN anywhere, first or not, in either series, fails the cell;
+    # Python's max([1.0, nan]) would have dropped it
+    for series in ([NAN, 1.0], [1.0, NAN], [1.0, NAN, 1.5]):
+        for bound in (2.0, None):
+            c = ladder_drift(series, bound=bound)
+            assert math.isnan(c["ratio"]) and not c["pass"]
+            c = ladder_drift([1.0, 1.5], series, bound=bound)
+            assert math.isnan(c["ratio"]) and not c["pass"]
+
+
+def test_recorded_rule():
+    c = recorded(check="r", h_bound=1.5, kernel_dim=4, note="x", r_squared=None)
+    assert c["pass"] and c["h_bound"] == 1.5
+    assert not recorded(h_bound=1.5, d_bound=NAN)["pass"]
+    assert not recorded(h_bound=np.float64(math.inf))["pass"]
+
+
+def test_report_cells_are_made_in_reporting_alone():
+    # the cell format and its pass rules have one home: no other module
+    # of the package spells out a "pass" key
+    package = os.path.dirname(reporting.__file__)
+    paths = glob.glob(os.path.join(package, "*.py"))
+    names = {os.path.basename(path) for path in paths}
+    assert {"experiments.py", "retractions.py", "spectral.py"} <= names
+    offenders = []
+    for path in sorted(paths):
+        if os.path.basename(path) == "reporting.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "pass" for k in node.keys
+            ):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []

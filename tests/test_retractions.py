@@ -611,6 +611,26 @@ def test_verify_intersection_small_grid():
     assert params["h_bound"] >= 1.0 - 1e-12
 
 
+def test_nan_retraction_fails_every_pointwise_cell():
+    # a NaN map B leaves K and K0 finite, so Python's max(K/K0, NaN, NaN)
+    # would keep the finite first ratio; every pointwise cell must fail
+    pair, ret = _harmonic_setup(grid_domain(2, 5))
+    object.__setattr__(ret, "inner", np.full_like(ret.inner, np.nan))
+    cells, _ = verify_intersection_lemma(pair, ret, (0.5,), t_points=17)
+    pointwise = [c for c in cells if c["check"] == "pointwise"]
+    assert len(pointwise) == 25 * 17
+    assert all(math.isnan(c["ratio"]) and c["pass"] is False for c in pointwise)
+
+
+def test_nan_d_bound_fails_every_cell():
+    # C = max(h_bound, d_bound) must not drop a NaN second bound
+    pair, ret = _harmonic_setup(grid_domain(2, 5))
+    object.__setattr__(ret, "d_bound", math.nan)
+    cells, params = verify_intersection_lemma(pair, ret, (0.5,), t_points=17)
+    assert math.isnan(params["c_measured"])
+    assert cells and not any(c["pass"] for c in cells)
+
+
 def _pointwise_by_cholesky(pair, T, probes, log_t_min, log_t_max, t_points):
     """Worst pointwise ratio per (t, probe) from per-probe Cholesky solves."""
     M1, M2, Z = pair.m1, pair.m2, T.subspace_basis

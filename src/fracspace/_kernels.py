@@ -20,4 +20,5 @@ def k2_batch(lam, c2, ts):
     c2 = np.asarray(c2, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
     w = ts[:, None] ** 2 * (lam * lam)[None, :]
-    return (w / (1.0 + w)) @ c2
+    np.divide(w, 1.0 + w, out=w)  # in place: one (p, m) temporary fewer
+    return w @ c2

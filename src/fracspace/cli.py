@@ -4,11 +4,17 @@ fracspace <experiment> --config cfg.json [--theta ...] [--size ...]
           [--seed N] [--out DIR] [--format csv|json|both]
 fracspace list
 
-Exit codes: 0 all checks passed, 1 a verification cell failed (or a
-runtime verification error, or any other exception), 2 unknown
-experiment, invalid config or an output directory that cannot be
-written. Past argument parsing, every error exit writes one JSON line to
-stderr and no traceback.
+Exit codes (the failure policy is in `errors`):
+  0  every check passed;
+  1  a verification cell failed, or a run raised any other error:
+     SolverFailure (a failed factorization, eigensolve or Lanczos run, a
+     result that failed a structural check, a non-finite report value),
+     QuadratureNotConverged, RetractionIdentityViolated,
+     AmbiguousClassification, DimensionMismatch, or a NumPy/SciPy error;
+  2  UnknownExperiment, or InvalidConfig: a malformed config, or an
+     output directory that cannot be written.
+Past argument parsing, every error exit writes one JSON line
+{"error": <class name>, "message": ...} to stderr and no traceback.
 """
 from __future__ import annotations
 

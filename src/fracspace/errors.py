@@ -1,7 +1,24 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the failure policy.
 
-Every error raised by this package derives from FracspaceError so callers
-can catch the whole family at the CLI boundary.
+Every error raised by this package derives from FracspaceError, so callers
+can catch the whole family at the CLI boundary. Three kinds of error cover
+every failure of a routine:
+
+- InvalidConfig: an argument outside its domain (t, theta, an exponent, a
+  mass, a size, a config key). The CLI exits 2.
+- DimensionMismatch: shapes that do not fit together.
+- SolverFailure: a numerical routine failed on the data it was given. A
+  factorization, an eigensolve or a Lanczos run failed, or a computed
+  result failed a structural check (SPD, symmetry, orthonormality,
+  positivity, agreement of two routes), or a non-finite value reached a
+  report. The paper's identities need SPD form pairs and positive
+  operators, so a routine that meets a violation of that hypothesis raises
+  instead of clamping it into a plausible number.
+
+Four more name a cause the caller can act on: QuadratureNotConverged (the
+quadrature config can fix it), RetractionIdentityViolated and
+AmbiguousClassification (verification outcomes), and UnknownExperiment
+(the CLI exits 2 on it).
 """
 
 
@@ -9,76 +26,30 @@ class FracspaceError(Exception):
     """Base class for all package errors."""
 
 
-# ---- spectral models
-
-
-class NonPositiveEigenvalue(FracspaceError):
-    """An eigenvalue <= 0 was supplied; the operator must be positive."""
-
-
-class NotOrthonormal(FracspaceError):
-    """Basis Gram matrix deviates from the identity beyond tolerance."""
+class InvalidConfig(FracspaceError):
+    """An argument or run configuration lies outside its domain."""
 
 
 class DimensionMismatch(FracspaceError):
     """Vector or matrix dimensions are inconsistent with the model."""
 
 
-class InvalidExponentOrder(FracspaceError):
-    """Exponent pair (alpha, beta) violates beta >= alpha >= 0."""
-
-
-# ---- K-functional / interpolation
-
-
-class NonPositiveT(FracspaceError):
-    """K-functional parameter t must be positive."""
-
-
-class SingularSystem(FracspaceError):
-    """A linear system that should be SPD failed to factorize."""
-
-
-class ThetaOutOfRange(FracspaceError):
-    """Interpolation parameter theta must lie strictly inside (0, 1)."""
+class SolverFailure(FracspaceError):
+    """A factorization, eigensolve or Lanczos run failed, or its result
+    failed a structural check, or a report holds a non-finite value."""
 
 
 class QuadratureNotConverged(FracspaceError):
     """Panel doubling hit max_panels before reaching the tolerance."""
 
 
-# ---- discrete operators
-
-
-class FactorizationFailure(FracspaceError):
-    """A dense factorization or eigendecomposition of an operator failed,
-    or its result failed a structural check."""
-
-
-class SolverFailure(FracspaceError):
-    """Direct linear solve failed."""
-
-
-# ---- retractions
-
-
 class RetractionIdentityViolated(FracspaceError):
     """T z != z on the subspace; the retraction precondition fails."""
-
-
-# ---- experiments
 
 
 class AmbiguousClassification(FracspaceError):
     """Partial-sum data fits none of the divergence classes."""
 
 
-# ---- CLI / config
-
-
 class UnknownExperiment(FracspaceError):
     """Requested experiment name is not registered."""
-
-
-class InvalidConfig(FracspaceError):
-    """Run configuration failed validation."""

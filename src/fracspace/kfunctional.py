@@ -29,12 +29,10 @@ import numpy as np
 
 from ._kernels import k2_batch
 from .errors import (
+    DimensionMismatch,
     InvalidConfig,
-    NonPositiveT,
     QuadratureNotConverged,
-    SingularSystem,
     SolverFailure,
-    ThetaOutOfRange,
 )
 from .spectral import SpectralModel, _coeffs
 
@@ -55,21 +53,26 @@ class QuadraticPair:
 
 
 def build_quadratic_pair(m1, m2) -> QuadraticPair:
-    """Validate symmetry and positive-definiteness (by factorization)."""
+    """Validate symmetry and positive-definiteness (by factorization).
+
+    Raises DimensionMismatch for forms that are not square or differ in
+    shape, SolverFailure for a form that is not symmetric or fails its
+    Cholesky factorization.
+    """
     from scipy import linalg
 
     M1 = np.array(m1, dtype=np.float64)
     M2 = np.array(m2, dtype=np.float64)
     for name, M in (("m1", M1), ("m2", M2)):
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != M1.shape:
-            raise SingularSystem(f"{name} must be square and match m1: {M.shape}")
+            raise DimensionMismatch(f"{name} must be square and match m1: {M.shape}")
         scale = max(1.0, float(np.max(np.abs(M))))
-        if np.max(np.abs(M - M.T)) > 1e-12 * scale:
-            raise SingularSystem(f"{name} is not symmetric to 1e-12")
+        if not np.max(np.abs(M - M.T)) <= 1e-12 * scale:  # a NaN fails too
+            raise SolverFailure(f"{name} is not symmetric to 1e-12")
         try:
             linalg.cholesky(M, lower=True)
         except linalg.LinAlgError as exc:
-            raise SingularSystem(f"{name} is not positive definite") from exc
+            raise SolverFailure(f"{name} is not positive definite") from exc
     M1.setflags(write=False)
     M2.setflags(write=False)
     return QuadraticPair(M1, M2)
@@ -84,14 +87,14 @@ def pair_from_model(model: SpectralModel) -> QuadraticPair:
 def _check_t(t) -> float:
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
-        raise NonPositiveT(f"t must be a positive real, got {t}")
+        raise InvalidConfig(f"t must be a positive real, got {t}")
     return t
 
 
 def _check_theta(theta) -> float:
     theta = float(theta)
     if not (math.isfinite(theta) and 0.0 < theta < 1.0):
-        raise ThetaOutOfRange(f"theta must lie in (0, 1), got {theta}")
+        raise InvalidConfig(f"theta must lie in (0, 1), got {theta}")
     return theta
 
 
@@ -99,7 +102,7 @@ def _forms(pair: QuadraticPair, u):
     """The forms of pair and u as a flat float vector of matching length."""
     vec = np.asarray(u, dtype=np.float64).ravel()
     if vec.shape != (pair.m1.shape[0],):
-        raise SingularSystem(
+        raise DimensionMismatch(
             f"vector length {vec.shape} != forms of size {pair.m1.shape[0]}"
         )
     return pair.m1, pair.m2, vec
@@ -113,7 +116,7 @@ def k_spectral(model: SpectralModel, u, t) -> float:
     t = _check_t(t)
     c = _coeffs(model, u)
     val = k2_batch(model.eigenvalues, c * c, np.array([t]))[0]
-    return math.sqrt(max(float(val), 0.0))
+    return math.sqrt(float(val))
 
 
 def k2_by_cholesky(m1, m2, X, t2) -> np.ndarray:
@@ -123,15 +126,15 @@ def k2_by_cholesky(m1, m2, X, t2) -> np.ndarray:
     The minimizing split x = f + g solves (m1 + t2 m2) g = m1 x and
     (m1 + t2 m2) f = t2 m2 x, both parts in one solve; f comes from its
     own equation, not as x - g, since at small t, t2 m2 lies below the
-    rounding of m1 and the subtraction cancels. Raises SingularSystem
-    when the factorization fails.
+    rounding of m1 and the subtraction cancels. Raises SolverFailure
+    when the factorization fails, also for a NaN.
     """
     from scipy import linalg
 
     try:
         factor = linalg.cho_factor(m1 + t2 * m2, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SingularSystem("minimizer system failed to factorize") from exc
+    except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
+        raise SolverFailure("minimizer system failed to factorize") from exc
     gf = linalg.cho_solve(factor, np.hstack([m1 @ X, t2 * (m2 @ X)]))
     g, f = np.hsplit(gf, 2)
     return np.sum(f * (m1 @ f), axis=0) + t2 * np.sum(g * (m2 @ g), axis=0)
@@ -379,17 +382,21 @@ def congruence(pair: QuadraticPair):
     Returns (lam_eff, V, transform) where the pencil M2 v = mu M1 v gives
     V with V^T M1 V = I, lam_eff = sqrt(mu), and coordinates of a vector
     are transform @ vector. In those coordinates the pair is
-    (identity, diag lam_eff^2).
+    (identity, diag lam_eff^2). A pencil eigenvalue mu that is not
+    finite and positive means the pair is not SPD; it raises
+    SolverFailure, as does a failed eigensolve.
     """
     from scipy import linalg
 
     M1, M2 = pair.m1, pair.m2
     try:
         mu, V = linalg.eigh(M2, M1)
-    except linalg.LinAlgError as exc:
-        raise SingularSystem("congruence eigendecomposition failed") from exc
-    lam_eff = np.sqrt(np.clip(mu, 0.0, None))
-    return lam_eff, V, V.T @ M1
+    except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
+        raise SolverFailure("congruence eigendecomposition failed") from exc
+    bad = mu[~(np.isfinite(mu) & (mu > 0.0))]
+    if bad.size:
+        raise SolverFailure(f"pair is not SPD: pencil eigenvalue {float(bad[0])!r}")
+    return np.sqrt(mu), V, V.T @ M1
 
 
 def interp_norm(model_or_pair, theta, u, rule: QuadratureRule | None = None) -> float:
@@ -406,7 +413,7 @@ def interp_norm(model_or_pair, theta, u, rule: QuadratureRule | None = None) -> 
         c = transform @ vec
     if rule is None:
         rule = QuadratureRule.for_spectrum(lam)
-    return math.sqrt(max(interp_norms_sq(lam, c[:, None], (theta,), rule).item(), 0.0))
+    return math.sqrt(interp_norms_sq(lam, c[:, None], (theta,), rule).item())
 
 
 def i_theta(theta) -> float:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationFailure, InvalidConfig, SingularSystem
+from .errors import InvalidConfig, SolverFailure
 from .spectral import SpectralModel, build_spectral_model
 
 MAX_N_1D = 2048
@@ -243,7 +243,7 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
     D2 = (E[1:] - E[:-1]) / (h * h)
     w0 = w if d == 1 else np.kron(w, w)
     if not (np.isfinite(w0).all() and (w0 > 0.0).all()):
-        raise SingularSystem("g0 failed the SPD check")
+        raise SolverFailure("g0 failed the SPD check")
     g0 = np.diag(w0)
     g0.setflags(write=False)
     g1 = g0 + _kron_sum(E.T @ E, d) / h ** (2 - d)
@@ -253,7 +253,7 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
         try:
             factors.append(linalg.cholesky(M, lower=True))
         except linalg.LinAlgError as exc:
-            raise SingularSystem(f"{name} failed the SPD check") from exc
+            raise SolverFailure(f"{name} failed the SPD check") from exc
         M.setflags(write=False)
     return SobolevGrams(g0, g1, g2, g1_factor=factors[0], g2_factor=factors[1])
 
@@ -313,25 +313,25 @@ class StokesPencil:
         It is orthonormal by construction and spans ker D by the rank
         check of `stokes_pencil`; runtime checks of |D Z| and
         |Z^T Z - I| (1e-10 each) guard the rounding and raise
-        FactorizationFailure, also for a NaN.
+        SolverFailure, also for a NaN.
         """
         Z = self.null_vectors(np.eye(self.stiffness.shape[0]))
         if not np.max(np.abs(self.divergence @ Z)) <= 1e-10:
-            raise FactorizationFailure("null basis fails divergence-free check")
+            raise SolverFailure("null basis fails divergence-free check")
         if not np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-10:
-            raise FactorizationFailure("null basis fails the orthonormality check")
+            raise SolverFailure("null basis fails the orthonormality check")
         return Z
 
     def constrained_op(self, Z: np.ndarray) -> np.ndarray:
         """The dense constrained operator Ac = Z^T (A Z) on the
         `null_basis` Z, with the sparse A; checked symmetric to 1e-12
-        relative (FactorizationFailure). The same operator is W^T K W,
+        relative (SolverFailure). The same operator is W^T K W,
         but K = C^T A C has entries of order h^-4 whose products with
         the smooth modes cancel, so that route rounds the low end of Ac
         more."""
         Ac = Z.T @ (self.vector_laplacian @ Z)
         if not np.max(np.abs(Ac - Ac.T)) <= 1e-12 * max(1.0, np.max(np.abs(Ac))):
-            raise FactorizationFailure("constrained operator is not symmetric")
+            raise SolverFailure("constrained operator is not symmetric")
         return Ac
 
 
@@ -354,7 +354,7 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     pressure mode is incompatible). That is measured, not assumed: the
     pressure matrix D D^T + 1 1^T / (n+1)^2 = G G^T (x) I + I (x) G G^T
     + 1 1^T / (n+1)^2 is SPD exactly then, and a failed dense Cholesky
-    of it raises FactorizationFailure.
+    of it raises SolverFailure.
 
     K is SPD, so its one splu runs in SuperLU's symmetric mode: a
     minimum-degree ordering of K^T + K applied to rows and columns
@@ -371,7 +371,7 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     try:
         linalg.cholesky(_kron_sum(G @ G.T, 2) + 1.0 / (n + 1) ** 2, lower=True)
     except linalg.LinAlgError as exc:
-        raise FactorizationFailure(
+        raise SolverFailure(
             "divergence rank check failed: the pressure matrix is not SPD"
         ) from exc
 
@@ -386,7 +386,7 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     D = sparse.hstack([kron(cells, G), kron(G, cells)], format="csr")
     C = sparse.vstack([kron(G, faces), -kron(faces, G)], format="csr")
     if not abs(D @ C).max() <= 1e-10:
-        raise FactorizationFailure("the discrete curl is not divergence-free")
+        raise SolverFailure("the discrete curl is not divergence-free")
     K = (C.T @ (A @ C)).tocsc()
     S, mu = _dirichlet_modes(n, h)
     return StokesPencil(
@@ -414,7 +414,7 @@ def stokes_spectral_model(p: StokesPencil) -> SpectralModel:
     try:
         lam, V = linalg.eigh(p.constrained_op(p.null_basis()))
     except linalg.LinAlgError as exc:
-        raise FactorizationFailure("constrained eigendecomposition failed") from exc
+        raise SolverFailure("constrained eigendecomposition failed") from exc
     return build_spectral_model(lam, V)
 
 

@@ -71,7 +71,6 @@ import numpy as np
 from ._kernels import k2_batch
 from .errors import (
     DimensionMismatch,
-    FactorizationFailure,
     InvalidConfig,
     RetractionIdentityViolated,
     SolverFailure,
@@ -219,13 +218,14 @@ def _low_rank_gram_norm(Y: np.ndarray, R: np.ndarray, L: np.ndarray) -> float:
 
 def _stiffness_solver(grams: SobolevGrams, idx: np.ndarray):
     """The interior rows S[idx, :] of the stiffness S = g1 - g0 and the
-    Cholesky factor of their interior block S_ii; S itself is not formed."""
+    Cholesky factor of their interior block S_ii; S itself is not formed.
+    A block that is not SPD, or holds a NaN, raises SolverFailure."""
     from scipy import linalg
 
     S_i = grams.g1[idx] - grams.g0[idx]
     try:
         factor = linalg.cho_factor(S_i[:, idx], lower=True)
-    except linalg.LinAlgError as exc:
+    except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("interior stiffness failed to factorize") from exc
     return S_i, factor
 
@@ -336,7 +336,7 @@ def stokes_retraction(p: StokesPencil) -> Retraction:
     comes from the one norm, `stokes_bound` of the pencil, which does not
     depend on the basis Z. The retraction keeps (Z, B) for the pencil's
     `null_basis` Z and B = Ac^-1 Z^T A = Ac^-1 (A Z)^T, solved through
-    one Cholesky factor of its `constrained_op` Ac (FactorizationFailure
+    one Cholesky factor of its `constrained_op` Ac (SolverFailure
     if Ac is not SPD); the m x m product Z B is never formed.
     """
     from scipy import linalg
@@ -345,7 +345,7 @@ def stokes_retraction(p: StokesPencil) -> Retraction:
     try:
         factor = linalg.cho_factor(p.constrained_op(Z), lower=True)
     except linalg.LinAlgError as exc:
-        raise FactorizationFailure("constrained operator is not SPD") from exc
+        raise SolverFailure("constrained operator is not SPD") from exc
     B = linalg.cho_solve(factor, (p.vector_laplacian @ Z).T)
     bound = stokes_bound(p)
     return Retraction(Z, B, bound, bound)
@@ -438,8 +438,8 @@ def verify_intersection_lemma(
     once from the reduced forms: T V = Z W with W = B V, so
     (T V)^T M1 (T V) = W^T (Z^T M1 Z) W, and likewise for M2. At the
     middle t, `k2_by_cholesky` of each pencil recomputes K^2 and K0^2
-    for all probes at once; a relative deviation above 1e-9 raises
-    SolverFailure, a failed factorization SingularSystem.
+    for all probes at once; a relative deviation above 1e-9, or a failed
+    factorization, raises SolverFailure.
 
     Returns (cells, parameters): the report cells and the run's window,
     probe count and bounds, for the caller's report.
@@ -514,8 +514,8 @@ def verify_intersection_lemma(
             )
 
     # integrated comparison in the same spectral coordinates
-    n_amb = np.sqrt(np.maximum(interp_norms_sq(lam_amb, a, theta_list, rule), 0.0))
-    n_red = np.sqrt(np.maximum(interp_norms_sq(lam_red, a_r, theta_list, rule), 0.0))
+    n_amb = np.sqrt(interp_norms_sq(lam_amb, a, theta_list, rule))
+    n_red = np.sqrt(interp_norms_sq(lam_red, a_r, theta_list, rule))
     for theta, ratio_theta in zip(theta_list, (n_red / n_amb).tolist()):
         for p, ratio in enumerate(ratio_theta):
             cells.append(

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidExponentOrder,
-    NonPositiveEigenvalue,
-    NotOrthonormal,
-    SingularSystem,
-)
+from .errors import DimensionMismatch, InvalidConfig, SolverFailure
 from .reporting import at_most
 
 # Gram deviation allowed at construction; exactly-orthonormal inputs are
@@ -50,7 +44,7 @@ class SpectralModel:
 def _alpha(a) -> float:
     a = float(a)
     if not math.isfinite(a):
-        raise InvalidExponentOrder(f"exponent must be finite, got {a}")
+        raise InvalidConfig(f"exponent must be finite, got {a}")
     return a
 
 
@@ -58,8 +52,10 @@ def build_spectral_model(eigenvalues, basis, mass=1.0) -> SpectralModel:
     """Validate eigen-data and return an immutable model.
 
     Eigenvalues are re-sorted ascending (stable) with basis columns
-    permuted to match. Raises NonPositiveEigenvalue, SingularSystem (mass
-    not finite and positive) or NotOrthonormal.
+    permuted to match. Raises SolverFailure for a non-finite or
+    non-positive eigenvalue or a basis that is not orthonormal (the
+    eigen-data of a failed eigensolve), InvalidConfig for a mass that is
+    not finite and positive.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
     B = np.asarray(basis, dtype=np.float64)
@@ -68,10 +64,10 @@ def build_spectral_model(eigenvalues, basis, mass=1.0) -> SpectralModel:
             f"basis shape {B.shape} incompatible with {lam.size} eigenvalues"
         )
     if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise NonPositiveEigenvalue(f"min eigenvalue {lam.min() if lam.size else None}")
+        raise SolverFailure(f"min eigenvalue {lam.min() if lam.size else None}")
     mass = float(mass)
     if not (math.isfinite(mass) and mass > 0.0):
-        raise SingularSystem(f"mass must be finite and positive, got {mass}")
+        raise InvalidConfig(f"mass must be finite and positive, got {mass}")
     # fancy indexing copies, so the model never aliases the caller's arrays
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
@@ -81,7 +77,7 @@ def build_spectral_model(eigenvalues, basis, mass=1.0) -> SpectralModel:
     gram.flat[:: lam.size + 1] -= 1.0
     gram_dev = np.max(np.abs(gram))
     if not gram_dev <= ORTHO_TOL:
-        raise NotOrthonormal(f"basis Gram deviation {gram_dev:.3e} > {ORTHO_TOL}")
+        raise SolverFailure(f"basis Gram deviation {gram_dev:.3e} > {ORTHO_TOL}")
     lam.setflags(write=False)
     B.setflags(write=False)
     return SpectralModel(lam, B, mass)
@@ -142,7 +138,7 @@ def higher_power_decomposition_check(model: SpectralModel, alpha, beta, u) -> di
     """
     a, b = _alpha(alpha), _alpha(beta)
     if not (b >= a >= 0.0):
-        raise InvalidExponentOrder(f"need beta >= alpha >= 0, got alpha={a}, beta={b}")
+        raise InvalidConfig(f"need beta >= alpha >= 0, got alpha={a}, beta={b}")
     lhs = frac_norm(model, b, u)
     rhs = frac_norm(model, a, apply_fractional_power(model, b - a, u))
     residual = abs(lhs - rhs)

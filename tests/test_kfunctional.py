@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspace import (
+    DimensionMismatch,
     InvalidConfig,
-    NonPositiveT,
     QuadratureNotConverged,
     QuadratureRule,
-    SingularSystem,
-    ThetaOutOfRange,
+    SolverFailure,
     build_quadratic_pair,
     build_spectral_model,
     congruence,
@@ -124,17 +123,17 @@ def test_k_sum_sandwich(small_model):
 
 def test_k_rejects_bad_t(small_model):
     for t in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(NonPositiveT):
+        with pytest.raises(InvalidConfig, match="t must be a positive real"):
             k_spectral(small_model, np.ones(6), t)
 
 
 def test_pair_validation():
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SolverFailure, match="not positive definite"):
         build_quadratic_pair(np.zeros((2, 2)), np.eye(2))  # not SPD
     asym = np.array([[1.0, 0.3], [0.0, 1.0]])
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SolverFailure, match="not symmetric"):
         build_quadratic_pair(asym, np.eye(2))
-    with pytest.raises(SingularSystem):
+    with pytest.raises(DimensionMismatch, match="must be square and match m1"):
         build_quadratic_pair(np.eye(2), np.eye(3))
 
 
@@ -291,7 +290,7 @@ def test_interp_norm_identity(small_model):
 
 def test_interp_norm_theta_range(small_model):
     for theta in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(ThetaOutOfRange):
+        with pytest.raises(InvalidConfig, match="theta must lie in"):
             interp_norm(small_model, theta, np.ones(6))
 
 

@@ -9,11 +9,10 @@ import pytest
 from scipy import linalg
 
 from fracspace import (
-    FactorizationFailure,
     GridDomain,
     InvalidConfig,
     RunConfig,
-    SingularSystem,
+    SolverFailure,
     grid_domain,
     interior_indices,
     laplacian_1d_analytic,
@@ -249,7 +248,7 @@ def test_sobolev_grams_g0_check_rejects_a_bad_trapezoid_weight(monkeypatch, h):
     # g0 is diagonal: a non-positive or non-finite weight fails its SPD
     # check without a factorization
     monkeypatch.setattr(GridDomain, "h", property(lambda self: h))
-    with pytest.raises(SingularSystem, match="g0 failed the SPD check"):
+    with pytest.raises(SolverFailure, match="g0 failed the SPD check"):
         sobolev_grams(GridDomain(1, 4))
 
 
@@ -281,7 +280,7 @@ def test_stokes_rank_check_raises(monkeypatch):
 
     monkeypatch.setattr(linalg, "cholesky", singular)
     cfg = RunConfig(experiment="stokes-equivalence", sizes=(4,))
-    with pytest.raises(FactorizationFailure, match="rank"):
+    with pytest.raises(SolverFailure, match="rank"):
         stokes_equivalence_study(cfg)
 
 
@@ -342,7 +341,7 @@ def test_stokes_rejects_non_orthonormal_null_basis(monkeypatch):
     monkeypatch.setattr(operators, "_dirichlet_modes", scaled_modes)
     p = stokes_pencil(grid_domain(2, 4))
     for dense in (p.null_basis, lambda: stokes_spectral_model(p)):
-        with pytest.raises(FactorizationFailure, match="orthonormal"):
+        with pytest.raises(SolverFailure, match="orthonormal"):
             dense()
 
 
@@ -351,7 +350,7 @@ def test_stokes_rejects_a_null_basis_outside_ker_d(stokes_small):
     D = stokes_small.divergence.tolil()
     D[0, 0] += 1.0
     broken = dataclasses.replace(stokes_small, divergence=D.tocsr())
-    with pytest.raises(FactorizationFailure, match="divergence-free"):
+    with pytest.raises(SolverFailure, match="divergence-free"):
         broken.null_basis()
 
 
@@ -359,7 +358,7 @@ def test_stokes_rejects_an_asymmetric_constrained_operator(stokes_small):
     A = stokes_small.vector_laplacian.tolil()
     A[0, 1] += 1.0
     broken = dataclasses.replace(stokes_small, vector_laplacian=A.tocsr())
-    with pytest.raises(FactorizationFailure, match="symmetric"):
+    with pytest.raises(SolverFailure, match="symmetric"):
         broken.constrained_op(stokes_small.null_basis())
 
 
@@ -369,9 +368,9 @@ def test_stokes_nan_pencil_fails_its_guards(stokes_small):
     nan_scale = np.full_like(stokes_small.scale, np.nan)
     broken = dataclasses.replace(stokes_small, scale=nan_scale)
     for dense in (broken.null_basis, lambda: stokes_spectral_model(broken)):
-        with pytest.raises(FactorizationFailure, match="divergence-free"):
+        with pytest.raises(SolverFailure, match="divergence-free"):
             dense()
-    with pytest.raises(FactorizationFailure, match="divergence-free"):
+    with pytest.raises(SolverFailure, match="divergence-free"):
         stokes_retraction(broken)
 
 
@@ -379,7 +378,7 @@ def test_stokes_nan_operator_fails_the_symmetry_guard(stokes_small):
     A = stokes_small.vector_laplacian.copy()
     A.data[0] = np.nan
     broken = dataclasses.replace(stokes_small, vector_laplacian=A)
-    with pytest.raises(FactorizationFailure, match="symmetric"):
+    with pytest.raises(SolverFailure, match="symmetric"):
         broken.constrained_op(stokes_small.null_basis())
 
 
@@ -478,7 +477,7 @@ def test_sparse_pencil_rank_check_raises(monkeypatch):
         raise linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(linalg, "cholesky", singular)
-    with pytest.raises(FactorizationFailure, match="rank"):
+    with pytest.raises(SolverFailure, match="rank"):
         stokes_pencil(grid_domain(2, 4))
 
 

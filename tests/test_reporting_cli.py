@@ -262,14 +262,14 @@ def test_cli_unknown_experiment(capsys):
 
 def test_cli_eigensolve_failure_exits_1(monkeypatch, tmp_path, capsys):
     # a dense eigensolve of an operator that does not converge: exit 1 and
-    # one JSON line naming FactorizationFailure
+    # one JSON line naming SolverFailure
     def failing(*args, **kwargs):
         raise linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(linalg, "eigh", failing)
     assert main(["stokes-equivalence", "--size", "4", "--out", str(tmp_path)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "FactorizationFailure"
+    assert err["error"] == "SolverFailure"
 
 
 def test_cli_bad_config_file(tmp_path, capsys):

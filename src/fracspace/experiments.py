@@ -551,7 +551,7 @@ def run_intersection(config: RunConfig):
     cells, params = [], {}
     for kind, setup, dom in grids:
         pair, T = setup(dom)
-        grid_cells, params[kind] = verify_intersection_lemma(
+        grid_tables, params[kind] = verify_intersection_lemma(
             pair,
             T,
             thetas,
@@ -559,7 +559,7 @@ def run_intersection(config: RunConfig):
             grid_label=f"{kind}-n{dom.n}",
             seed=config.seed,
         )
-        cells += grid_cells
+        cells += grid_tables
     return make_report(
         "intersection", params, cells, seed=config.seed, cfg_hash=config_hash(config)
     )
@@ -580,7 +580,7 @@ def run_halft1(config: RunConfig):
     domains = [_probed_grid(grid_domain(2, n)) for n in sizes]
     cells, lifts, peaks = [], [], []
     for n, dom in zip(sizes, domains):
-        grid_cells, grid_params = verify_intersection_lemma(
+        grid_tables, grid_params = verify_intersection_lemma(
             *_harmonic_setup(dom),
             thetas,
             config.quadrature,
@@ -588,13 +588,12 @@ def run_halft1(config: RunConfig):
             grid_label=f"n{n}",
             seed=config.seed,
         )
-        cells.extend(grid_cells)
+        cells.extend(grid_tables)
         lift = {key: grid_params[key] for key in ("h_bound", "d_bound")}
         lifts.append(lift)
         cells.append(recorded(lemma="Lemma 5.3", grid=n, check="lift-bounds", **lift))
-        # the interp-ratio cells run theta by theta, probe by probe
-        interp = [c["ratio"] for c in grid_cells if c["check"] == "interp-ratio"]
-        peaks.append(np.max(np.reshape(interp, (len(thetas), -1)), axis=1))
+        # the interp-ratio table has one row per theta, one column per probe
+        peaks.append(np.max(grid_tables[1].ratio, axis=1))
     if len(sizes) > 1:
         for which in ("h_bound", "d_bound"):
             cells.append(

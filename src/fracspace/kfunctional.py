@@ -34,7 +34,7 @@ from .errors import (
     QuadratureNotConverged,
     SolverFailure,
 )
-from .spectral import SpectralModel, _coeffs
+from .spectral import SpectralModel, _coeffs, _pow2_scale
 
 _TINY = 1e-300
 
@@ -112,11 +112,13 @@ def _forms(pair: QuadraticPair, u):
 
 
 def k_spectral(model: SpectralModel, u, t) -> float:
-    """Closed-form K for a spectral model."""
+    """Closed-form K for a spectral model, squaring the coefficients at
+    the scale of `_pow2_scale` (K is homogeneous of degree 1)."""
     t = _check_t(t)
     c = _coeffs(model, u)
-    val = k2_batch(model.eigenvalues, c * c, np.array([t]))[0]
-    return math.sqrt(float(val))
+    scale = _pow2_scale(c)
+    val = k2_batch(model.eigenvalues, (c / scale) ** 2, np.array([t]))[0]
+    return scale * math.sqrt(float(val))
 
 
 def k2_by_cholesky(m1, m2, X, t2) -> np.ndarray:

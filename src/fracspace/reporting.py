@@ -12,31 +12,44 @@ the summary is recomputable from the cells. Every cell is made here, by
   when below its bound, or is only recorded for bound None;
 - `recorded`: values written down, not asserted.
 
+`at_most_table` applies at_most's rule to a whole 2D array and keeps the
+cells as one `CellTable`: the fields they share, a row and a column field
+(t and probe for the pointwise block of the intersection lemma), the
+ratio array and the pass array. A report holds dict cells and tables in
+cell order (`VerificationReport.blocks`); `report.cells` iterates them
+all as dicts, and the summary and the writers read a table's arrays.
+
 A NaN fails every rule: each rule is a comparison that NaN makes false,
 a recorded value must be finite, and the ladder reductions go through
 NumPy's max/min, which propagate NaN where Python's drop it unless it
-comes first. `cell` casts NumPy floats to float (repr(np.float64(x)) is
-'np.float64(x)' and would reach the CSV) and the pass flag to bool (an
-np.bool_ is no JSON value).
+comes first. A cell holds Python scalars alone: NumPy scalars are cast
+with .item() before a rule reads them (repr(np.float64(x)) is
+'np.float64(x)', an np.float32 NaN is no float, an np.bool_ no JSON
+value), and a container raises InvalidConfig.
 
 CSV output is RFC-4180 with a header row and one cell per line; JSON
-output is sorted-key nested. Identical configs (including seed) must
-produce byte-identical files, so floats are serialized via repr and
-nothing time- or path-dependent enters the payload.
+output is sorted-key with indent 2. One writer per format serves dict
+cells and tables alike, and writes byte for byte what csv.writer and
+json.dumps(sort_keys=True, indent=2) would: the JSON frame goes through
+json.dumps, each cell fills a %-template made once per key set, floats
+are written with float.__repr__ (a table's ratios once per table) and
+strings with json's encode_basestring_ascii or csv.writer's quoting.
+Identical configs (including seed) must produce byte-identical files,
+so nothing time- or path-dependent enters the payload; a NaN or inf
+anywhere raises SolverFailure.
 """
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import InvalidConfig, SolverFailure
+from .errors import DimensionMismatch, InvalidConfig, SolverFailure
 
 __version__ = "0.1.0"
 
@@ -179,43 +192,139 @@ def config_hash(config: RunConfig) -> str:
         "quadrature": config.quadrature,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    import hashlib  # here, not at import: it loads OpenSSL, about 8 ms
+
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+class CellTable:
+    """A rows x cols block of cells that share every field but four: a row
+    field, a column field, "ratio" and "pass". Cell (i, j) is
+
+        {**fields, row key: row value i, column key: column value j,
+         "ratio": ratio[i, j], "pass": ok[i, j]},
+
+    and the cells run row by row. The summary and the writers read the
+    arrays; only iteration builds the dicts. Made by `at_most_table`. (A
+    plain class: a dataclass costs about 1.5 ms of `import fracspace`.)
+    """
+
+    def __init__(self, fields: dict, rows: tuple, cols: tuple, ratio, ok):
+        self.fields = fields
+        self.rows = rows  # (field name, tuple of values)
+        self.cols = cols
+        self.ratio = ratio  # read-only float array, len(rows[1]) x len(cols[1])
+        self.ok = ok  # read-only bool array, the same shape
+
+    def __len__(self) -> int:
+        return self.ratio.size
+
+    def __iter__(self):
+        (row_key, row_values), (col_key, col_values) = self.rows, self.cols
+        for r, ratios, oks in zip(row_values, self.ratio.tolist(), self.ok.tolist()):
+            for c, ratio, ok in zip(col_values, ratios, oks):
+                yield {
+                    **self.fields, row_key: r, col_key: c, "ratio": ratio, "pass": ok
+                }
+
+    def keys(self) -> set:
+        """The field names of every cell, as dict.keys() gives a cell's."""
+        return {*self.fields, self.rows[0], self.cols[0], "ratio", "pass"}
+
+    @cached_property
+    def _ratio_texts(self) -> list:  # the same in both formats
+        return _float_texts(self.ratio)
+
+    def texts(self, scalar) -> dict:
+        """The value texts of the four varying fields, one per cell in
+        order. Each row and column value is formatted once, by scalar; the
+        ratios once per table."""
+        (row_key, row_values), (col_key, col_values) = self.rows, self.cols
+        row_texts = [scalar(v) for v in row_values]
+        return {
+            row_key: [text for text in row_texts for _ in col_values],
+            col_key: [scalar(v) for v in col_values] * len(row_values),
+            "ratio": self._ratio_texts,
+            "pass": ["true" if ok else "false" for ok in self.ok.ravel().tolist()],
+        }
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     experiment: str
     parameters: dict
-    cells: list
+    blocks: tuple  # dict cells and CellTables, in cell order
     summary: dict
     provenance: dict
 
     @property
+    def cells(self) -> list:
+        """Every cell as a dict, in order."""
+        return [
+            c for b in self.blocks for c in (b if isinstance(b, CellTable) else (b,))
+        ]
+
+    @property
     def passed(self) -> bool:
-        return all(cell.get("pass", False) for cell in self.cells)
+        return all(
+            b.ok.all() if isinstance(b, CellTable) else b.get("pass", False)
+            for b in self.blocks
+        )
 
 
-def summarize(cells: list) -> dict:
-    """Summary recomputable from the cells (tested as an invariant). A NaN
-    ratio is the worst: max compares keys, and a NaN key would be skipped."""
-    ratios = [c["ratio"] for c in cells if isinstance(c.get("ratio"), float)]
-    worst = None
-    if ratios:
-        worst = max(ratios, key=lambda r: math.inf if math.isnan(r) else abs(r - 1.0))
-    return {
-        "n_cells": len(cells),
-        "n_pass": sum(1 for c in cells if c.get("pass", False)),
-        "worst_ratio": worst,
-    }
+def summarize(blocks) -> dict:
+    """Summary recomputable from the cells (tested as an invariant); a
+    table is read from its arrays. worst_ratio is the first ratio, in cell
+    order, with the largest |ratio - 1|, where a NaN counts as larger than
+    any number."""
+    n_cells = n_pass = 0
+    worst, worst_key = None, -math.inf
+    for block in blocks:
+        if isinstance(block, CellTable):
+            n_cells += block.ratio.size
+            n_pass += int(np.count_nonzero(block.ok))
+            if not block.ratio.size:
+                continue
+            keys = np.abs(block.ratio - 1.0)
+            keys[np.isnan(keys)] = math.inf
+            i = int(np.argmax(keys))  # the first maximum, in cell order
+            ratio, key = float(block.ratio.flat[i]), float(keys.flat[i])
+        else:
+            n_cells += 1
+            n_pass += bool(block.get("pass", False))
+            ratio = block.get("ratio")
+            if not isinstance(ratio, float):
+                continue
+            key = math.inf if math.isnan(ratio) else abs(ratio - 1.0)
+        if key > worst_key:
+            worst, worst_key = ratio, key
+    return {"n_cells": n_cells, "n_pass": n_pass, "worst_ratio": worst}
+
+
+def _scalar(key, value):
+    """A cell value as a Python scalar: NumPy scalars are cast with
+    .item() (repr(np.float64(x)) is 'np.float64(x)', an np.float32 is no
+    float, an np.bool_ no bool); anything but a str, int, float, bool or
+    None raises, since cells are flat."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is not None and not isinstance(value, (str, int, float)):
+        raise InvalidConfig(
+            f"report cell field {key!r} must be a str, number, bool or None,"
+            f" got {type(value).__name__}"
+        )
+    return value
+
+
+def _flat(fields: dict) -> dict:
+    return {key: _scalar(key, value) for key, value in fields.items()}
 
 
 def cell(ok, **fields) -> dict:
-    """One report cell: the fields, with NumPy floats cast to float, and
+    """One report cell: the fields as Python scalars (`_scalar`), and
     "pass" = bool(ok). ok must be a comparison result, never a number:
     bool(nan) is True."""
-    for key, value in fields.items():
-        if isinstance(value, float) and type(value) is not float:
-            fields[key] = float(value)
+    fields = _flat(fields)
     fields["pass"] = bool(ok)
     return fields
 
@@ -226,16 +335,45 @@ def near_one(ratio, bound, **fields) -> dict:
     return cell(abs(ratio - 1.0) <= bound, ratio=ratio, bound=bound, **fields)
 
 
+def _at_most_ok(value, bound, rel, floor):
+    """at_most's rule, for a float or elementwise for an array."""
+    ok = value <= bound * (1.0 + rel)
+    if floor is not None:
+        ok = ok & (floor * (1.0 - rel) <= value)
+    return ok
+
+
 def at_most(value, bound, *, rel=0.0, floor=None, **fields) -> dict:
     """A cell that passes when value <= bound (1 + rel) and, for a floor,
     floor (1 - rel) <= value. value is recorded as the ratio unless the
     fields name another."""
     value = float(value)
-    ok = value <= bound * (1.0 + rel)
-    if floor is not None:
-        ok = ok and floor * (1.0 - rel) <= value
     fields.setdefault("ratio", value)
-    return cell(ok, bound=bound, **fields)
+    return cell(_at_most_ok(value, bound, rel, floor), bound=bound, **fields)
+
+
+def at_most_table(values, bound, *, rows, cols, rel=0.0, floor=None, **fields):
+    """`at_most` over a 2D array at once: a CellTable whose cell (i, j)
+    records values[i, j] as its ratio and passes by at_most's rule. rows
+    and cols are (field name, values) pairs, one value per row or column
+    of the array; the other fields are shared by every cell."""
+    ratio = np.array(values, dtype=float)
+    (row_key, row_values), (col_key, col_values) = rows, cols
+    if ratio.shape != (len(row_values), len(col_values)):
+        raise DimensionMismatch(
+            f"cell table values of shape {ratio.shape} for"
+            f" {len(row_values)} rows and {len(col_values)} columns"
+        )
+    ok = _at_most_ok(ratio, bound, rel, floor)
+    ratio.setflags(write=False)
+    ok.setflags(write=False)
+    return CellTable(
+        _flat({"bound": bound, **fields}),
+        (row_key, tuple(_scalar(row_key, v) for v in row_values)),
+        (col_key, tuple(_scalar(col_key, v) for v in col_values)),
+        ratio,
+        ok,
+    )
 
 
 def ladder_drift(*series, bound, **fields) -> dict:
@@ -249,7 +387,8 @@ def ladder_drift(*series, bound, **fields) -> dict:
 
 def recorded(**fields) -> dict:
     """A cell that records values without a bound; it passes when every
-    float among them is finite."""
+    float among them is finite, NumPy scalars included."""
+    fields = _flat(fields)
     ok = all(math.isfinite(v) for v in fields.values() if isinstance(v, float))
     return cell(ok, **fields)
 
@@ -261,50 +400,134 @@ def make_report(
     seed: int | None = None,
     cfg_hash: str = "",
 ) -> VerificationReport:
+    """cells holds dict cells and CellTables, in cell order."""
+    blocks = tuple(cells)
     return VerificationReport(
         experiment=experiment,
         parameters=parameters,
-        cells=cells,
-        summary=summarize(cells),
+        blocks=blocks,
+        summary=summarize(blocks),
         provenance={"seed": seed, "config_hash": cfg_hash, "version": __version__},
     )
 
 
-def _csv_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise SolverFailure(f"non-finite value in report cell: {v}")
-        return repr(v)
-    return str(v)
+# ---- the writers: one per format, for dict cells and tables alike
+
+
+def _plain(value) -> str:
+    """A bool, int or finite float as both formats write it: JSON's
+    true/false, and repr (json.dumps writes int.__repr__ and
+    float.__repr__)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise SolverFailure(f"non-finite value in report cell: {value!r}")
+    raise InvalidConfig(f"report cell value {value!r} is no str, number, bool or None")
+
+
+def _float_texts(values: np.ndarray) -> list:
+    """float.__repr__ of every entry, in C order; a NaN or inf raises."""
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)].flat[0]
+        raise SolverFailure(f"non-finite value in report cell: {bad!r}")
+    return list(map(float.__repr__, values.ravel().tolist()))
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return "null" if value is None else _plain(value)
+
+
+def _csv_scalar(value) -> str:
+    """A CSV field, quoted where csv.writer quotes it: when it holds a
+    comma, a quote or a line break, with quotes doubled."""
+    if isinstance(value, str):
+        if any(ch in value for ch in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return "" if value is None else _plain(value)
+
+
+def _literal(text: str) -> str:
+    return text.replace("%", "%%")
+
+
+def _json_template(keys, constants: dict) -> str:
+    """One cell as json.dumps(indent=2) writes it inside the report: the
+    text of a key in constants is written in, every other key is a %s
+    slot."""
+    if not keys:
+        return "    {}"
+    items = [
+        _literal(encode_basestring_ascii(k) + ": " + constants[k])
+        if k in constants
+        else _literal(encode_basestring_ascii(k)) + ": %s"
+        for k in keys
+    ]
+    return "    {\n      " + ",\n      ".join(items) + "\n    }"
+
+
+def _csv_template(keys, constants: dict) -> str:
+    """One CSV row over the header keys, slots as in `_json_template`."""
+    return ",".join(_literal(constants[k]) if k in constants else "%s" for k in keys)
+
+
+def _cell_texts(blocks, scalar, template, header=None) -> list:
+    """One text per cell, in order: each dict cell fills a template made
+    once per key set, each table one template with its constant fields
+    written in. The keys are the CSV header, or for JSON (header None)
+    each cell's own, sorted."""
+    templates, out = {}, []
+    for block in blocks:
+        if isinstance(block, CellTable):
+            keys = header if header is not None else sorted(block.keys())
+            texts = block.texts(scalar)
+            constants = {k: scalar(block.fields.get(k)) for k in keys if k not in texts}
+            filled = template(keys, constants)
+            slots = [texts[k] for k in keys if k in texts]
+            out += [filled % values for values in zip(*slots)]
+        else:
+            keys = header if header is not None else tuple(sorted(block))
+            if keys not in templates:
+                templates[keys] = template(keys, {})
+            out.append(templates[keys] % tuple(scalar(block.get(k)) for k in keys))
+    return out
 
 
 def report_to_csv(report: VerificationReport) -> str:
-    """Flat CSV: header = sorted union of cell keys, one cell per row."""
-    keys = sorted({k for cell in report.cells for k in cell})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")  # RFC 4180 line ends
-    writer.writerow(keys)
-    for cell in report.cells:
-        writer.writerow([_csv_value(cell.get(k)) for k in keys])
-    return buf.getvalue()
+    """Flat CSV: header = sorted union of cell keys, one cell per row, with
+    RFC 4180 line ends; byte for byte what csv.writer writes."""
+    keys = tuple(sorted({k for block in report.blocks for k in block.keys()}))
+    lines = [",".join(map(_csv_scalar, keys))]
+    lines += _cell_texts(report.blocks, _csv_scalar, _csv_template, keys)
+    if len(keys) == 1:  # csv.writer quotes a row's one field when it is empty
+        lines = [line or '""' for line in lines]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def report_to_json(report: VerificationReport) -> str:
-    doc = {
+    """Sorted-key JSON with indent 2, byte for byte what json.dumps writes:
+    json.dumps writes the frame, `_cell_texts` the cells."""
+    frame = {
         "experiment": report.experiment,
         "parameters": report.parameters,
-        "cells": report.cells,
         "summary": report.summary,
         "provenance": report.provenance,
     }
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # a NaN or inf anywhere in the report
+        text = json.dumps(frame, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or inf in the frame
         raise SolverFailure(f"non-finite value in report: {exc}") from exc
+    cells = _cell_texts(report.blocks, _json_scalar, _json_template)
+    # "cells" sorts before every key of the frame
+    if not cells:
+        return '{\n  "cells": [],' + text[1:] + "\n"
+    return '{\n  "cells": [\n' + ",\n".join(cells) + "\n  ]," + text[1:] + "\n"
 
 
 def write_report(report: VerificationReport, config: RunConfig) -> list:

@@ -89,7 +89,7 @@ from .operators import (
     interior_indices,
     zero_boundary_basis,
 )
-from .reporting import at_most
+from .reporting import at_most_table
 
 IDENTITY_TOL = 1e-10
 
@@ -441,8 +441,10 @@ def verify_intersection_lemma(
     for all probes at once; a relative deviation above 1e-9, or a failed
     factorization, raises SolverFailure.
 
-    Returns (cells, parameters): the report cells and the run's window,
-    probe count and bounds, for the caller's report.
+    Returns (cells, parameters). cells is two CellTables: the pointwise
+    ratios, one row per t and one column per probe, then the interp
+    ratios, one row per theta. parameters holds the run's window, probe
+    count and bounds, for the caller's report.
     """
     M1, M2 = pair.m1, pair.m2
     Z = T.subspace_basis
@@ -496,42 +498,34 @@ def verify_intersection_lemma(
     worst = np.maximum(
         np.maximum(np.sqrt(k2 / k02), k02 / mid), mid / (2.0 * C * C * k2)
     )
-    cells = []
-    for t, worst_t in zip(ts, worst.tolist()):
-        for p, ratio in enumerate(worst_t):
-            cells.append(
-                at_most(
-                    ratio,
-                    1.0,
-                    rel=1e-9,
-                    lemma=lemma_label,
-                    grid=grid_label,
-                    check="pointwise",
-                    theta=None,
-                    t=t,
-                    probe=p,
-                )
-            )
+    probes = ("probe", range(n_probes))
+    pointwise = at_most_table(
+        worst,
+        1.0,
+        rel=1e-9,
+        rows=("t", ts),
+        cols=probes,
+        lemma=lemma_label,
+        grid=grid_label,
+        check="pointwise",
+        theta=None,
+    )
 
     # integrated comparison in the same spectral coordinates
     n_amb = np.sqrt(interp_norms_sq(lam_amb, a, theta_list, rule))
     n_red = np.sqrt(interp_norms_sq(lam_red, a_r, theta_list, rule))
-    for theta, ratio_theta in zip(theta_list, (n_red / n_amb).tolist()):
-        for p, ratio in enumerate(ratio_theta):
-            cells.append(
-                at_most(
-                    ratio,
-                    c_prime,
-                    rel=1e-5,
-                    floor=1.0,
-                    lemma=lemma_label,
-                    grid=grid_label,
-                    check="interp-ratio",
-                    theta=float(theta),
-                    t=None,
-                    probe=p,
-                )
-            )
+    interp = at_most_table(
+        n_red / n_amb,
+        c_prime,
+        rel=1e-5,
+        floor=1.0,
+        rows=("theta", [float(th) for th in theta_list]),
+        cols=probes,
+        lemma=lemma_label,
+        grid=grid_label,
+        check="interp-ratio",
+        t=None,
+    )
 
     parameters = {
         "lemma": lemma_label,
@@ -546,4 +540,4 @@ def verify_intersection_lemma(
         "c_measured": C,
         "c_prime": c_prime,
     }
-    return cells, parameters
+    return [pointwise, interp], parameters

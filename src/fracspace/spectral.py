@@ -123,11 +123,25 @@ def apply_fractional_power(model: SpectralModel, alpha, u) -> np.ndarray:
     return np.power(model.eigenvalues, a) * c
 
 
+def _pow2_scale(c) -> float:
+    """The power of two just above the largest |c_j|, or 1.0 when that is
+    0, inf or NaN. A norm squares c / scale and multiplies its root by
+    scale, so that no square underflows or overflows; a power of two
+    divides exactly, so the result is unchanged wherever none would."""
+    top = float(np.max(np.abs(c), initial=0.0))
+    if not 0.0 < top < math.inf:
+        return 1.0
+    return math.ldexp(1.0, math.frexp(top)[1])
+
+
 def frac_norm(model: SpectralModel, alpha, u) -> float:
-    """(sum_j lam_j^(2 alpha) |c_j|^2)^(1/2)."""
+    """(sum_j lam_j^(2 alpha) |c_j|^2)^(1/2), squared at `_pow2_scale`."""
     a = _alpha(alpha)
     c = _coeffs(model, u)
-    return math.sqrt(float(np.power(model.eigenvalues, 2.0 * a) @ (c * c)))
+    scale = _pow2_scale(c)
+    return scale * math.sqrt(
+        float(np.power(model.eigenvalues, 2.0 * a) @ ((c / scale) ** 2))
+    )
 
 
 def higher_power_decomposition_check(model: SpectralModel, alpha, beta, u) -> dict:

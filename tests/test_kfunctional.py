@@ -356,6 +356,28 @@ def test_k_homogeneous(mc, t):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("c0", [2.29323056e-162, 2.58131625e-246, 1e200])
+def test_norms_of_a_tiny_or_huge_vector(c0):
+    # squared as they are, these coefficients underflow into subnormals
+    # (or overflow), which cost K and the norms their homogeneity
+    model = build_spectral_model(np.array([1.0]), np.eye(1))
+    c = np.array([c0])
+    k = k_spectral(model, c, 1.0)
+    assert k == pytest.approx(c0 * math.sqrt(0.5), rel=1e-15, abs=0.0)
+    assert k_spectral(model, 3.0 * c, 1.0) == pytest.approx(3.0 * k, rel=1e-12, abs=0.0)
+    assert frac_norm(model, 0.5, c) == pytest.approx(c0, rel=1e-15, abs=0.0)
+    assert k <= frac_norm(model, 0.0, c)
+    assert k_spectral(model, np.zeros(1), 1.0) == frac_norm(model, 0.5, np.zeros(1)) == 0.0
+
+
+def test_pow2_scale_leaves_normal_norms_bit_identical(sine_model):
+    # a power of two divides exactly: the rescaled norm is the plain one
+    c = np.random.default_rng(0).standard_normal(sine_model.eigenvalues.size) * 1e3
+    lam = sine_model.eigenvalues
+    plain = math.sqrt(float(np.power(lam, 0.6) @ (c * c)))
+    assert frac_norm(sine_model, 0.3, c) == plain
+
+
 @settings(max_examples=25, deadline=None)
 @given(_model_and_coeffs())
 def test_quadratic_route_matches_spectral_route(mc):

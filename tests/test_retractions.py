@@ -598,9 +598,10 @@ def test_verify_intersection_small_grid():
     pair = build_quadratic_pair(grams.g1, grams.g2)
     ret = harmonic_retraction(d, grams)
     window = {"log_t_min": -12.0, "log_t_max": 8.0}
-    cells, params = verify_intersection_lemma(
+    tables, params = verify_intersection_lemma(
         pair, ret, (0.3, 0.7), window, grid_label="n5", t_points=17, seed=3
     )
+    cells = [c for table in tables for c in table]
     assert all(c["pass"] for c in cells)
     kinds = {c["check"] for c in cells}
     assert kinds == {"pointwise", "interp-ratio"}
@@ -616,8 +617,8 @@ def test_nan_retraction_fails_every_pointwise_cell():
     # would keep the finite first ratio; every pointwise cell must fail
     pair, ret = _harmonic_setup(grid_domain(2, 5))
     object.__setattr__(ret, "inner", np.full_like(ret.inner, np.nan))
-    cells, _ = verify_intersection_lemma(pair, ret, (0.5,), t_points=17)
-    pointwise = [c for c in cells if c["check"] == "pointwise"]
+    tables, _ = verify_intersection_lemma(pair, ret, (0.5,), t_points=17)
+    pointwise = [c for table in tables for c in table if c["check"] == "pointwise"]
     assert len(pointwise) == 25 * 17
     assert all(math.isnan(c["ratio"]) and c["pass"] is False for c in pointwise)
 
@@ -626,7 +627,8 @@ def test_nan_d_bound_fails_every_cell():
     # C = max(h_bound, d_bound) must not drop a NaN second bound
     pair, ret = _harmonic_setup(grid_domain(2, 5))
     object.__setattr__(ret, "d_bound", math.nan)
-    cells, params = verify_intersection_lemma(pair, ret, (0.5,), t_points=17)
+    tables, params = verify_intersection_lemma(pair, ret, (0.5,), t_points=17)
+    cells = [c for table in tables for c in table]
     assert math.isnan(params["c_measured"])
     assert cells and not any(c["pass"] for c in cells)
 
@@ -659,7 +661,8 @@ def _pointwise_by_cholesky(pair, T, probes, log_t_min, log_t_max, t_points):
 @pytest.mark.parametrize("setup, n", [(_harmonic_setup, 6), (_stokes_setup, 4)])
 def test_pointwise_cells_match_cholesky_minimizers(setup, n):
     pair, T = setup(grid_domain(2, n))
-    all_cells, params = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
+    tables, params = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
+    all_cells = [c for table in tables for c in table]
     cells = [c for c in all_cells if c["check"] == "pointwise"]
     # the same probes, rebuilt from a reduced-pencil eigensolve of our own
     probes = _reduced_probes(pair, T.subspace_basis, seed=42).T

@@ -17,17 +17,21 @@ from .errors import AmbiguousClassification, InvalidConfig
 from .kfunctional import (
     QuadraticPair,
     QuadratureRule,
+    SpectralPair,
+    congruence,
     i_theta,
     interp_norms_sq,
 )
 from .operators import (
     grid_domain,
+    interior_indices,
     laplacian_1d_analytic,
     sobolev_grams,
     stokes_ambient_model,
     stokes_domain,
     stokes_pencil,
     stokes_spectral_model,
+    zero_boundary_pencil,
 )
 from .reporting import (
     RunConfig,
@@ -518,8 +522,19 @@ def run_weight(config: RunConfig):
 
 
 def _harmonic_setup(dom):
+    """The pairs and retraction of `verify_intersection_lemma` for (g1, g2)
+    and the zero-boundary subspace: the ambient pencil by `congruence`,
+    the reduced one in closed form, its forms gathered from the interior
+    rows and columns (Z^T g Z bit for bit for the indicator columns Z)."""
     grams = sobolev_grams(dom)  # validated, factored and read-only
-    return QuadraticPair(grams.g1, grams.g2), harmonic_retraction(dom, grams)
+    T = harmonic_retraction(dom, grams)
+    ambient = QuadraticPair(grams.g1, grams.g2)
+    ix = np.ix_(*[interior_indices(dom)] * 2)
+    return (
+        SpectralPair(ambient.m1, ambient.m2, *congruence(ambient)),
+        SpectralPair(grams.g1[ix], grams.g2[ix], *zero_boundary_pencil(dom)),
+        T,
+    )
 
 
 def _probed_grid(dom):
@@ -531,14 +546,24 @@ def _probed_grid(dom):
 
 
 def _stokes_setup(dom):
+    """The pairs and retraction of `verify_intersection_lemma` for (I, A^2)
+    and ker D: the ambient pencil in A's closed-form modes, the reduced
+    one on the null basis Z by `congruence`."""
     p = stokes_pencil(dom)
-    A = p.vector_laplacian.toarray()
+    T = stokes_retraction(p)
+    model = stokes_ambient_model(dom)
     # (I, A^2) is SPD by construction, as the pencil's A is SPD, so the
     # pair skips build_quadratic_pair's copies and Cholesky checks
-    m1, m2 = np.eye(A.shape[0]), A @ A
+    m1, m2 = np.eye(model.dim), (p.vector_laplacian @ p.vector_laplacian).toarray()
     m1.setflags(write=False)
     m2.setflags(write=False)
-    return QuadraticPair(m1, m2), stokes_retraction(p)
+    Z = T.subspace_basis
+    reduced = QuadraticPair(Z.T @ Z, Z.T @ m2 @ Z)
+    return (
+        SpectralPair(m1, m2, model.eigenvalues, model.basis, model.basis.T),
+        SpectralPair(reduced.m1, reduced.m2, *congruence(reduced)),
+        T,
+    )
 
 
 def run_intersection(config: RunConfig):
@@ -550,10 +575,8 @@ def run_intersection(config: RunConfig):
     thetas = _thetas(config, (0.25, 0.5, 0.75))
     cells, params = [], {}
     for kind, setup, dom in grids:
-        pair, T = setup(dom)
         grid_tables, params[kind] = verify_intersection_lemma(
-            pair,
-            T,
+            *setup(dom),
             thetas,
             config.quadrature,
             grid_label=f"{kind}-n{dom.n}",

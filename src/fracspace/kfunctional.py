@@ -41,15 +41,22 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class QuadraticPair:
-    """SPD Gram forms (m1, m2) for the norm pair (X, Y).
-
-    A pair restricted to a subspace span(Z) is the pair (Z^T m1 Z,
-    Z^T m2 Z) acting on coordinates; `verify_intersection_lemma` forms it
-    from a retraction's subspace basis.
-    """
+    """SPD Gram forms (m1, m2) for the norm pair (X, Y); restricted to a
+    subspace span(Z), the pair (Z^T m1 Z, Z^T m2 Z) on coordinates."""
 
     m1: np.ndarray
     m2: np.ndarray
+
+
+@dataclass(frozen=True)
+class SpectralPair(QuadraticPair):
+    """An SPD pair with its pencil in spectral form (lam, V, transform),
+    as `congruence` returns it or from a closed form: lam ascending,
+    V^T m1 V = I, V^T m2 V = diag lam^2, transform @ x the coefficients."""
+
+    lam: np.ndarray
+    V: np.ndarray
+    transform: np.ndarray
 
 
 def build_quadratic_pair(m1, m2) -> QuadraticPair:

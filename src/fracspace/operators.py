@@ -21,10 +21,11 @@ graph, Dirichlet and full-node second differences, and the staggered
 forward difference from faces to cells. A 2D operator acting along both
 axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil. The same
 structure gives the spectra of the Dirichlet Kronecker sums in closed
-form: `laplacian_fd` and `stokes_ambient_model` take tensor products of
-DST-I modes and sums of their eigenvalues, with no eigensolver. Only
-the constrained operator Z^T A Z, which is not a Kronecker sum, is
-diagonalized densely.
+form: `laplacian_fd`, `stokes_ambient_model` and `zero_boundary_pencil`
+(the pencil of (g1, g2) on zero-boundary functions) take tensor
+products of DST-I modes, with no eigensolver. Only the constrained
+operator Z^T A Z, which is not a Kronecker sum, is diagonalized
+densely.
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
 Apart from the sparse pencil the matrices are dense, so sizes are
@@ -256,6 +257,35 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
             raise SolverFailure(f"{name} failed the SPD check") from exc
         M.setflags(write=False)
     return SobolevGrams(g0, g1, g2, g1_factor=factors[0], g2_factor=factors[1])
+
+
+def zero_boundary_pencil(domain: GridDomain):
+    """The pencil of (g1, g2) on the zero-boundary subspace of a 2D grid,
+    in closed form: (lam, V, transform) as `kfunctional.congruence`
+    returns it, lam ascending (stable sort).
+
+    On the interior nodes the forms are Z^T g1 Z = h^2 I + P (x) I +
+    I (x) P and Z^T g2 Z = Z^T g1 Z + (P^2 (x) I + I (x) P^2) / h^2 for
+    P = tridiag(-1, 2, -1), so the DST-I product S (x) S of
+    `_dirichlet_modes` diagonalizes both (Lynch, Rice & Thomas 1964),
+    with d1 = h^2 + p_k + p_l, d2 = d1 + (p_k^2 + p_l^2) / h^2 for the
+    eigenvalues p_k of P, and mu = d2 / d1. Then V = (S (x) S) d1^-1/2,
+    lam = sqrt(mu) and transform = V^T Z^T g1 Z = d1^1/2 (S (x) S)^T.
+    A d1 or mu that is not finite and positive raises SolverFailure.
+    """
+    if domain.dimension != 2:
+        raise InvalidConfig("the zero-boundary pencil is built on the unit square")
+    h2 = domain.cell_volume
+    S, p = _dirichlet_modes(domain.n, 1.0)
+    d1 = h2 + np.add.outer(p, p).ravel()
+    mu = (d1 + np.add.outer(p * p, p * p).ravel() / h2) / d1
+    bad = ~(np.isfinite(mu) & (mu > 0.0) & (d1 > 0.0))
+    if bad.any():
+        raise SolverFailure(f"zero-boundary pencil eigenvalue {float(mu[bad][0])!r}")
+    order = np.argsort(mu, kind="stable")
+    SS = np.kron(S, S)[:, order]
+    s = np.sqrt(d1[order])
+    return np.sqrt(mu[order]), SS / s, s[:, None] * SS.T
 
 
 def _staggered_difference(n: int, h: float) -> np.ndarray:

@@ -38,17 +38,19 @@ scipy.sparse.linalg.eigsh) with T and T^T applied through the one LU
 of K. The same routine in shift-invert mode gives the lowest
 eigenvalue of the constrained operator, from the pencil (K, C^T C).
 
-The pointwise minimizers come from the generalised eigenpairs of the
-ambient pencil (M2, M1) and of the reduced pencil, the same two
-eigensolves that give the spectral coordinates of the integrated check,
-the probe vectors (`probe_coordinates` of the reduced pencil, which
-depend on its spectral projectors alone, not on the eigenbasis) and
-the quadrature window (`QuadratureRule.from_config` of the ambient
-spectrum); in those coordinates every t is diagonal, and `k2_batch` and
-`interp_norms_sq` take all probes at once. The transported term reads
-the reduced forms Z^T M Z through B, never the ambient forms through an
-m x m map. `k2_by_cholesky` of each pencil at the middle t recomputes
-K^2 and K0^2 as an in-run cross-check.
+The intersection-lemma engine takes the ambient pair and the reduced
+pair (Z^T M1 Z, Z^T M2 Z), each with its pencil in spectral form
+(a `kfunctional.SpectralPair`): closed-form for the pencils that
+separate under DST-I modes (`operators.zero_boundary_pencil`, the
+reduced harmonic one, and `operators.stokes_ambient_model` for the
+ambient Stokes pair (I, A^2)), one dense `congruence` for the two that
+do not. Those forms give the minimizers, in which every t is diagonal,
+the probes (`probe_coordinates` of the reduced pencil, a function of
+its spectral projectors alone) and the quadrature window of the
+ambient spectrum. The transported term goes through the r x m matrix
+W~ = transform_red B V_amb, never through an m x m map.
+`k2_by_cholesky` of each pair's forms at the middle t recomputes K^2
+and K0^2 as an in-run cross-check, which also checks the closed forms.
 The identity T z = z on the subspace is checked once, when a
 `Retraction` is constructed, so the verification trusts its input.
 
@@ -76,9 +78,8 @@ from .errors import (
     SolverFailure,
 )
 from .kfunctional import (
-    QuadraticPair,
     QuadratureRule,
-    congruence,
+    SpectralPair,
     interp_norms_sq,
     k2_by_cholesky,
 )
@@ -402,7 +403,8 @@ def probe_coordinates(lam, V, transform, seed=42) -> np.ndarray:
 
 
 def verify_intersection_lemma(
-    pair: QuadraticPair,
+    ambient: SpectralPair,
+    reduced: SpectralPair,
     T: Retraction,
     theta_list,
     quadrature: dict | None = None,
@@ -414,13 +416,14 @@ def verify_intersection_lemma(
 ):
     """Pointwise and integrated checks of the retraction inequality chain.
 
-    pair is the ambient pair; the subspace is span(Z) for Z =
-    T.subspace_basis, and the reduced pair is (Z^T M1 Z, Z^T M2 Z). T
-    satisfies T z = z on span(Z) by construction, so it is not checked
-    again. The probes are Z times the `probe_coordinates` of the reduced
-    pencil (20 decaying, then projections onto its 5 lowest eigenvalue
-    clusters), and the quadrature rule is
-    `QuadratureRule.from_config(quadrature, ambient spectrum)`.
+    ambient is the ambient pair (M1, M2) and reduced the pair
+    (Z^T M1 Z, Z^T M2 Z) on the coordinates of the subspace span(Z), Z =
+    T.subspace_basis, each with its pencil in spectral form. T satisfies
+    T z = z on span(Z) by construction, so it is not checked again. The
+    probes are Z times the `probe_coordinates` of the reduced pencil (20
+    decaying, then projections onto its 5 lowest eigenvalue clusters),
+    and the quadrature rule is
+    `QuadratureRule.from_config(quadrature, ambient.lam)`.
     For each probe u and each t on the log-spaced grid spanning that
     window: form the ambient optimal decomposition u = f + g, transport
     it, and check
@@ -428,43 +431,40 @@ def verify_intersection_lemma(
         K <= K0,   K0^2 <= |Tf|_H^2 + t^2 |Tg|_D^2 <= 2 C^2 K^2,
 
     with C = max(h_bound, d_bound). Per theta, compare the subspace and
-    ambient interpolation norms: the ratio must land in [1, sqrt(2) * C]. Cells carry a relative slack of 1e-9
-    (pointwise) / 1e-5 (integrated) for rounding.
+    ambient interpolation norms: the ratio must land in [1, sqrt(2) * C].
+    Cells carry a relative slack of 1e-9 (pointwise) / 1e-5 (integrated)
+    for rounding.
 
-    Both minimizers are read off the pencil eigenpairs that `congruence`
-    returns (V^T M1 V = I, V^T M2 V = diag lam^2): for u = V a, with
+    Both minimizers are read off the spectral forms: for u = V a, with
     x = t^2 lam^2 and s = 1 / (1 + x), g = V (s a), f = V (x s a) and
-    K^2 = sum a^2 x s. The transported term uses the Grams of T V, formed
-    once from the reduced forms: T V = Z W with W = B V, so
-    (T V)^T M1 (T V) = W^T (Z^T M1 Z) W, and likewise for M2. At the
-    middle t, `k2_by_cholesky` of each pencil recomputes K^2 and K0^2
-    for all probes at once; a relative deviation above 1e-9, or a failed
-    factorization, raises SolverFailure.
+    K^2 = sum a^2 x s. The transported term is taken in the reduced
+    eigen-coefficients of T V_amb = Z B V_amb, W~ = transform_red B V_amb
+    (r x m, formed once): |Tf|_M1^2 = |W~ f^|^2 and
+    |Tg|_M2^2 = |lam_red W~ g^|^2 for f^ = x s a and g^ = s a, each
+    formed directly, never as a difference; one r x m x 2q product per
+    t. At the middle t, `k2_by_cholesky` of each pair's forms recomputes
+    K^2 and K0^2 for all probes at once, which also checks any closed
+    form; a relative deviation above 1e-9, or a failed factorization,
+    raises SolverFailure.
 
     Returns (cells, parameters). cells is two CellTables: the pointwise
     ratios, one row per t and one column per probe, then the interp
     ratios, one row per theta. parameters holds the run's window, probe
     count and bounds, for the caller's report.
     """
-    M1, M2 = pair.m1, pair.m2
     Z = T.subspace_basis
     C = float(np.maximum(T.h_bound, T.d_bound))  # a NaN bound stays NaN
     c_prime = math.sqrt(2.0) * C
-    M1r = Z.T @ M1 @ Z
-    M2r = Z.T @ M2 @ Z
-    lam_amb, V_amb, w_amb = congruence(pair)
-    lam_red, V_red, w_red = congruence(QuadraticPair(M1r, M2r))
-    Cr = probe_coordinates(lam_red, V_red, w_red, seed)
+    lam_amb, lam_red = ambient.lam, reduced.lam
+    Cr = probe_coordinates(lam_red, reduced.V, reduced.transform, seed)
     U = Z @ Cr
     n_probes = U.shape[1]
     rule = QuadratureRule.from_config(quadrature, lam_amb)
 
     # pointwise chain for every t and probe from the eigenpairs
-    a = w_amb @ U
-    a_r = w_red @ Cr
-    W = T.inner @ V_amb
-    P1 = W.T @ M1r @ W
-    P2 = W.T @ M2r @ W
+    a = ambient.transform @ U
+    a_r = reduced.transform @ Cr
+    W = reduced.transform @ (T.inner @ ambient.V)
     taus = np.linspace(rule.log_t_min, rule.log_t_max, t_points)
     ts = [math.exp(tau) for tau in taus]
     t2s = np.array(ts) ** 2
@@ -474,18 +474,15 @@ def verify_intersection_lemma(
     mid = np.empty_like(k2)
     for i, t2 in enumerate(t2s):
         s = 1.0 / (1.0 + x[i])
-        fh = a * (x[i] * s)[:, None]
-        gh = a * s[:, None]
-        mid[i] = np.sum(fh * (P1 @ fh), axis=0) + t2 * np.sum(gh * (P2 @ gh), axis=0)
+        tf, tg = np.hsplit(W @ np.hstack([a * (x[i] * s)[:, None], a * s[:, None]]), 2)
+        tg *= lam_red[:, None]
+        mid[i] = np.sum(tf * tf, axis=0) + t2 * np.sum(tg * tg, axis=0)
 
     # independent route at one t: Cholesky minimizers of all probes at once
     im = t_points // 2
     t2 = float(t2s[im])
-    for name, F1, F2, X, eig in (
-        ("K", M1, M2, U, k2[im]),
-        ("K0", M1r, M2r, Cr, k02[im]),
-    ):
-        chol = k2_by_cholesky(F1, F2, X, t2)
+    for name, pair, X, eig in (("K", ambient, U, k2[im]), ("K0", reduced, Cr, k02[im])):
+        chol = k2_by_cholesky(pair.m1, pair.m2, X, t2)
         dev = float(np.max(np.abs(eig - chol) / chol))
         if not dev <= 1e-9:
             raise SolverFailure(

@@ -20,6 +20,7 @@ from fracspace import (
     stokes_pencil,
     stokes_retraction,
     stokes_spectral_model,
+    zero_boundary_pencil,
 )
 from fracspace import operators
 from fracspace.kfunctional import k2_by_cholesky
@@ -47,6 +48,15 @@ def _stokes_pencil_with_rank_deficient_divergence(monkeypatch):
         operators, "_staggered_difference", lambda n, h: np.zeros((n + 1, n))
     )
     stokes_pencil(grid_domain(2, 4))
+
+
+def _zero_boundary_pencil_with_modes(mp, p_of):
+    # the eigenvalues p of tridiag(-1, 2, -1) enter d1 and mu
+    real = operators._dirichlet_modes
+    mp.setattr(
+        operators, "_dirichlet_modes", lambda n, h: (real(n, h)[0], p_of(real(n, h)[1]))
+    )
+    zero_boundary_pencil(grid_domain(2, 4))
 
 
 def _harmonic_retraction_with_stiffness(g1_of):
@@ -89,6 +99,14 @@ SITES = {
     "stokes_spectral_model": (
         "min eigenvalue",
         lambda mp: stokes_spectral_model(_negated_stokes_laplacian()),
+    ),
+    "zero_boundary_pencil-nan": (
+        "zero-boundary pencil eigenvalue nan",
+        lambda mp: _zero_boundary_pencil_with_modes(mp, lambda p: p * math.nan),
+    ),
+    "zero_boundary_pencil-non-positive": (
+        "zero-boundary pencil eigenvalue -",
+        lambda mp: _zero_boundary_pencil_with_modes(mp, lambda p: -p),
     ),
     "_stiffness_solver-indefinite": (
         "interior stiffness failed to factorize",

@@ -11,8 +11,10 @@ from scipy import linalg
 from fracspace import (
     GridDomain,
     InvalidConfig,
+    QuadraticPair,
     RunConfig,
     SolverFailure,
+    congruence,
     grid_domain,
     interior_indices,
     laplacian_1d_analytic,
@@ -24,9 +26,14 @@ from fracspace import (
     stokes_retraction,
     stokes_spectral_model,
     zero_boundary_basis,
+    zero_boundary_pencil,
 )
 from fracspace import operators
-from fracspace.experiments import stokes_equivalence_study
+from fracspace.experiments import (
+    _harmonic_setup,
+    _stokes_setup,
+    stokes_equivalence_study,
+)
 
 
 def test_grid_domain_validation():
@@ -132,6 +139,56 @@ def test_stokes_ambient_closed_form_matches_dense_eigensolve(n):
     _assert_closed_form_diagonalizes(
         stokes_ambient_model(p.grid), p.vector_laplacian.toarray()
     )
+
+
+def _assert_spectral_form_of(form, M1, M2):
+    """A closed-form (lam, V, transform) of the pencil (M1, M2) against the
+    dense `congruence` of the same pair: lam to 1e-12 relative, and
+    V^T M1 V = I, V^T M2 V = diag lam^2 (scaled by lam^-1 on both sides)
+    and transform = V^T M1, each to 1e-12."""
+    lam, V, transform = form
+    oracle = congruence(QuadraticPair(M1, M2))[0]
+    np.testing.assert_allclose(lam, oracle, rtol=1e-12, atol=0.0)
+    eye = np.eye(lam.size)
+    assert np.max(np.abs(V.T @ M1 @ V - eye)) <= 1e-12
+    assert np.max(np.abs((V.T @ M2 @ V) / np.outer(lam, lam) - eye)) <= 1e-12
+    assert np.max(np.abs(transform - V.T @ M1)) <= 1e-12 * np.max(np.abs(transform))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_zero_boundary_pencil_matches_congruence(n):
+    d = grid_domain(2, n)
+    grams = sobolev_grams(d)
+    Z = zero_boundary_basis(d)
+    M1, M2 = Z.T @ grams.g1 @ Z, Z.T @ grams.g2 @ Z
+    _assert_spectral_form_of(zero_boundary_pencil(d), M1, M2)
+
+
+def test_zero_boundary_pencil_takes_a_square():
+    with pytest.raises(InvalidConfig, match="unit square"):
+        zero_boundary_pencil(grid_domain(1, 4))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_stokes_ambient_pair_matches_congruence(n):
+    # the pair (I, A^2) of the intersection runs, in A's closed-form modes
+    ambient, _, _ = _stokes_setup(grid_domain(2, n))
+    form = ambient.lam, ambient.V, ambient.transform
+    _assert_spectral_form_of(form, ambient.m1, ambient.m2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 32])
+def test_gathered_reduced_forms_equal_the_indicator_products(n):
+    d = grid_domain(2, n)
+    grams = sobolev_grams(d)
+    Z = zero_boundary_basis(d)
+    ix = np.ix_(interior_indices(d), interior_indices(d))
+    for g in (grams.g1, grams.g2):
+        assert np.array_equal(g[ix], Z.T @ g @ Z)
+    if n <= 8:
+        _, reduced, _ = _harmonic_setup(d)
+        assert np.array_equal(reduced.m1, Z.T @ grams.g1 @ Z)
+        assert np.array_equal(reduced.m2, Z.T @ grams.g2 @ Z)
 
 
 @pytest.mark.parametrize("n", range(2, 33))

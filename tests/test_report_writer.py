@@ -189,8 +189,8 @@ def test_a_table_needs_one_value_per_row_and_column():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_pointwise_ratio_fails_its_cell_alone(monkeypatch, tmp_path, bad):
-    pair, T = _harmonic_setup(grid_domain(2, 5))
-    clean, _ = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
+    setup = _harmonic_setup(grid_domain(2, 5))
+    clean, _ = verify_intersection_lemma(*setup, (0.5,), t_points=17)
     real = retractions.k2_batch
     calls = []
 
@@ -202,7 +202,7 @@ def test_a_non_finite_pointwise_ratio_fails_its_cell_alone(monkeypatch, tmp_path
         return out
 
     monkeypatch.setattr(retractions, "k2_batch", poisoned)
-    tables, _ = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
+    tables, _ = verify_intersection_lemma(*setup, (0.5,), t_points=17)
     base, rep = make_report("demo", {}, clean), make_report("demo", {}, tables)
     assert base.passed and not rep.passed
     assert rep.summary["n_cells"] == base.summary["n_cells"]

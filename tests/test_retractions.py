@@ -30,7 +30,7 @@ from fracspace import (
     verify_intersection_lemma,
     zero_boundary_basis,
 )
-from fracspace import experiments, operators, retractions
+from fracspace import experiments, operators
 from fracspace.cli import main
 from fracspace.experiments import (
     _harmonic_setup,
@@ -373,7 +373,7 @@ def test_harmonic_setup_makes_two_choleskys(monkeypatch):
     # not factored); the pair wraps the read-only g1 and g2 as they are,
     # and the bounds factor no Gram again
     calls = _counting_cholesky(monkeypatch)
-    pair, _ = _harmonic_setup(grid_domain(2, 6))
+    pair, _, _ = _harmonic_setup(grid_domain(2, 6))
     assert calls == [(64, 64)] * 2, calls
     grams = sobolev_grams(grid_domain(2, 6))
     assert np.array_equal(pair.m1, grams.g1) and np.array_equal(pair.m2, grams.g2)
@@ -392,7 +392,7 @@ def test_intersection_makes_one_pressure_cholesky_per_stokes_grid(monkeypatch):
 
 
 def test_stokes_setup_pair_is_the_read_only_identity_and_square():
-    pair, _ = _stokes_setup(grid_domain(2, 4))
+    pair, _, _ = _stokes_setup(grid_domain(2, 4))
     A = stokes_pencil(grid_domain(2, 4)).vector_laplacian.toarray()
     assert np.array_equal(pair.m1, np.eye(A.shape[0]))
     assert np.array_equal(pair.m2, A @ A)
@@ -593,13 +593,14 @@ def test_cli_grid_too_small_for_probes_exits_2(tmp_path, capsys, experiment, siz
 
 
 def test_verify_intersection_small_grid():
-    d = grid_domain(2, 5)
-    grams = sobolev_grams(d)
-    pair = build_quadratic_pair(grams.g1, grams.g2)
-    ret = harmonic_retraction(d, grams)
     window = {"log_t_min": -12.0, "log_t_max": 8.0}
     tables, params = verify_intersection_lemma(
-        pair, ret, (0.3, 0.7), window, grid_label="n5", t_points=17, seed=3
+        *_harmonic_setup(grid_domain(2, 5)),
+        (0.3, 0.7),
+        window,
+        grid_label="n5",
+        t_points=17,
+        seed=3,
     )
     cells = [c for table in tables for c in table]
     assert all(c["pass"] for c in cells)
@@ -615,9 +616,9 @@ def test_verify_intersection_small_grid():
 def test_nan_retraction_fails_every_pointwise_cell():
     # a NaN map B leaves K and K0 finite, so Python's max(K/K0, NaN, NaN)
     # would keep the finite first ratio; every pointwise cell must fail
-    pair, ret = _harmonic_setup(grid_domain(2, 5))
+    pair, reduced, ret = _harmonic_setup(grid_domain(2, 5))
     object.__setattr__(ret, "inner", np.full_like(ret.inner, np.nan))
-    tables, _ = verify_intersection_lemma(pair, ret, (0.5,), t_points=17)
+    tables, _ = verify_intersection_lemma(pair, reduced, ret, (0.5,), t_points=17)
     pointwise = [c for table in tables for c in table if c["check"] == "pointwise"]
     assert len(pointwise) == 25 * 17
     assert all(math.isnan(c["ratio"]) and c["pass"] is False for c in pointwise)
@@ -625,9 +626,9 @@ def test_nan_retraction_fails_every_pointwise_cell():
 
 def test_nan_d_bound_fails_every_cell():
     # C = max(h_bound, d_bound) must not drop a NaN second bound
-    pair, ret = _harmonic_setup(grid_domain(2, 5))
+    pair, reduced, ret = _harmonic_setup(grid_domain(2, 5))
     object.__setattr__(ret, "d_bound", math.nan)
-    tables, params = verify_intersection_lemma(pair, ret, (0.5,), t_points=17)
+    tables, params = verify_intersection_lemma(pair, reduced, ret, (0.5,), t_points=17)
     cells = [c for table in tables for c in table]
     assert math.isnan(params["c_measured"])
     assert cells and not any(c["pass"] for c in cells)
@@ -660,8 +661,8 @@ def _pointwise_by_cholesky(pair, T, probes, log_t_min, log_t_max, t_points):
 
 @pytest.mark.parametrize("setup, n", [(_harmonic_setup, 6), (_stokes_setup, 4)])
 def test_pointwise_cells_match_cholesky_minimizers(setup, n):
-    pair, T = setup(grid_domain(2, n))
-    tables, params = verify_intersection_lemma(pair, T, (0.5,), t_points=17)
+    pair, reduced, T = setup(grid_domain(2, n))
+    tables, params = verify_intersection_lemma(pair, reduced, T, (0.5,), t_points=17)
     all_cells = [c for table in tables for c in table]
     cells = [c for c in all_cells if c["check"] == "pointwise"]
     # the same probes, rebuilt from a reduced-pencil eigensolve of our own
@@ -677,16 +678,44 @@ def test_pointwise_cells_match_cholesky_minimizers(setup, n):
 
 
 def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
-    real_congruence = retractions.congruence
+    # the ambient harmonic pencil, the one congruence of the setup
+    real_congruence = experiments.congruence
 
     def perturbed(pair):
         lam, V, transform = real_congruence(pair)
         return lam * (1.0 + 1e-6), V, transform
 
-    monkeypatch.setattr(retractions, "congruence", perturbed)
-    pair, T = _harmonic_setup(grid_domain(2, 6))
-    with pytest.raises(SolverFailure, match="Cholesky"):
-        verify_intersection_lemma(pair, T, (0.5,), t_points=17)
+    monkeypatch.setattr(experiments, "congruence", perturbed)
+    setup = _harmonic_setup(grid_domain(2, 6))
+    with pytest.raises(SolverFailure, match="K\\^2 from the pencil eigenpairs"):
+        verify_intersection_lemma(*setup, (0.5,), t_points=17)
+
+
+def test_pointwise_cross_check_catches_a_wrong_closed_form(monkeypatch):
+    # one closed-form mu of the reduced harmonic pencil scaled by 1 + 1e-6:
+    # K0^2 from the spectral form leaves the Cholesky minimizers of the
+    # gathered forms
+    real_pencil = experiments.zero_boundary_pencil
+
+    def perturbed(domain):
+        lam, V, transform = real_pencil(domain)
+        lam = lam.copy()
+        lam[0] *= math.sqrt(1.0 + 1e-6)
+        return lam, V, transform
+
+    monkeypatch.setattr(experiments, "zero_boundary_pencil", perturbed)
+    setup = _harmonic_setup(grid_domain(2, 6))
+    with pytest.raises(SolverFailure, match="K0\\^2 from the pencil eigenpairs"):
+        verify_intersection_lemma(*setup, (0.5,), t_points=17)
+
+
+# the shapes of the dense eigensolves: intersection (6, 4) has (g1, g2)
+# on the 8^2 nodes of the harmonic grid and Z^T A^2 Z on the 4^2 stream
+# modes of the Stokes grid; halft1 (4, 6) has (g1, g2) on 6^2 and 8^2 nodes
+PENCIL_EIGENSOLVES = {
+    "intersection": [(64, 64), (16, 16)],
+    "halft1": [(36, 36), (64, 64)],
+}
 
 
 @pytest.mark.parametrize(
@@ -694,8 +723,11 @@ def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
     [(run_intersection, "intersection", (6, 4)), (run_halft1, "halft1", (4, 6))],
 )
 def test_one_eigensolve_per_pencil(monkeypatch, runner, experiment, sizes):
-    # two grids, each with an ambient and a reduced pencil: probes and
-    # window come from those two solves, not from solves of their own
+    # two grids, each with an ambient and a reduced pencil: only the
+    # ambient harmonic pencil (g1, g2) and the reduced Stokes pencil need a
+    # dense eigensolve; the reduced harmonic pencil and the ambient Stokes
+    # pair (I, A^2) are in closed form, and probes and window come from
+    # those forms, not from solves of their own
     calls = []
     real_eigh = linalg.eigh
 
@@ -706,7 +738,7 @@ def test_one_eigensolve_per_pencil(monkeypatch, runner, experiment, sizes):
     monkeypatch.setattr(linalg, "eigh", counting)
     rep = runner(RunConfig(experiment=experiment, sizes=sizes))
     assert rep.passed
-    assert len(calls) == 4, calls
+    assert calls == PENCIL_EIGENSOLVES[experiment], calls
 
 
 def _counting_dense_factorizations(monkeypatch):

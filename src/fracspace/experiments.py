@@ -27,6 +27,7 @@ from .operators import (
     interior_indices,
     laplacian_1d_analytic,
     sobolev_grams,
+    sobolev_pencil,
     stokes_ambient_model,
     stokes_domain,
     stokes_pencil,
@@ -523,16 +524,18 @@ def run_weight(config: RunConfig):
 
 def _harmonic_setup(dom):
     """The pairs and retraction of `verify_intersection_lemma` for (g1, g2)
-    and the zero-boundary subspace: the ambient pencil by `congruence`,
-    the reduced one in closed form, its forms gathered from the interior
-    rows and columns (Z^T g Z bit for bit for the indicator columns Z)."""
+    and the zero-boundary subspace: the ambient pencil per parity class
+    (`sobolev_pencil`), the reduced one in closed form, its forms gathered
+    from the interior rows and columns (Z^T g Z bit for bit for the
+    indicator columns Z)."""
     grams = sobolev_grams(dom)  # validated, factored and read-only
     T = harmonic_retraction(dom, grams)
-    ambient = QuadraticPair(grams.g1, grams.g2)
+    g1, g2 = grams.g1, grams.g2
+    del grams  # frees g0 and the two factors before the pencil is solved
     ix = np.ix_(*[interior_indices(dom)] * 2)
     return (
-        SpectralPair(ambient.m1, ambient.m2, *congruence(ambient)),
-        SpectralPair(grams.g1[ix], grams.g2[ix], *zero_boundary_pencil(dom)),
+        SpectralPair(g1, g2, *sobolev_pencil(dom)),
+        SpectralPair(g1[ix], g2[ix], *zero_boundary_pencil(dom)),
         T,
     )
 
@@ -548,20 +551,24 @@ def _probed_grid(dom):
 def _stokes_setup(dom):
     """The pairs and retraction of `verify_intersection_lemma` for (I, A^2)
     and ker D: the ambient pencil in A's closed-form modes, the reduced
-    one on the null basis Z by `congruence`."""
+    one on the null basis Z by `congruence`, per parity class of the
+    stream modes (`StokesPencil.classes`), with Z^T A^2 Z formed as
+    (A Z)^T (A Z) from the sparse A."""
     p = stokes_pencil(dom)
     T = stokes_retraction(p)
     model = stokes_ambient_model(dom)
     # (I, A^2) is SPD by construction, as the pencil's A is SPD, so the
     # pair skips build_quadratic_pair's copies and Cholesky checks
-    m1, m2 = np.eye(model.dim), (p.vector_laplacian @ p.vector_laplacian).toarray()
+    A = p.vector_laplacian
+    m1, m2 = np.eye(model.dim), (A @ A).toarray()
     m1.setflags(write=False)
     m2.setflags(write=False)
     Z = T.subspace_basis
-    reduced = QuadraticPair(Z.T @ Z, Z.T @ m2 @ Z)
+    AZ = A @ Z
+    reduced = QuadraticPair(Z.T @ Z, AZ.T @ AZ)
     return (
         SpectralPair(m1, m2, model.eigenvalues, model.basis, model.basis.T),
-        SpectralPair(reduced.m1, reduced.m2, *congruence(reduced)),
+        SpectralPair(reduced.m1, reduced.m2, *congruence(reduced, p.classes)),
         T,
     )
 

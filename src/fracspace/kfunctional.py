@@ -50,13 +50,16 @@ class QuadraticPair:
 
 @dataclass(frozen=True)
 class SpectralPair(QuadraticPair):
-    """An SPD pair with its pencil in spectral form (lam, V, transform),
-    as `congruence` returns it or from a closed form: lam ascending,
-    V^T m1 V = I, V^T m2 V = diag lam^2, transform @ x the coefficients."""
+    """An SPD pair with its pencil in spectral form (lam, V, transform,
+    classes), as `congruence` returns it or from a closed form: lam
+    ascending, V^T m1 V = I, V^T m2 V = diag lam^2, transform @ x the
+    coefficients, and classes the symmetry class of each eigenpair (None:
+    one class)."""
 
     lam: np.ndarray
     V: np.ndarray
     transform: np.ndarray
+    classes: np.ndarray | None = None
 
 
 def build_quadratic_pair(m1, m2) -> QuadraticPair:
@@ -140,8 +143,12 @@ def k2_by_cholesky(m1, m2, X, t2) -> np.ndarray:
     """
     from scipy import linalg
 
+    H = t2 * m2
+    H += m1
     try:
-        factor = linalg.cho_factor(m1 + t2 * m2, lower=True)
+        # H is symmetric: its transpose is Fortran-ordered, so the factor
+        # overwrites H in place instead of a copy
+        factor = linalg.cho_factor(H.T, lower=True, overwrite_a=True)
     except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("minimizer system failed to factorize") from exc
     gf = linalg.cho_solve(factor, np.hstack([m1 @ X, t2 * (m2 @ X)]))
@@ -385,27 +392,75 @@ def interp_norms_sq(lam, coeffs, thetas, rule: QuadratureRule) -> np.ndarray:
         )
 
 
-def congruence(pair: QuadraticPair):
-    """Reduce an SPD pair to spectral form.
+def class_eigh(a, b=None, classes=None):
+    """Eigenpairs of the symmetric pencil (a, b), b = I when None, solved
+    per symmetry class: (w, V, V^T b, classes).
 
-    Returns (lam_eff, V, transform) where the pencil M2 v = mu M1 v gives
-    V with V^T M1 V = I, lam_eff = sqrt(mu), and coordinates of a vector
-    are transform @ vector. In those coordinates the pair is
-    (identity, diag lam_eff^2). A pencil eigenvalue mu that is not
-    finite and positive means the pair is not SPD; it raises
-    SolverFailure, as does a failed eigensolve.
+    classes labels each row and column of the forms, and a form that
+    commutes with a symmetry has no entry between two classes (Bossavit,
+    Comput. Methods Appl. Mech. Engrg. 56, 1986). One `eigh` per class of
+    the gathered blocks replaces one of the whole pencil; each block's
+    eigenvectors are scattered to their class rows of V (zero elsewhere)
+    and V^T b is taken blockwise. w is ascending (stable sort), and the
+    returned classes give each eigenpair's class. Before any solve, an
+    off-class entry of either form above 1e-12 times that form's largest
+    entry (or a NaN) raises SolverFailure. With classes None there is one
+    class: one `eigh` of the whole pencil and classes None. A failed
+    eigensolve raises scipy's LinAlgError or ValueError.
     """
     from scipy import linalg
 
-    M1, M2 = pair.m1, pair.m2
+    if classes is None:
+        w, V = linalg.eigh(a, b)
+        return w, V, V.T if b is None else V.T @ b, None
+    classes = np.asarray(classes)
+    off_class = classes[:, None] != classes
+    for M in (a,) if b is None else (a, b):
+        off = np.max(np.abs(M[off_class]), initial=0.0) / np.max(np.abs(M))
+        if not off <= 1e-12:
+            raise SolverFailure(f"a form couples symmetry classes: {off:.3e} relative")
+    blocks = []
+    for c in np.unique(classes):
+        idx = np.flatnonzero(classes == c)
+        bc = None if b is None else b[np.ix_(idx, idx)]
+        blocks.append((c, idx, bc, *linalg.eigh(a[np.ix_(idx, idx)], bc)))
+    w = np.concatenate([block[3] for block in blocks])
+    order = np.argsort(w, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # each block goes straight to the sorted positions of its eigenpairs
+    V, VtB, pair_classes = np.zeros(a.shape), np.zeros(a.shape), np.empty_like(classes)
+    start = 0
+    for c, idx, bc, _, vecs in blocks:
+        pos = rank[start : start + idx.size]
+        start += idx.size
+        V[np.ix_(idx, pos)] = vecs
+        VtB[np.ix_(pos, idx)] = vecs.T if bc is None else vecs.T @ bc
+        pair_classes[pos] = c
+    return w[order], V, VtB, pair_classes
+
+
+def congruence(pair: QuadraticPair, classes=None):
+    """Reduce an SPD pair to spectral form.
+
+    Returns (lam_eff, V, transform, classes) where the pencil
+    M2 v = mu M1 v gives V with V^T M1 V = I, lam_eff = sqrt(mu), and
+    coordinates of a vector are transform @ vector. In those coordinates
+    the pair is (identity, diag lam_eff^2). The pencil is solved per
+    symmetry class by `class_eigh` (one class when classes is None).
+    A pencil eigenvalue mu that is not finite and positive means the pair
+    is not SPD; it raises SolverFailure, as does a failed eigensolve.
+    """
+    from scipy import linalg
+
     try:
-        mu, V = linalg.eigh(M2, M1)
+        mu, V, transform, classes = class_eigh(pair.m2, pair.m1, classes)
     except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("congruence eigendecomposition failed") from exc
     bad = mu[~(np.isfinite(mu) & (mu > 0.0))]
     if bad.size:
         raise SolverFailure(f"pair is not SPD: pencil eigenvalue {float(bad[0])!r}")
-    return np.sqrt(mu), V, V.T @ M1
+    return np.sqrt(mu), V, transform, classes
 
 
 def interp_norm(model_or_pair, theta, u, rule: QuadratureRule | None = None) -> float:
@@ -418,7 +473,7 @@ def interp_norm(model_or_pair, theta, u, rule: QuadratureRule | None = None) -> 
     else:
         pair = model_or_pair
         _, _, vec = _forms(pair, u)
-        lam, _, transform = congruence(pair)
+        lam, _, transform, _ = congruence(pair)
         c = transform @ vec
     if rule is None:
         rule = QuadratureRule.for_spectrum(lam)

@@ -8,10 +8,12 @@ node set (boundary included), and a staggered-grid Stokes system.
 `stokes_pencil` is the one assembly of the Stokes operators: the vector
 Laplacian A, the divergence D and the discrete curl C as scipy.sparse
 arrays, and the n^2 x n^2 stream-function pencil (C^T A C, C^T C) with
-one sparse LU. The runners that need dense arrays read them from that
-pencil: the orthonormal basis Z = C W of ker D in closed form (the
-discrete curl of DST-I stream-function modes, with no factorization of
-D), the constrained operator Z^T A Z, and A by `.toarray()`.
+one sparse LU; rank D is checked by one more sparse LU, of the pressure
+matrix with one pressure pinned. The runners that need dense arrays
+read them from that pencil: the orthonormal basis Z = C W of ker D in
+closed form (the discrete curl of DST-I stream-function modes, with no
+factorization of D), the constrained operator Z^T A Z, and A by
+`.toarray()`.
 
 Every grid matrix is assembled from dense 1D pieces combined with
 np.kron, or with scipy.sparse.kron for the Stokes operators (the
@@ -23,9 +25,13 @@ axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil. The same
 structure gives the spectra of the Dirichlet Kronecker sums in closed
 form: `laplacian_fd`, `stokes_ambient_model` and `zero_boundary_pencil`
 (the pencil of (g1, g2) on zero-boundary functions) take tensor
-products of DST-I modes, with no eigensolver. Only the constrained
-operator Z^T A Z, which is not a Kronecker sum, is diagonalized
-densely.
+products of DST-I modes, with no eigensolver. The forms that are not
+Kronecker sums, (g1, g2) on the full node set and the constrained
+operator Z^T A Z, are still unchanged by the square's two reflections,
+so they are diagonalized densely per reflection-parity class
+(`kfunctional.class_eigh`): `sobolev_pencil` rotates each axis into
+even and odd node combinations, and the DST-I stream modes carry their
+parities (`StokesPencil.classes`).
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
 Apart from the sparse pencil the matrices are dense, so sizes are
@@ -157,7 +163,9 @@ def _kron_sum(M: np.ndarray, d: int) -> np.ndarray:
     if d == 1:
         return M
     eye = np.eye(M.shape[0])
-    return np.kron(M, eye) + np.kron(eye, M)
+    K = np.kron(M, eye)
+    K += np.kron(eye, M)
+    return K
 
 
 def laplacian_fd(domain: GridDomain) -> SpectralModel:
@@ -218,37 +226,56 @@ def zero_boundary_basis(domain: GridDomain) -> np.ndarray:
     return Z
 
 
+def _sobolev_pieces(domain: GridDomain):
+    """The 1D pieces of the Sobolev forms on the m = n + 2 nodes of an
+    axis: the trapezoid weights w, the stiffness P = E^T E of the edge
+    differences E of the path graph, and Q = D2^T D2 of the centred
+    second-difference rows D2 (scaled by 1/h^2 before the product)."""
+    h, m = domain.h, domain.n + 2
+    w = np.full(m, h)
+    w[0] = w[-1] = h / 2.0
+    E = _forward_difference(m)
+    D2 = (E[1:] - E[:-1]) / (h * h)
+    return w, E.T @ E, D2.T @ D2
+
+
+def _sobolev_forms(W, P, Q, domain: GridDomain):
+    """g0, g1, g2 from the 1D mass W, stiffness P and top form Q of an
+    axis: W (x) W in 2D, the stiffness with edge weight h^(d-2) and the
+    top form with weight h^d, each as a Kronecker sum."""
+    h, d = domain.h, domain.dimension
+    g0 = W if d == 1 else np.kron(W, W)
+    g1 = _kron_sum(P, d) / h ** (2 - d)
+    g1 += g0
+    g2 = domain.cell_volume * _kron_sum(Q, d)
+    g2 += g1
+    return g0, g1, g2
+
+
 def sobolev_grams(domain: GridDomain) -> SobolevGrams:
     """Assemble g0, g1, g2 on the full grid (boundary nodes included).
 
     One path for both dimensions: the dimension enters only through the
     Kronecker products of three 1D pieces on the m = n + 2 nodes of an
-    axis and the cell volume h^d.
+    axis (`_sobolev_pieces`, combined by `_sobolev_forms`) and the cell
+    volume h^d.
       g0: trapezoid weights w, diag(w) in 1D and diag(w (x) w) in 2D;
       stiffness: P = E^T E for the edge differences E of the path graph,
         P / h in 1D and P (x) I + I (x) P in 2D (edge weight h^(d-2));
       top form: Q = D2^T D2 for the centred second-difference rows D2
         (scaled by 1/h^2 before the product), h^d times the Kronecker
         sum of Q (weight h^d per row along each axis).
-    g0 is diagonal, so its SPD check is a finite, positive diagonal; g1
+    g0 is diagonal, so its SPD check is finite, positive weights w; g1
     and g2 pass an SPD check by Cholesky, and their factors are kept.
     Each form is stored read-only.
     """
     from scipy import linalg
 
-    h, d = domain.h, domain.dimension
-    m = domain.n + 2
-    w = np.full(m, h)
-    w[0] = w[-1] = h / 2.0
-    E = _forward_difference(m)
-    D2 = (E[1:] - E[:-1]) / (h * h)
-    w0 = w if d == 1 else np.kron(w, w)
-    if not (np.isfinite(w0).all() and (w0 > 0.0).all()):
+    w, P, Q = _sobolev_pieces(domain)
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
         raise SolverFailure("g0 failed the SPD check")
-    g0 = np.diag(w0)
+    g0, g1, g2 = _sobolev_forms(np.diag(w), P, Q, domain)
     g0.setflags(write=False)
-    g1 = g0 + _kron_sum(E.T @ E, d) / h ** (2 - d)
-    g2 = g1 + domain.cell_volume * _kron_sum(D2.T @ D2, d)
     factors = []
     for name, M in (("g1", g1), ("g2", g2)):
         try:
@@ -259,10 +286,70 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
     return SobolevGrams(g0, g1, g2, g1_factor=factors[0], g2_factor=factors[1])
 
 
+def _parity_classes(parity: np.ndarray) -> np.ndarray:
+    """The class 2 p_x + p_y of each node or mode (x, y) of a 2D grid,
+    row-major, for the parity p (0 even, 1 odd under the reflection of
+    an axis) of each index of the axis."""
+    return np.add.outer(2 * parity, parity).ravel()
+
+
+def _parity_rotation(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonal m x m U that splits an axis of m nodes into even
+    and odd columns under the reflection i -> m - 1 - i, and the parity
+    of each column: first the even (e_i + e_(m-1-i)) / sqrt 2 for
+    i < m // 2 and the centre node e_(m//2) when m is odd, then the odd
+    (e_i - e_(m-1-i)) / sqrt 2."""
+    half, even = m // 2, m - m // 2
+    i = np.arange(half)
+    U = np.zeros((m, m))
+    U[i, i] = U[m - 1 - i, i] = U[i, even + i] = math.sqrt(0.5)
+    U[m - 1 - i, even + i] = -math.sqrt(0.5)
+    if m % 2:
+        U[half, half] = 1.0
+    return U, (np.arange(m) >= even).astype(np.int64)
+
+
+def _kron_apply(U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(U (x) U) X for a square U, one axis at a time, without forming
+    the Kronecker product."""
+    a = U.shape[0]
+    Y = (U @ X.reshape(a, -1)).reshape(a, a, -1)
+    return (U @ Y).reshape(a * a, -1)
+
+
+def sobolev_pencil(domain: GridDomain):
+    """The pencil of (g1, g2) on the full node set of a 2D grid, solved
+    per reflection-parity class: (lam, V, transform, classes) as
+    `kfunctional.congruence` returns it.
+
+    The 1D pieces w, P and Q of `sobolev_grams` are unchanged by the
+    reflection x -> 1 - x of an axis, so the parity rotation U of
+    `_parity_rotation` takes each to an even and an odd block, and
+    U (x) U takes g1 and g2 to four blocks, one per class 2 p_x + p_y.
+    The rotated forms are assembled from the rotated pieces by
+    `_sobolev_forms`, `congruence` solves them per class (and checks
+    that no entry couples two classes), and the eigenpairs are lifted
+    to the nodes: V = (U (x) U) V_r, transform = transform_r (U (x) U)^T.
+    """
+    from .kfunctional import QuadraticPair, congruence
+
+    if domain.dimension != 2:
+        raise InvalidConfig("the blocked Sobolev pencil is built on the unit square")
+    w, P, Q = _sobolev_pieces(domain)
+    U, parity = _parity_rotation(domain.n + 2)
+    _, g1, g2 = _sobolev_forms(*(U.T @ M @ U for M in (np.diag(w), P, Q)), domain)
+    lam, V, transform, classes = congruence(
+        QuadraticPair(g1, g2), _parity_classes(parity)
+    )
+    del g1, g2  # the rotated forms go before the lift's temporaries come
+    V = _kron_apply(U, V)
+    return lam, V, _kron_apply(U, transform.T).T, classes
+
+
 def zero_boundary_pencil(domain: GridDomain):
     """The pencil of (g1, g2) on the zero-boundary subspace of a 2D grid,
-    in closed form: (lam, V, transform) as `kfunctional.congruence`
-    returns it, lam ascending (stable sort).
+    in closed form: (lam, V, transform, classes) as
+    `kfunctional.congruence` returns it, lam ascending (stable sort).
 
     On the interior nodes the forms are Z^T g1 Z = h^2 I + P (x) I +
     I (x) P and Z^T g2 Z = Z^T g1 Z + (P^2 (x) I + I (x) P^2) / h^2 for
@@ -271,7 +358,10 @@ def zero_boundary_pencil(domain: GridDomain):
     with d1 = h^2 + p_k + p_l, d2 = d1 + (p_k^2 + p_l^2) / h^2 for the
     eigenvalues p_k of P, and mu = d2 / d1. Then V = (S (x) S) d1^-1/2,
     lam = sqrt(mu) and transform = V^T Z^T g1 Z = d1^1/2 (S (x) S)^T.
-    A d1 or mu that is not finite and positive raises SolverFailure.
+    DST-I mode k (0-based) of an axis is even under x -> 1 - x exactly
+    when k is even, which gives each mode its parity class, as in
+    `sobolev_pencil`. A d1 or mu that is not finite and positive raises
+    SolverFailure.
     """
     if domain.dimension != 2:
         raise InvalidConfig("the zero-boundary pencil is built on the unit square")
@@ -285,7 +375,8 @@ def zero_boundary_pencil(domain: GridDomain):
     order = np.argsort(mu, kind="stable")
     SS = np.kron(S, S)[:, order]
     s = np.sqrt(d1[order])
-    return np.sqrt(mu[order]), SS / s, s[:, None] * SS.T
+    classes = _parity_classes(np.arange(domain.n) % 2)[order]
+    return np.sqrt(mu[order]), SS / s, s[:, None] * SS.T, classes
 
 
 def _staggered_difference(n: int, h: float) -> np.ndarray:
@@ -324,6 +415,13 @@ class StokesPencil:
     dst: np.ndarray
     scale: np.ndarray
     grid: GridDomain
+
+    @property
+    def classes(self) -> np.ndarray:
+        """The reflection-parity class 2 (k mod 2) + (l mod 2) of each
+        DST-I stream mode j, k, l = divmod(j, n); Z^T A Z and Z^T A^2 Z
+        couple no two classes."""
+        return _parity_classes(np.arange(self.grid.n) % 2)
 
     def stream_modes(self, c: np.ndarray) -> np.ndarray:
         """W c for coordinates c (n^2 x k): each column scaled, reshaped
@@ -365,6 +463,37 @@ class StokesPencil:
         return Ac
 
 
+def _check_pressure_rank(P) -> None:
+    """Raise SolverFailure unless the sparse pressure matrix P = D D^T
+    has the constants as its only null vectors.
+
+    Pinning one pressure (dropping the first row and column) leaves an
+    SPD matrix exactly then. It is factored by SuperLU in symmetric mode
+    (a minimum-degree ordering of P + P^T on rows and columns alike, and
+    diagonal pivots); equal row and column permutations and a diagonal
+    of U positive relative to its largest entry (1e-10) make it SPD. A
+    factorization that fails, also for a NaN, raises as well.
+    """
+    from scipy.sparse.linalg import splu
+
+    try:
+        lu = splu(
+            P[1:, 1:].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        pivots = lu.U.diagonal()
+        spd = np.array_equal(lu.perm_r, lu.perm_c)
+        spd = spd and pivots.min() > 1e-10 * pivots.max()
+    except RuntimeError:  # SuperLU: an exactly singular factor
+        spd = False
+    if not spd:
+        raise SolverFailure(
+            "divergence rank check failed: the pressure matrix is not SPD"
+        )
+
+
 def stokes_pencil(domain: GridDomain) -> StokesPencil:
     """Assemble the staggered-grid Stokes system, sparse.
 
@@ -382,9 +511,8 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
 
     span C = ker D needs rank D = (n+1)^2 - 1 (only the constant
     pressure mode is incompatible). That is measured, not assumed: the
-    pressure matrix D D^T + 1 1^T / (n+1)^2 = G G^T (x) I + I (x) G G^T
-    + 1 1^T / (n+1)^2 is SPD exactly then, and a failed dense Cholesky
-    of it raises SolverFailure.
+    sparse pressure matrix D D^T = G G^T (x) I + I (x) G G^T goes to
+    `_check_pressure_rank`, which raises SolverFailure otherwise.
 
     K is SPD, so its one splu runs in SuperLU's symmetric mode: a
     minimum-degree ordering of K^T + K applied to rows and columns
@@ -392,23 +520,18 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     column ordering. No m x m or m x n^2 dense array is formed.
     SciPy is imported here, not with the package.
     """
-    from scipy import linalg, sparse
+    from scipy import sparse
     from scipy.sparse.linalg import splu
 
     _check_stokes_grid(domain)  # the same size rules as the runners' check
     n, h = domain.n, domain.h
     G = _staggered_difference(n, h)
-    try:
-        linalg.cholesky(_kron_sum(G @ G.T, 2) + 1.0 / (n + 1) ** 2, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SolverFailure(
-            "divergence rank check failed: the pressure matrix is not SPD"
-        ) from exc
 
     def kron(a, b):
         return sparse.kron(sparse.csr_array(a), sparse.csr_array(b), format="csr")
 
     faces, cells = np.eye(n), np.eye(n + 1)
+    _check_pressure_rank(kron(G @ G.T, cells) + kron(cells, G @ G.T))
     lap = _second_difference_1d
     Lu = kron(cells, lap(n, h)) + kron(lap(n + 1, h), faces)
     Lv = kron(faces, lap(n + 1, h)) + kron(lap(n, h), cells)
@@ -438,12 +561,16 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
 
 
 def stokes_spectral_model(p: StokesPencil) -> SpectralModel:
-    """Diagonalize the constrained operator Ac over null-space coordinates."""
+    """Diagonalize the constrained operator Ac over null-space
+    coordinates, one `eigh` per reflection-parity class of the stream
+    modes (`kfunctional.class_eigh` with `StokesPencil.classes`)."""
     from scipy import linalg
 
+    from .kfunctional import class_eigh
+
     try:
-        lam, V = linalg.eigh(p.constrained_op(p.null_basis()))
-    except linalg.LinAlgError as exc:
+        lam, V, _, _ = class_eigh(p.constrained_op(p.null_basis()), classes=p.classes)
+    except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("constrained eigendecomposition failed") from exc
     return build_spectral_model(lam, V)
 

@@ -43,12 +43,15 @@ pair (Z^T M1 Z, Z^T M2 Z), each with its pencil in spectral form
 (a `kfunctional.SpectralPair`): closed-form for the pencils that
 separate under DST-I modes (`operators.zero_boundary_pencil`, the
 reduced harmonic one, and `operators.stokes_ambient_model` for the
-ambient Stokes pair (I, A^2)), one dense `congruence` for the two that
-do not. Those forms give the minimizers, in which every t is diagonal,
-the probes (`probe_coordinates` of the reduced pencil, a function of
-its spectral projectors alone) and the quadrature window of the
-ambient spectrum. The transported term goes through the r x m matrix
-W~ = transform_red B V_amb, never through an m x m map.
+ambient Stokes pair (I, A^2)), a dense `congruence` per reflection-parity
+class for the two that do not. Those forms give the minimizers, in which
+every t is diagonal, the probes (`probe_coordinates` of the reduced
+pencil, a function of its spectral projectors alone) and the quadrature
+window of the ambient spectrum. The transported term goes through the
+r x m matrix W~ = transform_red B V_amb, never through an m x m map.
+When both pencils carry parity classes, W~ couples no two classes (T
+commutes with the reflections), which is checked, and the t loop runs
+per class block, T_BLOCK values of t per product.
 `k2_by_cholesky` of each pair's forms at the middle t recomputes K^2
 and K0^2 as an in-run cross-check, which also checks the closed forms.
 The identity T z = z on the subspace is checked once, when a
@@ -109,6 +112,9 @@ N_MODE_PROBES = 5
 
 # eigenvalues that agree to this relative tolerance form one cluster
 CLUSTER_RTOL = 1e-8
+
+# values of t per product of the transported term
+T_BLOCK = 13
 
 
 @dataclass(frozen=True)
@@ -402,6 +408,30 @@ def probe_coordinates(lam, V, transform, seed=42) -> np.ndarray:
 # ---- the intersection-lemma verification
 
 
+def _class_blocks(W: np.ndarray, row_classes, col_classes) -> list:
+    """The (rows, cols) index of each class block of W, for the classes
+    of its rows and columns; one block of all when either is None.
+
+    A finite entry of W outside the blocks above 1e-12 times its
+    largest finite entry raises SolverFailure. A NaN is left for the
+    cells, which it fails.
+    """
+    if row_classes is None or col_classes is None:
+        return [(slice(None), slice(None))]
+    finite = np.isfinite(W)
+    top = max(np.max(W, where=finite, initial=0.0), -np.min(W, where=finite, initial=0))
+    off = np.abs(W[row_classes[:, None] != col_classes])
+    off = np.max(off, where=np.isfinite(off), initial=0.0)
+    if off > 1e-12 * top:
+        raise SolverFailure(
+            f"transported term couples symmetry classes: entry {off:.3e}"
+        )
+    return [
+        (np.flatnonzero(row_classes == c), np.flatnonzero(col_classes == c))
+        for c in np.union1d(row_classes, col_classes)
+    ]
+
+
 def verify_intersection_lemma(
     ambient: SpectralPair,
     reduced: SpectralPair,
@@ -441,8 +471,11 @@ def verify_intersection_lemma(
     eigen-coefficients of T V_amb = Z B V_amb, W~ = transform_red B V_amb
     (r x m, formed once): |Tf|_M1^2 = |W~ f^|^2 and
     |Tg|_M2^2 = |lam_red W~ g^|^2 for f^ = x s a and g^ = s a, each
-    formed directly, never as a difference; one r x m x 2q product per
-    t. At the middle t, `k2_by_cholesky` of each pair's forms recomputes
+    formed directly, never as a difference. The products run per class
+    block of W~ (`_class_blocks`: one block when either pencil has no
+    classes, and a finite entry of W~ between two classes above 1e-12
+    relative raises SolverFailure), each for T_BLOCK values of t at
+    once. At the middle t, `k2_by_cholesky` of each pair's forms recomputes
     K^2 and K0^2 for all probes at once, which also checks any closed
     form; a relative deviation above 1e-9, or a failed factorization,
     raises SolverFailure.
@@ -471,12 +504,19 @@ def verify_intersection_lemma(
     x = t2s[:, None] * lam_amb**2
     k2 = k2_batch(lam_amb, a * a, np.array(ts))
     k02 = k2_batch(lam_red, a_r * a_r, np.array(ts))
-    mid = np.empty_like(k2)
-    for i, t2 in enumerate(t2s):
-        s = 1.0 / (1.0 + x[i])
-        tf, tg = np.hsplit(W @ np.hstack([a * (x[i] * s)[:, None], a * s[:, None]]), 2)
-        tg *= lam_red[:, None]
-        mid[i] = np.sum(tf * tf, axis=0) + t2 * np.sum(tg * tg, axis=0)
+    mid = np.zeros_like(k2)
+    for rows, cols in _class_blocks(W, reduced.classes, ambient.classes):
+        Wc, ac, lr = W[rows][:, cols], a[cols, None], lam_red[rows, None, None]
+        for i in range(0, t_points, T_BLOCK):
+            ti = slice(i, i + T_BLOCK)
+            xs = x[ti, cols].T[:, :, None]
+            s = 1.0 / (1.0 + xs)
+            # (mode, t, f^ then g^): one product for every t of the block
+            F = np.concatenate([ac * (xs * s), ac * s], axis=2)
+            TF = Wc @ F.reshape(Wc.shape[1], -1)
+            tf, tg = np.split(TF.reshape(Wc.shape[0], -1, 2 * n_probes), 2, axis=2)
+            tg = lr * tg
+            mid[ti] += np.sum(tf * tf, axis=0) + t2s[ti, None] * np.sum(tg * tg, axis=0)
 
     # independent route at one t: Cholesky minimizers of all probes at once
     im = t_points // 2

@@ -177,7 +177,7 @@ def test_reiteration_weighted_pair_matches_pair_route(sine_model):
     lam = sine_model.eigenvalues
     lam2 = lam * lam
     lam_eff, scale = pencil = (np.sqrt(lam2 / lam), np.sqrt(lam))
-    lam_dense, _, transform = congruence(
+    lam_dense, _, transform, _ = congruence(
         build_quadratic_pair(np.diag(lam), np.diag(lam2))
     )
     np.testing.assert_allclose(lam_eff, lam_dense, rtol=1e-14, atol=0)

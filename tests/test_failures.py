@@ -42,12 +42,33 @@ def _sobolev_grams_with_negative_stiffness(monkeypatch):
 
 
 def _stokes_pencil_with_rank_deficient_divergence(monkeypatch):
-    # G = 0 leaves rank D = 0, and the pressure matrix is the rank-one
-    # 1 1^T / (n+1)^2
+    # G = 0 leaves rank D = 0, and the pinned pressure matrix is zero, so
+    # its sparse factorization is singular
     monkeypatch.setattr(
         operators, "_staggered_difference", lambda n, h: np.zeros((n + 1, n))
     )
     stokes_pencil(grid_domain(2, 4))
+
+
+def _stokes_pencil_with_negated_pressure(monkeypatch):
+    # the pinned (n+1)^2 - 1 = 24 pressure matrix of n = 4 reaches SuperLU
+    # negated, so its pivots are negative
+    from scipy.sparse import linalg as sparse_linalg
+
+    real = sparse_linalg.splu
+    monkeypatch.setattr(
+        sparse_linalg,
+        "splu",
+        lambda a, *args, **kw: real(-a if a.shape == (24, 24) else a, *args, **kw),
+    )
+    stokes_pencil(grid_domain(2, 4))
+
+
+def _congruence_with_an_off_class_entry():
+    # classes (0, 0, 1): the entry coupling index 0 to index 2 is not zero
+    m2 = np.diag([1.0, 2.0, 4.0])
+    m2[0, 2] = m2[2, 0] = 1e-9
+    congruence(QuadraticPair(np.eye(3), m2), np.array([0, 0, 1]))
 
 
 def _zero_boundary_pencil_with_modes(mp, p_of):
@@ -91,8 +112,16 @@ SITES = {
         "m1 is not symmetric",
         lambda mp: build_quadratic_pair(WITH_NAN, np.eye(3)),
     ),
+    "congruence-off-class": (
+        "a form couples symmetry classes",
+        lambda mp: _congruence_with_an_off_class_entry(),
+    ),
     "sobolev_grams": ("g1 failed the SPD check", _sobolev_grams_with_negative_stiffness),
     "stokes_pencil-pressure": (
+        "pressure matrix is not SPD",
+        _stokes_pencil_with_negated_pressure,
+    ),
+    "stokes_pencil-rank": (
         "pressure matrix is not SPD",
         _stokes_pencil_with_rank_deficient_divergence,
     ),

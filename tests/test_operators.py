@@ -6,7 +6,8 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, sparse
+from scipy.sparse import linalg as sparse_linalg
 
 from fracspace import (
     GridDomain,
@@ -146,7 +147,7 @@ def _assert_spectral_form_of(form, M1, M2):
     dense `congruence` of the same pair: lam to 1e-12 relative, and
     V^T M1 V = I, V^T M2 V = diag lam^2 (scaled by lam^-1 on both sides)
     and transform = V^T M1, each to 1e-12."""
-    lam, V, transform = form
+    lam, V, transform, _ = form
     oracle = congruence(QuadraticPair(M1, M2))[0]
     np.testing.assert_allclose(lam, oracle, rtol=1e-12, atol=0.0)
     eye = np.eye(lam.size)
@@ -173,7 +174,7 @@ def test_zero_boundary_pencil_takes_a_square():
 def test_stokes_ambient_pair_matches_congruence(n):
     # the pair (I, A^2) of the intersection runs, in A's closed-form modes
     ambient, _, _ = _stokes_setup(grid_domain(2, n))
-    form = ambient.lam, ambient.V, ambient.transform
+    form = ambient.lam, ambient.V, ambient.transform, ambient.classes
     _assert_spectral_form_of(form, ambient.m1, ambient.m2)
 
 
@@ -330,12 +331,22 @@ def test_stokes_kernel_dimension():
         assert np.max(np.abs(Z @ Z.T - N @ N.T)) <= 1e-12, n
 
 
-def test_stokes_rank_check_raises(monkeypatch):
-    # a pressure matrix that fails its Cholesky means rank D < (n+1)^2 - 1
-    def singular(a, *args, **kwargs):
-        raise linalg.LinAlgError("not positive definite")
+def _negated_pressure_splu(monkeypatch):
+    # the pinned (n+1)^2 - 1 pressure matrix of n = 4 reaches SuperLU
+    # negated, so its diagonal pivots come out negative; the stiffness
+    # factorization is left as it is
+    real = sparse_linalg.splu
 
-    monkeypatch.setattr(linalg, "cholesky", singular)
+    def negated(a, *args, **kwargs):
+        return real(-a if a.shape == (24, 24) else a, *args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "splu", negated)
+
+
+def test_stokes_rank_check_raises(monkeypatch):
+    # a pressure matrix that fails its SPD factorization means
+    # rank D < (n+1)^2 - 1
+    _negated_pressure_splu(monkeypatch)
     cfg = RunConfig(experiment="stokes-equivalence", sizes=(4,))
     with pytest.raises(SolverFailure, match="rank"):
         stokes_equivalence_study(cfg)
@@ -529,13 +540,27 @@ def test_sparse_pencil_stiffness_and_curl_gram(n):
 
 
 def test_sparse_pencil_rank_check_raises(monkeypatch):
-    # one pressure Cholesky decides the rank of D
-    def singular(a, *args, **kwargs):
-        raise linalg.LinAlgError("not positive definite")
-
-    monkeypatch.setattr(linalg, "cholesky", singular)
+    # one sparse factorization of the pinned pressure matrix decides the
+    # rank of D
+    _negated_pressure_splu(monkeypatch)
     with pytest.raises(SolverFailure, match="rank"):
         stokes_pencil(grid_domain(2, 4))
+
+
+def _pressure_matrix(n):
+    G = operators._staggered_difference(n, 1.0 / (n + 1))
+    P, eye = sparse.csr_array(G @ G.T), sparse.eye_array(n + 1)
+    return sparse.csr_array(sparse.kron(P, eye) + sparse.kron(eye, P))
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_pressure_rank_check_finds_a_second_null_vector(n):
+    # two uncoupled copies of a grid's pressure matrix: pinning the first
+    # cell leaves the constant of the second copy in the null space
+    P = _pressure_matrix(n)
+    operators._check_pressure_rank(P)
+    with pytest.raises(SolverFailure, match="rank"):
+        operators._check_pressure_rank(sparse.block_diag([P, P], format="csr"))
 
 
 def test_sparse_pencil_rejects_tiny_grid():

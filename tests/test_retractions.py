@@ -381,14 +381,14 @@ def test_harmonic_setup_makes_two_choleskys(monkeypatch):
 
 
 def test_intersection_makes_one_pressure_cholesky_per_stokes_grid(monkeypatch):
-    # two SPD checks of the harmonic Grams (n = 4), then the one
-    # (n+1)^2 pressure Cholesky of the Stokes grid (n = 12); its pair
-    # (I, A^2) is SPD by construction and is not factored, and the
-    # retraction reuses the grid's pencil
+    # the two SPD checks of the harmonic Grams (n = 4) and no Cholesky on
+    # the Stokes grid (n = 12): its divergence-rank check factors the
+    # pressure matrix sparsely, its pair (I, A^2) is SPD by construction
+    # and is not factored, and the retraction reuses the grid's pencil
     calls = _counting_cholesky(monkeypatch)
     rep = run_intersection(RunConfig(experiment="intersection", sizes=(4, 12)))
     assert rep.passed
-    assert calls == [(36, 36)] * 2 + [(169, 169)], calls
+    assert calls == [(36, 36)] * 2, calls
 
 
 def test_stokes_setup_pair_is_the_read_only_identity_and_square():
@@ -542,7 +542,7 @@ def test_harmonic_probes_do_not_depend_on_the_eigenbasis(seed):
     d = grid_domain(2, 6)
     grams = sobolev_grams(d)
     Z = zero_boundary_basis(d)
-    lam, V, transform = congruence(
+    lam, V, transform, _ = congruence(
         QuadraticPair(Z.T @ grams.g1 @ Z, Z.T @ grams.g2 @ Z)
     )
     VQ, Q, sizes = _rotate_in_clusters(lam, V, seed)
@@ -678,14 +678,14 @@ def test_pointwise_cells_match_cholesky_minimizers(setup, n):
 
 
 def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
-    # the ambient harmonic pencil, the one congruence of the setup
-    real_congruence = experiments.congruence
+    # the ambient harmonic pencil, solved per parity class
+    real_pencil = experiments.sobolev_pencil
 
-    def perturbed(pair):
-        lam, V, transform = real_congruence(pair)
-        return lam * (1.0 + 1e-6), V, transform
+    def perturbed(domain):
+        lam, V, transform, classes = real_pencil(domain)
+        return lam * (1.0 + 1e-6), V, transform, classes
 
-    monkeypatch.setattr(experiments, "congruence", perturbed)
+    monkeypatch.setattr(experiments, "sobolev_pencil", perturbed)
     setup = _harmonic_setup(grid_domain(2, 6))
     with pytest.raises(SolverFailure, match="K\\^2 from the pencil eigenpairs"):
         verify_intersection_lemma(*setup, (0.5,), t_points=17)
@@ -698,10 +698,10 @@ def test_pointwise_cross_check_catches_a_wrong_closed_form(monkeypatch):
     real_pencil = experiments.zero_boundary_pencil
 
     def perturbed(domain):
-        lam, V, transform = real_pencil(domain)
+        lam, V, transform, classes = real_pencil(domain)
         lam = lam.copy()
         lam[0] *= math.sqrt(1.0 + 1e-6)
-        return lam, V, transform
+        return lam, V, transform, classes
 
     monkeypatch.setattr(experiments, "zero_boundary_pencil", perturbed)
     setup = _harmonic_setup(grid_domain(2, 6))
@@ -709,25 +709,28 @@ def test_pointwise_cross_check_catches_a_wrong_closed_form(monkeypatch):
         verify_intersection_lemma(*setup, (0.5,), t_points=17)
 
 
-# the shapes of the dense eigensolves: intersection (6, 4) has (g1, g2)
-# on the 8^2 nodes of the harmonic grid and Z^T A^2 Z on the 4^2 stream
-# modes of the Stokes grid; halft1 (4, 6) has (g1, g2) on 6^2 and 8^2 nodes
+# the shapes of the dense eigensolves, one per parity class (even, even),
+# (even, odd), (odd, even), (odd, odd): intersection (6, 4) has (g1, g2)
+# on the 8^2 nodes of the harmonic grid (4 even and 4 odd per axis) and
+# Z^T A^2 Z on the 4^2 stream modes of the Stokes grid (2 and 2);
+# halft1 (5, 6) has (g1, g2) on 7^2 nodes (4 even with the centre node,
+# 3 odd) and on 8^2 nodes
 PENCIL_EIGENSOLVES = {
-    "intersection": [(64, 64), (16, 16)],
-    "halft1": [(36, 36), (64, 64)],
+    "intersection": [(16, 16)] * 4 + [(4, 4)] * 4,
+    "halft1": [(16, 16), (12, 12), (12, 12), (9, 9)] + [(16, 16)] * 4,
 }
 
 
 @pytest.mark.parametrize(
     "runner, experiment, sizes",
-    [(run_intersection, "intersection", (6, 4)), (run_halft1, "halft1", (4, 6))],
+    [(run_intersection, "intersection", (6, 4)), (run_halft1, "halft1", (5, 6))],
 )
 def test_one_eigensolve_per_pencil(monkeypatch, runner, experiment, sizes):
     # two grids, each with an ambient and a reduced pencil: only the
     # ambient harmonic pencil (g1, g2) and the reduced Stokes pencil need a
-    # dense eigensolve; the reduced harmonic pencil and the ambient Stokes
-    # pair (I, A^2) are in closed form, and probes and window come from
-    # those forms, not from solves of their own
+    # dense eigensolve, one per parity block; the reduced harmonic pencil
+    # and the ambient Stokes pair (I, A^2) are in closed form, and probes
+    # and window come from those forms, not from solves of their own
     calls = []
     real_eigh = linalg.eigh
 
@@ -758,32 +761,36 @@ def _counting_dense_factorizations(monkeypatch):
 
 
 def test_one_stokes_factorization_per_grid(monkeypatch):
-    # the only dense factorization is the (n+1)^2 pressure Cholesky of the
-    # rank check; the constrained operator Ac is never formed
+    # no dense factorization: the rank check factors the pressure matrix
+    # sparsely, with the stiffness LU as the grid's other factorization
+    # (test_one_sparse_lu_of_the_stiffness_per_grid), and the constrained
+    # operator Ac is never formed
     calls = _counting_dense_factorizations(monkeypatch)
     rep = run_stokes_retraction(
         RunConfig(experiment="stokes-retraction", sizes=(4, 6))
     )
     assert rep.passed
-    assert calls == [(25, 25), (49, 49)], calls
+    assert calls == [], calls
 
 
 def test_stokes_equivalence_makes_only_the_pressure_cholesky(monkeypatch):
     # the constrained model diagonalizes Ac = Z^T A Z without factoring it,
-    # so the pressure Cholesky of each grid's rank check is the only dense
-    # factorization
+    # and each grid's rank check factors the pressure matrix sparsely, so
+    # no dense factorization is made
     calls = _counting_dense_factorizations(monkeypatch)
     rep = stokes_equivalence_study(
         RunConfig(experiment="stokes-equivalence", sizes=(4, 6))
     )
     assert rep.passed
-    assert calls == [(25, 25), (49, 49)], calls
+    assert calls == [], calls
 
 
 def test_one_sparse_lu_of_the_stiffness_per_grid(monkeypatch):
-    # the bound, lambda_min, both probe cells and the identity check all
-    # solve with the pencil's one LU of K; every SuperLU factorization,
-    # also one made inside eigsh, goes through gstrf
+    # per grid, the pinned (n+1)^2 - 1 pressure matrix of the rank check,
+    # then the n^2 stiffness K: the bound, lambda_min, both probe cells
+    # and the identity check all solve with the pencil's one LU of K;
+    # every SuperLU factorization, also one made inside eigsh, goes
+    # through gstrf
     from scipy.sparse.linalg._dsolve import _superlu
 
     calls = []
@@ -798,7 +805,7 @@ def test_one_sparse_lu_of_the_stiffness_per_grid(monkeypatch):
         RunConfig(experiment="stokes-retraction", sizes=(4, 6))
     )
     assert rep.passed
-    assert calls == [16, 36], calls
+    assert calls == [24, 16, 48, 36], calls
 
 
 def test_stokes_retraction_runs_without_the_dense_system(monkeypatch):

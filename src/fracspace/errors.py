@@ -4,8 +4,8 @@ Every error raised by this package derives from FracspaceError, so callers
 can catch the whole family at the CLI boundary. Three kinds of error cover
 every failure of a routine:
 
-- InvalidConfig: an argument outside its domain (t, theta, an exponent, a
-  mass, a size, a config key). The CLI exits 2.
+- InvalidConfig: an argument outside its domain (t, theta, an exponent,
+  a size, a config key). The CLI exits 2.
 - DimensionMismatch: shapes that do not fit together.
 - SolverFailure: a numerical routine failed on the data it was given. A
   factorization, an eigensolve or a Lanczos run failed, or a computed

@@ -60,7 +60,6 @@ from .spectral import (
     decaying_probes,
     frac_norm,
     higher_power_decomposition_check,
-    to_coeffs,
 )
 
 # ---- coefficient families on (0, 1) against lam_j = (j pi)^2
@@ -108,7 +107,15 @@ DEFAULT_SIZES = {
 
 
 def _size(config: RunConfig, i: int) -> int:
-    sizes = config.sizes if len(config.sizes) > i else DEFAULT_SIZES[config.experiment]
+    """Size i of a runner that takes as many sizes as its DEFAULT_SIZES
+    entry; more sizes than that raise InvalidConfig."""
+    default = DEFAULT_SIZES[config.experiment]
+    if len(config.sizes) > len(default):
+        raise InvalidConfig(
+            f"too many sizes for {config.experiment}: got {len(config.sizes)},"
+            f" at most {len(default)}"
+        )
+    sizes = config.sizes if len(config.sizes) > i else default
     return sizes[i]
 
 
@@ -442,7 +449,8 @@ def weight_test(u, k_min=8, k_max=20) -> WeightFunctional:
     Levels k = k_min..k_max cut off at eps_k = 2^-k; each refinement adds
     the two bands [2^-k, 2^-(k-1)] and its mirror. The flag is set when
     successive increments fail to decay (ratio > 0.9 sustained over the
-    last three levels)."""
+    last three levels), which needs k_max - k_min >= 4: four increments,
+    so that the last three each have a predecessor."""
 
     def rho(x):
         return x * (1.0 - x)
@@ -450,9 +458,10 @@ def weight_test(u, k_min=8, k_max=20) -> WeightFunctional:
     def integrand(x):
         return np.asarray(u(x), dtype=np.float64) ** 2 / rho(x)
 
-    if not 2 <= k_min < k_max <= _WEIGHT_K_MAX:
+    if not (2 <= k_min and k_min + 4 <= k_max <= _WEIGHT_K_MAX):
         raise InvalidConfig(
-            f"need 2 <= k_min < k_max <= {_WEIGHT_K_MAX}, got {k_min}, {k_max}"
+            f"need 2 <= k_min, k_min + 4 <= k_max <= {_WEIGHT_K_MAX},"
+            f" got {k_min}, {k_max}"
         )
     total = 0.0
     for i in range(k_min, 1, -1):  # base mesh covers [2^-k_min, 1 - 2^-k_min]
@@ -466,14 +475,11 @@ def weight_test(u, k_min=8, k_max=20) -> WeightFunctional:
         total += _band_integral(integrand, 1.0 - b, 1.0 - a)
         values.append(total)
     inc = np.diff(values)
+    last, prev = inc[-3:], inc[-4:-1]
     flag = False
-    if inc.shape[0] >= 3:
-        last = inc[-3:]
-        prev = inc[-4:-1] if inc.shape[0] >= 4 else inc[:3]
-        floor = 1e-15 * max(total, 1.0)
-        if np.all(last > floor):
-            ratios = last / np.maximum(prev, 1e-300)
-            flag = bool(np.all(ratios > 0.9))
+    if np.all(last > 1e-15 * max(total, 1.0)):
+        ratios = last / np.maximum(prev, 1e-300)
+        flag = bool(np.all(ratios > 0.9))
     return WeightFunctional(
         value=float(total),
         divergence_flag=flag,
@@ -556,7 +562,7 @@ def _stokes_setup(dom):
     (A Z)^T (A Z) from the sparse A."""
     p = stokes_pencil(dom)
     T = stokes_retraction(p)
-    model = stokes_ambient_model(dom)
+    model, V = stokes_ambient_model(dom)
     # (I, A^2) is SPD by construction, as the pencil's A is SPD, so the
     # pair skips build_quadratic_pair's copies and Cholesky checks
     A = p.vector_laplacian
@@ -567,7 +573,7 @@ def _stokes_setup(dom):
     AZ = A @ Z
     reduced = QuadraticPair(Z.T @ Z, AZ.T @ AZ)
     return (
-        SpectralPair(m1, m2, model.eigenvalues, model.basis, model.basis.T),
+        SpectralPair(m1, m2, model.eigenvalues, V, V.T),
         SpectralPair(reduced.m1, reduced.m2, *congruence(reduced, p.classes)),
         T,
     )
@@ -732,13 +738,12 @@ def stokes_equivalence_study(config: RunConfig):
     cells, los, his = [], [], []
     for n, dom in zip(sizes, domains):
         p = stokes_pencil(dom)
-        constrained = stokes_spectral_model(p)
-        ambient = stokes_ambient_model(dom)
-        lam, V = constrained.eigenvalues, constrained.basis
-        coords = probe_coordinates(lam, V, V.T, config.seed)
+        constrained, V = stokes_spectral_model(p)
+        ambient, V_amb = stokes_ambient_model(dom)
+        coords = probe_coordinates(constrained.eigenvalues, V, V.T, config.seed)
         # (constrained, ambient) coefficients of each probe, shared by every theta
         probe_coeffs = [
-            (to_coeffs(constrained, c), to_coeffs(ambient, u))
+            (V.T @ c, V_amb.T @ u)
             for c, u in zip(coords.T, p.null_vectors(coords).T)
         ]
 

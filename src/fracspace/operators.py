@@ -1,10 +1,8 @@
 """Concrete desk-scale operators on the unit interval and unit square.
 
-Provides the 1D Dirichlet Laplacian with its analytic spectrum (sampled
-sine eigenfunctions, orthonormal under the trapezoid mass h by
-discrete sine orthogonality), finite-difference
-Dirichlet Laplacians in 1D/2D, discrete Sobolev Gram forms on the full
-node set (boundary included), and a staggered-grid Stokes system.
+Provides the analytic spectrum of the 1D Dirichlet Laplacian, discrete
+Sobolev Gram forms on the full node set (boundary included), and a
+staggered-grid Stokes system.
 `stokes_pencil` is the one assembly of the Stokes operators: the vector
 Laplacian A, the divergence D and the discrete curl C as scipy.sparse
 arrays, and the n^2 x n^2 stream-function pencil (C^T A C, C^T C) with
@@ -23,8 +21,8 @@ graph, Dirichlet and full-node second differences, and the staggered
 forward difference from faces to cells. A 2D operator acting along both
 axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil. The same
 structure gives the spectra of the Dirichlet Kronecker sums in closed
-form: `laplacian_fd`, `stokes_ambient_model` and `zero_boundary_pencil`
-(the pencil of (g1, g2) on zero-boundary functions) take tensor
+form: `stokes_ambient_model` and `zero_boundary_pencil` (the pencil of
+(g1, g2) on zero-boundary functions) take tensor
 products of DST-I modes, with no eigensolver. The forms that are not
 Kronecker sums, (g1, g2) on the full node set and the constrained
 operator Z^T A Z, are still unchanged by the square's two reflections,
@@ -34,9 +32,11 @@ even and odd node combinations, and the DST-I stream modes carry their
 parities (`StokesPencil.classes`).
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
-Apart from the sparse pencil the matrices are dense, so sizes are
-capped (1D n <= 2048, 2D n <= 32 per axis). SciPy is imported inside
-each function that calls it, not with the package.
+Apart from the sparse pencil the 2D matrices are dense, so 2D grids are
+capped at n <= 32 per axis. The 1D models are spectra alone; the 1D cap
+n <= 2048 bounds the dense 1D Sobolev forms ((n+2)^2 entries each) and
+the per-mode quadrature work of the 1D runners. SciPy is imported
+inside each function that calls it, not with the package.
 """
 from __future__ import annotations
 
@@ -50,6 +50,10 @@ from .spectral import SpectralModel, build_spectral_model
 
 MAX_N_1D = 2048
 MAX_N_2D = 32
+
+# Gram deviation allowed for the eigenvectors of a Stokes model;
+# exactly-orthonormal inputs are held to 1e-10 in the tests.
+ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,30 +102,15 @@ def _check_stokes_grid(domain: GridDomain) -> None:
     stokes_domain(domain.n)
 
 
-def laplacian_1d_analytic(n_modes: int, n_grid: int | None = None) -> SpectralModel:
-    """Analytic 1D Dirichlet spectrum: lam_k = (k pi)^2, sqrt(2) sin(k pi x).
-
-    Eigenfunctions are sampled on n_grid interior points x_i = i h,
-    h = 1/(n_grid + 1), with mass h (the trapezoid rule on zero-boundary
-    samples). For k, l <= n_grid the samples are exactly orthonormal
-    under that mass by discrete sine (DST-I) orthogonality,
-    2 h sum_i sin(k pi x_i) sin(l pi x_i) = delta_kl, so the sampled
-    columns are used as they are; build_spectral_model checks the Gram
-    deviation against ORTHO_TOL, which guards rounding.
-    """
+def laplacian_1d_analytic(n_modes: int) -> SpectralModel:
+    """Analytic 1D Dirichlet spectrum lam_k = (k pi)^2, k = 1..n_modes,
+    of the eigenfunctions sqrt(2) sin(k pi x)."""
     if n_modes < 1:
         raise InvalidConfig(f"need at least one mode, got {n_modes}")
     if n_modes > MAX_N_1D:
         raise InvalidConfig(f"n_modes={n_modes} exceeds the 1D cap of {MAX_N_1D}")
-    if n_grid is None:
-        n_grid = max(n_modes, min(2 * n_modes + 1, MAX_N_1D))
-    if n_grid < n_modes or n_grid > MAX_N_1D:
-        raise InvalidConfig(f"n_grid={n_grid} must lie in [{n_modes}, {MAX_N_1D}]")
-    h = 1.0 / (n_grid + 1)
-    x = h * np.arange(1, n_grid + 1)
     k = np.arange(1, n_modes + 1)
-    basis = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
-    return build_spectral_model((k * np.pi) ** 2, basis, h)
+    return build_spectral_model((k * np.pi) ** 2)
 
 
 def _second_difference_1d(n: int, h: float) -> np.ndarray:
@@ -166,23 +155,6 @@ def _kron_sum(M: np.ndarray, d: int) -> np.ndarray:
     K = np.kron(M, eye)
     K += np.kron(eye, M)
     return K
-
-
-def laplacian_fd(domain: GridDomain) -> SpectralModel:
-    """Finite-difference Dirichlet Laplacian, diagonalized in closed form.
-
-    3-point stencil in 1D, 5-point (the Kronecker sum of two 3-point
-    stencils) in 2D. Its eigenpairs are the DST-I modes of
-    `_dirichlet_modes` in 1D and their tensor products in 2D, with no
-    eigensolver; mass h^d on interior nodes, so Euclidean eigenvectors
-    rescale by h^(-d/2).
-    """
-    modes = _dirichlet_modes(domain.n, domain.h)
-    if domain.dimension == 2:
-        modes = _kron_sum_modes(modes, modes)
-    V, lam = modes
-    mass = domain.cell_volume
-    return build_spectral_model(lam, V / math.sqrt(mass), mass)
 
 
 @dataclass(frozen=True)
@@ -560,10 +532,25 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     )
 
 
-def stokes_spectral_model(p: StokesPencil) -> SpectralModel:
+def _orthonormal(V: np.ndarray) -> np.ndarray:
+    """V, column-major and read-only, once its Gram deviation
+    |V^T V - I| is within ORTHO_TOL; SolverFailure otherwise, also for a
+    NaN. The layout fixes the rounding of every product with V."""
+    V = np.asfortranarray(V)
+    gram = V.T @ V
+    gram.flat[:: V.shape[1] + 1] -= 1.0
+    gram_dev = np.max(np.abs(gram))
+    if not gram_dev <= ORTHO_TOL:
+        raise SolverFailure(f"basis Gram deviation {gram_dev:.3e} > {ORTHO_TOL}")
+    V.setflags(write=False)
+    return V
+
+
+def stokes_spectral_model(p: StokesPencil) -> tuple[SpectralModel, np.ndarray]:
     """Diagonalize the constrained operator Ac over null-space
     coordinates, one `eigh` per reflection-parity class of the stream
-    modes (`kfunctional.class_eigh` with `StokesPencil.classes`)."""
+    modes (`kfunctional.class_eigh` with `StokesPencil.classes`): the
+    spectrum and its orthonormal eigenvectors V (r x r), ascending."""
     from scipy import linalg
 
     from .kfunctional import class_eigh
@@ -572,19 +559,21 @@ def stokes_spectral_model(p: StokesPencil) -> SpectralModel:
         lam, V, _, _ = class_eigh(p.constrained_op(p.null_basis()), classes=p.classes)
     except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("constrained eigendecomposition failed") from exc
-    return build_spectral_model(lam, V)
+    return build_spectral_model(lam), _orthonormal(V)
 
 
-def stokes_ambient_model(domain: GridDomain) -> SpectralModel:
+def stokes_ambient_model(domain: GridDomain) -> tuple[SpectralModel, np.ndarray]:
     """The full vector Laplacian on the velocity unknowns of a staggered
-    grid (the rules of `stokes_domain`), in closed form.
+    grid (the rules of `stokes_domain`), in closed form: the spectrum
+    and its Euclidean-orthonormal eigenvectors V (m x m), ascending
+    (stable sort).
 
     Each velocity block is a Kronecker sum of Dirichlet second
     differences on n faces and on n + 1 cells of an axis, so its
     eigenpairs are tensor products of their DST-I modes (Lynch, Rice &
     Thomas 1964), with no eigensolver and no assembly. The physical mass
-    is h^2; the scalar drops out of every norm ratio and operator norm
-    used here, so the model keeps mass 1.
+    h^2 drops out of every norm ratio and operator norm used here, so V
+    is orthonormal in the Euclidean product.
     """
     from scipy import linalg
 
@@ -594,4 +583,6 @@ def stokes_ambient_model(domain: GridDomain) -> SpectralModel:
     Vu, lam_u = _kron_sum_modes(cells, faces)
     Vv, lam_v = _kron_sum_modes(faces, cells)
     lam = np.concatenate([lam_u, lam_v])
-    return build_spectral_model(lam, linalg.block_diag(Vu, Vv))
+    order = np.argsort(lam, kind="stable")
+    V = linalg.block_diag(Vu, Vv)[:, order]
+    return build_spectral_model(lam[order]), _orthonormal(V)

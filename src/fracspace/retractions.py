@@ -377,7 +377,7 @@ def probe_coordinates(lam, V, transform, seed=42) -> np.ndarray:
 
     lam holds the ascending eigenvalues and V the matching eigenvector
     columns; transform maps coordinates to eigen-coefficients
-    (`congruence`'s third output, or V^T for a mass-1 model). For seeded
+    (`congruence`'s third output, or V^T for orthonormal V). For seeded
     uniform draws w on [-1, 1]^r, random probe i is
     V diag((lam / lam_1)^-1.5) transform w_i, which decays so that it
     lies (numerically) in every intermediate space, and mode probe k is

@@ -22,7 +22,7 @@ settings.load_profile("derandomized")
 def small_model():
     """Diagonal 6-mode model with a spread spectrum."""
     lam = np.array([0.5, 1.0, 2.0, 5.0, 11.0, 20.0])
-    return build_spectral_model(lam, np.eye(6))
+    return build_spectral_model(lam)
 
 
 @pytest.fixture(scope="session")

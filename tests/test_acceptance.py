@@ -78,7 +78,7 @@ def test_criterion_02_interpolation_constant():
 def test_criterion_03_k_routes_agree():
     rng = np.random.default_rng(42)
     lam = np.sort(rng.uniform(0.5, 20.0, 6))
-    model = build_spectral_model(lam, np.eye(6))
+    model = build_spectral_model(lam)
     pair = pair_from_model(model)
     worst_eq = 0.0
     sandwich = True

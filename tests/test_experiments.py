@@ -23,7 +23,6 @@ from fracspace import (
     i_theta,
     report_to_json,
     stokes_pencil,
-    to_coeffs,
     weight_test,
 )
 from fracspace import experiments
@@ -397,40 +396,94 @@ def test_stokes_equivalence_small():
 
 def test_stokes_equivalence_projects_each_probe_once_per_grid(monkeypatch):
     # 25 probes per grid, each projected onto the constrained and the
-    # ambient basis once, however many thetas are checked
-    calls = []
+    # ambient eigenvectors once: the norms of every theta read the same
+    # coefficient arrays, however many thetas are checked
+    seen = []
 
-    def counting(model, u):
-        calls.append(model.dim)
-        return to_coeffs(model, u)
+    def counting(model, alpha, c):
+        seen.append(c)  # holds every array, so no id is reused
+        return frac_norm(model, alpha, c)
 
-    monkeypatch.setattr(experiments, "to_coeffs", counting)
+    monkeypatch.setattr(experiments, "frac_norm", counting)
     cfg = RunConfig(experiment="stokes-equivalence", sizes=(4, 5), seed=2)
     assert stokes_equivalence_study(cfg).passed
-    assert len(calls) == 2 * 2 * 25
+    assert len({id(c) for c in seen}) == 2 * 2 * 25
+    # theta = 0, 1/2 and 1, then the three default thetas
+    assert len(seen) == 6 * 2 * 2 * 25
 
 
 def test_stokes_equivalence_fails_on_a_nan_probe(monkeypatch):
     # NaN ambient coefficients for the second probe of the first grid:
     # a reduction that kept the finite first probe would pass the grid
-    calls = []
+    ambient = []  # the first grid's ambient coefficient arrays, in order
 
-    def poisoned(model, u):
-        calls.append(model.dim)
-        c = to_coeffs(model, u)
-        return np.full_like(c, np.nan) if len(calls) == 4 else c
+    def poisoned(model, alpha, c):
+        if model.dim == 2 * 4 * 5:  # the ambient model of the 4 x 4 grid
+            if not any(c is a for a in ambient):
+                ambient.append(c)
+            if len(ambient) > 1 and c is ambient[1]:
+                c = np.full_like(c, np.nan)
+        return frac_norm(model, alpha, c)
 
-    monkeypatch.setattr(experiments, "to_coeffs", poisoned)
+    monkeypatch.setattr(experiments, "frac_norm", poisoned)
     cfg = RunConfig(experiment="stokes-equivalence", sizes=(4, 5), seed=2)
     try:
         rep = stokes_equivalence_study(cfg)
     except SolverFailure:
         return
+    assert len(ambient) == 25
     assert not rep.passed
     first = [c for c in rep.cells if c["grid"] == 4]
     assert first and not any(c["pass"] for c in first)
     drift = [c for c in rep.cells if c["check"] == "equivalence-drift"]
     assert drift and not any(c["pass"] for c in drift)
+
+
+@pytest.mark.parametrize("k_max", ["9", "10", "11"])
+def test_weight_needs_four_level_increments(tmp_path, capsys, monkeypatch, k_max):
+    # the divergence flag compares the last three increments with their
+    # predecessors, so k_max - k_min >= 4 (k_min = 8) before any quadrature
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before validation")
+
+    monkeypatch.setattr(experiments, "_band_integral", no_quadrature)
+    assert main(["weight", "--size", k_max, "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+
+
+def test_weight_passes_with_four_level_increments(tmp_path, capsys):
+    assert main(["weight", "--size", "12", "--out", str(tmp_path)]) == 0
+    assert "PASS 4/4 checks" in capsys.readouterr().out
+    assert not weight_test(lambda x: np.sin(np.pi * x), k_max=12).divergence_flag
+    with pytest.raises(InvalidConfig):
+        weight_test(lambda x: np.sin(np.pi * x), k_max=11)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["lemma41", "reiteration", "criticality", "weight", "higher-power", "intersection"],
+)
+def test_fixed_arity_runner_rejects_a_surplus_size(tmp_path, capsys, monkeypatch, name):
+    # one size more than the runner reads exits 2 before any assembly: a
+    # size the runner drops would still enter the config hash
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly ran before validation")
+
+    for fn in (
+        "laplacian_1d_analytic",
+        "criticality_scan",
+        "weight_test",
+        "sobolev_grams",
+        "stokes_pencil",
+    ):
+        monkeypatch.setattr(experiments, fn, no_assembly)
+    sizes = [str(n) for n in experiments.DEFAULT_SIZES[name]] + ["4"]
+    assert main([name, "--size", *sizes, "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
 
 
 # the key set of every (experiment, check) pair: the CSV header of a report

@@ -151,11 +151,11 @@ SITES = {
     ),
     "build_spectral_model-indefinite": (
         "min eigenvalue",
-        lambda mp: build_spectral_model(np.diag(INDEFINITE), np.eye(3)),
+        lambda mp: build_spectral_model(np.diag(INDEFINITE)),
     ),
     "build_spectral_model-nan": (
         "min eigenvalue",
-        lambda mp: build_spectral_model(np.diag(WITH_NAN), np.eye(3)),
+        lambda mp: build_spectral_model(np.diag(WITH_NAN)),
     ),
 }
 

@@ -52,7 +52,7 @@ def _model_and_coeffs(draw):
             max_size=n,
         )
     )
-    model = build_spectral_model(np.array(lam), np.eye(n))
+    model = build_spectral_model(np.array(lam))
     return model, np.array(c)
 
 
@@ -60,19 +60,19 @@ def _model_and_coeffs(draw):
 
 
 def test_single_mode_closed_form():
-    m = build_spectral_model(np.array([3.0]), np.eye(1))
+    m = build_spectral_model(np.array([3.0]))
     t = 0.7
     want = math.sqrt((t * 3.0) ** 2 / (1.0 + (t * 3.0) ** 2))
     assert k_spectral(m, np.array([1.0]), t) == pytest.approx(want, rel=1e-14)
     # unit eigenvalue: K(t) = t / sqrt(1 + t^2)
-    unit = build_spectral_model(np.array([1.0]), np.eye(1))
+    unit = build_spectral_model(np.array([1.0]))
     for t in (0.1, 1.0, 7.0):
         want = t / math.sqrt(1.0 + t * t)
         assert k_spectral(unit, np.array([1.0]), t) == pytest.approx(want, rel=1e-8)
 
 
 def test_interp_norm_identity_single_mode():
-    m = build_spectral_model(np.array([2.5]), np.eye(1))
+    m = build_spectral_model(np.array([2.5]))
     for theta in (0.15, 0.5, 0.85):
         num = interp_norm(m, theta, np.array([1.3])) ** 2
         den = i_theta(theta) * frac_norm(m, theta, np.array([1.3])) ** 2
@@ -91,7 +91,7 @@ def test_k_quadratic_matches_spectral(small_model):
 
 def test_k_quadratic_dense_pair_matches_congruent_diagonal(spd_pair):
     lam, V, transform, _ = congruence(spd_pair)
-    model = build_spectral_model(lam, np.eye(lam.shape[0]))
+    model = build_spectral_model(lam)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(lam.shape[0])
     c = transform @ u
@@ -170,7 +170,7 @@ def test_rule_from_config_overlay():
 
 
 def test_quadrature_not_converged():
-    m = build_spectral_model(np.array([1.0]), np.eye(1))
+    m = build_spectral_model(np.array([1.0]))
     rule = QuadratureRule(-5.0, 5.0, refinement_tol=1e-30, max_panels=8)
     with pytest.raises(QuadratureNotConverged):
         interp_norm(m, 0.5, np.array([1.0]), rule)
@@ -187,7 +187,7 @@ def test_quadrature_fails_at_first_non_finite_pass(monkeypatch):
         return real_k2_batch(*args)
 
     monkeypatch.setattr(kf, "k2_batch", counting_k2_batch)
-    m = build_spectral_model(np.array([1.0]), np.eye(1))
+    m = build_spectral_model(np.array([1.0]))
     rule = QuadratureRule(-5.0, 1e308)  # e^tau overflows: the integrand is NaN
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         QuadratureNotConverged, match="non-finite integrand.* at 64 panels"
@@ -296,7 +296,7 @@ def test_interp_norm_theta_range(small_model):
 
 def test_interp_norm_dense_pair_matches_model(spd_pair):
     lam, V, transform, _ = congruence(spd_pair)
-    model = build_spectral_model(lam, np.eye(lam.shape[0]))
+    model = build_spectral_model(lam)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(lam.shape[0])
     c = transform @ u
@@ -349,7 +349,7 @@ def test_k_monotone_in_t(mc, t, factor):
 
 # found by a random run: squared as it is, c underflows into subnormals
 TINY_COEFFS = (
-    build_spectral_model(np.array([1.0]), np.eye(1)),
+    build_spectral_model(np.array([1.0])),
     np.array([2.29323056e-162]),
 )
 
@@ -368,7 +368,7 @@ def test_k_homogeneous(mc, t):
 def test_norms_of_a_tiny_or_huge_vector(c0):
     # squared as they are, these coefficients underflow into subnormals
     # (or overflow), which cost K and the norms their homogeneity
-    model = build_spectral_model(np.array([1.0]), np.eye(1))
+    model = build_spectral_model(np.array([1.0]))
     c = np.array([c0])
     k = k_spectral(model, c, 1.0)
     assert k == pytest.approx(c0 * math.sqrt(0.5), rel=1e-15, abs=0.0)

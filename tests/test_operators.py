@@ -19,7 +19,6 @@ from fracspace import (
     grid_domain,
     interior_indices,
     laplacian_1d_analytic,
-    laplacian_fd,
     sobolev_grams,
     stokes_ambient_model,
     stokes_domain,
@@ -54,30 +53,30 @@ def test_analytic_1d_eigendata():
     m = laplacian_1d_analytic(8)
     j = np.arange(1, 9)
     np.testing.assert_allclose(m.eigenvalues, (j * np.pi) ** 2, rtol=1e-14)
-    # columns orthonormal under the mass h
-    assert m.mass == 1.0 / 18.0  # default n_grid = 2 * 8 + 1
-    np.testing.assert_allclose(m.mass * (m.basis.T @ m.basis), np.eye(8), atol=1e-10)
+    assert m.dim == 8
+    for n_modes in (0, operators.MAX_N_1D + 1):
+        with pytest.raises(InvalidConfig):
+            laplacian_1d_analytic(n_modes)
 
 
-@pytest.mark.parametrize(
-    "n_modes, n_grid",
-    [(2048, 2048), (256, None), (100, 2048)],
-)
-def test_analytic_1d_sampled_sines_orthonormal(n_modes, n_grid):
-    # discrete sine orthogonality: the raw samples need no orthonormalisation
-    # pass, with n_grid == n_modes the tightest case
-    m = laplacian_1d_analytic(n_modes, n_grid)
-    assert m.ambient_dim == (n_grid if n_grid is not None else 2 * n_modes + 1)
-    dev = np.max(np.abs(m.mass * (m.basis.T @ m.basis) - np.eye(n_modes)))
-    assert dev <= 1e-12
+def _fd_modes(domain):
+    """The closed-form eigenpairs (lam ascending, V) of the 3-point (1D)
+    or 5-point (2D) Dirichlet Laplacian: the DST-I modes of
+    `_dirichlet_modes`, and in 2D their tensor products."""
+    modes = operators._dirichlet_modes(domain.n, domain.h)
+    if domain.dimension == 2:
+        modes = operators._kron_sum_modes(modes, modes)
+    V, lam = modes
+    order = np.argsort(lam, kind="stable")
+    return lam[order], V[:, order]
 
 
 def test_fd_1d_small_spectrum():
     # n = 3, h = 1/4: second-difference eigenvalues 16(2 - sqrt(2)), 32,
     # 16(2 + sqrt(2))
-    m = laplacian_fd(grid_domain(1, 3))
+    lam, _ = _fd_modes(grid_domain(1, 3))
     want = np.array([16 * (2 - math.sqrt(2)), 32.0, 16 * (2 + math.sqrt(2))])
-    np.testing.assert_allclose(m.eigenvalues, want, rtol=1e-12)
+    np.testing.assert_allclose(lam, want, rtol=1e-12)
 
 
 def test_fd_1d_converges_at_second_order():
@@ -86,28 +85,18 @@ def test_fd_1d_converges_at_second_order():
     exact = (np.arange(1, 6) * np.pi) ** 2
     errs, hs = [], []
     for n in ns:
-        m = laplacian_fd(grid_domain(1, n))
-        errs.append(np.abs(m.eigenvalues[:5] - exact))
+        lam, _ = _fd_modes(grid_domain(1, n))
+        errs.append(np.abs(lam[:5] - exact))
         hs.append(1.0 / (n + 1))
     orders = np.polyfit(np.log(hs), np.log(np.array(errs)), 1)[0]
     assert np.all((orders >= 1.95) & (orders <= 2.05)), orders
 
 
-def test_fd_mass_is_cell_volume():
-    d1 = grid_domain(1, 7)
-    assert laplacian_fd(d1).mass == d1.h
-    d2 = grid_domain(2, 5)
-    m2 = laplacian_fd(d2)
-    assert m2.mass == d2.h * d2.h
-    dev = np.max(np.abs(m2.mass * (m2.basis.T @ m2.basis) - np.eye(m2.dim)))
-    assert dev <= 1e-10
-
-
 def test_fd_converges_to_analytic():
-    fd = laplacian_fd(grid_domain(1, 255))
-    exact = (np.arange(1, 6) * np.pi) ** 2
+    lam, _ = _fd_modes(grid_domain(1, 255))
+    exact = laplacian_1d_analytic(5).eigenvalues
     # relative defect of the 3-point stencil is (k pi h)^2 / 12
-    np.testing.assert_allclose(fd.eigenvalues[:5], exact, rtol=5e-4)
+    np.testing.assert_allclose(lam[:5], exact, rtol=5e-4)
 
 
 def _dirichlet_matrix(domain):
@@ -119,11 +108,10 @@ def _dirichlet_matrix(domain):
     return np.kron(T, np.eye(n)) + np.kron(np.eye(n), T)
 
 
-def _assert_closed_form_diagonalizes(model, L):
+def _assert_closed_form_diagonalizes(lam, V, L):
     # eigenvalues against a dense eigensolve, eigenvectors by reconstruction
-    np.testing.assert_allclose(model.eigenvalues, np.linalg.eigvalsh(L), rtol=1e-12)
-    V = model.basis * math.sqrt(model.mass)
-    rebuilt = (V * model.eigenvalues) @ V.T
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(L), rtol=1e-12)
+    rebuilt = (V * lam) @ V.T
     assert np.max(np.abs(rebuilt - L)) <= 1e-12 * np.max(np.abs(L))
 
 
@@ -131,15 +119,14 @@ def _assert_closed_form_diagonalizes(model, L):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_fd_closed_form_matches_dense_eigensolve(dimension, n):
     d = grid_domain(dimension, n)
-    _assert_closed_form_diagonalizes(laplacian_fd(d), _dirichlet_matrix(d))
+    _assert_closed_form_diagonalizes(*_fd_modes(d), _dirichlet_matrix(d))
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_stokes_ambient_closed_form_matches_dense_eigensolve(n):
     p = stokes_pencil(grid_domain(2, n))
-    _assert_closed_form_diagonalizes(
-        stokes_ambient_model(p.grid), p.vector_laplacian.toarray()
-    )
+    model, V = stokes_ambient_model(p.grid)
+    _assert_closed_form_diagonalizes(model.eigenvalues, V, p.vector_laplacian.toarray())
 
 
 def _assert_spectral_form_of(form, M1, M2):
@@ -203,9 +190,9 @@ def test_dirichlet_modes_keep_the_grid_eigenvalue_expression(n):
 
 
 def test_fd_2d_lowest_eigenvalue():
-    m = laplacian_fd(grid_domain(2, 15))
+    lam, _ = _fd_modes(grid_domain(2, 15))
     # lowest mode of the 5-point stencil approximates 2 pi^2
-    assert m.eigenvalues[0] == pytest.approx(2 * math.pi**2, rel=5e-3)
+    assert lam[0] == pytest.approx(2 * math.pi**2, rel=5e-3)
 
 
 def test_sobolev_grams_1d_hat_energy():
@@ -470,14 +457,14 @@ def test_stokes_ambient_model_takes_a_staggered_grid():
 
 
 def test_stokes_models(stokes_small):
-    con = stokes_spectral_model(stokes_small)
-    amb = stokes_ambient_model(stokes_small.grid)
+    con, _ = stokes_spectral_model(stokes_small)
+    amb, V = stokes_ambient_model(stokes_small.grid)
     assert con.dim == stokes_small.curl.shape[1]
     assert amb.dim == stokes_small.vector_laplacian.shape[0]
     assert np.all(np.diff(con.eigenvalues) >= 0)
     assert con.eigenvalues[0] > 0
     # ambient model reconstructs the vector Laplacian
-    A = amb.basis @ np.diag(amb.eigenvalues) @ amb.basis.T
+    A = V @ np.diag(amb.eigenvalues) @ V.T
     np.testing.assert_allclose(A, stokes_small.vector_laplacian.toarray(), atol=1e-8)
     # constrained eigenvalues interlace above the ambient floor
     assert con.eigenvalues[0] >= amb.eigenvalues[0] * (1 - 1e-12)

@@ -1,67 +1,102 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy import linalg
 
 from fracspace import (
     DimensionMismatch,
     InvalidConfig,
     SolverFailure,
+    SpectralModel,
     apply_fractional_power,
     build_spectral_model,
     frac_norm,
-    from_coeffs,
+    grid_domain,
     higher_power_decomposition_check,
-    to_coeffs,
+    kfunctional,
+    operators,
+    stokes_ambient_model,
+    stokes_pencil,
+    stokes_spectral_model,
 )
 
 
 def test_build_sorts_ascending_and_permutes_basis():
-    lam = np.array([4.0, 1.0, 9.0])
-    basis = np.eye(3)
-    m = build_spectral_model(lam, basis)
-    assert np.array_equal(m.eigenvalues, [1.0, 4.0, 9.0])
-    # column for eigenvalue 1.0 was column 1 of the input
-    assert np.array_equal(m.basis[:, 0], basis[:, 1])
+    lam = np.array([4.0, 1.0, 9.0, 1.0])
+    m = build_spectral_model(lam)
+    assert np.array_equal(m.eigenvalues, [1.0, 1.0, 4.0, 9.0])
+    assert np.array_equal(lam, [4.0, 1.0, 9.0, 1.0])  # the input is copied
+    # the ambient Stokes builder permutes its eigenvector columns with the
+    # sort of its spectrum: A V = V diag(lam), lam ascending
+    p = stokes_pencil(grid_domain(2, 4))
+    model, V = stokes_ambient_model(p.grid)
+    assert np.all(np.diff(model.eigenvalues) >= 0.0)
+    A = p.vector_laplacian.toarray()
+    assert np.max(np.abs(A @ V - V * model.eigenvalues)) <= 1e-10 * np.max(np.abs(A))
 
 
 def test_build_rejects_nonpositive_eigenvalue():
     with pytest.raises(SolverFailure, match="min eigenvalue"):
-        build_spectral_model(np.array([1.0, 0.0]), np.eye(2))
+        build_spectral_model(np.array([1.0, 0.0]))
     with pytest.raises(SolverFailure, match="min eigenvalue"):
-        build_spectral_model(np.array([-1.0, 2.0]), np.eye(2))
+        build_spectral_model(np.array([-1.0, 2.0]))
 
 
-def test_build_rejects_nonorthonormal_basis():
-    with pytest.raises(SolverFailure, match="basis Gram deviation"):
-        build_spectral_model(np.array([1.0, 2.0]), 2.0 * np.eye(2))
+def _stokes_models_with_eigenvectors_times(monkeypatch, factor):
+    """Both Stokes builders on a 4 x 4 grid, their eigenvectors multiplied
+    by factor: the constrained one through `class_eigh`, the ambient one
+    through the DST-I modes of an axis."""
+    class_eigh, modes = kfunctional.class_eigh, operators._dirichlet_modes
+
+    def scaled_eigh(*args, **kwargs):
+        lam, V, VtB, classes = class_eigh(*args, **kwargs)
+        return lam, factor * V, VtB, classes
+
+    def scaled_modes(size, h):
+        S, mu = modes(size, h)
+        return factor * S, mu
+
+    p = stokes_pencil(grid_domain(2, 4))
+    monkeypatch.setattr(kfunctional, "class_eigh", scaled_eigh)
+    monkeypatch.setattr(operators, "_dirichlet_modes", scaled_modes)
+    return (lambda: stokes_spectral_model(p), lambda: stokes_ambient_model(p.grid))
+
+
+def test_build_rejects_nonorthonormal_basis(monkeypatch):
+    # the Gram check of the Stokes builders' eigenvectors
+    for build in _stokes_models_with_eigenvectors_times(monkeypatch, 2.0):
+        with pytest.raises(SolverFailure, match="basis Gram deviation"):
+            build()
+
+
+def test_build_rejects_nan_basis(monkeypatch):
+    for build in _stokes_models_with_eigenvectors_times(monkeypatch, math.nan):
+        with pytest.raises(SolverFailure, match="basis Gram deviation"):
+            build()
 
 
 def test_build_shape_mismatch():
     with pytest.raises(DimensionMismatch):
-        build_spectral_model(np.array([1.0, 2.0]), np.eye(3))
+        build_spectral_model(np.array([]))
 
 
-def test_model_arrays_are_read_only(small_model):
+def test_model_arrays_are_read_only(small_model, stokes_small):
     with pytest.raises(ValueError):
         small_model.eigenvalues[0] = 7.0
-    with pytest.raises(ValueError):
-        small_model.basis[0, 0] = 7.0
+    for model, V in (
+        stokes_spectral_model(stokes_small),
+        stokes_ambient_model(stokes_small.grid),
+    ):
+        for array in (model.eigenvalues, V):
+            with pytest.raises(ValueError):
+                array[0] = 7.0
 
 
-def test_coeff_roundtrip_with_gram():
-    rng = np.random.default_rng(1)
-    mass = 0.25
-    s = rng.standard_normal((3, 3))
-    # Euclidean eigenvectors of s s^T, rescaled, are orthonormal under mass * I
-    _, q = linalg.eigh(s @ s.T)
-    m = build_spectral_model(np.array([1.0, 2.0, 3.0]), q / np.sqrt(mass), mass)
-    assert m.mass == mass
-    u = rng.standard_normal(3)
-    c = to_coeffs(m, u)
-    assert isinstance(c, np.ndarray) and c.shape == (3,)
-    np.testing.assert_allclose(from_coeffs(m, c), u, atol=1e-12)
+def test_model_is_its_spectrum():
+    # a model holds the spectrum alone; dim is its length
+    assert [f.name for f in dataclasses.fields(SpectralModel)] == ["eigenvalues"]
+    assert build_spectral_model(np.array([2.0, 1.0, 3.0])).dim == 3
 
 
 def test_coeff_vector_rejects_wrong_length(small_model):
@@ -69,19 +104,6 @@ def test_coeff_vector_rejects_wrong_length(small_model):
         frac_norm(small_model, 0.5, np.ones(4))
     with pytest.raises(DimensionMismatch):
         apply_fractional_power(small_model, 0.5, np.ones(4))
-    with pytest.raises(DimensionMismatch):
-        to_coeffs(small_model, np.ones(4))
-
-
-@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
-def test_build_rejects_unusable_mass(mass):
-    with pytest.raises(InvalidConfig, match="mass must be finite and positive"):
-        build_spectral_model(np.array([1.0, 2.0]), np.eye(2), mass)
-
-
-def test_build_rejects_nan_basis():
-    with pytest.raises(SolverFailure, match="basis Gram deviation"):
-        build_spectral_model(np.array([1.0, 2.0]), np.diag([1.0, math.nan]))
 
 
 def test_fractional_power_semigroup(small_model):
@@ -106,7 +128,7 @@ def test_fractional_power_zero_is_identity_copy(small_model):
 
 
 def test_frac_norm_known_value():
-    m = build_spectral_model(np.array([4.0]), np.eye(1))
+    m = build_spectral_model(np.array([4.0]))
     # lam^(2 alpha) |c|^2 = 4^1 * 9 = 36
     assert frac_norm(m, 0.5, np.array([3.0])) == pytest.approx(6.0, rel=1e-15)
 
@@ -148,7 +170,7 @@ def test_moment_inequality(small_model):
 
 def test_frac_norm_monotone_in_alpha_above_unit_spectrum():
     # all eigenvalues >= 1 so alpha -> norm is nondecreasing
-    m = build_spectral_model(np.array([1.0, 3.0, 10.0]), np.eye(3))
+    m = build_spectral_model(np.array([1.0, 3.0, 10.0]))
     c = np.array([1.0, 1.0, 1.0])
     norms = [frac_norm(m, a, c) for a in (0.0, 0.25, 0.5, 1.0, 1.5)]
     assert all(b >= a * (1 - 1e-15) for a, b in zip(norms, norms[1:]))
@@ -156,4 +178,4 @@ def test_frac_norm_monotone_in_alpha_above_unit_spectrum():
 
 def test_nan_eigenvalue_rejected():
     with pytest.raises(SolverFailure, match="min eigenvalue"):
-        build_spectral_model(np.array([1.0, math.nan]), np.eye(2))
+        build_spectral_model(np.array([1.0, math.nan]))

@@ -630,7 +630,7 @@ def run_halft1(config: RunConfig):
         cells.append(recorded(lemma="Lemma 5.3", grid=n, check="lift-bounds", **lift))
         # the interp-ratio table has one row per theta, one column per probe
         peaks.append(np.max(grid_tables[1].ratio, axis=1))
-    if len(sizes) > 1:
+    if len(sizes) > 1:  # one grid has no drift to measure
         for which in ("h_bound", "d_bound"):
             cells.append(
                 ladder_drift(
@@ -641,17 +641,17 @@ def run_halft1(config: RunConfig):
                     check=f"lift-{which}-drift",
                 )
             )
-    for theta in sorted(set(thetas)):
-        cells.append(
-            ladder_drift(
-                [peak[thetas.index(theta)] for peak in peaks],
-                bound=2.0,
-                lemma="Corollary 5.4",
-                grid="ladder",
-                check="ratio-drift",
-                theta=theta,
+        for theta in sorted(set(thetas)):
+            cells.append(
+                ladder_drift(
+                    [peak[thetas.index(theta)] for peak in peaks],
+                    bound=2.0,
+                    lemma="Corollary 5.4",
+                    grid="ladder",
+                    check="ratio-drift",
+                    theta=theta,
+                )
             )
-        )
     params = {"sizes": list(sizes), "thetas": [float(t) for t in thetas]}
     return make_report(
         "halft1", params, cells, seed=config.seed, cfg_hash=config_hash(config)

@@ -17,8 +17,10 @@ blocks of at most _K2_PAIRS // modes.
 Identity linking the two scales, exact for finite spectra up to
 quadrature error:  |u|_theta^2 = i_theta(theta) * frac_norm(theta, u)^2.
 
-k_brute and k_sum_brute avoid the closed forms entirely; they exist as
-independent test oracles.
+Every K here has one route: `k2_batch` for a spectrum and
+`k2_by_cholesky` for a pair. The independent oracles that avoid the
+closed forms (brute-force minimization, the sum-form functional) live
+with the tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .errors import (
     QuadratureNotConverged,
     SolverFailure,
 )
-from .spectral import SpectralModel, _coeffs, _pow2_scale
+from .spectral import SpectralModel, _coeffs
 
 _TINY = 1e-300
 
@@ -88,12 +90,6 @@ def build_quadratic_pair(m1, m2) -> QuadraticPair:
     return QuadraticPair(M1, M2)
 
 
-def pair_from_model(model: SpectralModel) -> QuadraticPair:
-    """The coefficient-space pair (identity, diag lam^2) of a model."""
-    lam2 = model.eigenvalues**2
-    return build_quadratic_pair(np.eye(model.dim), np.diag(lam2))
-
-
 def _check_t(t) -> float:
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
@@ -119,16 +115,6 @@ def _forms(pair: QuadraticPair, u):
 
 
 # ---- pointwise K
-
-
-def k_spectral(model: SpectralModel, u, t) -> float:
-    """Closed-form K for a spectral model, squaring the coefficients at
-    the scale of `_pow2_scale` (K is homogeneous of degree 1)."""
-    t = _check_t(t)
-    c = _coeffs(model, u)
-    scale = _pow2_scale(c)
-    val = k2_batch(model.eigenvalues, (c / scale) ** 2, np.array([t]))[0]
-    return scale * math.sqrt(float(val))
 
 
 def k2_by_cholesky(m1, m2, X, t2) -> np.ndarray:
@@ -162,126 +148,6 @@ def k_quadratic(pair: QuadraticPair, u, t) -> float:
     M1, M2, vec = _forms(pair, u)
     k2 = float(k2_by_cholesky(M1, M2, vec[:, None], t * t)[0])
     return math.sqrt(max(k2, 0.0))
-
-
-def _golden_min(f, lo, hi, iters=90):
-    """Golden-section minimum of f on [lo, hi]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
-def k_brute(model_or_pair, u, t, max_iter=200000) -> float:
-    """K by direct minimization, no closed forms; the test oracle.
-
-    Spectral route: the objective separates per coordinate; each term is
-    minimized by golden section on the bracket [0, c_j]. Pair route:
-    steepest descent with exact line search on the strictly convex
-    quadratic objective, started from y = 0.
-    """
-    t = _check_t(t)
-    if isinstance(model_or_pair, SpectralModel):
-        model = model_or_pair
-        c = _coeffs(model, u)
-        total = 0.0
-        for cj, lam in zip(c, model.eigenvalues):
-            w = (t * lam) ** 2
-
-            def term(y, cj=cj, w=w):
-                return (cj - y) ** 2 + w * y * y
-
-            lo, hi = min(0.0, cj), max(0.0, cj)
-            _, val = _golden_min(term, lo, hi)
-            total += val
-        return math.sqrt(max(total, 0.0))
-
-    M1, M2, vec = _forms(model_or_pair, u)
-    H = M1 + (t * t) * M2
-    m = M1 @ vec
-    f0 = float(vec @ m)  # objective at y = 0
-    y = np.zeros_like(vec)
-    fval = f0
-    for _ in range(max_iter):
-        g = 2.0 * (H @ y - m)
-        gg = float(g @ g)
-        if gg == 0.0:
-            break
-        gHg = float(g @ (H @ g))
-        step = gg / (2.0 * gHg)
-        decrease = step * gg - step * step * gHg
-        y -= step * g
-        fval -= decrease
-        if decrease <= 1e-16 * max(fval, _TINY):
-            break
-    else:
-        raise SolverFailure("descent did not stall below tolerance")
-    r = vec - y
-    k2 = float(r @ (M1 @ r) + (t * t) * (y @ (M2 @ y)))
-    return math.sqrt(max(k2, 0.0))
-
-
-def k_sum_brute(model_or_pair, u, t) -> float:
-    """Sum-form functional inf over x + y = u of (|x|_X + t |y|_Y).
-
-    The minimizer lies on the curve y(mu) = (M1 + mu M2)^-1 M1 u,
-    mu >= 0 (stationarity), with the endpoints y = 0 and y = u included
-    separately. Scans log mu, then refines by golden section. Oracle for
-    the norm-equivalence K <= k_sum <= sqrt(2) K of the two conventions.
-    """
-    t = _check_t(t)
-    if isinstance(model_or_pair, SpectralModel):
-        model = model_or_pair
-        c = _coeffs(model, u)
-        lam2 = model.eigenvalues**2
-
-        def objective(s):
-            mu = math.exp(s)
-            denom = 1.0 + mu * lam2
-            x = c * (mu * lam2) / denom
-            y = c / denom
-            return math.sqrt(float(x @ x)) + t * math.sqrt(float(lam2 @ (y * y)))
-
-        norm_x = math.sqrt(float(c @ c))
-        norm_y = t * math.sqrt(float(lam2 @ (c * c)))
-    else:
-        from scipy import linalg
-
-        M1, M2, vec = _forms(model_or_pair, u)
-        m = M1 @ vec
-
-        def objective(s):
-            mu = math.exp(s)
-            y = linalg.solve(M1 + mu * M2, m, assume_a="pos")
-            x = vec - y
-            return math.sqrt(max(float(x @ (M1 @ x)), 0.0)) + t * math.sqrt(
-                max(float(y @ (M2 @ y)), 0.0)
-            )
-
-        norm_x = math.sqrt(max(float(vec @ m), 0.0))
-        norm_y = t * math.sqrt(max(float(vec @ (M2 @ vec)), 0.0))
-
-    if norm_x == 0.0:
-        return 0.0
-    grid = np.linspace(-46.0, 46.0, 231)
-    vals = [objective(s) for s in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    _, refined = _golden_min(objective, lo, hi, iters=60)
-    return min(refined, vals[i], norm_x, norm_y)
 
 
 # ---- interpolation norm

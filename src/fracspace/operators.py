@@ -7,11 +7,12 @@ staggered-grid Stokes system.
 Laplacian A, the divergence D and the discrete curl C as scipy.sparse
 arrays, and the n^2 x n^2 stream-function pencil (C^T A C, C^T C) with
 one sparse LU; rank D is checked by one more sparse LU, of the pressure
-matrix with one pressure pinned. The runners that need dense arrays
-read them from that pencil: the orthonormal basis Z = C W of ker D in
-closed form (the discrete curl of DST-I stream-function modes, with no
-factorization of D), the constrained operator Z^T A Z, and A by
-`.toarray()`.
+matrix with one pressure pinned. Both are symmetric-mode SuperLU
+factors that must show their matrix SPD (`_spd_lu`). The runners that
+need dense arrays read them from that pencil: the orthonormal basis
+Z = C W of ker D in closed form (the discrete curl of DST-I
+stream-function modes, with no factorization of D), the constrained
+operator Z^T A Z, and A by `.toarray()`.
 
 Every grid matrix is assembled from dense 1D pieces combined with
 np.kron, or with scipy.sparse.kron for the Stokes operators (the
@@ -368,14 +369,15 @@ class StokesPencil:
     (m x n^2) are scipy.sparse CSR arrays, the one assembly of the
     Stokes operators. The stream function carries the pencil (K, C^T C)
     of the stiffness K = C^T A C (CSC) and the corner Laplacian C^T C
-    (curl_gram); stiffness_lu is the one sparse LU of K (SuperLU),
-    through which every solve with K goes. Since span C = ker D, the
-    divergence-free retraction is T = C K^-1 C^T A and the spectrum of
-    the constrained operator Z^T A Z is that of (K, C^T C). The
-    orthonormal basis of ker D is Z = C W with W = (S (x) S) diag(scale)
-    for the DST-I matrix S (`dst`); `null_vectors` applies it without
-    forming it, and `null_basis` and `constrained_op` form the dense Z
-    and Ac = Z^T A Z, each with its runtime checks.
+    (curl_gram); stiffness_lu is the one sparse LU of K (SuperLU, checked
+    SPD by `_spd_lu`), through which every solve with K goes. Since
+    span C = ker D, the divergence-free retraction is T = C K^-1 C^T A
+    and the spectrum of the constrained operator Z^T A Z is that of
+    (K, C^T C). The orthonormal basis of ker D is Z = C W with
+    W = (S (x) S) diag(scale) for the DST-I matrix S (`dst`);
+    `null_vectors` applies it without forming it, and `null_basis` and
+    `constrained_op` form the dense Z and Ac = Z^T A Z, each with its
+    runtime checks.
     """
 
     vector_laplacian: "sparse.csr_array"
@@ -435,35 +437,41 @@ class StokesPencil:
         return Ac
 
 
-def _check_pressure_rank(P) -> None:
-    """Raise SolverFailure unless the sparse pressure matrix P = D D^T
-    has the constants as its only null vectors.
+def _spd_lu(M, failure: str):
+    """The SuperLU factor of the sparse M, returned only when it shows M
+    SPD; SolverFailure(failure) otherwise.
 
-    Pinning one pressure (dropping the first row and column) leaves an
-    SPD matrix exactly then. It is factored by SuperLU in symmetric mode
-    (a minimum-degree ordering of P + P^T on rows and columns alike, and
-    diagonal pivots); equal row and column permutations and a diagonal
-    of U positive relative to its largest entry (1e-10) make it SPD. A
-    factorization that fails, also for a NaN, raises as well.
+    SuperLU runs in symmetric mode: a minimum-degree ordering of M + M^T
+    on rows and columns alike, and diagonal pivots, which keeps less
+    fill than the default column ordering. Equal row and column
+    permutations and every diagonal entry of U above 1e-10 of the
+    largest make M SPD. A factorization that fails, also for a NaN,
+    raises as well.
     """
     from scipy.sparse.linalg import splu
 
     try:
         lu = splu(
-            P[1:, 1:].tocsc(),
+            M.tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
-        pivots = lu.U.diagonal()
-        spd = np.array_equal(lu.perm_r, lu.perm_c)
-        spd = spd and pivots.min() > 1e-10 * pivots.max()
     except RuntimeError:  # SuperLU: an exactly singular factor
-        spd = False
+        raise SolverFailure(failure) from None
+    pivots = lu.U.diagonal()
+    spd = np.array_equal(lu.perm_r, lu.perm_c) and pivots.min() > 1e-10 * pivots.max()
     if not spd:
-        raise SolverFailure(
-            "divergence rank check failed: the pressure matrix is not SPD"
-        )
+        raise SolverFailure(failure)
+    return lu
+
+
+def _check_pressure_rank(P) -> None:
+    """Raise SolverFailure unless the sparse pressure matrix P = D D^T
+    has the constants as its only null vectors: pinning one pressure
+    (dropping the first row and column) leaves an SPD matrix exactly
+    then, which `_spd_lu` checks."""
+    _spd_lu(P[1:, 1:], "divergence rank check failed: the pressure matrix is not SPD")
 
 
 def stokes_pencil(domain: GridDomain) -> StokesPencil:
@@ -486,14 +494,12 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     sparse pressure matrix D D^T = G G^T (x) I + I (x) G G^T goes to
     `_check_pressure_rank`, which raises SolverFailure otherwise.
 
-    K is SPD, so its one splu runs in SuperLU's symmetric mode: a
-    minimum-degree ordering of K^T + K applied to rows and columns
-    alike, and diagonal pivots, which keeps less fill than the default
-    column ordering. No m x m or m x n^2 dense array is formed.
-    SciPy is imported here, not with the package.
+    K = C^T A C is factored once by `_spd_lu`, the same symmetric-mode
+    SuperLU, whose factor must show K SPD (SolverFailure otherwise).
+    No m x m or m x n^2 dense array is formed. SciPy is imported here,
+    not with the package.
     """
     from scipy import sparse
-    from scipy.sparse.linalg import splu
 
     _check_stokes_grid(domain)  # the same size rules as the runners' check
     n, h = domain.n, domain.h
@@ -520,12 +526,7 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
         curl=C,
         stiffness=K,
         curl_gram=(C.T @ C).tocsr(),
-        stiffness_lu=splu(
-            K,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        ),
+        stiffness_lu=_spd_lu(K, "the stream-function stiffness K is not SPD"),
         dst=S,
         scale=1.0 / np.sqrt(np.add.outer(mu, mu)).ravel(),
         grid=domain,

@@ -55,16 +55,18 @@ per class block, T_BLOCK values of t per product.
 `k2_by_cholesky` of each pair's forms at the middle t recomputes K^2
 and K0^2 as an in-run cross-check, which also checks the closed forms.
 The identity T z = z on the subspace is checked once, when a
-`Retraction` is constructed, so the verification trusts its input.
+`Retraction` is constructed (as |B Z - I|_F for its orthonormal Z), so
+the verification trusts its input.
 
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences; Z the
 interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S) and the
-divergence-free retraction T = Z Ac^-1 Z^T A built from the dense Z and
-Ac of a staggered-grid Stokes pencil (Ac the constrained operator,
-B = Ac^-1 Z^T A), with its bound from that pencil. The latter also runs
-on the sparse pencil alone (`stokes_apply`, `check_stokes_identity`),
-with no dense Z, Ac or B.
+divergence-free retraction T = C K^-1 C^T A of a staggered-grid Stokes
+pencil, kept with the pencil's dense orthonormal basis Z of ker D as
+B = Z^T T = (T^T Z)^T. B, the bound and every other Stokes quantity go
+through the pencil's one LU of K; no constrained operator is factored.
+The retraction's checks also run on the sparse pencil alone
+(`stokes_apply`, `check_stokes_identity`), with no dense Z or B.
 """
 from __future__ import annotations
 
@@ -75,7 +77,6 @@ import numpy as np
 
 from ._kernels import k2_batch
 from .errors import (
-    DimensionMismatch,
     InvalidConfig,
     RetractionIdentityViolated,
     SolverFailure,
@@ -121,13 +122,14 @@ T_BLOCK = 13
 class Retraction:
     """Linear map T = Z B with T|span(Z) = identity and measured pair bounds.
 
-    subspace_basis Z (m x r) spans the subspace and inner B (r x m) maps
-    into its coordinates, so T x = Z (B x); no m x m map is stored.
-    Construction checks the identity: the Frobenius norm of Z (B Z) - Z,
-    which bounds the 2-norm from above, needs no SVD and does not assume
-    Z orthonormal, must not exceed IDENTITY_TOL, or
-    RetractionIdentityViolated is raised. B is then stored read-only,
-    without a copy for a float64 array.
+    subspace_basis Z (m x r) has orthonormal columns spanning the
+    subspace and inner B (r x m) maps into its coordinates, so
+    T x = Z (B x); no m x m map is stored. T z = z on span(Z) exactly
+    when B Z = I, and for orthonormal Z the Frobenius norm of B Z - I
+    equals that of Z (B Z) - Z. Construction checks the identity: that
+    norm, which bounds the 2-norm from above and needs no SVD, must not
+    exceed IDENTITY_TOL, or RetractionIdentityViolated is raised. B is
+    then stored read-only, without a copy for a float64 array.
     """
 
     subspace_basis: np.ndarray
@@ -136,14 +138,15 @@ class Retraction:
     d_bound: float
 
     def __post_init__(self):
-        Z = self.subspace_basis
-        resid = float(np.linalg.norm(Z @ (self.inner @ Z) - Z))
+        B = np.asarray(self.inner, dtype=np.float64)
+        E = B @ self.subspace_basis
+        E.flat[:: E.shape[1] + 1] -= 1.0
+        resid = float(np.linalg.norm(E))
         if not resid <= IDENTITY_TOL:
             raise RetractionIdentityViolated(
                 "retraction deviates from the identity on the subspace: "
                 f"Frobenius residual {resid:.3e}"
             )
-        B = np.asarray(self.inner, dtype=np.float64)
         B.setflags(write=False)
         object.__setattr__(self, "inner", B)
 
@@ -237,28 +240,6 @@ def _stiffness_solver(grams: SobolevGrams, idx: np.ndarray):
     return S_i, factor
 
 
-def harmonic_lift(domain: GridDomain, grams: SobolevGrams, u) -> np.ndarray:
-    """Zero-boundary solution of the interior equation of u.
-
-    w has zero boundary values and the same interior second differences
-    as u (interior rows of the stiffness agree), so w = u whenever u
-    already vanishes on the boundary, and the gradient energy of w never
-    exceeds that of u.
-    """
-    from scipy import linalg
-
-    u = np.asarray(u, dtype=np.float64).ravel()
-    if u.shape[0] != grams.g0.shape[0]:
-        raise DimensionMismatch(
-            f"grid function length {u.shape[0]} != {grams.g0.shape[0]}"
-        )
-    idx = interior_indices(domain)
-    S_i, factor = _stiffness_solver(grams, idx)
-    w = np.zeros_like(u)
-    w[idx] = linalg.cho_solve(factor, S_i @ u)
-    return w
-
-
 def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
     """The harmonic lift as a retraction for the pair (g1, g2).
 
@@ -315,8 +296,8 @@ def stokes_bound(p: StokesPencil) -> float:
 
 def check_stokes_identity(p: StokesPencil) -> float:
     """The Frobenius residual of T Z - Z = C (K^-1 K W - W) over the
-    whole orthonormal basis Z = C W of ker D, the check that `Retraction`
-    makes on construction; above IDENTITY_TOL it raises
+    whole orthonormal basis Z = C W of ker D, which equals the |B Z - I|
+    that `Retraction` checks on construction; above IDENTITY_TOL it raises
     RetractionIdentityViolated. The columns of W go through in blocks of
     IDENTITY_BLOCK, and the squared block residuals add up."""
     r = p.stiffness.shape[0]
@@ -335,25 +316,20 @@ def check_stokes_identity(p: StokesPencil) -> float:
 
 
 def stokes_retraction(p: StokesPencil) -> Retraction:
-    """T = Z Ac^-1 Z^T A on velocity unknowns; identity on ker(divergence).
+    """T = C K^-1 C^T A on velocity unknowns; identity on ker(divergence).
 
     The bounds are exact operator norms: h_bound = |T|_2 and
-    d_bound = |A T A^-1|_2 for the D-norm |f|_D = |A f|. A and Ac are
-    symmetric, so A T A^-1 = A Z Ac^-1 Z^T = T^T and d_bound = h_bound
+    d_bound = |A T A^-1|_2 for the D-norm |f|_D = |A f|. A and K are
+    symmetric, so A T A^-1 = A C K^-1 C^T = T^T and d_bound = h_bound
     comes from the one norm, `stokes_bound` of the pencil, which does not
     depend on the basis Z. The retraction keeps (Z, B) for the pencil's
-    `null_basis` Z and B = Ac^-1 Z^T A = Ac^-1 (A Z)^T, solved through
-    one Cholesky factor of its `constrained_op` Ac (SolverFailure
-    if Ac is not SPD); the m x m product Z B is never formed.
+    orthonormal `null_basis` Z and B = Z^T T = (T^T Z)^T, applied through
+    the pencil's one LU of K (`stokes_apply`); T = Z B since Z Z^T is the
+    orthogonal projector onto ker D = span C. The m x m product Z B is
+    never formed.
     """
-    from scipy import linalg
-
     Z = p.null_basis()
-    try:
-        factor = linalg.cho_factor(p.constrained_op(Z), lower=True)
-    except linalg.LinAlgError as exc:
-        raise SolverFailure("constrained operator is not SPD") from exc
-    B = linalg.cho_solve(factor, (p.vector_laplacian @ Z).T)
+    B = stokes_apply(p, Z, transpose=True).T
     bound = stokes_bound(p)
     return Retraction(Z, B, bound, bound)
 

@@ -121,6 +121,14 @@ def test_classifier_ambiguous():
         classify_partial_sums(ladder, sums)
 
 
+def test_classifier_zero_increment_is_convergent():
+    # the upper half adds 0 then 1: not negligible against the total, but
+    # a dyadic span that added nothing means the sums have converged
+    ladder = tuple(2**k for k in range(4, 9))
+    cls, exponent, r2 = classify_partial_sums(ladder, (1.0, 2.0, 3.0, 3.0, 4.0))
+    assert cls == "convergent" and exponent == 0.0 and r2 is None
+
+
 def test_criticality_scan_three_classes():
     profiles = criticality_scan(2**13, (0.20, 0.25, 0.30))
     by_theta = {p.theta: p for p in profiles}
@@ -286,6 +294,15 @@ def test_run_halft1_small():
     drift = [c for c in rep.cells if c["check"] == "ratio-drift"]
     assert len(drift) == 2
     assert all(c["ratio"] < 2.0 for c in drift)
+
+
+def test_run_halft1_one_grid_has_no_drift_cells():
+    # one grid has no ladder: its ratio with itself is exactly 1 and
+    # could not fail
+    rep = run_halft1(RunConfig(experiment="halft1", sizes=(4,), seed=1))
+    assert rep.passed
+    checks = {c["check"] for c in rep.cells}
+    assert checks == {"pointwise", "interp-ratio", "lift-bounds"}
 
 
 def test_run_stokes_retraction_small():

@@ -18,7 +18,6 @@ from fracspace import (
     interp_norm,
     sobolev_grams,
     stokes_pencil,
-    stokes_retraction,
     stokes_spectral_model,
     zero_boundary_pencil,
 )
@@ -31,7 +30,7 @@ WITH_NAN = np.diag([1.0, math.nan, 4.0])
 
 def _negated_stokes_laplacian():
     # A -> -A keeps D, C and the null basis, so the dense guards pass and
-    # Z^T (-A) Z reaches its factorization or eigensolve negative definite
+    # Z^T (-A) Z reaches its eigensolve negative definite
     p = stokes_pencil(grid_domain(2, 4))
     return dataclasses.replace(p, vector_laplacian=-p.vector_laplacian)
 
@@ -61,6 +60,14 @@ def _stokes_pencil_with_negated_pressure(monkeypatch):
         "splu",
         lambda a, *args, **kw: real(-a if a.shape == (24, 24) else a, *args, **kw),
     )
+    stokes_pencil(grid_domain(2, 4))
+
+
+def _stokes_pencil_with_negated_stiffness(monkeypatch):
+    # negated second differences leave D, C and the pressure matrix as
+    # they are and make A, and so K = C^T A C, negative definite
+    real = operators._second_difference_1d
+    monkeypatch.setattr(operators, "_second_difference_1d", lambda n, h: -real(n, h))
     stokes_pencil(grid_domain(2, 4))
 
 
@@ -145,9 +152,9 @@ SITES = {
         "interior stiffness failed to factorize",
         lambda mp: _harmonic_retraction_with_stiffness(lambda g: g.g1 * math.nan),
     ),
-    "stokes_retraction": (
-        "constrained operator is not SPD",
-        lambda mp: stokes_retraction(_negated_stokes_laplacian()),
+    "stokes_pencil-stiffness": (
+        "the stream-function stiffness K is not SPD",
+        _stokes_pencil_with_negated_stiffness,
     ),
     "build_spectral_model-indefinite": (
         "min eigenvalue",

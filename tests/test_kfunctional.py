@@ -18,15 +18,12 @@ from fracspace import (
     frac_norm,
     i_theta,
     interp_norm,
-    k_brute,
     k_quadratic,
-    k_spectral,
-    k_sum_brute,
     laplacian_1d_analytic,
-    pair_from_model,
 )
 from fracspace.experiments import lemma_fps_sweep
 from fracspace.kfunctional import interp_norms_sq
+from oracles import k_brute, k_spectral, k_sum_brute, pair_from_model
 
 # ---- strategies: modest sizes, finite values, spread spectra
 
@@ -147,6 +144,8 @@ def test_rule_validation():
         QuadratureRule(0.0, 1.0, refinement_tol=0.0)
     with pytest.raises(InvalidConfig):
         QuadratureRule(0.0, 1.0, max_panels=0)
+    with pytest.raises(InvalidConfig, match="no positive eigenvalues"):
+        QuadratureRule.for_spectrum(np.array([0.0, -1.0]))
 
 
 def test_rule_default_window():

@@ -20,6 +20,7 @@ from fracspace import (
     interior_indices,
     laplacian_1d_analytic,
     sobolev_grams,
+    sobolev_pencil,
     stokes_ambient_model,
     stokes_domain,
     stokes_pencil,
@@ -155,6 +156,8 @@ def test_zero_boundary_pencil_matches_congruence(n):
 def test_zero_boundary_pencil_takes_a_square():
     with pytest.raises(InvalidConfig, match="unit square"):
         zero_boundary_pencil(grid_domain(1, 4))
+    with pytest.raises(InvalidConfig, match="unit square"):
+        sobolev_pencil(grid_domain(1, 4))
 
 
 @pytest.mark.parametrize("n", range(3, 11))

@@ -280,6 +280,17 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert err["error"] == "InvalidConfig"
 
 
+@pytest.mark.parametrize("text", [None, "[1, 2]"], ids=["missing", "array-root"])
+def test_cli_unreadable_or_non_object_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["lemma41", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+
+
 @pytest.mark.parametrize(
     "quad",
     [
@@ -291,6 +302,9 @@ def test_cli_bad_config_file(tmp_path, capsys):
         # tolerances below rounding
         {"tol": 1e-15},
         {"tol": 1e-30},
+        # both window edges, in the wrong order or equal
+        {"log_t_min": 2.0, "log_t_max": -2.0},
+        {"log_t_min": 1.5, "log_t_max": 1.5},
     ],
 )
 def test_cli_malformed_quadrature_exits_2(tmp_path, capsys, quad):

@@ -19,7 +19,6 @@ from fracspace import (
     build_quadratic_pair,
     congruence,
     grid_domain,
-    harmonic_lift,
     harmonic_retraction,
     lanczos_eigenvalue,
     sobolev_grams,
@@ -51,6 +50,7 @@ from fracspace.retractions import (
     _low_rank_gram_norm,
     _top_singular_value,
 )
+from oracles import harmonic_lift
 
 
 def _dense_map(ret):
@@ -484,6 +484,39 @@ def test_stokes_retraction_identity():
         A = p.vector_laplacian.toarray()
         d_norm = np.linalg.norm(A @ T @ np.linalg.inv(A), 2)
         assert ret.d_bound == pytest.approx(d_norm, rel=1e-10)
+
+
+def test_stokes_retraction_b_matches_the_cholesky_route():
+    # B = (T^T Z)^T through the pencil's LU of K against the route it
+    # replaced, B = Ac^-1 (A Z)^T by a dense Cholesky of Ac = Z^T A Z
+    for n in range(4, 17):
+        p = stokes_pencil(grid_domain(2, n))
+        Z = p.null_basis()
+        AZ = p.vector_laplacian @ Z
+        chol = linalg.cho_solve(linalg.cho_factor(Z.T @ AZ), AZ.T)
+        B = stokes_retraction(p).inner
+        assert np.max(np.abs(B - chol)) <= 1e-12 * np.max(np.abs(chol)), n
+
+
+def test_stokes_retraction_refuses_a_negated_laplacian():
+    # A -> -A after assembly keeps K and its LU, so T turns into -T and
+    # B Z = -I: no factorization sees it, the identity check does
+    p = stokes_pencil(grid_domain(2, 4))
+    broken = dataclasses.replace(p, vector_laplacian=-p.vector_laplacian)
+    with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
+        stokes_retraction(broken)
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 6), (2, 6), (2, 12)])
+def test_harmonic_retraction_applies_the_oracle_lift(dimension, n):
+    # T u = Z (B u) of the retraction against the oracle's own dense solve
+    d = grid_domain(dimension, n)
+    grams = sobolev_grams(d)
+    ret = harmonic_retraction(d, grams)
+    U = np.random.default_rng(8).standard_normal((grams.g0.shape[0], 10))
+    lift = np.column_stack([harmonic_lift(d, grams, u) for u in U.T])
+    TU = ret.subspace_basis @ (ret.inner @ U)
+    assert np.max(np.abs(TU - lift)) <= 1e-12 * np.max(np.abs(lift))
 
 
 def _reduced_probes(pair, Z, seed):

@@ -133,6 +133,11 @@ def test_frac_norm_known_value():
     assert frac_norm(m, 0.5, np.array([3.0])) == pytest.approx(6.0, rel=1e-15)
 
 
+def test_frac_norm_rejects_a_nan_exponent(small_model):
+    with pytest.raises(InvalidConfig, match="exponent must be finite"):
+        frac_norm(small_model, math.nan, np.ones(6))
+
+
 def test_higher_power_check_passes(small_model):
     c = np.array([1.0, -0.5, 0.25, 0.1, -0.05, 0.01])
     cell = higher_power_decomposition_check(small_model, 0.25, 0.75, c)

@@ -18,6 +18,7 @@ from fracspace import (
     interp_norm,
     sobolev_grams,
     stokes_pencil,
+    stokes_retraction,
     stokes_spectral_model,
     zero_boundary_pencil,
 )
@@ -33,6 +34,15 @@ def _negated_stokes_laplacian():
     # Z^T (-A) Z reaches its eigensolve negative definite
     p = stokes_pencil(grid_domain(2, 4))
     return dataclasses.replace(p, vector_laplacian=-p.vector_laplacian)
+
+
+def _stokes_retraction_with_nan_laplacian():
+    # the pencil's LU of K is untouched, so a NaN in A passes every
+    # factorization and reaches the Lanczos eigensolve of stokes_bound
+    p = stokes_pencil(grid_domain(2, 4))
+    stokes_retraction(
+        dataclasses.replace(p, vector_laplacian=p.vector_laplacian * math.nan)
+    )
 
 
 def _sobolev_grams_with_negative_stiffness(monkeypatch):
@@ -151,6 +161,10 @@ SITES = {
     "_stiffness_solver-nan": (
         "interior stiffness failed to factorize",
         lambda mp: _harmonic_retraction_with_stiffness(lambda g: g.g1 * math.nan),
+    ),
+    "stokes_retraction": (
+        "Lanczos eigenvalue failed",
+        lambda mp: _stokes_retraction_with_nan_laplacian(),
     ),
     "stokes_pencil-stiffness": (
         "the stream-function stiffness K is not SPD",

@@ -531,17 +531,17 @@ def run_weight(config: RunConfig):
 def _harmonic_setup(dom):
     """The pairs and retraction of `verify_intersection_lemma` for (g1, g2)
     and the zero-boundary subspace: the ambient pencil per parity class
-    (`sobolev_pencil`), the reduced one in closed form, its forms gathered
-    from the interior rows and columns (Z^T g Z bit for bit for the
-    indicator columns Z)."""
-    grams = sobolev_grams(dom)  # validated, factored and read-only
+    (`sobolev_pencil`, on the rotated forms that the retraction also
+    reads), the reduced one in closed form, its forms gathered from the
+    interior rows and columns (Z^T g Z bit for bit for the indicator
+    columns Z)."""
+    grams = sobolev_grams(dom)  # validated, factored per class and read-only
     T = harmonic_retraction(dom, grams)
-    g1, g2 = grams.g1, grams.g2
-    del grams  # frees g0 and the two factors before the pencil is solved
+    ambient = SpectralPair(grams.g1, grams.g2, *sobolev_pencil(grams))
     ix = np.ix_(*[interior_indices(dom)] * 2)
     return (
-        SpectralPair(g1, g2, *sobolev_pencil(dom)),
-        SpectralPair(g1[ix], g2[ix], *zero_boundary_pencil(dom)),
+        ambient,
+        SpectralPair(grams.g1[ix], grams.g2[ix], *zero_boundary_pencil(dom)),
         T,
     )
 
@@ -561,7 +561,8 @@ def _stokes_setup(dom):
     stream modes (`StokesPencil.classes`), with Z^T A^2 Z formed as
     (A Z)^T (A Z) from the sparse A."""
     p = stokes_pencil(dom)
-    T = stokes_retraction(p)
+    Z, gram = p.null_basis_and_gram()
+    T = stokes_retraction(p, Z)
     model, V = stokes_ambient_model(dom)
     # (I, A^2) is SPD by construction, as the pencil's A is SPD, so the
     # pair skips build_quadratic_pair's copies and Cholesky checks
@@ -569,9 +570,8 @@ def _stokes_setup(dom):
     m1, m2 = np.eye(model.dim), (A @ A).toarray()
     m1.setflags(write=False)
     m2.setflags(write=False)
-    Z = T.subspace_basis
     AZ = A @ Z
-    reduced = QuadraticPair(Z.T @ Z, AZ.T @ AZ)
+    reduced = QuadraticPair(gram, AZ.T @ AZ)  # Z^T Z from the orthonormality check
     return (
         SpectralPair(m1, m2, model.eigenvalues, V, V.T),
         SpectralPair(reduced.m1, reduced.m2, *congruence(reduced, p.classes)),
@@ -665,7 +665,7 @@ def run_stokes_retraction(config: RunConfig):
     """Lemma 5.5's retraction on a ladder of grids, each on its sparse
     stream-function pencil alone: the whole-subspace identity check, the
     seeded identity and adjoint cells, the Lanczos bound and
-    lambda_min_constrained, all through the pencil's one LU."""
+    lambda_min_constrained, all through the pencil's one factor of K."""
     sizes = _sizes(config)
     domains = [stokes_domain(n) for n in sizes]
     rng = np.random.default_rng(config.seed)

@@ -258,21 +258,28 @@ def interp_norms_sq(lam, coeffs, thetas, rule: QuadratureRule) -> np.ndarray:
         )
 
 
+def check_class_coupling(values, off_class, what: str) -> None:
+    """Raise SolverFailure("<what> couples symmetry classes: ...") when
+    an entry of values where off_class holds (an entry between two
+    classes) exceeds 1e-12 times the largest entry, or either is NaN."""
+    off = np.max(np.abs(values[off_class]), initial=0.0) / np.max(np.abs(values))
+    if not off <= 1e-12:
+        raise SolverFailure(f"{what} couples symmetry classes: {off:.3e} relative")
+
+
 def class_eigh(a, b=None, classes=None):
     """Eigenpairs of the symmetric pencil (a, b), b = I when None, solved
     per symmetry class: (w, V, V^T b, classes).
 
     classes labels each row and column of the forms, and a form that
     commutes with a symmetry has no entry between two classes (Bossavit,
-    Comput. Methods Appl. Mech. Engrg. 56, 1986). One `eigh` per class of
-    the gathered blocks replaces one of the whole pencil; each block's
-    eigenvectors are scattered to their class rows of V (zero elsewhere)
-    and V^T b is taken blockwise. w is ascending (stable sort), and the
-    returned classes give each eigenpair's class. Before any solve, an
-    off-class entry of either form above 1e-12 times that form's largest
-    entry (or a NaN) raises SolverFailure. With classes None there is one
-    class: one `eigh` of the whole pencil and classes None. A failed
-    eigensolve raises scipy's LinAlgError or ValueError.
+    Comput. Methods Appl. Mech. Engrg. 56, 1986). The class blocks are
+    gathered and solved by `block_eigh`, one `eigh` per class in place of
+    one of the whole pencil. Before any solve, an off-class entry of
+    either form above 1e-12 times that form's largest entry (or a NaN)
+    raises SolverFailure. With classes None there is one class: one
+    `eigh` of the whole pencil and classes None. A failed eigensolve
+    raises scipy's LinAlgError or ValueError.
     """
     from scipy import linalg
 
@@ -282,22 +289,39 @@ def class_eigh(a, b=None, classes=None):
     classes = np.asarray(classes)
     off_class = classes[:, None] != classes
     for M in (a,) if b is None else (a, b):
-        off = np.max(np.abs(M[off_class]), initial=0.0) / np.max(np.abs(M))
-        if not off <= 1e-12:
-            raise SolverFailure(f"a form couples symmetry classes: {off:.3e} relative")
+        check_class_coupling(M, off_class, "a form")
     blocks = []
     for c in np.unique(classes):
         idx = np.flatnonzero(classes == c)
-        bc = None if b is None else b[np.ix_(idx, idx)]
-        blocks.append((c, idx, bc, *linalg.eigh(a[np.ix_(idx, idx)], bc)))
-    w = np.concatenate([block[3] for block in blocks])
+        ix = np.ix_(idx, idx)
+        blocks.append((c, idx, a[ix], None if b is None else b[ix]))
+    return block_eigh(blocks)
+
+
+def block_eigh(blocks):
+    """Eigenpairs of a symmetric pencil given by its class blocks, one
+    `eigh` per class: (w, V, V^T b, classes) as `class_eigh` returns them.
+
+    blocks holds (c, idx, a_c, b_c) per class: its label, its rows and
+    columns idx of the whole pencil (which the blocks partition), and its
+    blocks of a and b (b_c None for b = I). Each block's eigenvectors are
+    scattered to their class rows of V (zero elsewhere) and V^T b is
+    taken blockwise. w is ascending (stable sort), and the returned
+    classes give each eigenpair's class. A failed eigensolve raises
+    scipy's LinAlgError or ValueError.
+    """
+    from scipy import linalg
+
+    solved = [(c, idx, bc, *linalg.eigh(ac, bc)) for c, idx, ac, bc in blocks]
+    w = np.concatenate([block[3] for block in solved])
     order = np.argsort(w, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     # each block goes straight to the sorted positions of its eigenpairs
-    V, VtB, pair_classes = np.zeros(a.shape), np.zeros(a.shape), np.empty_like(classes)
+    m = w.size
+    V, VtB, pair_classes = np.zeros((m, m)), np.zeros((m, m)), np.empty(m, np.int64)
     start = 0
-    for c, idx, bc, _, vecs in blocks:
+    for c, idx, bc, _, vecs in solved:
         pos = rank[start : start + idx.size]
         start += idx.size
         V[np.ix_(idx, pos)] = vecs
@@ -317,10 +341,24 @@ def congruence(pair: QuadraticPair, classes=None):
     A pencil eigenvalue mu that is not finite and positive means the pair
     is not SPD; it raises SolverFailure, as does a failed eigensolve.
     """
+    return _spectral_form(class_eigh, pair.m2, pair.m1, classes)
+
+
+def block_congruence(blocks):
+    """`congruence` of an SPD pair given by its class blocks, blocks
+    holding (c, idx, m1_c, m2_c) per class as `block_eigh` takes them;
+    the same spectral form and the same failures."""
+    return _spectral_form(block_eigh, [(c, i, m2, m1) for c, i, m1, m2 in blocks])
+
+
+def _spectral_form(eigh, *args):
+    """sqrt(mu), V, transform and classes from eigh(*args), the pencil
+    M2 v = mu M1 v; SolverFailure for a failed eigensolve or a mu that is
+    not finite and positive."""
     from scipy import linalg
 
     try:
-        mu, V, transform, classes = class_eigh(pair.m2, pair.m1, classes)
+        mu, V, transform, classes = eigh(*args)
     except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("congruence eigendecomposition failed") from exc
     bad = mu[~(np.isfinite(mu) & (mu > 0.0))]

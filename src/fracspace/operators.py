@@ -6,9 +6,10 @@ staggered-grid Stokes system.
 `stokes_pencil` is the one assembly of the Stokes operators: the vector
 Laplacian A, the divergence D and the discrete curl C as scipy.sparse
 arrays, and the n^2 x n^2 stream-function pencil (C^T A C, C^T C) with
-one sparse LU; rank D is checked by one more sparse LU, of the pressure
-matrix with one pressure pinned. Both are symmetric-mode SuperLU
-factors that must show their matrix SPD (`_spd_lu`). The runners that
+one factor of K = C^T A C, a SuperLU per reflection-parity class
+(`ParityLU`); rank D is checked by one more sparse LU, of the pressure
+matrix with one pressure pinned. Every factor is a symmetric-mode
+SuperLU that must show its matrix SPD (`_spd_lu`). The runners that
 need dense arrays read them from that pencil: the orthonormal basis
 Z = C W of ker D in closed form (the discrete curl of DST-I
 stream-function modes, with no factorization of D), the constrained
@@ -24,13 +25,17 @@ axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil. The same
 structure gives the spectra of the Dirichlet Kronecker sums in closed
 form: `stokes_ambient_model` and `zero_boundary_pencil` (the pencil of
 (g1, g2) on zero-boundary functions) take tensor
-products of DST-I modes, with no eigensolver. The forms that are not
-Kronecker sums, (g1, g2) on the full node set and the constrained
-operator Z^T A Z, are still unchanged by the square's two reflections,
-so they are diagonalized densely per reflection-parity class
-(`kfunctional.class_eigh`): `sobolev_pencil` rotates each axis into
-even and odd node combinations, and the DST-I stream modes carry their
-parities (`StokesPencil.classes`).
+products of DST-I modes, with no eigensolver. Every other operator
+here is unchanged by the square's two reflections, so it is split per
+reflection-parity class (Bossavit, Comput. Methods Appl. Mech. Engrg.
+56, 1986) after rotating each axis into even and odd node combinations
+(`_parity_rotation`): `sobolev_grams` assembles (g0, g1, g2) per class
+from the rotated 1D pieces (`ClassForms`), the blocks that the
+harmonic retraction solves and factors and that `sobolev_pencil`
+diagonalizes; `stokes_pencil` factors K per class of the rotated
+stream-function grid; and the constrained operator Z^T A Z is
+diagonalized per class of the DST-I stream modes, which carry their
+parities (`StokesPencil.classes`, `kfunctional.class_eigh`).
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
 Apart from the sparse pencil the 2D matrices are dense, so 2D grids are
@@ -41,6 +46,8 @@ inside each function that calls it, not with the package.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,14 +155,36 @@ def _forward_difference(m: int) -> np.ndarray:
     return np.eye(m - 1, m, k=1) - np.eye(m - 1, m)
 
 
-def _kron_sum(M: np.ndarray, d: int) -> np.ndarray:
-    """M acting along each of d axes: M in 1D, M (x) I + I (x) M in 2D."""
-    if d == 1:
-        return M
-    eye = np.eye(M.shape[0])
-    K = np.kron(M, eye)
-    K += np.kron(eye, M)
+def _kron_sum(*axes: np.ndarray) -> np.ndarray:
+    """The 1D operators of the axes, each acting along its own: M in 1D,
+    M_x (x) I + I (x) M_y in 2D."""
+    if len(axes) == 1:
+        return axes[0]
+    Mx, My = axes
+    K = np.kron(Mx, np.eye(My.shape[0]))
+    K += np.kron(np.eye(Mx.shape[0]), My)
     return K
+
+
+@dataclass(frozen=True)
+class ClassForms:
+    """The Sobolev forms on one reflection-parity class of the nodes.
+
+    In the coordinates (U (x) U)^T x of a 2D grid (U^T x in 1D), for the
+    parity rotation U of an axis (`_parity_rotation`), the forms are block
+    diagonal, one block per class p in 1D or 2 p_x + p_y in 2D. label is
+    the class, index its rotated coordinates (ascending), g0, g1 and g2
+    are the class blocks, and g1_factor and g2_factor the lower Cholesky
+    factors of the blocks of g1 and g2.
+    """
+
+    label: int
+    index: np.ndarray
+    g0: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    g1_factor: np.ndarray
+    g2_factor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,16 +194,18 @@ class SobolevGrams:
     g0: trapezoid mass; g1 = g0 + first-difference stiffness;
     g2 = g1 + Gram of centered second difference quotients.
     The three forms are read-only, so a pair can wrap g1 and g2 without
-    a copy. g1_factor and g2_factor are the lower Cholesky factors of g1
-    and g2 from the SPD check of `sobolev_grams`, the one factorization
-    of each.
+    a copy. classes holds the same forms per reflection-parity class in
+    the rotated coordinates of `rotation`, the parity rotation U of an
+    axis (`ClassForms`), with the class Cholesky factors of g1 and g2
+    from the SPD check of `sobolev_grams`; no nodal form is factored.
     """
 
     g0: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    g1_factor: np.ndarray
-    g2_factor: np.ndarray
+    rotation: np.ndarray
+    classes: tuple
+    grid: GridDomain
 
 
 def _node_count(domain: GridDomain) -> int:
@@ -212,51 +243,79 @@ def _sobolev_pieces(domain: GridDomain):
     return w, E.T @ E, D2.T @ D2
 
 
-def _sobolev_forms(W, P, Q, domain: GridDomain):
-    """g0, g1, g2 from the 1D mass W, stiffness P and top form Q of an
-    axis: W (x) W in 2D, the stiffness with edge weight h^(d-2) and the
-    top form with weight h^d, each as a Kronecker sum."""
+def _sobolev_forms(axes, domain: GridDomain):
+    """g0, g1, g2 from the 1D mass W, stiffness P and top form Q of each
+    axis, axes holding one (W, P, Q) per axis: W_x (x) W_y in 2D, the
+    stiffness with edge weight h^(d-2) and the top form with weight h^d,
+    each as a Kronecker sum."""
     h, d = domain.h, domain.dimension
-    g0 = W if d == 1 else np.kron(W, W)
-    g1 = _kron_sum(P, d) / h ** (2 - d)
+    W, P, Q = zip(*axes)
+    g0 = W[0] if d == 1 else np.kron(*W)
+    g1 = _kron_sum(*P) / h ** (2 - d)
     g1 += g0
-    g2 = domain.cell_volume * _kron_sum(Q, d)
+    g2 = domain.cell_volume * _kron_sum(*Q)
     g2 += g1
     return g0, g1, g2
 
 
 def sobolev_grams(domain: GridDomain) -> SobolevGrams:
-    """Assemble g0, g1, g2 on the full grid (boundary nodes included).
+    """Assemble g0, g1, g2 on the full grid (boundary nodes included),
+    on the nodes and per reflection-parity class.
 
-    One path for both dimensions: the dimension enters only through the
-    Kronecker products of three 1D pieces on the m = n + 2 nodes of an
-    axis (`_sobolev_pieces`, combined by `_sobolev_forms`) and the cell
-    volume h^d.
+    One path for both dimensions and for the nodes and the classes: the
+    dimension enters only through the Kronecker products of three 1D
+    pieces on the m = n + 2 nodes of an axis (`_sobolev_pieces`,
+    combined by `_sobolev_forms`) and the cell volume h^d.
       g0: trapezoid weights w, diag(w) in 1D and diag(w (x) w) in 2D;
       stiffness: P = E^T E for the edge differences E of the path graph,
         P / h in 1D and P (x) I + I (x) P in 2D (edge weight h^(d-2));
       top form: Q = D2^T D2 for the centred second-difference rows D2
         (scaled by 1/h^2 before the product), h^d times the Kronecker
         sum of Q (weight h^d per row along each axis).
-    g0 is diagonal, so its SPD check is finite, positive weights w; g1
-    and g2 pass an SPD check by Cholesky, and their factors are kept.
-    Each form is stored read-only.
+    The pieces are unchanged by the reflection x -> 1 - x of an axis, so
+    the parity rotation U of `_parity_rotation` takes each to an even and
+    an odd block; a rotated piece with an entry between the two above
+    1e-12 of its largest raises SolverFailure. The forms of a class are
+    assembled from the blocks of its parities (`ClassForms`), equal bit
+    for bit to the class blocks of the rotated forms, which are never
+    formed whole. g0 is diagonal, so its SPD check is finite, positive
+    weights w; g1 and g2 pass an SPD check by one Cholesky factorization
+    per class block, and the factors are kept. Every form is stored
+    read-only.
     """
     from scipy import linalg
 
+    from .kfunctional import check_class_coupling
+
+    d = domain.dimension
     w, P, Q = _sobolev_pieces(domain)
     if not (np.isfinite(w).all() and (w > 0.0).all()):
         raise SolverFailure("g0 failed the SPD check")
-    g0, g1, g2 = _sobolev_forms(np.diag(w), P, Q, domain)
-    g0.setflags(write=False)
-    factors = []
-    for name, M in (("g1", g1), ("g2", g2)):
-        try:
-            factors.append(linalg.cholesky(M, lower=True))
-        except linalg.LinAlgError as exc:
-            raise SolverFailure(f"{name} failed the SPD check") from exc
+    U, parity = _parity_rotation(domain.n + 2)
+    rotated = [U.T @ M @ U for M in (np.diag(w), P, Q)]
+    for M in rotated:
+        check_class_coupling(M, parity[:, None] != parity, "a Sobolev piece")
+    axes = [np.flatnonzero(parity == p) for p in (0, 1)]
+    classes = []
+    for label, parities in enumerate(itertools.product((0, 1), repeat=d)):
+        cols = [axes[p] for p in parities]
+        pieces = [[M[np.ix_(c, c)] for M in rotated] for c in cols]
+        forms = _sobolev_forms(pieces, domain)
+        factors = []
+        for name, M in (("g1", forms[1]), ("g2", forms[2])):
+            try:
+                factors.append(linalg.cholesky(M, lower=True))
+            except linalg.LinAlgError as exc:
+                raise SolverFailure(f"{name} failed the SPD check") from exc
+        # row-major over the axes, as the Kronecker products of the forms
+        index = functools.reduce(lambda i, j: np.add.outer(i * U.shape[0], j), cols)
+        for M in forms:
+            M.setflags(write=False)
+        classes.append(ClassForms(label, index.ravel(), *forms, *factors))
+    nodal = _sobolev_forms([(np.diag(w), P, Q)] * d, domain)
+    for M in nodal:
         M.setflags(write=False)
-    return SobolevGrams(g0, g1, g2, g1_factor=factors[0], g2_factor=factors[1])
+    return SobolevGrams(*nodal, rotation=U, classes=tuple(classes), grid=domain)
 
 
 def _parity_classes(parity: np.ndarray) -> np.ndarray:
@@ -282,41 +341,36 @@ def _parity_rotation(m: int) -> tuple[np.ndarray, np.ndarray]:
     return U, (np.arange(m) >= even).astype(np.int64)
 
 
-def _kron_apply(U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(U (x) U) X for a square U, one axis at a time, without forming
-    the Kronecker product."""
+def _kron_apply(U: np.ndarray, X: np.ndarray, dimension: int) -> np.ndarray:
+    """(U (x) U) X for a square U in 2D, U X in 1D, one axis at a time,
+    without forming the Kronecker product."""
     a = U.shape[0]
-    Y = (U @ X.reshape(a, -1)).reshape(a, a, -1)
-    return (U @ Y).reshape(a * a, -1)
+    Y = U @ X.reshape(a, -1)
+    if dimension == 2:
+        Y = U @ Y.reshape(a, a, -1)
+    return Y.reshape(a**dimension, -1)
 
 
-def sobolev_pencil(domain: GridDomain):
+def sobolev_pencil(grams: SobolevGrams):
     """The pencil of (g1, g2) on the full node set of a 2D grid, solved
     per reflection-parity class: (lam, V, transform, classes) as
     `kfunctional.congruence` returns it.
 
-    The 1D pieces w, P and Q of `sobolev_grams` are unchanged by the
-    reflection x -> 1 - x of an axis, so the parity rotation U of
-    `_parity_rotation` takes each to an even and an odd block, and
-    U (x) U takes g1 and g2 to four blocks, one per class 2 p_x + p_y.
-    The rotated forms are assembled from the rotated pieces by
-    `_sobolev_forms`, `congruence` solves them per class (and checks
-    that no entry couples two classes), and the eigenpairs are lifted
+    It reads the class blocks of `sobolev_grams` (`ClassForms`), the
+    forms in the coordinates of the parity rotation U (x) U, solves them
+    per class (`kfunctional.block_congruence`) and lifts the eigenpairs
     to the nodes: V = (U (x) U) V_r, transform = transform_r (U (x) U)^T.
     """
-    from .kfunctional import QuadraticPair, congruence
+    from .kfunctional import block_congruence
 
-    if domain.dimension != 2:
+    if grams.grid.dimension != 2:
         raise InvalidConfig("the blocked Sobolev pencil is built on the unit square")
-    w, P, Q = _sobolev_pieces(domain)
-    U, parity = _parity_rotation(domain.n + 2)
-    _, g1, g2 = _sobolev_forms(*(U.T @ M @ U for M in (np.diag(w), P, Q)), domain)
-    lam, V, transform, classes = congruence(
-        QuadraticPair(g1, g2), _parity_classes(parity)
+    lam, V, transform, classes = block_congruence(
+        [(c.label, c.index, c.g1, c.g2) for c in grams.classes]
     )
-    del g1, g2  # the rotated forms go before the lift's temporaries come
-    V = _kron_apply(U, V)
-    return lam, V, _kron_apply(U, transform.T).T, classes
+    U = grams.rotation
+    V = _kron_apply(U, V, 2)
+    return lam, V, _kron_apply(U, transform.T, 2).T, classes
 
 
 def zero_boundary_pencil(domain: GridDomain):
@@ -369,15 +423,17 @@ class StokesPencil:
     (m x n^2) are scipy.sparse CSR arrays, the one assembly of the
     Stokes operators. The stream function carries the pencil (K, C^T C)
     of the stiffness K = C^T A C (CSC) and the corner Laplacian C^T C
-    (curl_gram); stiffness_lu is the one sparse LU of K (SuperLU, checked
-    SPD by `_spd_lu`), through which every solve with K goes. Since
-    span C = ker D, the divergence-free retraction is T = C K^-1 C^T A
-    and the spectrum of the constrained operator Z^T A Z is that of
-    (K, C^T C). The orthonormal basis of ker D is Z = C W with
-    W = (S (x) S) diag(scale) for the DST-I matrix S (`dst`);
-    `null_vectors` applies it without forming it, and `null_basis` and
-    `constrained_op` form the dense Z and Ac = Z^T A Z, each with its
-    runtime checks.
+    (curl_gram); stiffness_lu is the one factor of K, a `ParityLU`: one
+    SuperLU per reflection-parity class of the rotated stream-function
+    grid, each checked SPD by `_spd_lu`, through which every solve with
+    K goes. Since span C = ker D, the divergence-free retraction is
+    T = C K^-1 C^T A and the spectrum of the constrained operator
+    Z^T A Z is that of (K, C^T C). The orthonormal basis of ker D is
+    Z = C W with W = (S (x) S) diag(scale) for the DST-I matrix S
+    (`dst`); `null_vectors` applies it without forming it,
+    `class_modes` gives its class blocks in the rotated coordinates, and
+    `null_basis_and_gram` and `constrained_op` form the dense Z, Z^T Z
+    and Ac = Z^T A Z, each with its runtime checks.
     """
 
     vector_laplacian: "sparse.csr_array"
@@ -385,7 +441,7 @@ class StokesPencil:
     curl: "sparse.csr_array"
     stiffness: "sparse.csc_array"
     curl_gram: "sparse.csr_array"
-    stiffness_lu: "sparse.linalg.SuperLU"
+    stiffness_lu: ParityLU
     dst: np.ndarray
     scale: np.ndarray
     grid: GridDomain
@@ -404,25 +460,51 @@ class StokesPencil:
         X = (self.scale[:, None] * c).T.reshape(-1, n, n)
         return (S @ X @ S.T).reshape(-1, n * n).T
 
+    def class_modes(self, c: int, cols: np.ndarray) -> np.ndarray:
+        """Columns cols of W_c, the block of class c of R^T W in the rotated
+        coordinates of `stream_rotation` (rows) and the stream modes of
+        class c in ascending order (columns).
+
+        DST-I mode k of an axis has the parity of k (0-based), so U^T S
+        couples even rows to even modes and odd to odd, and W_c is the
+        Kronecker product of the blocks of U^T S of the parities of c,
+        times `scale`, with no n^2 x n^2 array formed.
+        """
+        n = self.grid.n
+        U, parity = _parity_rotation(n)
+        rotated = U.T @ self.dst
+        (px, py), cols = divmod(c, 2), np.asarray(cols)
+        Sx, Sy = rotated[parity == px][:, px::2], rotated[parity == py][:, py::2]
+        k, l = np.divmod(cols, Sy.shape[1])
+        W = (Sx[:, None, k] * Sy[None, :, l]).reshape(-1, cols.size)
+        return W * self.scale[(2 * k + px) * n + 2 * l + py]
+
     def null_vectors(self, c: np.ndarray) -> np.ndarray:
         """Z c = C W c: the divergence-free fields with null-basis
         coordinates c (n^2 x k)."""
         return self.curl @ self.stream_modes(c)
 
     def null_basis(self) -> np.ndarray:
-        """The dense orthonormal basis Z = C W of ker D (m x n^2).
+        """The dense orthonormal basis Z = C W of ker D (m x n^2), the first
+        of `null_basis_and_gram`."""
+        return self.null_basis_and_gram()[0]
 
-        It is orthonormal by construction and spans ker D by the rank
+    def null_basis_and_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense orthonormal basis Z = C W of ker D (m x n^2) and its
+        Gram Z^T Z.
+
+        Z is orthonormal by construction and spans ker D by the rank
         check of `stokes_pencil`; runtime checks of |D Z| and
         |Z^T Z - I| (1e-10 each) guard the rounding and raise
-        SolverFailure, also for a NaN.
+        SolverFailure, also for a NaN. The Gram is the one of the check.
         """
         Z = self.null_vectors(np.eye(self.stiffness.shape[0]))
         if not np.max(np.abs(self.divergence @ Z)) <= 1e-10:
             raise SolverFailure("null basis fails divergence-free check")
-        if not np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-10:
+        gram = Z.T @ Z
+        if not np.max(np.abs(gram - np.eye(Z.shape[1]))) <= 1e-10:
             raise SolverFailure("null basis fails the orthonormality check")
-        return Z
+        return Z, gram
 
     def constrained_op(self, Z: np.ndarray) -> np.ndarray:
         """The dense constrained operator Ac = Z^T (A Z) on the
@@ -466,6 +548,87 @@ def _spd_lu(M, failure: str):
     return lu
 
 
+@dataclass(frozen=True)
+class ParityLU:
+    """A sparse SPD operator M on the n x n stream-function grid, factored
+    per reflection-parity class: `solve` applies M^-1 to a vector or to
+    the columns of an array, as SuperLU.solve does.
+
+    R = U (x) U (`stream_rotation`) rotates each axis into even and odd
+    combinations, its columns taken in `order`, class by class, so that
+    R^T M R of an M that commutes with the reflections is block diagonal
+    and class c holds the grouped columns starts[c]:starts[c+1]. factors
+    holds the `_spd_lu` factor of each class block, so
+    M^-1 = R blockdiag(M_c^-1) R^T.
+    """
+
+    rotation: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    factors: tuple
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        U, starts = self.rotation, self.starts
+        y = _kron_apply(U.T, b, 2)[self.order]
+        for lu, s, e in zip(self.factors, starts, starts[1:]):
+            y[s:e] = lu.solve(y[s:e])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return _kron_apply(U, x, 2).reshape(np.shape(b))
+
+
+def stream_rotation(n: int):
+    """The parity rotation of the n x n stream-function grid: the 1D U of
+    `_parity_rotation`, the order that groups the columns of U (x) U by
+    class 2 p_x + p_y (stably), the class bounds starts (five entries,
+    the last n^2) in that order, and R = (U (x) U)[:, order] as a sparse
+    CSC array."""
+    from scipy import sparse
+
+    U, parity = _parity_rotation(n)
+    classes = _parity_classes(parity)
+    order = np.argsort(classes, kind="stable")
+    starts = np.searchsorted(classes[order], np.arange(5))
+    # each entry of U (x) U is a product of two entries of U
+    i, a = np.nonzero(U)
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    R = sparse.csc_array(
+        (
+            np.multiply.outer(U[i, a], U[i, a]).ravel(),
+            (np.add.outer(i * n, i).ravel(), column[np.add.outer(a * n, a).ravel()]),
+        ),
+        shape=(n * n, n * n),
+    )
+    return U, order, starts, R
+
+
+def stiffness_blocks(K, R, starts) -> list:
+    """The class blocks of R^T K R (CSR) for the sparse stiffness K and a
+    rotation R of `stream_rotation`; an entry between two classes above
+    1e-12 of the largest raises SolverFailure, as in
+    `kfunctional.class_eigh`."""
+    from .kfunctional import check_class_coupling
+
+    rotated = (R.T @ (K @ R)).tocsr()
+    classes = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    row_classes = np.repeat(classes, np.diff(rotated.indptr))  # per stored entry
+    off_class = row_classes != classes[rotated.indices]
+    check_class_coupling(rotated.data, off_class, "the stream-function stiffness K")
+    return [rotated[s:e, s:e] for s, e in zip(starts, starts[1:])]
+
+
+def parity_lu(K, n: int) -> ParityLU:
+    """The `ParityLU` of the sparse stiffness K on the n x n
+    stream-function grid: one `_spd_lu` per class block of R^T K R
+    (`stiffness_blocks`), each of which must show its block SPD
+    (SolverFailure otherwise)."""
+    U, order, starts, R = stream_rotation(n)
+    failure = "the stream-function stiffness K is not SPD"
+    blocks = stiffness_blocks(K, R, starts)
+    return ParityLU(U, order, starts, tuple(_spd_lu(B, failure) for B in blocks))
+
+
 def _check_pressure_rank(P) -> None:
     """Raise SolverFailure unless the sparse pressure matrix P = D D^T
     has the constants as its only null vectors: pinning one pressure
@@ -494,10 +657,13 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     sparse pressure matrix D D^T = G G^T (x) I + I (x) G G^T goes to
     `_check_pressure_rank`, which raises SolverFailure otherwise.
 
-    K = C^T A C is factored once by `_spd_lu`, the same symmetric-mode
-    SuperLU, whose factor must show K SPD (SolverFailure otherwise).
-    No m x m or m x n^2 dense array is formed. SciPy is imported here,
-    not with the package.
+    K = C^T A C commutes with the reflections of the stream-function
+    grid, so it is factored once per parity class (`parity_lu`): an
+    entry of R^T K R between two classes above 1e-12 of the largest
+    raises SolverFailure, and each class block goes to `_spd_lu`, the
+    same symmetric-mode SuperLU, whose factor must show the block SPD
+    (SolverFailure otherwise). No m x m or m x n^2 dense array is
+    formed. SciPy is imported here, not with the package.
     """
     from scipy import sparse
 
@@ -526,7 +692,7 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
         curl=C,
         stiffness=K,
         curl_gram=(C.T @ C).tocsr(),
-        stiffness_lu=_spd_lu(K, "the stream-function stiffness K is not SPD"),
+        stiffness_lu=parity_lu(K, n),
         dst=S,
         scale=1.0 / np.sqrt(np.add.outer(mu, mu)).ravel(),
         grid=domain,

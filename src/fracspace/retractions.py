@@ -24,9 +24,12 @@ and I the norm of T equals that of I - T in every inner-product norm
 (Kato's identity; see Szyld, Numer. Algorithms 42, 2006). For the
 lift, I - T = Y R^T has rank nb, the number of boundary nodes: it sends
 u to the discrete harmonic extension of its boundary values u[bdy].
-`_low_rank_gram_norm` takes the Gram norm of that rank-nb map from the
-Cholesky factor of the Gram that `sobolev_grams` keeps, with nb
-triangular solves, a thin QR and one nb x nb eigensolve; no m x m
+T, g1 and g2 commute with the square's reflections, so the lift is
+solved per reflection-parity class of the rotated forms that
+`sobolev_grams` keeps, and each bound is the largest over the classes:
+`_low_rank_gram_norm` takes the Gram norm of a class's rank-nb_c
+complement from the class Cholesky factor of the Gram, with nb_c
+triangular solves, a thin QR and one nb_c x nb_c eigensolve; no m x m
 array is formed. The divergence-free retraction takes one
 norm in all, since A T A^-1 = T^T makes its two bounds equal. Its one
 route is `stokes_bound` on the sparse stream-function pencil of
@@ -34,8 +37,9 @@ route is `stokes_bound` on the sparse stream-function pencil of
 T = C K^-1 C^T A for the discrete curl C and
 K = C^T A C, and |T|_2^2 is the top eigenvalue of T^T T, taken by
 Lanczos (`lanczos_eigenvalue`, ARPACK through
-scipy.sparse.linalg.eigsh) with T and T^T applied through the one LU
-of K. The same routine in shift-invert mode gives the lowest
+scipy.sparse.linalg.eigsh) with T and T^T applied through the one
+factor of K, a SuperLU per parity class (`operators.ParityLU`). The
+same routine in shift-invert mode gives the lowest
 eigenvalue of the constrained operator, from the pencil (K, C^T C).
 
 The intersection-lemma engine takes the ambient pair and the reduced
@@ -54,19 +58,21 @@ commutes with the reflections), which is checked, and the t loop runs
 per class block, T_BLOCK values of t per product.
 `k2_by_cholesky` of each pair's forms at the middle t recomputes K^2
 and K0^2 as an in-run cross-check, which also checks the closed forms.
-The identity T z = z on the subspace is checked once, when a
-`Retraction` is constructed (as |B Z - I|_F for its orthonormal Z), so
-the verification trusts its input.
+The identity T z = z on the subspace is checked when a `Retraction` is
+constructed (as |B Z - I|_F for its orthonormal Z), so the
+verification trusts its input.
 
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences; Z the
-interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S) and the
-divergence-free retraction T = C K^-1 C^T A of a staggered-grid Stokes
-pencil, kept with the pencil's dense orthonormal basis Z of ker D as
-B = Z^T T = (T^T Z)^T. B, the bound and every other Stokes quantity go
-through the pencil's one LU of K; no constrained operator is factored.
-The retraction's checks also run on the sparse pencil alone
-(`stokes_apply`, `check_stokes_identity`), with no dense Z or B.
+interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S, solved
+and checked per class, B_c[:, int_c] = I, and lifted to the nodes) and
+the divergence-free retraction T = C K^-1 C^T A of a staggered-grid
+Stokes pencil, kept with the pencil's dense orthonormal basis Z of
+ker D as B = Z^T T = (T^T Z)^T. B, the bound and every other Stokes
+quantity go through the pencil's one factor of K; no constrained
+operator is factored. The retraction's checks also run on the sparse
+pencil alone (`stokes_apply`, and `check_stokes_identity` per class of
+the rotated stream-function grid), with no dense Z or B.
 """
 from __future__ import annotations
 
@@ -91,7 +97,9 @@ from .operators import (
     GridDomain,
     SobolevGrams,
     StokesPencil,
-    interior_indices,
+    _kron_apply,
+    stiffness_blocks,
+    stream_rotation,
     zero_boundary_basis,
 )
 from .reporting import at_most_table
@@ -139,16 +147,27 @@ class Retraction:
 
     def __post_init__(self):
         B = np.asarray(self.inner, dtype=np.float64)
-        E = B @ self.subspace_basis
-        E.flat[:: E.shape[1] + 1] -= 1.0
-        resid = float(np.linalg.norm(E))
-        if not resid <= IDENTITY_TOL:
-            raise RetractionIdentityViolated(
-                "retraction deviates from the identity on the subspace: "
-                f"Frobenius residual {resid:.3e}"
-            )
+        _check_identity(float(np.linalg.norm(_minus_identity(B @ self.subspace_basis))))
         B.setflags(write=False)
         object.__setattr__(self, "inner", B)
+
+
+def _minus_identity(E: np.ndarray) -> np.ndarray:
+    """E - I, in place, for a square E."""
+    E.flat[:: E.shape[1] + 1] -= 1.0
+    return E
+
+
+def _check_identity(resid: float) -> float:
+    """resid, the Frobenius residual of T z - z over an orthonormal basis
+    of the subspace, unless it exceeds IDENTITY_TOL (or is NaN): then
+    RetractionIdentityViolated."""
+    if not resid <= IDENTITY_TOL:
+        raise RetractionIdentityViolated(
+            "retraction deviates from the identity on the subspace: "
+            f"Frobenius residual {resid:.3e}"
+        )
+    return resid
 
 
 def _top_singular_value(X: np.ndarray) -> float:
@@ -226,15 +245,15 @@ def _low_rank_gram_norm(Y: np.ndarray, R: np.ndarray, L: np.ndarray) -> float:
 # ---- harmonic lift
 
 
-def _stiffness_solver(grams: SobolevGrams, idx: np.ndarray):
-    """The interior rows S[idx, :] of the stiffness S = g1 - g0 and the
-    Cholesky factor of their interior block S_ii; S itself is not formed.
-    A block that is not SPD, or holds a NaN, raises SolverFailure."""
+def _stiffness_solver(S: np.ndarray, inner: np.ndarray):
+    """The interior rows S[inner, :] of a class block S of the stiffness
+    and the Cholesky factor of their interior block S_ii. A block that is
+    not SPD, or holds a NaN, raises SolverFailure."""
     from scipy import linalg
 
-    S_i = grams.g1[idx] - grams.g0[idx]
+    S_i = S[inner]
     try:
-        factor = linalg.cho_factor(S_i[:, idx], lower=True)
+        factor = linalg.cho_factor(S_i[:, inner], lower=True)
     except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("interior stiffness failed to factorize") from exc
     return S_i, factor
@@ -243,27 +262,49 @@ def _stiffness_solver(grams: SobolevGrams, idx: np.ndarray):
 def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
     """The harmonic lift as a retraction for the pair (g1, g2).
 
-    T = Z B for the interior indicator columns Z and B = S_ii^-1 S[idx, :].
+    T = Z B for the interior indicator columns Z and B = S_ii^-1 S[idx, :]
+    for the stiffness S = g1 - g0. S, g1 and g2 commute with the
+    reflections, so B is solved per parity class of the rotated forms
+    (`SobolevGrams.classes`): B_c = S_ii,c^-1 S_c[int_c, :], with the
+    interior int_c the class's coordinates of the zero-boundary subspace,
+    all but the even and the odd combination of an axis's two end nodes.
+    The identity B_c[:, int_c] = I is checked per class as a gather (the
+    Frobenius residual over all classes against IDENTITY_TOL).
     Since B Z = I, T is idempotent, so each bound |T|_G equals
-    |I - T|_G (Kato's identity). I - T = Y R^T for the indicator
-    columns R of the boundary nodes, R^T u = u[bdy], and Y = (I - T) R:
-    Y[bdy] = I and Y[idx] = -B[:, bdy], the discrete harmonic extension
-    of each boundary node. `_low_rank_gram_norm` takes both bounds from
-    the Cholesky factors of g1 and g2 that `sobolev_grams` keeps, so no
-    Gram is factored here and no m x m array is formed.
+    |I - T|_G (Kato's identity), and as T, g1 and g2 are block diagonal
+    in the rotated coordinates it is the largest over the classes. Per
+    class, I - T = Y R^T for the indicator columns R of the class's
+    boundary coordinates and Y[bdy] = I, Y[int] = -B_c[:, bdy];
+    `_low_rank_gram_norm` takes both bounds from the class Cholesky
+    factors of g1 and g2 that `sobolev_grams` keeps. The blocks are then
+    lifted to the nodes, B = (U_i (x) U_i) B_r (U (x) U)^T (one factor of
+    each in 1D) for the parity rotation U of an axis and its interior
+    rows and columns U_i, so no Gram is factored here and no m x m array
+    is formed.
     """
     from scipy import linalg
 
-    idx = interior_indices(domain)
-    S_i, factor = _stiffness_solver(grams, idx)
-    B = linalg.cho_solve(factor, S_i)
-    m = B.shape[1]
-    bdy = np.setdiff1d(np.arange(m), idx)
-    R = np.zeros((m, bdy.size))
-    R[bdy, np.arange(bdy.size)] = 1.0
-    Y = R.copy()
-    Y[idx] = -B[:, bdy]
-    bounds = [_low_rank_gram_norm(Y, R, L) for L in (grams.g1_factor, grams.g2_factor)]
+    U, d = grams.rotation, domain.dimension
+    on_axis = U[0] == 0.0  # the rotated columns that vanish on the end nodes
+    interior = on_axis if d == 1 else np.logical_and.outer(on_axis, on_axis).ravel()
+    row = np.cumsum(interior) - 1  # the row of B_r of each interior coordinate
+    B_r = np.zeros((row[-1] + 1, interior.size))
+    sq, bounds = 0.0, [0.0, 0.0]
+    for c in grams.classes:
+        inner = interior[c.index]
+        S_i, factor = _stiffness_solver(c.g1 - c.g0, inner)
+        B_c = linalg.cho_solve(factor, S_i)
+        sq += float(np.linalg.norm(_minus_identity(B_c[:, inner]))) ** 2
+        bdy = np.flatnonzero(~inner)
+        R = np.zeros((inner.size, bdy.size))
+        R[bdy, np.arange(bdy.size)] = 1.0
+        Y = R.copy()
+        Y[inner] = -B_c[:, bdy]
+        factors = (c.g1_factor, c.g2_factor)
+        bounds = [max(b, _low_rank_gram_norm(Y, R, L)) for b, L in zip(bounds, factors)]
+        B_r[np.ix_(row[c.index[inner]], c.index)] = B_c
+    _check_identity(math.sqrt(sq))
+    B = _kron_apply(U, _kron_apply(U[1:-1][:, on_axis], B_r, d).T, d).T
     return Retraction(zero_boundary_basis(domain), B, *bounds)
 
 
@@ -272,7 +313,7 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
 
 def stokes_apply(p: StokesPencil, X: np.ndarray, *, transpose: bool = False):
     """T X for T = C K^-1 C^T A, or T^T X = A C K^-1 C^T X, on the columns
-    of X; K^-1 goes through the pencil's one LU."""
+    of X; K^-1 goes through the pencil's one class-blocked factor."""
     C, A, solve = p.curl, p.vector_laplacian, p.stiffness_lu.solve
     if transpose:
         return A @ (C @ solve(C.T @ X))
@@ -283,9 +324,9 @@ def stokes_bound(p: StokesPencil) -> float:
     """|T|_2 of the divergence-free retraction T = C K^-1 C^T A.
 
     The sqrt of the top eigenvalue of T^T T, by `lanczos_eigenvalue` on
-    the sparse pencil: each step applies T and T^T through the one LU of
-    K. It equals |B|_2 for T = Z B of any orthonormal basis Z of ker D,
-    and it is the one route of this bound.
+    the sparse pencil: each step applies T and T^T through the one
+    factor of K. It equals |B|_2 for T = Z B of any orthonormal basis Z
+    of ker D, and it is the one route of this bound.
     """
     m = p.vector_laplacian.shape[0]
     top = lanczos_eigenvalue(
@@ -298,37 +339,45 @@ def check_stokes_identity(p: StokesPencil) -> float:
     """The Frobenius residual of T Z - Z = C (K^-1 K W - W) over the
     whole orthonormal basis Z = C W of ker D, which equals the |B Z - I|
     that `Retraction` checks on construction; above IDENTITY_TOL it raises
-    RetractionIdentityViolated. The columns of W go through in blocks of
-    IDENTITY_BLOCK, and the squared block residuals add up."""
-    r = p.stiffness.shape[0]
+    RetractionIdentityViolated.
+
+    It runs per parity class of the stream-function grid, in the rotated
+    coordinates of the pencil's factor (`operators.stream_rotation`):
+    R^T W is block diagonal, its class block W_c the Kronecker product of
+    the even or odd blocks of the rotated DST-I U^T S times `scale`
+    (`StokesPencil.class_modes`), so the residual of class c is
+    C R_c (K_c^-1 K_c W_c - W_c) for the class block K_c of R^T K R
+    (`operators.stiffness_blocks`) and the class's factor. The columns
+    of each W_c go through in blocks of IDENTITY_BLOCK, and the squared
+    block residuals add up.
+    """
+    _, _, starts, R = stream_rotation(p.grid.n)
+    blocks = stiffness_blocks(p.stiffness, R, starts)
+    curl = (p.curl @ R).tocsc()
     sq = 0.0
-    for j in range(0, r, IDENTITY_BLOCK):
-        W = p.stream_modes(np.eye(r, min(IDENTITY_BLOCK, r - j), k=-j))
-        E = p.stiffness_lu.solve(p.stiffness @ W) - W
-        sq += float(np.linalg.norm(p.curl @ E)) ** 2
-    resid = math.sqrt(sq)
-    if not resid <= IDENTITY_TOL:
-        raise RetractionIdentityViolated(
-            "retraction deviates from the identity on the subspace: "
-            f"Frobenius residual {resid:.3e}"
-        )
-    return resid
+    for c, (K_c, lu) in enumerate(zip(blocks, p.stiffness_lu.factors)):
+        s, e = starts[c], starts[c + 1]
+        for j in range(0, e - s, IDENTITY_BLOCK):
+            W = p.class_modes(c, np.arange(j, min(j + IDENTITY_BLOCK, e - s)))
+            E = lu.solve(K_c @ W) - W
+            sq += float(np.linalg.norm(curl[:, s:e] @ E)) ** 2
+    return _check_identity(math.sqrt(sq))
 
 
-def stokes_retraction(p: StokesPencil) -> Retraction:
+def stokes_retraction(p: StokesPencil, Z: np.ndarray) -> Retraction:
     """T = C K^-1 C^T A on velocity unknowns; identity on ker(divergence).
 
     The bounds are exact operator norms: h_bound = |T|_2 and
     d_bound = |A T A^-1|_2 for the D-norm |f|_D = |A f|. A and K are
     symmetric, so A T A^-1 = A C K^-1 C^T = T^T and d_bound = h_bound
     comes from the one norm, `stokes_bound` of the pencil, which does not
-    depend on the basis Z. The retraction keeps (Z, B) for the pencil's
-    orthonormal `null_basis` Z and B = Z^T T = (T^T Z)^T, applied through
-    the pencil's one LU of K (`stokes_apply`); T = Z B since Z Z^T is the
-    orthogonal projector onto ker D = span C. The m x m product Z B is
-    never formed.
+    depend on the basis Z. The retraction keeps (Z, B) for an orthonormal
+    basis Z of ker D, the pencil's `null_basis`, and
+    B = Z^T T = (T^T Z)^T, applied through
+    the pencil's one factor of K (`stokes_apply`); T = Z B since Z Z^T is
+    the orthogonal projector onto ker D = span C. The m x m product Z B
+    is never formed.
     """
-    Z = p.null_basis()
     B = stokes_apply(p, Z, transpose=True).T
     bound = stokes_bound(p)
     return Retraction(Z, B, bound, bound)

@@ -4,9 +4,10 @@ Each one reaches its quantity by a route the package does not take:
 K by direct minimization with no closed form (`k_brute`), the sum-form
 functional (`k_sum_brute`), the closed form of K for one vector
 (`k_spectral`), the coefficient-space pair of a spectrum
-(`pair_from_model`) and the harmonic lift by a dense solve of its own
-(`harmonic_lift`). The tests compare the package's one route of each
-quantity with these.
+(`pair_from_model`), the harmonic lift by a dense solve of its own
+(`harmonic_lift`) and the harmonic retraction on the nodes, with no
+parity classes (`nodal_harmonic_retraction`). The tests compare the
+package's one route of each quantity with these.
 """
 import math
 
@@ -24,6 +25,7 @@ from fracspace import (
 )
 from fracspace._kernels import k2_batch
 from fracspace.kfunctional import _TINY, _check_t, _forms
+from fracspace.retractions import _low_rank_gram_norm
 from fracspace.spectral import _coeffs, _pow2_scale
 
 
@@ -163,3 +165,27 @@ def harmonic_lift(domain: GridDomain, grams: SobolevGrams, u) -> np.ndarray:
     w = np.zeros_like(u)
     w[idx] = np.linalg.solve(S_i[:, idx], S_i @ u)
     return w
+
+
+def nodal_harmonic_retraction(domain: GridDomain, grams: SobolevGrams):
+    """(B, h_bound, d_bound) of the harmonic lift on the nodes, the route
+    the parity classes replaced: B = S_ii^-1 S[idx, :] by one Cholesky
+    solve with the nodal interior stiffness, and each bound
+    `_low_rank_gram_norm` of the rank-nb complement I - T = Y R^T with a
+    nodal Cholesky factor of g1 or g2."""
+    from scipy import linalg
+
+    idx = interior_indices(domain)
+    S_i = grams.g1[idx] - grams.g0[idx]
+    B = linalg.cho_solve(linalg.cho_factor(S_i[:, idx], lower=True), S_i)
+    m = B.shape[1]
+    bdy = np.setdiff1d(np.arange(m), idx)
+    R = np.zeros((m, bdy.size))
+    R[bdy, np.arange(bdy.size)] = 1.0
+    Y = R.copy()
+    Y[idx] = -B[:, bdy]
+    bounds = [
+        _low_rank_gram_norm(Y, R, linalg.cholesky(g, lower=True))
+        for g in (grams.g1, grams.g2)
+    ]
+    return B, *bounds

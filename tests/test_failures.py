@@ -40,13 +40,12 @@ def _stokes_retraction_with_nan_laplacian():
     # the pencil's LU of K is untouched, so a NaN in A passes every
     # factorization and reaches the Lanczos eigensolve of stokes_bound
     p = stokes_pencil(grid_domain(2, 4))
-    stokes_retraction(
-        dataclasses.replace(p, vector_laplacian=p.vector_laplacian * math.nan)
-    )
+    broken = dataclasses.replace(p, vector_laplacian=p.vector_laplacian * math.nan)
+    stokes_retraction(broken, p.null_basis())
 
 
 def _sobolev_grams_with_negative_stiffness(monkeypatch):
-    monkeypatch.setattr(operators, "_kron_sum", lambda M, d: -M)
+    monkeypatch.setattr(operators, "_kron_sum", lambda *axes: -axes[0])
     sobolev_grams(grid_domain(1, 4))
 
 
@@ -81,6 +80,21 @@ def _stokes_pencil_with_negated_stiffness(monkeypatch):
     stokes_pencil(grid_domain(2, 4))
 
 
+def _stokes_pencil_with_an_asymmetric_laplacian(monkeypatch):
+    # one end of each Dirichlet second difference stiffened: A stays SPD,
+    # but no longer commutes with the reflections, so K = C^T A C couples
+    # the parity classes of the stream-function grid
+    real = operators._second_difference_1d
+
+    def asymmetric(n, h):
+        T = real(n, h)
+        T[0, 0] *= 2.0
+        return T
+
+    monkeypatch.setattr(operators, "_second_difference_1d", asymmetric)
+    stokes_pencil(grid_domain(2, 4))
+
+
 def _congruence_with_an_off_class_entry():
     # classes (0, 0, 1): the entry coupling index 0 to index 2 is not zero
     m2 = np.diag([1.0, 2.0, 4.0])
@@ -98,9 +112,10 @@ def _zero_boundary_pencil_with_modes(mp, p_of):
 
 
 def _harmonic_retraction_with_stiffness(g1_of):
+    # the retraction solves with the class blocks of the rotated forms
     grams = sobolev_grams(grid_domain(1, 4))
-    broken = dataclasses.replace(grams, g1=g1_of(grams))
-    harmonic_retraction(grid_domain(1, 4), broken)
+    classes = tuple(dataclasses.replace(c, g1=g1_of(c)) for c in grams.classes)
+    harmonic_retraction(grid_domain(1, 4), dataclasses.replace(grams, classes=classes))
 
 
 # site -> (message fragment of its raise, call that reaches it)
@@ -165,6 +180,10 @@ SITES = {
     "stokes_retraction": (
         "Lanczos eigenvalue failed",
         lambda mp: _stokes_retraction_with_nan_laplacian(),
+    ),
+    "stokes_pencil-off-class": (
+        "the stream-function stiffness K couples symmetry classes",
+        _stokes_pencil_with_an_asymmetric_laplacian,
     ),
     "stokes_pencil-stiffness": (
         "the stream-function stiffness K is not SPD",

@@ -157,7 +157,7 @@ def test_zero_boundary_pencil_takes_a_square():
     with pytest.raises(InvalidConfig, match="unit square"):
         zero_boundary_pencil(grid_domain(1, 4))
     with pytest.raises(InvalidConfig, match="unit square"):
-        sobolev_pencil(grid_domain(1, 4))
+        sobolev_pencil(sobolev_grams(grid_domain(1, 4)))
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -429,7 +429,7 @@ def test_stokes_nan_pencil_fails_its_guards(stokes_small):
         with pytest.raises(SolverFailure, match="divergence-free"):
             dense()
     with pytest.raises(SolverFailure, match="divergence-free"):
-        stokes_retraction(broken)
+        stokes_retraction(broken, broken.null_basis())
 
 
 def test_stokes_nan_operator_fails_the_symmetry_guard(stokes_small):

@@ -53,7 +53,7 @@ def _assert_reflection_parities(V, classes, side):
 def test_sobolev_pencil_matches_the_dense_eigensolve(n):
     d = grid_domain(2, n)
     grams = sobolev_grams(d)
-    lam, V, transform, classes = sobolev_pencil(d)
+    lam, V, transform, classes = sobolev_pencil(grams)
     # g2 - g1 vanishes on the four bilinear functions: lam = 1, four times
     _assert_matches_dense(lam, V, grams.g1, grams.g2, exact=4)
     scale = np.max(np.abs(transform))
@@ -110,7 +110,7 @@ def test_an_asymmetric_sobolev_piece_is_refused(monkeypatch):
 
     monkeypatch.setattr(operators, "_sobolev_pieces", asymmetric)
     with pytest.raises(SolverFailure, match="couples symmetry classes"):
-        sobolev_pencil(grid_domain(2, 5))
+        sobolev_pencil(sobolev_grams(grid_domain(2, 5)))
 
 
 def test_an_off_class_entry_of_the_constrained_operator_is_refused(monkeypatch):

@@ -94,3 +94,13 @@ def test_a_non_finite_number_is_refused(runs, tmp_path, capsys):
     _edit_json(b, "halft1", poison)
     assert report_diff.main([str(a), str(b)]) == 2
     assert "non-finite number NaN" in capsys.readouterr().err
+
+
+def test_report_runs_covers_every_experiment():
+    # the evidence runner's default-size list is the CLI registry, so a new
+    # experiment cannot drop out of the evidence set
+    from fracspace.experiments import EXPERIMENTS
+
+    script = (TOOL.parent / "report_runs.sh").read_text()
+    (line,) = [s for s in script.splitlines() if s.startswith("EXPERIMENTS=")]
+    assert sorted(line.split("=", 1)[1].strip('"').split()) == sorted(EXPERIMENTS)

@@ -29,7 +29,7 @@ from fracspace import (
     verify_intersection_lemma,
     zero_boundary_basis,
 )
-from fracspace import experiments, operators
+from fracspace import experiments, operators, retractions
 from fracspace.cli import main
 from fracspace.experiments import (
     _harmonic_setup,
@@ -42,6 +42,7 @@ from fracspace.experiments import (
 from fracspace.retractions import (
     CLUSTER_RTOL,
     IDENTITY_BLOCK,
+    IDENTITY_TOL,
     N_MODE_PROBES,
     N_RANDOM_PROBES,
     Retraction,
@@ -50,12 +51,17 @@ from fracspace.retractions import (
     _low_rank_gram_norm,
     _top_singular_value,
 )
-from oracles import harmonic_lift
+from oracles import harmonic_lift, nodal_harmonic_retraction
 
 
 def _dense_map(ret):
     """T = Z B as one dense m x m array, for the dense oracles."""
     return ret.subspace_basis @ ret.inner
+
+
+def _stokes_retraction(p):
+    """The Stokes retraction on the pencil's own null basis."""
+    return stokes_retraction(p, p.null_basis())
 
 
 def _dense_gram_norm(T, gram):
@@ -239,7 +245,7 @@ def test_retraction_inner_is_stored_read_only_without_a_copy():
     "make, n",
     [
         (lambda d: harmonic_retraction(d, sobolev_grams(d)), 6),
-        (lambda d: stokes_retraction(stokes_pencil(d)), 4),
+        (lambda d: _stokes_retraction(stokes_pencil(d)), 4),
     ],
     ids=["harmonic", "stokes"],
 )
@@ -303,19 +309,52 @@ def test_harmonic_retraction_identity_and_bounds():
     assert ret.d_bound >= 1.0 - 1e-12
 
 
+def _reflection_rotation(m):
+    """An orthogonal m x m rotation into the even and odd combinations
+    (e_i +- e_(m-1-i)) / sqrt 2 (and the centre node) of an axis."""
+    U = np.zeros((m, m))
+    for i in range(m // 2):
+        U[[i, m - 1 - i], i] = math.sqrt(0.5)
+        U[[i, m - 1 - i], m - 1 - i] = math.sqrt(0.5), -math.sqrt(0.5)
+    if m % 2:
+        U[m // 2, m // 2] = 1.0
+    return U
+
+
 @pytest.mark.parametrize(
     "d",
     [pytest.param(grid_domain(2, n), id=str(n)) for n in [*range(3, 17), 24]]
     + [pytest.param(grid_domain(1, 32), id="1d-32")],
 )
 def test_harmonic_bounds_match_dense_svd(d):
+    # the dense SVD of the whole map T after the orthogonal change of basis
+    # Q = U (x) U into reflection-parity combinations, which leaves
+    # |T|_G = |Q^T T Q|_(Q^T G Q) as it is; in nodal coordinates the dense
+    # route itself misses a 40-digit reference of the 1D n = 32 d_bound by
+    # 3.6e-12 relative, in these by 7.6e-13
     grams = sobolev_grams(d)
     ret = harmonic_retraction(d, grams)
-    T = _dense_map(ret)
-    h_oracle = _dense_gram_norm(T, grams.g1)
-    d_oracle = _dense_gram_norm(T, grams.g2)
+    U = _reflection_rotation(d.n + 2)
+    Q = U if d.dimension == 1 else np.kron(U, U)
+    T = Q.T @ _dense_map(ret) @ Q
+    h_oracle = _dense_gram_norm(T, Q.T @ grams.g1 @ Q)
+    d_oracle = _dense_gram_norm(T, Q.T @ grams.g2 @ Q)
     assert ret.h_bound == pytest.approx(h_oracle, rel=1e-12, abs=0.0)
     assert ret.d_bound == pytest.approx(d_oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", range(3, 17))
+def test_class_harmonic_retraction_matches_the_nodal_route(dimension, n):
+    # B and both bounds, per parity class and lifted to the nodes, against
+    # the nodal Cholesky route of the oracle
+    d = grid_domain(dimension, n)
+    grams = sobolev_grams(d)
+    ret = harmonic_retraction(d, grams)
+    B, h_bound, d_bound = nodal_harmonic_retraction(d, grams)
+    assert np.max(np.abs(ret.inner - B)) <= 1e-12 * np.max(np.abs(B))
+    assert ret.h_bound == pytest.approx(h_bound, rel=1e-12, abs=0.0)
+    assert ret.d_bound == pytest.approx(d_bound, rel=1e-12, abs=0.0)
 
 
 def _counting_cholesky(monkeypatch):
@@ -368,27 +407,44 @@ def test_harmonic_retraction_factors_no_gram_and_forms_no_square_array(monkeypat
     assert square == [], square
 
 
+def _class_sizes(n):
+    """The sizes of the four parity classes of the (n + 2)^2 nodes."""
+    even, odd = (n + 3) // 2, (n + 2) // 2
+    return [even * even, even * odd, odd * even, odd * odd]
+
+
 def test_harmonic_setup_makes_two_choleskys(monkeypatch):
     # the SPD checks of g1 and g2 (sobolev_grams; g0 is diagonal and is
-    # not factored); the pair wraps the read-only g1 and g2 as they are,
-    # and the bounds factor no Gram again
+    # not factored), each one Cholesky factorization of the block-diagonal
+    # rotated form, made per parity class; the pair wraps the read-only g1
+    # and g2 as they are, and the bounds factor no Gram again
     calls = _counting_cholesky(monkeypatch)
     pair, _, _ = _harmonic_setup(grid_domain(2, 6))
-    assert calls == [(64, 64)] * 2, calls
+    assert calls == [(k, k) for k in _class_sizes(6) for _ in range(2)], calls
+    assert sum(k for k, _ in calls) == 2 * 64
     grams = sobolev_grams(grid_domain(2, 6))
     assert np.array_equal(pair.m1, grams.g1) and np.array_equal(pair.m2, grams.g2)
     assert not (pair.m1.flags.writeable or pair.m2.flags.writeable)
 
 
 def test_intersection_makes_one_pressure_cholesky_per_stokes_grid(monkeypatch):
-    # the two SPD checks of the harmonic Grams (n = 4) and no Cholesky on
-    # the Stokes grid (n = 12): its divergence-rank check factors the
-    # pressure matrix sparsely, its pair (I, A^2) is SPD by construction
-    # and is not factored, and the retraction reuses the grid's pencil
+    # the two SPD checks of the harmonic Grams (n = 4, per parity class)
+    # and no Cholesky on the Stokes grid (n = 12): its divergence-rank
+    # check factors the pressure matrix sparsely, its pair (I, A^2) is SPD
+    # by construction and is not factored, and the retraction reuses the
+    # grid's pencil
     calls = _counting_cholesky(monkeypatch)
     rep = run_intersection(RunConfig(experiment="intersection", sizes=(4, 12)))
     assert rep.passed
-    assert calls == [(36, 36)] * 2, calls
+    assert calls == [(k, k) for k in _class_sizes(4) for _ in range(2)], calls
+
+
+def test_sobolev_grams_make_no_nodal_cholesky(monkeypatch):
+    # n = 8: m = 100 nodes, class blocks of 25; no m x m factorization
+    calls = _counting_cholesky(monkeypatch)
+    sobolev_grams(grid_domain(2, 8))
+    assert calls and all(shape != (100, 100) for shape in calls), calls
+    assert calls == [(25, 25)] * 8, calls
 
 
 def test_stokes_setup_pair_is_the_read_only_identity_and_square():
@@ -427,28 +483,44 @@ def test_one_stokes_assembly_per_grid(monkeypatch, runner, experiment, sizes, ex
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
 def test_stokes_bound_matches_dense_svd(n):
     # |T|_2 of the full m x m map, apart from the r x r Gram route
-    ret = stokes_retraction(stokes_pencil(grid_domain(2, n)))
+    ret = _stokes_retraction(stokes_pencil(grid_domain(2, n)))
     oracle = np.linalg.norm(_dense_map(ret), 2)
     assert ret.h_bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert ret.d_bound == ret.h_bound
 
 
 @pytest.mark.parametrize("n", [4, 12])
-def test_stokes_identity_check_covers_every_column(n):
-    # r = n^2 columns: 16 fill part of one block, 144 a block and a part.
-    # The block sum equals the residual of all columns at once, and the
-    # LU of a perturbed stiffness fails the check
+def test_stokes_identity_check_covers_every_column(monkeypatch, n):
+    # the columns of each class go through in blocks: a block of 3 leaves
+    # a part at every class of n = 4 (4 columns) and n = 12 (36). The
+    # block sum equals the residual of all columns of each class at once,
+    # and the class factor of a perturbed stiffness fails the check
+    p = stokes_pencil(grid_domain(2, n))
+    assert check_stokes_identity(p) <= IDENTITY_TOL
+    monkeypatch.setattr(retractions, "IDENTITY_BLOCK", 3)
+    blocks = check_stokes_identity(p)
+    monkeypatch.setattr(retractions, "IDENTITY_BLOCK", n * n)
+    whole = check_stokes_identity(p)
+    assert blocks == pytest.approx(whole, rel=1e-12, abs=0.0)
+    broken = dataclasses.replace(
+        p, stiffness_lu=operators.parity_lu(p.stiffness * (1.0 + 1e-6), n)
+    )
+    with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
+        check_stokes_identity(broken)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_stokes_class_factor_solves_like_the_nodal_lu(n):
+    # odd n: the centre corner of each axis is an even coordinate of its own
     from scipy.sparse.linalg import splu
 
     p = stokes_pencil(grid_domain(2, n))
-    r = n * n
-    assert r % IDENTITY_BLOCK != 0
-    W = p.stream_modes(np.eye(r))
-    whole = np.linalg.norm(p.curl @ (p.stiffness_lu.solve(p.stiffness @ W) - W))
-    assert check_stokes_identity(p) == pytest.approx(whole, rel=1e-12, abs=0.0)
-    broken = dataclasses.replace(p, stiffness_lu=splu(p.stiffness * (1.0 + 1e-6)))
-    with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
-        check_stokes_identity(broken)
+    nodal = splu(p.stiffness.tocsc())
+    rng = np.random.default_rng(n)
+    for b in (rng.standard_normal(n * n), rng.standard_normal((n * n, 7))):
+        x, oracle = p.stiffness_lu.solve(b), nodal.solve(b)
+        assert x.shape == b.shape
+        assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def _svd_basis_system(p):
@@ -466,7 +538,7 @@ def test_stokes_results_do_not_depend_on_the_null_basis(n):
     p = stokes_pencil(grid_domain(2, n))
     Z, Ac = _svd_basis_system(p)
     B = linalg.cho_solve(linalg.cho_factor(Ac), Z.T @ p.vector_laplacian.toarray())
-    bound = stokes_retraction(p).h_bound
+    bound = _stokes_retraction(p).h_bound
     assert np.linalg.norm(B, 2) == pytest.approx(bound, rel=1e-11, abs=0)
     lam_min = np.linalg.eigvalsh(p.constrained_op(p.null_basis()))[0]
     svd_lam_min = np.linalg.eigvalsh(Ac)[0]
@@ -476,7 +548,7 @@ def test_stokes_results_do_not_depend_on_the_null_basis(n):
 def test_stokes_retraction_identity():
     for n in (4, 5, 8):
         p = stokes_pencil(grid_domain(2, n))
-        ret = stokes_retraction(p)
+        ret = _stokes_retraction(p)
         Z = p.null_basis()
         T = _dense_map(ret)
         assert np.max(np.abs(T @ Z - Z)) <= 1e-10
@@ -494,7 +566,7 @@ def test_stokes_retraction_b_matches_the_cholesky_route():
         Z = p.null_basis()
         AZ = p.vector_laplacian @ Z
         chol = linalg.cho_solve(linalg.cho_factor(Z.T @ AZ), AZ.T)
-        B = stokes_retraction(p).inner
+        B = stokes_retraction(p, Z).inner
         assert np.max(np.abs(B - chol)) <= 1e-12 * np.max(np.abs(chol)), n
 
 
@@ -504,7 +576,7 @@ def test_stokes_retraction_refuses_a_negated_laplacian():
     p = stokes_pencil(grid_domain(2, 4))
     broken = dataclasses.replace(p, vector_laplacian=-p.vector_laplacian)
     with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
-        stokes_retraction(broken)
+        _stokes_retraction(broken)
 
 
 @pytest.mark.parametrize("dimension, n", [(1, 6), (2, 6), (2, 12)])
@@ -714,8 +786,8 @@ def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
     # the ambient harmonic pencil, solved per parity class
     real_pencil = experiments.sobolev_pencil
 
-    def perturbed(domain):
-        lam, V, transform, classes = real_pencil(domain)
+    def perturbed(grams):
+        lam, V, transform, classes = real_pencil(grams)
         return lam * (1.0 + 1e-6), V, transform, classes
 
     monkeypatch.setattr(experiments, "sobolev_pencil", perturbed)
@@ -820,8 +892,9 @@ def test_stokes_equivalence_makes_only_the_pressure_cholesky(monkeypatch):
 
 def test_one_sparse_lu_of_the_stiffness_per_grid(monkeypatch):
     # per grid, the pinned (n+1)^2 - 1 pressure matrix of the rank check,
-    # then the n^2 stiffness K: the bound, lambda_min, both probe cells
-    # and the identity check all solve with the pencil's one LU of K;
+    # then the n^2 stiffness K, one SuperLU per parity class: the bound,
+    # lambda_min, both probe cells and the identity check all solve with
+    # the pencil's one class-blocked factor of K;
     # every SuperLU factorization, also one made inside eigsh, goes
     # through gstrf
     from scipy.sparse.linalg._dsolve import _superlu
@@ -838,7 +911,8 @@ def test_one_sparse_lu_of_the_stiffness_per_grid(monkeypatch):
         RunConfig(experiment="stokes-retraction", sizes=(4, 6))
     )
     assert rep.passed
-    assert calls == [24, 16, 48, 36], calls
+    # n = 4 and 6: the pressure, then the four parity classes of K
+    assert calls == [24, *[4] * 4, 48, *[9] * 4], calls
 
 
 def test_stokes_retraction_runs_without_the_dense_system(monkeypatch):

@@ -537,10 +537,9 @@ def _harmonic_setup(dom):
     columns Z)."""
     grams = sobolev_grams(dom)  # validated, factored per class and read-only
     T = harmonic_retraction(dom, grams)
-    ambient = SpectralPair(grams.g1, grams.g2, *sobolev_pencil(grams))
     ix = np.ix_(*[interior_indices(dom)] * 2)
     return (
-        ambient,
+        SpectralPair(grams.g1, grams.g2, *sobolev_pencil(grams)),
         SpectralPair(grams.g1[ix], grams.g2[ix], *zero_boundary_pencil(dom)),
         T,
     )

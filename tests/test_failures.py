@@ -37,7 +37,7 @@ def _negated_stokes_laplacian():
 
 
 def _stokes_retraction_with_nan_laplacian():
-    # the pencil's LU of K is untouched, so a NaN in A passes every
+    # the pencil's factor of K is untouched, so a NaN in A passes every
     # factorization and reaches the Lanczos eigensolve of stokes_bound
     p = stokes_pencil(grid_domain(2, 4))
     broken = dataclasses.replace(p, vector_laplacian=p.vector_laplacian * math.nan)

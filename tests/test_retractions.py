@@ -559,7 +559,7 @@ def test_stokes_retraction_identity():
 
 
 def test_stokes_retraction_b_matches_the_cholesky_route():
-    # B = (T^T Z)^T through the pencil's LU of K against the route it
+    # B = (T^T Z)^T through the pencil's factor of K against the route it
     # replaced, B = Ac^-1 (A Z)^T by a dense Cholesky of Ac = Z^T A Z
     for n in range(4, 17):
         p = stokes_pencil(grid_domain(2, n))
@@ -571,7 +571,7 @@ def test_stokes_retraction_b_matches_the_cholesky_route():
 
 
 def test_stokes_retraction_refuses_a_negated_laplacian():
-    # A -> -A after assembly keeps K and its LU, so T turns into -T and
+    # A -> -A after assembly keeps K and its factor, so T turns into -T and
     # B Z = -I: no factorization sees it, the identity check does
     p = stokes_pencil(grid_domain(2, 4))
     broken = dataclasses.replace(p, vector_laplacian=-p.vector_laplacian)
@@ -867,7 +867,7 @@ def _counting_dense_factorizations(monkeypatch):
 
 def test_one_stokes_factorization_per_grid(monkeypatch):
     # no dense factorization: the rank check factors the pressure matrix
-    # sparsely, with the stiffness LU as the grid's other factorization
+    # sparsely, with the stiffness factor as the grid's other factorization
     # (test_one_sparse_lu_of_the_stiffness_per_grid), and the constrained
     # operator Ac is never formed
     calls = _counting_dense_factorizations(monkeypatch)

@@ -205,7 +205,6 @@ class SobolevGrams:
     g2: np.ndarray
     rotation: np.ndarray
     classes: tuple
-    grid: GridDomain
 
 
 def _node_count(domain: GridDomain) -> int:
@@ -315,7 +314,7 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
     nodal = _sobolev_forms([(np.diag(w), P, Q)] * d, domain)
     for M in nodal:
         M.setflags(write=False)
-    return SobolevGrams(*nodal, rotation=U, classes=tuple(classes), grid=domain)
+    return SobolevGrams(*nodal, rotation=U, classes=tuple(classes))
 
 
 def _parity_classes(parity: np.ndarray) -> np.ndarray:
@@ -363,7 +362,7 @@ def sobolev_pencil(grams: SobolevGrams):
     """
     from .kfunctional import block_congruence
 
-    if grams.grid.dimension != 2:
+    if len(grams.classes) != 4:  # one class per parity of each of two axes
         raise InvalidConfig("the blocked Sobolev pencil is built on the unit square")
     lam, V, transform, classes = block_congruence(
         [(c.label, c.index, c.g1, c.g2) for c in grams.classes]

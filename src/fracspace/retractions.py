@@ -65,7 +65,7 @@ verification trusts its input.
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences; Z the
 interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S, solved
-and checked per class, B_c[:, int_c] = I, and lifted to the nodes) and
+per class and lifted to the nodes) and
 the divergence-free retraction T = C K^-1 C^T A of a staggered-grid
 Stokes pencil, kept with the pencil's dense orthonormal basis Z of
 ker D as B = Z^T T = (T^T Z)^T. B, the bound and every other Stokes
@@ -147,15 +147,11 @@ class Retraction:
 
     def __post_init__(self):
         B = np.asarray(self.inner, dtype=np.float64)
-        _check_identity(float(np.linalg.norm(_minus_identity(B @ self.subspace_basis))))
+        E = B @ self.subspace_basis
+        E.flat[:: E.shape[1] + 1] -= 1.0
+        _check_identity(float(np.linalg.norm(E)))
         B.setflags(write=False)
         object.__setattr__(self, "inner", B)
-
-
-def _minus_identity(E: np.ndarray) -> np.ndarray:
-    """E - I, in place, for a square E."""
-    E.flat[:: E.shape[1] + 1] -= 1.0
-    return E
 
 
 def _check_identity(resid: float) -> float:
@@ -268,9 +264,8 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
     (`SobolevGrams.classes`): B_c = S_ii,c^-1 S_c[int_c, :], with the
     interior int_c the class's coordinates of the zero-boundary subspace,
     all but the even and the odd combination of an axis's two end nodes.
-    The identity B_c[:, int_c] = I is checked per class as a gather (the
-    Frobenius residual over all classes against IDENTITY_TOL).
-    Since B Z = I, T is idempotent, so each bound |T|_G equals
+    The identity B Z = I is checked once, by `Retraction` on the lifted
+    B. Since B Z = I, T is idempotent, so each bound |T|_G equals
     |I - T|_G (Kato's identity), and as T, g1 and g2 are block diagonal
     in the rotated coordinates it is the largest over the classes. Per
     class, I - T = Y R^T for the indicator columns R of the class's
@@ -289,12 +284,11 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
     interior = on_axis if d == 1 else np.logical_and.outer(on_axis, on_axis).ravel()
     row = np.cumsum(interior) - 1  # the row of B_r of each interior coordinate
     B_r = np.zeros((row[-1] + 1, interior.size))
-    sq, bounds = 0.0, [0.0, 0.0]
+    bounds = [0.0, 0.0]
     for c in grams.classes:
         inner = interior[c.index]
         S_i, factor = _stiffness_solver(c.g1 - c.g0, inner)
         B_c = linalg.cho_solve(factor, S_i)
-        sq += float(np.linalg.norm(_minus_identity(B_c[:, inner]))) ** 2
         bdy = np.flatnonzero(~inner)
         R = np.zeros((inner.size, bdy.size))
         R[bdy, np.arange(bdy.size)] = 1.0
@@ -303,7 +297,6 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
         factors = (c.g1_factor, c.g2_factor)
         bounds = [max(b, _low_rank_gram_norm(Y, R, L)) for b, L in zip(bounds, factors)]
         B_r[np.ix_(row[c.index[inner]], c.index)] = B_c
-    _check_identity(math.sqrt(sq))
     B = _kron_apply(U, _kron_apply(U[1:-1][:, on_axis], B_r, d).T, d).T
     return Retraction(zero_boundary_basis(domain), B, *bounds)
 

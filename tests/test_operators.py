@@ -24,7 +24,6 @@ from fracspace import (
     stokes_ambient_model,
     stokes_domain,
     stokes_pencil,
-    stokes_retraction,
     stokes_spectral_model,
     zero_boundary_basis,
     zero_boundary_pencil,
@@ -428,8 +427,6 @@ def test_stokes_nan_pencil_fails_its_guards(stokes_small):
     for dense in (broken.null_basis, lambda: stokes_spectral_model(broken)):
         with pytest.raises(SolverFailure, match="divergence-free"):
             dense()
-    with pytest.raises(SolverFailure, match="divergence-free"):
-        stokes_retraction(broken, broken.null_basis())
 
 
 def test_stokes_nan_operator_fails_the_symmetry_guard(stokes_small):

@@ -321,26 +321,47 @@ def _reflection_rotation(m):
     return U
 
 
+def _rotated_dense_bounds(ret, grams, d):
+    """|T|_g1 and |T|_g2 by the dense SVD of the whole map T after the
+    orthogonal change of basis Q = U (x) U (U in 1D) into
+    reflection-parity combinations, which leaves |T|_G = |Q^T T Q|_(Q^T G Q)
+    as it is."""
+    U = _reflection_rotation(d.n + 2)
+    Q = U if d.dimension == 1 else np.kron(U, U)
+    T = Q.T @ _dense_map(ret) @ Q
+    return tuple(_dense_gram_norm(T, Q.T @ G @ Q) for G in (grams.g1, grams.g2))
+
+
 @pytest.mark.parametrize(
     "d",
     [pytest.param(grid_domain(2, n), id=str(n)) for n in [*range(3, 17), 24]]
     + [pytest.param(grid_domain(1, 32), id="1d-32")],
 )
 def test_harmonic_bounds_match_dense_svd(d):
-    # the dense SVD of the whole map T after the orthogonal change of basis
-    # Q = U (x) U into reflection-parity combinations, which leaves
-    # |T|_G = |Q^T T Q|_(Q^T G Q) as it is; in nodal coordinates the dense
-    # route itself misses a 40-digit reference of the 1D n = 32 d_bound by
-    # 3.6e-12 relative, in these by 7.6e-13
+    # the dense SVD in rotated coordinates: in nodal ones it misses the
+    # reference value of the 1D n = 32 d_bound (see
+    # test_harmonic_bounds_match_an_mpmath_reference) by 3.6e-12 relative
     grams = sobolev_grams(d)
     ret = harmonic_retraction(d, grams)
-    U = _reflection_rotation(d.n + 2)
-    Q = U if d.dimension == 1 else np.kron(U, U)
-    T = Q.T @ _dense_map(ret) @ Q
-    h_oracle = _dense_gram_norm(T, Q.T @ grams.g1 @ Q)
-    d_oracle = _dense_gram_norm(T, Q.T @ grams.g2 @ Q)
+    h_oracle, d_oracle = _rotated_dense_bounds(ret, grams, d)
     assert ret.h_bound == pytest.approx(h_oracle, rel=1e-12, abs=0.0)
     assert ret.d_bound == pytest.approx(d_oracle, rel=1e-12, abs=0.0)
+
+
+# h_bound and d_bound of the 1D harmonic lift at n = 32, from the same
+# forms in 60-digit mpmath arithmetic (Cholesky of g1 and g2, the Gram
+# matrix L^T T L^-T and its top singular value), to 30 digits
+H_BOUND_1D_32 = 1.04013833428587700260165550108
+D_BOUND_1D_32 = 1.00376983006630162285213005677
+
+
+def test_harmonic_bounds_match_an_mpmath_reference():
+    d = grid_domain(1, 32)
+    grams = sobolev_grams(d)
+    ret = harmonic_retraction(d, grams)
+    for h, dd in [(ret.h_bound, ret.d_bound), _rotated_dense_bounds(ret, grams, d)]:
+        assert h == pytest.approx(H_BOUND_1D_32, rel=1e-12, abs=0.0)
+        assert dd == pytest.approx(D_BOUND_1D_32, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -502,11 +523,26 @@ def test_stokes_identity_check_covers_every_column(monkeypatch, n):
     monkeypatch.setattr(retractions, "IDENTITY_BLOCK", n * n)
     whole = check_stokes_identity(p)
     assert blocks == pytest.approx(whole, rel=1e-12, abs=0.0)
+    # R W_c are the stream modes of class c, in ascending order: the
+    # classes together hold every column of W
+    _, _, starts, R = operators.stream_rotation(n)
+    W = p.stream_modes(np.eye(n * n))
+    for c, (s, e) in enumerate(zip(starts, starts[1:])):
+        W_c = R[:, s:e] @ p.class_modes(c, np.arange(e - s))
+        assert np.max(np.abs(W_c - W[:, p.classes == c])) <= 1e-14
     broken = dataclasses.replace(
         p, stiffness_lu=operators.parity_lu(p.stiffness * (1.0 + 1e-6), n)
     )
     with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
         check_stokes_identity(broken)
+    # the perturbation leaves a residual of about 1e-6 sqrt(n^2), far
+    # above rounding: the class loop matches the residual C (K^-1 K W - W)
+    # of all columns of W at once, with the nodal K
+    monkeypatch.setattr(retractions, "IDENTITY_TOL", math.inf)
+    E = broken.stiffness_lu.solve(p.stiffness @ W) - W
+    oracle = float(np.linalg.norm(p.curl @ E))
+    assert oracle == pytest.approx(1e-6 * n, rel=1e-5)
+    assert check_stokes_identity(broken) == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("n", range(3, 17))

@@ -19,6 +19,7 @@ from .kfunctional import (
     QuadratureRule,
     SpectralPair,
     congruence,
+    dense_form,
     i_theta,
     interp_norms_sq,
 )
@@ -530,17 +531,18 @@ def run_weight(config: RunConfig):
 
 def _harmonic_setup(dom):
     """The pairs and retraction of `verify_intersection_lemma` for (g1, g2)
-    and the zero-boundary subspace: the ambient pencil per parity class
-    (`sobolev_pencil`, on the rotated forms that the retraction also
-    reads), the reduced one in closed form, its forms gathered from the
-    interior rows and columns (Z^T g Z bit for bit for the indicator
-    columns Z)."""
+    and the zero-boundary subspace, all three per parity class in the
+    rotated coordinates: the ambient pencil by `sobolev_pencil`, on the
+    rotated forms that the retraction also reads, the reduced one in
+    closed form. The nodal forms of each pair, for the cross-check, are
+    g1 and g2 and their interior rows and columns (Z^T g Z bit for bit
+    for the indicator columns Z)."""
     grams = sobolev_grams(dom)  # validated, factored per class and read-only
     T = harmonic_retraction(dom, grams)
     ix = np.ix_(*[interior_indices(dom)] * 2)
     return (
-        SpectralPair(grams.g1, grams.g2, *sobolev_pencil(grams)),
-        SpectralPair(grams.g1[ix], grams.g2[ix], *zero_boundary_pencil(dom)),
+        SpectralPair.of(grams.g1, grams.g2, sobolev_pencil(grams)),
+        SpectralPair.of(grams.g1[ix], grams.g2[ix], zero_boundary_pencil(dom)),
         T,
     )
 
@@ -555,10 +557,11 @@ def _probed_grid(dom):
 
 def _stokes_setup(dom):
     """The pairs and retraction of `verify_intersection_lemma` for (I, A^2)
-    and ker D: the ambient pencil in A's closed-form modes, the reduced
-    one on the null basis Z by `congruence`, per parity class of the
-    stream modes (`StokesPencil.classes`), with Z^T A^2 Z formed as
-    (A Z)^T (A Z) from the sparse A."""
+    and ker D: the ambient pencil in A's closed-form modes (one block,
+    `dense_form`), the reduced one on the null basis Z by `congruence`,
+    per parity class of the stream modes (`StokesPencil.classes`), with
+    Z^T A^2 Z formed as (A Z)^T (A Z) from the sparse A; the retraction
+    is one block."""
     p = stokes_pencil(dom)
     Z, gram = p.null_basis_and_gram()
     T = stokes_retraction(p, Z)
@@ -572,8 +575,8 @@ def _stokes_setup(dom):
     AZ = A @ Z
     reduced = QuadraticPair(gram, AZ.T @ AZ)  # Z^T Z from the orthonormality check
     return (
-        SpectralPair(m1, m2, model.eigenvalues, V, V.T),
-        SpectralPair(reduced.m1, reduced.m2, *congruence(reduced, p.classes)),
+        SpectralPair.of(m1, m2, dense_form(model.eigenvalues, V, V.T)),
+        SpectralPair.of(reduced.m1, reduced.m2, congruence(reduced, p.classes)),
         T,
     )
 

@@ -17,6 +17,16 @@ blocks of at most _K2_PAIRS // modes.
 Identity linking the two scales, exact for finite spectra up to
 quadrature error:  |u|_theta^2 = i_theta(theta) * frac_norm(theta, u)^2.
 
+A pencil in spectral form is a `SpectralForm`: its eigenvalues, and per
+symmetry class the blocks V_c and transform_c in the lifted coordinates
+of an orthogonal rotation (the parity rotation U (x) U of a square grid,
+or none). `congruence` and `class_eigh` return it, one `eigh` per class
+with nothing scattered into a whole matrix, and a `SpectralPair` is an
+SPD pair with its form. The form is applied class by class
+(`coefficients`, `modes`); the dense V and transform on the nodes are
+formed only on access. A dense pencil is the one-block case with no
+lift (`dense_form`).
+
 Every K here has one route: `k2_batch` for a spectrum and
 `k2_by_cholesky` for a pair. The independent oracles that avoid the
 closed forms (brute-force minimization, the sum-form functional) live
@@ -36,6 +46,7 @@ from .errors import (
     QuadratureNotConverged,
     SolverFailure,
 )
+from .operators import _lift
 from .spectral import SpectralModel, _coeffs
 
 _TINY = 1e-300
@@ -51,17 +62,108 @@ class QuadraticPair:
 
 
 @dataclass(frozen=True)
-class SpectralPair(QuadraticPair):
-    """An SPD pair with its pencil in spectral form (lam, V, transform,
-    classes), as `congruence` returns it or from a closed form: lam
-    ascending, V^T m1 V = I, V^T m2 V = diag lam^2, transform @ x the
-    coefficients, and classes the symmetry class of each eigenpair (None:
-    one class)."""
+class SpectralBlock:
+    """One symmetry class of a spectral form: its label (None for the one
+    block of a form without classes), its coordinates index among the
+    lifted coordinates (the rows of V), the positions of its eigenpairs
+    in lam (ascending), and its blocks V and transform = V^T m1_c."""
 
-    lam: np.ndarray
+    label: int | None
+    index: np.ndarray
+    positions: np.ndarray
     V: np.ndarray
     transform: np.ndarray
-    classes: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class SpectralForm:
+    """A pencil of an SPD pair (m1, m2) in spectral form, kept per
+    symmetry class.
+
+    lam is ascending, and lift holds the orthogonal rotation U of each
+    axis (the same on every axis; none for the identity): L = U (x) U
+    takes lifted coordinates to the nodes, and L^T m1 L and L^T m2 L are
+    block diagonal, one `SpectralBlock` per class. The whole form is
+    V = L blockdiag(V_c) and transform = blockdiag(transform_c) L^T, with
+    V^T m1 V = I, V^T m2 V = diag lam^2 and transform @ x the
+    coefficients of x. It is applied class by class (`coefficients`,
+    `modes`); the dense V and transform are formed only on access, for
+    the tests and the callers that need them whole.
+    """
+
+    lam: np.ndarray
+    blocks: tuple
+    lift: tuple = ()
+
+    @property
+    def classes(self) -> np.ndarray | None:
+        """The class of each eigenpair; None for one block without a label."""
+        if self.blocks[0].label is None:
+            return None
+        classes = np.empty(self.lam.size, np.int64)
+        for b in self.blocks:
+            classes[b.positions] = b.label
+        return classes
+
+    def block(self, label) -> SpectralBlock:
+        """The block of class label; InvalidConfig when the form has none."""
+        for b in self.blocks:
+            if b.label == label:
+                return b
+        raise InvalidConfig(f"the spectral form has no block of class {label}")
+
+    def lifted_coefficients(self, Y) -> np.ndarray:
+        """blockdiag(transform_c) Y: the coefficients of the columns Y of
+        lifted coordinates, class by class."""
+        out = np.empty((self.lam.size, Y.shape[1]))
+        for b in self.blocks:
+            out[b.positions] = b.transform @ Y[b.index]
+        return out
+
+    def coefficients(self, X) -> np.ndarray:
+        """transform @ X for the columns X of nodal coordinates."""
+        return self.lifted_coefficients(_lift(tuple(U.T for U in self.lift), X))
+
+    def modes(self, A) -> np.ndarray:
+        """V @ A: the nodal columns with the coefficients A."""
+        Y = np.empty((self.lam.size, A.shape[1]))
+        for b in self.blocks:
+            Y[b.index] = b.V @ A[b.positions]
+        return _lift(self.lift, Y)
+
+    @property
+    def V(self) -> np.ndarray:
+        """The dense V on the nodes: its class blocks scattered and lifted."""
+        V = np.zeros((self.lam.size, self.lam.size))
+        for b in self.blocks:
+            V[np.ix_(b.index, b.positions)] = b.V
+        return _lift(self.lift, V)
+
+    @property
+    def transform(self) -> np.ndarray:
+        """The dense transform on the nodes, as `V` forms V."""
+        T = np.zeros((self.lam.size, self.lam.size))
+        for b in self.blocks:
+            T[np.ix_(b.positions, b.index)] = b.transform
+        return _lift(self.lift, T.T).T
+
+
+@dataclass(frozen=True)
+class SpectralPair(SpectralForm, QuadraticPair):
+    """An SPD pair (m1, m2) on the nodes with the `SpectralForm` of its
+    pencil, from `congruence` or a closed form."""
+
+    @classmethod
+    def of(cls, m1, m2, form: SpectralForm) -> "SpectralPair":
+        """The pair (m1, m2) with the spectral form form."""
+        return cls(m1, m2, form.lam, form.blocks, form.lift)
+
+
+def dense_form(lam, V, transform) -> SpectralForm:
+    """The one-block form of a dense pencil (lam, V, transform): no
+    classes and no lift."""
+    index = np.arange(np.size(lam))
+    return SpectralForm(lam, (SpectralBlock(None, index, index, V, transform),))
 
 
 def build_quadratic_pair(m1, m2) -> QuadraticPair:
@@ -269,7 +371,8 @@ def check_class_coupling(values, off_class, what: str) -> None:
 
 def class_eigh(a, b=None, classes=None):
     """Eigenpairs of the symmetric pencil (a, b), b = I when None, solved
-    per symmetry class: (w, V, V^T b, classes).
+    per symmetry class: (w, blocks), w ascending and blocks one
+    `SpectralBlock` per class with V_c and V_c^T b_c.
 
     classes labels each row and column of the forms, and a form that
     commutes with a symmetry has no entry between two classes (Bossavit,
@@ -278,14 +381,14 @@ def class_eigh(a, b=None, classes=None):
     one of the whole pencil. Before any solve, an off-class entry of
     either form above 1e-12 times that form's largest entry (or a NaN)
     raises SolverFailure. With classes None there is one class: one
-    `eigh` of the whole pencil and classes None. A failed eigensolve
-    raises scipy's LinAlgError or ValueError.
+    `eigh` of the whole pencil and one block without a label. A failed
+    eigensolve raises scipy's LinAlgError or ValueError.
     """
     from scipy import linalg
 
     if classes is None:
         w, V = linalg.eigh(a, b)
-        return w, V, V.T if b is None else V.T @ b, None
+        return w, dense_form(w, V, V.T if b is None else V.T @ b).blocks
     classes = np.asarray(classes)
     off_class = classes[:, None] != classes
     for M in (a,) if b is None else (a, b):
@@ -300,15 +403,15 @@ def class_eigh(a, b=None, classes=None):
 
 def block_eigh(blocks):
     """Eigenpairs of a symmetric pencil given by its class blocks, one
-    `eigh` per class: (w, V, V^T b, classes) as `class_eigh` returns them.
+    `eigh` per class: (w, blocks) as `class_eigh` returns them.
 
     blocks holds (c, idx, a_c, b_c) per class: its label, its rows and
     columns idx of the whole pencil (which the blocks partition), and its
-    blocks of a and b (b_c None for b = I). Each block's eigenvectors are
-    scattered to their class rows of V (zero elsewhere) and V^T b is
-    taken blockwise. w is ascending (stable sort), and the returned
-    classes give each eigenpair's class. A failed eigensolve raises
-    scipy's LinAlgError or ValueError.
+    blocks of a and b (b_c None for b = I). w is ascending (stable sort),
+    and each class's `SpectralBlock` holds the positions of its
+    eigenpairs in w, ascending as eigh returns them, with V_c and
+    V_c^T b_c; nothing is scattered into a whole matrix. A failed
+    eigensolve raises scipy's LinAlgError or ValueError.
     """
     from scipy import linalg
 
@@ -317,54 +420,50 @@ def block_eigh(blocks):
     order = np.argsort(w, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    # each block goes straight to the sorted positions of its eigenpairs
-    m = w.size
-    V, VtB, pair_classes = np.zeros((m, m)), np.zeros((m, m)), np.empty(m, np.int64)
-    start = 0
+    out, start = [], 0
     for c, idx, bc, _, vecs in solved:
         pos = rank[start : start + idx.size]
         start += idx.size
-        V[np.ix_(idx, pos)] = vecs
-        VtB[np.ix_(pos, idx)] = vecs.T if bc is None else vecs.T @ bc
-        pair_classes[pos] = c
-    return w[order], V, VtB, pair_classes
+        transform = vecs.T if bc is None else vecs.T @ bc
+        out.append(SpectralBlock(c, idx, pos, vecs, transform))
+    return w[order], tuple(out)
 
 
-def congruence(pair: QuadraticPair, classes=None):
+def congruence(pair: QuadraticPair, classes=None) -> SpectralForm:
     """Reduce an SPD pair to spectral form.
 
-    Returns (lam_eff, V, transform, classes) where the pencil
-    M2 v = mu M1 v gives V with V^T M1 V = I, lam_eff = sqrt(mu), and
-    coordinates of a vector are transform @ vector. In those coordinates
-    the pair is (identity, diag lam_eff^2). The pencil is solved per
-    symmetry class by `class_eigh` (one class when classes is None).
+    Returns the `SpectralForm` (no lift) of the pencil M2 v = mu M1 v:
+    V with V^T M1 V = I, lam = sqrt(mu), and coordinates of a vector
+    transform @ vector. In those coordinates the pair is
+    (identity, diag lam^2). The pencil is solved per symmetry class by
+    `class_eigh` (one class when classes is None).
     A pencil eigenvalue mu that is not finite and positive means the pair
     is not SPD; it raises SolverFailure, as does a failed eigensolve.
     """
     return _spectral_form(class_eigh, pair.m2, pair.m1, classes)
 
 
-def block_congruence(blocks):
+def block_congruence(blocks) -> SpectralForm:
     """`congruence` of an SPD pair given by its class blocks, blocks
     holding (c, idx, m1_c, m2_c) per class as `block_eigh` takes them;
     the same spectral form and the same failures."""
     return _spectral_form(block_eigh, [(c, i, m2, m1) for c, i, m1, m2 in blocks])
 
 
-def _spectral_form(eigh, *args):
-    """sqrt(mu), V, transform and classes from eigh(*args), the pencil
+def _spectral_form(eigh, *args) -> SpectralForm:
+    """The form of sqrt(mu) and the blocks from eigh(*args), the pencil
     M2 v = mu M1 v; SolverFailure for a failed eigensolve or a mu that is
     not finite and positive."""
     from scipy import linalg
 
     try:
-        mu, V, transform, classes = eigh(*args)
+        mu, blocks = eigh(*args)
     except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("congruence eigendecomposition failed") from exc
     bad = mu[~(np.isfinite(mu) & (mu > 0.0))]
     if bad.size:
         raise SolverFailure(f"pair is not SPD: pencil eigenvalue {float(bad[0])!r}")
-    return np.sqrt(mu), V, transform, classes
+    return SpectralForm(np.sqrt(mu), blocks)
 
 
 def interp_norm(model_or_pair, theta, u, rule: QuadratureRule | None = None) -> float:
@@ -377,8 +476,8 @@ def interp_norm(model_or_pair, theta, u, rule: QuadratureRule | None = None) -> 
     else:
         pair = model_or_pair
         _, _, vec = _forms(pair, u)
-        lam, _, transform, _ = congruence(pair)
-        c = transform @ vec
+        form = congruence(pair)
+        lam, c = form.lam, form.coefficients(vec[:, None])[:, 0]
     if rule is None:
         rule = QuadratureRule.for_spectrum(lam)
     return math.sqrt(interp_norms_sq(lam, c[:, None], (theta,), rule).item())

@@ -21,10 +21,11 @@ tensor-product structure of Lynch, Rice & Thomas, Numer. Math. 6,
 1964): trapezoid weights, the edge differences of the path
 graph, Dirichlet and full-node second differences, and the staggered
 forward difference from faces to cells. A 2D operator acting along both
-axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil. The same
-structure gives the spectra of the Dirichlet Kronecker sums in closed
-form: `stokes_ambient_model` and `zero_boundary_pencil` (the pencil of
-(g1, g2) on zero-boundary functions) take tensor
+axes is the Kronecker sum M (x) I + I (x) M of its 1D stencil, written
+into strided diagonals with no product by an identity (`_kron_sum`).
+The same structure gives the spectra of the Dirichlet Kronecker sums in
+closed form: `stokes_ambient_model` and `zero_boundary_pencil` (the
+pencil of (g1, g2) on zero-boundary functions) take tensor
 products of DST-I modes, with no eigensolver. Every other operator
 here is unchanged by the square's two reflections, so it is split per
 reflection-parity class (Bossavit, Comput. Methods Appl. Mech. Engrg.
@@ -35,7 +36,12 @@ harmonic retraction solves and factors and that `sobolev_pencil`
 diagonalizes; `stokes_pencil` factors K per class of the rotated
 stream-function grid; and the constrained operator Z^T A Z is
 diagonalized per class of the DST-I stream modes, which carry their
-parities (`StokesPencil.classes`, `kfunctional.class_eigh`).
+parities (`StokesPencil.classes`, `kfunctional.class_eigh`). The two
+harmonic pencils stay in those class blocks, in the rotated
+coordinates (`kfunctional.SpectralForm` with its lift U (x) U):
+`sobolev_pencil` keeps the class eigenpairs as they are solved, and
+`zero_boundary_pencil` builds each class block from the even or odd
+blocks of U^T S (`_class_kron`), with no n^2 x n^2 product.
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
 Apart from the sparse pencil the 2D matrices are dense, so 2D grids are
@@ -157,13 +163,22 @@ def _forward_difference(m: int) -> np.ndarray:
 
 def _kron_sum(*axes: np.ndarray) -> np.ndarray:
     """The 1D operators of the axes, each acting along its own: M in 1D,
-    M_x (x) I + I (x) M_y in 2D."""
+    M_x (x) I + I (x) M_y in 2D.
+
+    In 2D, M_x and M_y are written into the strided diagonals of a zeroed
+    (a, b, a, b) array, K[:, j, :, j] = M_x and K[i, :, i, :] += M_y,
+    with no product by an identity: the entries equal those of the two
+    np.kron products and their sum, apart from the sign of a zero where
+    both products are -0.0.
+    """
     if len(axes) == 1:
         return axes[0]
     Mx, My = axes
-    K = np.kron(Mx, np.eye(My.shape[0]))
-    K += np.kron(np.eye(Mx.shape[0]), My)
-    return K
+    a, b = Mx.shape[0], My.shape[0]
+    K = np.zeros((a, b, a, b))
+    K[:, np.arange(b), :, np.arange(b)] = Mx
+    K[np.arange(a), :, np.arange(a), :] += My
+    return K.reshape(a * b, a * b)
 
 
 @dataclass(frozen=True)
@@ -340,6 +355,25 @@ def _parity_rotation(m: int) -> tuple[np.ndarray, np.ndarray]:
     return U, (np.arange(m) >= even).astype(np.int64)
 
 
+def _class_kron(S: np.ndarray, c: int, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Columns of the block of class c = 2 p_x + p_y of
+    (U (x) U)^T (S (x) S), for a DST-I matrix S of an axis and its parity
+    rotation U (`_parity_rotation`): column j is the product of DST-I
+    modes 2 k_j + p_x and 2 l_j + p_y, its rows the rotated coordinates
+    of the class (row-major).
+
+    DST-I mode k (0-based) has the parity of k, so U^T S couples even
+    rows to even modes and odd to odd, and the block is the Kronecker
+    product of the blocks of U^T S of the parities of c, with no
+    n^2 x n^2 array formed.
+    """
+    U, parity = _parity_rotation(S.shape[0])
+    rotated = U.T @ S
+    px, py = divmod(c, 2)
+    Sx, Sy = rotated[parity == px][:, px::2], rotated[parity == py][:, py::2]
+    return (Sx[:, None, k] * Sy[None, :, l]).reshape(-1, np.size(k))
+
+
 def _kron_apply(U: np.ndarray, X: np.ndarray, dimension: int) -> np.ndarray:
     """(U (x) U) X for a square U in 2D, U X in 1D, one axis at a time,
     without forming the Kronecker product."""
@@ -350,32 +384,37 @@ def _kron_apply(U: np.ndarray, X: np.ndarray, dimension: int) -> np.ndarray:
     return Y.reshape(a**dimension, -1)
 
 
+def _lift(axes: tuple, X: np.ndarray) -> np.ndarray:
+    """(U (x) U) X in 2D, U X in 1D, for axes holding the rotation U of
+    each axis (the same on every axis) by `_kron_apply`; X itself for no
+    axes."""
+    return _kron_apply(axes[0], X, len(axes)) if axes else X
+
+
 def sobolev_pencil(grams: SobolevGrams):
     """The pencil of (g1, g2) on the full node set of a 2D grid, solved
-    per reflection-parity class: (lam, V, transform, classes) as
-    `kfunctional.congruence` returns it.
+    per reflection-parity class: a `kfunctional.SpectralForm` with the
+    lift U (x) U.
 
     It reads the class blocks of `sobolev_grams` (`ClassForms`), the
-    forms in the coordinates of the parity rotation U (x) U, solves them
-    per class (`kfunctional.block_congruence`) and lifts the eigenpairs
-    to the nodes: V = (U (x) U) V_r, transform = transform_r (U (x) U)^T.
+    forms in the coordinates of the parity rotation U (x) U, and solves
+    them per class (`kfunctional.block_congruence`). The eigenpairs stay
+    in those coordinates, one block per class; nothing is lifted to the
+    nodes.
     """
-    from .kfunctional import block_congruence
+    from .kfunctional import SpectralForm, block_congruence
 
     if len(grams.classes) != 4:  # one class per parity of each of two axes
         raise InvalidConfig("the blocked Sobolev pencil is built on the unit square")
-    lam, V, transform, classes = block_congruence(
-        [(c.label, c.index, c.g1, c.g2) for c in grams.classes]
-    )
-    U = grams.rotation
-    V = _kron_apply(U, V, 2)
-    return lam, V, _kron_apply(U, transform.T, 2).T, classes
+    form = block_congruence([(c.label, c.index, c.g1, c.g2) for c in grams.classes])
+    return SpectralForm(form.lam, form.blocks, (grams.rotation,) * 2)
 
 
 def zero_boundary_pencil(domain: GridDomain):
     """The pencil of (g1, g2) on the zero-boundary subspace of a 2D grid,
-    in closed form: (lam, V, transform, classes) as
-    `kfunctional.congruence` returns it, lam ascending (stable sort).
+    in closed form: a `kfunctional.SpectralForm`, lam ascending (stable
+    sort), per reflection-parity class with the lift U (x) U of the
+    parity rotation U of an interior axis.
 
     On the interior nodes the forms are Z^T g1 Z = h^2 I + P (x) I +
     I (x) P and Z^T g2 Z = Z^T g1 Z + (P^2 (x) I + I (x) P^2) / h^2 for
@@ -386,23 +425,41 @@ def zero_boundary_pencil(domain: GridDomain):
     lam = sqrt(mu) and transform = V^T Z^T g1 Z = d1^1/2 (S (x) S)^T.
     DST-I mode k (0-based) of an axis is even under x -> 1 - x exactly
     when k is even, which gives each mode its parity class, as in
-    `sobolev_pencil`. A d1 or mu that is not finite and positive raises
-    SolverFailure.
+    `sobolev_pencil`. The block of class c holds its modes in ascending
+    order, V_c = (S_x (x) S_y) d1^-1/2 and transform_c = d1^1/2 (S_x (x)
+    S_y)^T for the even or odd blocks S_x, S_y of U^T S
+    (`_class_kron`), so no n^2 x n^2 array is formed. A d1 or mu that
+    is not finite and positive raises SolverFailure.
     """
+    from .kfunctional import SpectralBlock, SpectralForm
+
     if domain.dimension != 2:
         raise InvalidConfig("the zero-boundary pencil is built on the unit square")
-    h2 = domain.cell_volume
-    S, p = _dirichlet_modes(domain.n, 1.0)
+    n, h2 = domain.n, domain.cell_volume
+    S, p = _dirichlet_modes(n, 1.0)
     d1 = h2 + np.add.outer(p, p).ravel()
     mu = (d1 + np.add.outer(p * p, p * p).ravel() / h2) / d1
     bad = ~(np.isfinite(mu) & (mu > 0.0) & (d1 > 0.0))
     if bad.any():
         raise SolverFailure(f"zero-boundary pencil eigenvalue {float(mu[bad][0])!r}")
     order = np.argsort(mu, kind="stable")
-    SS = np.kron(S, S)[:, order]
-    s = np.sqrt(d1[order])
-    classes = _parity_classes(np.arange(domain.n) % 2)[order]
-    return np.sqrt(mu[order]), SS / s, s[:, None] * SS.T, classes
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    U, parity = _parity_rotation(n)
+    blocks = []
+    for c in range(4):
+        px, py = divmod(c, 2)
+        # the modes 2 k + px, 2 l + py of the class, in ascending order
+        nx, ny = (n + 1 - px) // 2, (n + 1 - py) // 2
+        k, l = np.divmod(np.arange(nx * ny), ny)
+        modes = (2 * k + px) * n + 2 * l + py
+        sort = np.argsort(rank[modes])
+        k, l, modes = k[sort], l[sort], modes[sort]
+        SS, s = _class_kron(S, c, k, l), np.sqrt(d1[modes])
+        rows = [np.flatnonzero(parity == q) for q in (px, py)]
+        index = np.add.outer(rows[0] * n, rows[1]).ravel()
+        blocks.append(SpectralBlock(c, index, rank[modes], SS / s, s[:, None] * SS.T))
+    return SpectralForm(np.sqrt(mu[order]), tuple(blocks), (U, U))
 
 
 def _staggered_difference(n: int, h: float) -> np.ndarray:
@@ -420,12 +477,13 @@ class StokesPencil:
     on the (n+1)^2 cell centers, the stream function on the n^2 interior
     cell corners. vector_laplacian A (m x m), divergence D and curl C
     (m x n^2) are scipy.sparse CSR arrays, the one assembly of the
-    Stokes operators. The stream function carries the pencil (K, C^T C)
-    of the stiffness K = C^T A C (CSC) and the corner Laplacian C^T C
-    (curl_gram); stiffness_lu is the one factor of K, a `ParityLU`: one
-    SuperLU per reflection-parity class of the rotated stream-function
-    grid, each checked SPD by `_spd_lu`, through which every solve with
-    K goes. Since span C = ker D, the divergence-free retraction is
+    Stokes operators, with C^T kept as curl_transpose (CSR) for the
+    products of every solve. The stream function carries the pencil
+    (K, C^T C) of the stiffness K = C^T A C (CSC) and the corner
+    Laplacian C^T C (curl_gram); stiffness_lu is the one factor of K, a
+    `ParityLU`: one SuperLU per reflection-parity class of the rotated
+    stream-function grid, each checked SPD by `_spd_lu`, through which
+    every solve with K goes. Since span C = ker D, the divergence-free retraction is
     T = C K^-1 C^T A and the spectrum of the constrained operator
     Z^T A Z is that of (K, C^T C). The orthonormal basis of ker D is
     Z = C W with W = (S (x) S) diag(scale) for the DST-I matrix S
@@ -438,6 +496,7 @@ class StokesPencil:
     vector_laplacian: "sparse.csr_array"
     divergence: "sparse.csr_array"
     curl: "sparse.csr_array"
+    curl_transpose: "sparse.csr_array"
     stiffness: "sparse.csc_array"
     curl_gram: "sparse.csr_array"
     stiffness_lu: ParityLU
@@ -462,20 +521,14 @@ class StokesPencil:
     def class_modes(self, c: int, cols: np.ndarray) -> np.ndarray:
         """Columns cols of W_c, the block of class c of R^T W in the rotated
         coordinates of `stream_rotation` (rows) and the stream modes of
-        class c in ascending order (columns).
-
-        DST-I mode k of an axis has the parity of k (0-based), so U^T S
-        couples even rows to even modes and odd to odd, and W_c is the
-        Kronecker product of the blocks of U^T S of the parities of c,
-        times `scale`, with no n^2 x n^2 array formed.
+        class c in ascending order (columns): the Kronecker product of the
+        blocks of U^T S of the parities of c (`_class_kron`), times
+        `scale`, with no n^2 x n^2 array formed.
         """
         n = self.grid.n
-        U, parity = _parity_rotation(n)
-        rotated = U.T @ self.dst
-        (px, py), cols = divmod(c, 2), np.asarray(cols)
-        Sx, Sy = rotated[parity == px][:, px::2], rotated[parity == py][:, py::2]
-        k, l = np.divmod(cols, Sy.shape[1])
-        W = (Sx[:, None, k] * Sy[None, :, l]).reshape(-1, cols.size)
+        px, py = divmod(c, 2)
+        k, l = np.divmod(np.asarray(cols), (n + 1 - py) // 2)
+        W = _class_kron(self.dst, c, k, l)
         return W * self.scale[(2 * k + px) * n + 2 * l + py]
 
     def null_vectors(self, c: np.ndarray) -> np.ndarray:
@@ -689,6 +742,7 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
         vector_laplacian=A,
         divergence=D,
         curl=C,
+        curl_transpose=C.T.tocsr(),
         stiffness=K,
         curl_gram=(C.T @ C).tocsr(),
         stiffness_lu=parity_lu(K, n),
@@ -698,16 +752,21 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     )
 
 
-def _orthonormal(V: np.ndarray) -> np.ndarray:
-    """V, column-major and read-only, once its Gram deviation
-    |V^T V - I| is within ORTHO_TOL; SolverFailure otherwise, also for a
-    NaN. The layout fixes the rounding of every product with V."""
+def _check_orthonormal(*bases: np.ndarray) -> None:
+    """Raise SolverFailure unless the Gram deviation |V^T V - I| of every
+    basis V is within ORTHO_TOL (also for a NaN)."""
+    for V in bases:
+        gram = V.T @ V
+        gram.flat[:: V.shape[1] + 1] -= 1.0
+        gram_dev = np.max(np.abs(gram))
+        if not gram_dev <= ORTHO_TOL:
+            raise SolverFailure(f"basis Gram deviation {gram_dev:.3e} > {ORTHO_TOL}")
+
+
+def _read_only_columns(V: np.ndarray) -> np.ndarray:
+    """V, column-major and read-only: the layout fixes the rounding of
+    every product with V."""
     V = np.asfortranarray(V)
-    gram = V.T @ V
-    gram.flat[:: V.shape[1] + 1] -= 1.0
-    gram_dev = np.max(np.abs(gram))
-    if not gram_dev <= ORTHO_TOL:
-        raise SolverFailure(f"basis Gram deviation {gram_dev:.3e} > {ORTHO_TOL}")
     V.setflags(write=False)
     return V
 
@@ -719,13 +778,16 @@ def stokes_spectral_model(p: StokesPencil) -> tuple[SpectralModel, np.ndarray]:
     spectrum and its orthonormal eigenvectors V (r x r), ascending."""
     from scipy import linalg
 
-    from .kfunctional import class_eigh
+    from .kfunctional import SpectralForm, class_eigh
 
     try:
-        lam, V, _, _ = class_eigh(p.constrained_op(p.null_basis()), classes=p.classes)
+        Ac = p.constrained_op(p.null_basis())
+        form = SpectralForm(*class_eigh(Ac, classes=p.classes))
     except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("constrained eigendecomposition failed") from exc
-    return build_spectral_model(lam), _orthonormal(V)
+    V = form.V
+    _check_orthonormal(V)
+    return build_spectral_model(form.lam), _read_only_columns(V)
 
 
 def stokes_ambient_model(domain: GridDomain) -> tuple[SpectralModel, np.ndarray]:
@@ -739,16 +801,20 @@ def stokes_ambient_model(domain: GridDomain) -> tuple[SpectralModel, np.ndarray]
     eigenpairs are tensor products of their DST-I modes (Lynch, Rice &
     Thomas 1964), with no eigensolver and no assembly. The physical mass
     h^2 drops out of every norm ratio and operator norm used here, so V
-    is orthonormal in the Euclidean product.
+    is orthonormal in the Euclidean product. A Kronecker product, and a
+    block diagonal, of orthonormal factors is orthonormal, so the Gram
+    check runs on the two DST-I factors, not on the m x m V; V is
+    column-major and read-only.
     """
     from scipy import linalg
 
     _check_stokes_grid(domain)
     n, h = domain.n, domain.h
     faces, cells = _dirichlet_modes(n, h), _dirichlet_modes(n + 1, h)
+    _check_orthonormal(faces[0], cells[0])
     Vu, lam_u = _kron_sum_modes(cells, faces)
     Vv, lam_v = _kron_sum_modes(faces, cells)
     lam = np.concatenate([lam_u, lam_v])
     order = np.argsort(lam, kind="stable")
     V = linalg.block_diag(Vu, Vv)[:, order]
-    return build_spectral_model(lam[order]), _orthonormal(V)
+    return build_spectral_model(lam[order]), _read_only_columns(V)

@@ -13,7 +13,11 @@ equivalent to the ambient one within [1, sqrt(2) C].
 
 Both concrete retractions factor through the subspace, T = Z B with
 an r x m inner map B, and a `Retraction` is that pair: T x = Z (B x),
-and no m x m map is stored.
+and no m x m map is stored. It is kept per symmetry class, in the
+lifted coordinates that the spectral forms of the pencils use
+(`kfunctional.SpectralForm`): the harmonic lift as its four class
+blocks (B_c, and Z_c the gather of the class's interior coordinates),
+the divergence-free retraction as one block of the dense (Z, B).
 
 Bounds are measured as exact operator norms of the discrete maps, not
 estimated from probes, so the inequality chain above holds
@@ -51,24 +55,27 @@ ambient Stokes pair (I, A^2)), a dense `congruence` per reflection-parity
 class for the two that do not. Those forms give the minimizers, in which
 every t is diagonal, the probes (`probe_coordinates` of the reduced
 pencil, a function of its spectral projectors alone) and the quadrature
-window of the ambient spectrum. The transported term goes through the
+window of the ambient spectrum; probes and coefficients go through the
+forms' class-by-class apply. The transported term goes through the
 r x m matrix W~ = transform_red B V_amb, never through an m x m map.
-When both pencils carry parity classes, W~ couples no two classes (T
-commutes with the reflections), which is checked, and the t loop runs
-per class block, T_BLOCK values of t per product.
-`k2_by_cholesky` of each pair's forms at the middle t recomputes K^2
-and K0^2 as an in-run cross-check, which also checks the closed forms.
-The identity T z = z on the subspace is checked when a `Retraction` is
-constructed (as |B Z - I|_F for its orthonormal Z), so the
-verification trusts its input.
+T commutes with the reflections, so W~ couples no two classes, and it
+is formed per class, W~_c = transform_red,c B_c V_amb,c from the class
+blocks of the three (`transported_blocks`), with no entry between two
+classes and no nodal copy of B, V or transform; the t loop runs per
+class block, T_BLOCK values of t per product. `k2_by_cholesky` of each
+pair's nodal forms at the middle t recomputes K^2 and K0^2 as an in-run
+cross-check, which also checks the closed forms. The identity T z = z
+on the subspace is checked when a `Retraction` is constructed (as
+|B Z - I|_F for its orthonormal Z, summed over the classes: a gather of
+B_c for the harmonic lift), so the verification trusts its input.
 
 Two concrete retractions: the harmonic lift (solve the zero-boundary
 Dirichlet problem with the same interior second differences; Z the
 interior indicators, B = S_ii^-1 S[idx, :] for the stiffness S, solved
-per class and lifted to the nodes) and
+and kept per class) and
 the divergence-free retraction T = C K^-1 C^T A of a staggered-grid
 Stokes pencil, kept with the pencil's dense orthonormal basis Z of
-ker D as B = Z^T T = (T^T Z)^T. B, the bound and every other Stokes
+ker D as B = Z^T T = (T^T Z)^T, one block. B, the bound and every other Stokes
 quantity go through the pencil's one factor of K; no constrained
 operator is factored. The retraction's checks also run on the sparse
 pencil alone (`stokes_apply`, and `check_stokes_identity` per class of
@@ -97,10 +104,10 @@ from .operators import (
     GridDomain,
     SobolevGrams,
     StokesPencil,
-    _kron_apply,
+    _lift,
+    interior_indices,
     stiffness_blocks,
     stream_rotation,
-    zero_boundary_basis,
 )
 from .reporting import at_most_table
 
@@ -127,31 +134,105 @@ T_BLOCK = 13
 
 
 @dataclass(frozen=True)
-class Retraction:
-    """Linear map T = Z B with T|span(Z) = identity and measured pair bounds.
+class RetractionBlock:
+    """T = Z B on one symmetry class, in lifted coordinates.
 
-    subspace_basis Z (m x r) has orthonormal columns spanning the
-    subspace and inner B (r x m) maps into its coordinates, so
-    T x = Z (B x); no m x m map is stored. T z = z on span(Z) exactly
-    when B Z = I, and for orthonormal Z the Frobenius norm of B Z - I
-    equals that of Z (B Z) - Z. Construction checks the identity: that
-    norm, which bounds the 2-norm from above and needs no SVD, must not
-    exceed IDENTITY_TOL, or RetractionIdentityViolated is raised. B is
-    then stored read-only, without a copy for a float64 array.
+    inner B_c maps the class's ambient coordinates cols to its subspace
+    coordinates rows, both indices into the lifted coordinates in the
+    order of B_c's columns and rows; it is stored read-only, without a
+    copy for a float64 array. basis is the class's Z_c: the index of the
+    columns of B_c whose coordinates span the subspace (Z_c =
+    I[:, basis]), or a dense orthonormal Z_c. label is the class, None
+    for one block of all coordinates.
     """
 
-    subspace_basis: np.ndarray
+    label: int | None
+    rows: np.ndarray
+    cols: np.ndarray
     inner: np.ndarray
-    h_bound: float
-    d_bound: float
+    basis: np.ndarray
 
     def __post_init__(self):
         B = np.asarray(self.inner, dtype=np.float64)
-        E = B @ self.subspace_basis
-        E.flat[:: E.shape[1] + 1] -= 1.0
-        _check_identity(float(np.linalg.norm(E)))
         B.setflags(write=False)
         object.__setattr__(self, "inner", B)
+
+    def identity_residual(self) -> np.ndarray:
+        """B_c Z_c - I: for an index basis the gather B_c[:, basis] - I."""
+        Z = self.basis
+        E = self.inner[:, Z] if Z.ndim == 1 else self.inner @ Z
+        E.flat[:: E.shape[1] + 1] -= 1.0
+        return E
+
+
+@dataclass(frozen=True)
+class Retraction:
+    """Linear map T = Z B with T|span(Z) = identity and measured pair
+    bounds, kept per symmetry class.
+
+    Z (m x r) has orthonormal columns spanning the subspace and B
+    (r x m) maps into its coordinates, so T x = Z (B x); no m x m map is
+    stored. lifts holds the rotations of the ambient and the subspace
+    coordinates, as `kfunctional.SpectralForm.lift` (none: the
+    identity); in those lifted coordinates Z and B are block diagonal,
+    one `RetractionBlock` (Z_c, B_c) per class. basis gives Z on the
+    nodes: the index of its unit columns (Z = I[:, basis]), or Z itself.
+    T z = z on span(Z) exactly when B_c Z_c = I for every class, and for
+    orthonormal Z the Frobenius norm of B Z - I equals that of
+    Z (B Z) - Z. Construction checks the identity: that norm over all
+    classes, which bounds the 2-norm from above and needs no SVD, must
+    not exceed IDENTITY_TOL, or RetractionIdentityViolated is raised.
+    The nodal Z and B are formed only on access (`subspace_basis`,
+    `inner`), for the tests and the nodal oracles; the verification
+    reads the blocks.
+    """
+
+    blocks: tuple
+    basis: np.ndarray
+    h_bound: float
+    d_bound: float
+    lifts: tuple = ((), ())
+
+    def __post_init__(self):
+        sq = sum(float(np.linalg.norm(b.identity_residual())) ** 2 for b in self.blocks)
+        _check_identity(math.sqrt(sq))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(r, m), the shape of B."""
+        blocks = self.blocks
+        return sum(b.rows.size for b in blocks), sum(b.cols.size for b in blocks)
+
+    def embed(self, X: np.ndarray) -> np.ndarray:
+        """Z X on the nodes, for the columns X of subspace coordinates."""
+        if self.basis.ndim == 2:
+            return self.basis @ X
+        Y = np.zeros((self.shape[1], X.shape[1]))
+        Y[self.basis] = X
+        return Y
+
+    @property
+    def subspace_basis(self) -> np.ndarray:
+        """Z on the nodes (m x r)."""
+        return self.embed(np.eye(self.shape[0]))
+
+    @property
+    def inner(self) -> np.ndarray:
+        """B on the nodes (r x m): the class blocks scattered and lifted,
+        B = L_sub blockdiag(B_c) L_amb^T."""
+        B = np.zeros(self.shape)
+        for b in self.blocks:
+            B[np.ix_(b.rows, b.cols)] = b.inner
+        ambient, subspace = self.lifts
+        return _lift(ambient, _lift(subspace, B).T).T
+
+
+def dense_retraction(Z, B, h_bound: float, d_bound: float) -> Retraction:
+    """The one-block `Retraction` T = Z B for a dense orthonormal Z (m x r)
+    and B (r x m), with no classes and no lift."""
+    r, m = np.shape(B)
+    block = RetractionBlock(None, np.arange(r), np.arange(m), B, Z)
+    return Retraction((block,), Z, h_bound, d_bound)
 
 
 def _check_identity(resid: float) -> float:
@@ -264,41 +345,42 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
     (`SobolevGrams.classes`): B_c = S_ii,c^-1 S_c[int_c, :], with the
     interior int_c the class's coordinates of the zero-boundary subspace,
     all but the even and the odd combination of an axis's two end nodes.
-    The identity B Z = I is checked once, by `Retraction` on the lifted
-    B. Since B Z = I, T is idempotent, so each bound |T|_G equals
+    The blocks stay in the rotated coordinates, lifted by the parity
+    rotation U of an axis (U (x) U in 2D) and by its interior rows and
+    columns U_i on the subspace, the rotation of
+    `operators.zero_boundary_pencil`; Z_c is the gather of int_c, so
+    `Retraction` checks the identity per class as |B_c[:, int_c] - I|.
+    Since B Z = I, T is idempotent, so each bound |T|_G equals
     |I - T|_G (Kato's identity), and as T, g1 and g2 are block diagonal
     in the rotated coordinates it is the largest over the classes. Per
     class, I - T = Y R^T for the indicator columns R of the class's
     boundary coordinates and Y[bdy] = I, Y[int] = -B_c[:, bdy];
     `_low_rank_gram_norm` takes both bounds from the class Cholesky
-    factors of g1 and g2 that `sobolev_grams` keeps. The blocks are then
-    lifted to the nodes, B = (U_i (x) U_i) B_r (U (x) U)^T (one factor of
-    each in 1D) for the parity rotation U of an axis and its interior
-    rows and columns U_i, so no Gram is factored here and no m x m array
-    is formed.
+    factors of g1 and g2 that `sobolev_grams` keeps. No Gram is factored
+    here, and no m x m array and no nodal B is formed.
     """
     from scipy import linalg
 
     U, d = grams.rotation, domain.dimension
     on_axis = U[0] == 0.0  # the rotated columns that vanish on the end nodes
     interior = on_axis if d == 1 else np.logical_and.outer(on_axis, on_axis).ravel()
-    row = np.cumsum(interior) - 1  # the row of B_r of each interior coordinate
-    B_r = np.zeros((row[-1] + 1, interior.size))
-    bounds = [0.0, 0.0]
+    row = np.cumsum(interior) - 1  # the subspace coordinate of each interior one
+    blocks, bounds = [], [0.0, 0.0]
     for c in grams.classes:
         inner = interior[c.index]
         S_i, factor = _stiffness_solver(c.g1 - c.g0, inner)
         B_c = linalg.cho_solve(factor, S_i)
-        bdy = np.flatnonzero(~inner)
+        bdy, int_c = np.flatnonzero(~inner), np.flatnonzero(inner)
         R = np.zeros((inner.size, bdy.size))
         R[bdy, np.arange(bdy.size)] = 1.0
         Y = R.copy()
         Y[inner] = -B_c[:, bdy]
         factors = (c.g1_factor, c.g2_factor)
         bounds = [max(b, _low_rank_gram_norm(Y, R, L)) for b, L in zip(bounds, factors)]
-        B_r[np.ix_(row[c.index[inner]], c.index)] = B_c
-    B = _kron_apply(U, _kron_apply(U[1:-1][:, on_axis], B_r, d).T, d).T
-    return Retraction(zero_boundary_basis(domain), B, *bounds)
+        rows = row[c.index[int_c]]
+        blocks.append(RetractionBlock(c.label, rows, c.index, B_c, int_c))
+    lifts = ((U,) * d, (U[1:-1][:, on_axis],) * d)
+    return Retraction(tuple(blocks), interior_indices(domain), *bounds, lifts)
 
 
 # ---- divergence-free retraction
@@ -306,11 +388,13 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
 
 def stokes_apply(p: StokesPencil, X: np.ndarray, *, transpose: bool = False):
     """T X for T = C K^-1 C^T A, or T^T X = A C K^-1 C^T X, on the columns
-    of X; K^-1 goes through the pencil's one class-blocked factor."""
-    C, A, solve = p.curl, p.vector_laplacian, p.stiffness_lu.solve
+    of X; K^-1 goes through the pencil's one class-blocked factor, and
+    C^T is the pencil's stored `curl_transpose`."""
+    C, Ct, A = p.curl, p.curl_transpose, p.vector_laplacian
+    solve = p.stiffness_lu.solve
     if transpose:
-        return A @ (C @ solve(C.T @ X))
-    return C @ solve(C.T @ (A @ X))
+        return A @ (C @ solve(Ct @ X))
+    return C @ solve(Ct @ (A @ X))
 
 
 def stokes_bound(p: StokesPencil) -> float:
@@ -364,16 +448,16 @@ def stokes_retraction(p: StokesPencil, Z: np.ndarray) -> Retraction:
     d_bound = |A T A^-1|_2 for the D-norm |f|_D = |A f|. A and K are
     symmetric, so A T A^-1 = A C K^-1 C^T = T^T and d_bound = h_bound
     comes from the one norm, `stokes_bound` of the pencil, which does not
-    depend on the basis Z. The retraction keeps (Z, B) for an orthonormal
-    basis Z of ker D, the pencil's `null_basis`, and
-    B = Z^T T = (T^T Z)^T, applied through
+    depend on the basis Z. The retraction keeps (Z, B) as one block
+    (`dense_retraction`) for an orthonormal basis Z of ker D, the
+    pencil's `null_basis`, and B = Z^T T = (T^T Z)^T, applied through
     the pencil's one factor of K (`stokes_apply`); T = Z B since Z Z^T is
     the orthogonal projector onto ker D = span C. The m x m product Z B
     is never formed.
     """
     B = stokes_apply(p, Z, transpose=True).T
     bound = stokes_bound(p)
-    return Retraction(Z, B, bound, bound)
+    return dense_retraction(Z, B, bound, bound)
 
 
 # ---- probe vectors
@@ -408,46 +492,61 @@ def probe_coordinates(lam, V, transform, seed=42) -> np.ndarray:
     there. Fewer than N_MODE_PROBES clusters raise InvalidConfig.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    r = lam.size
+    return V @ _probe_coefficients(lam, transform @ _probe_draws(lam.size, seed))
+
+
+def _probe_draws(r: int, seed) -> np.ndarray:
+    """The seeded uniform draws w on [-1, 1]^r of the probes, one column
+    per probe."""
+    size = (N_RANDOM_PROBES + N_MODE_PROBES, r)
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=size).T
+
+
+def _probe_coefficients(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The eigen-coefficients of the probes (`probe_coordinates`) from
+    those of their draws, coeffs = transform w, which it scales in place;
+    InvalidConfig for fewer than N_MODE_PROBES eigenvalue clusters."""
     cluster = np.cumsum(np.r_[False, np.diff(lam) > CLUSTER_RTOL * lam[1:]])
     if cluster[-1] + 1 < N_MODE_PROBES:
         raise InvalidConfig(
             f"{N_MODE_PROBES} mode probes exceed the {cluster[-1] + 1} eigenvalue clusters"
         )
-    draws = np.random.default_rng(seed).uniform(
-        -1.0, 1.0, size=(N_RANDOM_PROBES + N_MODE_PROBES, r)
-    )
-    coeffs = transform @ draws.T
     coeffs[:, :N_RANDOM_PROBES] *= ((lam / lam[0]) ** -1.5)[:, None]
     coeffs[:, N_RANDOM_PROBES:] *= cluster[:, None] == np.arange(N_MODE_PROBES)
-    return V @ coeffs
+    return coeffs
 
 
 # ---- the intersection-lemma verification
 
 
-def _class_blocks(W: np.ndarray, row_classes, col_classes) -> list:
-    """The (rows, cols) index of each class block of W, for the classes
-    of its rows and columns; one block of all when either is None.
+def transported_blocks(ambient: SpectralPair, reduced: SpectralPair, T: Retraction):
+    """The class blocks of the transported term W~ = transform_red B V_amb
+    (r x m): (rows, cols, W~_c) per block of T, rows the positions of the
+    reduced eigenpairs and cols those of the ambient ones.
 
-    A finite entry of W outside the blocks above 1e-12 times its
-    largest finite entry raises SolverFailure. A NaN is left for the
-    cells, which it fails.
+    T commutes with the reflections, so W~ couples no two classes, and
+    W~_c = transform_red,c B_c V_amb,c is formed from the class blocks of
+    the three, in the lifted coordinates that T and the two pairs share
+    (InvalidConfig otherwise); no entry between two classes is formed.
+    A block of T without a label (one block of all coordinates, as the
+    Stokes retraction) meets the one block of an ambient pair without
+    classes and every class of the reduced pair
+    (`SpectralForm.lifted_coefficients`).
     """
-    if row_classes is None or col_classes is None:
-        return [(slice(None), slice(None))]
-    finite = np.isfinite(W)
-    top = max(np.max(W, where=finite, initial=0.0), -np.min(W, where=finite, initial=0))
-    off = np.abs(W[row_classes[:, None] != col_classes])
-    off = np.max(off, where=np.isfinite(off), initial=0.0)
-    if off > 1e-12 * top:
-        raise SolverFailure(
-            f"transported term couples symmetry classes: entry {off:.3e}"
-        )
-    return [
-        (np.flatnonzero(row_classes == c), np.flatnonzero(col_classes == c))
-        for c in np.union1d(row_classes, col_classes)
-    ]
+    for lift, pair in zip(T.lifts, (ambient, reduced)):
+        same = len(lift) == len(pair.lift) and all(map(np.array_equal, lift, pair.lift))
+        if not same:
+            raise InvalidConfig("the retraction and the pairs differ in their lifts")
+    out = []
+    for b in T.blocks:
+        amb = ambient.block(b.label)
+        TV = b.inner @ amb.V
+        if b.label is None:
+            out.append((slice(None), amb.positions, reduced.lifted_coefficients(TV)))
+        else:
+            red = reduced.block(b.label)
+            out.append((red.positions, amb.positions, red.transform @ TV))
+    return out
 
 
 def verify_intersection_lemma(
@@ -466,11 +565,13 @@ def verify_intersection_lemma(
 
     ambient is the ambient pair (M1, M2) and reduced the pair
     (Z^T M1 Z, Z^T M2 Z) on the coordinates of the subspace span(Z), Z =
-    T.subspace_basis, each with its pencil in spectral form. T satisfies
-    T z = z on span(Z) by construction, so it is not checked again. The
-    probes are Z times the `probe_coordinates` of the reduced pencil (20
+    T.subspace_basis, each with its pencil in spectral form, per class in
+    the lifted coordinates of T. T satisfies T z = z on span(Z) by
+    construction, so it is not checked again. The probes are Z times the
+    probe coordinates of the reduced pencil (`probe_coordinates`: 20
     decaying, then projections onto its 5 lowest eigenvalue clusters),
-    and the quadrature rule is
+    formed by the forms' class-by-class apply (`SpectralForm.modes` and
+    `coefficients`, `Retraction.embed`), and the quadrature rule is
     `QuadratureRule.from_config(quadrature, ambient.lam)`.
     For each probe u and each t on the log-spaced grid spanning that
     window: form the ambient optimal decomposition u = f + g, transport
@@ -486,36 +587,34 @@ def verify_intersection_lemma(
     Both minimizers are read off the spectral forms: for u = V a, with
     x = t^2 lam^2 and s = 1 / (1 + x), g = V (s a), f = V (x s a) and
     K^2 = sum a^2 x s. The transported term is taken in the reduced
-    eigen-coefficients of T V_amb = Z B V_amb, W~ = transform_red B V_amb
-    (r x m, formed once): |Tf|_M1^2 = |W~ f^|^2 and
-    |Tg|_M2^2 = |lam_red W~ g^|^2 for f^ = x s a and g^ = s a, each
-    formed directly, never as a difference. The products run per class
-    block of W~ (`_class_blocks`: one block when either pencil has no
-    classes, and a finite entry of W~ between two classes above 1e-12
-    relative raises SolverFailure), each for T_BLOCK values of t at
-    once. At the middle t, `k2_by_cholesky` of each pair's forms recomputes
-    K^2 and K0^2 for all probes at once, which also checks any closed
-    form; a relative deviation above 1e-9, or a failed factorization,
-    raises SolverFailure.
+    eigen-coefficients of T V_amb = Z B V_amb, W~ = transform_red B V_amb:
+    |Tf|_M1^2 = |W~ f^|^2 and |Tg|_M2^2 = |lam_red W~ g^|^2 for
+    f^ = x s a and g^ = s a, each formed directly, never as a
+    difference. W~ is formed per class block (`transported_blocks`: one
+    block for the one-block Stokes retraction), and the products run
+    per block, each for T_BLOCK values of t at once. At the middle t,
+    `k2_by_cholesky` of each pair's nodal forms recomputes K^2 and K0^2
+    for all probes at once, which also checks any closed form; a
+    relative deviation above 1e-9, or a failed factorization, raises
+    SolverFailure.
 
     Returns (cells, parameters). cells is two CellTables: the pointwise
     ratios, one row per t and one column per probe, then the interp
     ratios, one row per theta. parameters holds the run's window, probe
     count and bounds, for the caller's report.
     """
-    Z = T.subspace_basis
     C = float(np.maximum(T.h_bound, T.d_bound))  # a NaN bound stays NaN
     c_prime = math.sqrt(2.0) * C
     lam_amb, lam_red = ambient.lam, reduced.lam
-    Cr = probe_coordinates(lam_red, reduced.V, reduced.transform, seed)
-    U = Z @ Cr
+    draws = reduced.coefficients(_probe_draws(lam_red.size, seed))
+    Cr = reduced.modes(_probe_coefficients(lam_red, draws))
+    U = T.embed(Cr)
     n_probes = U.shape[1]
     rule = QuadratureRule.from_config(quadrature, lam_amb)
 
     # pointwise chain for every t and probe from the eigenpairs
-    a = ambient.transform @ U
-    a_r = reduced.transform @ Cr
-    W = reduced.transform @ (T.inner @ ambient.V)
+    a = ambient.coefficients(U)
+    a_r = reduced.coefficients(Cr)
     taus = np.linspace(rule.log_t_min, rule.log_t_max, t_points)
     ts = [math.exp(tau) for tau in taus]
     t2s = np.array(ts) ** 2
@@ -523,8 +622,8 @@ def verify_intersection_lemma(
     k2 = k2_batch(lam_amb, a * a, np.array(ts))
     k02 = k2_batch(lam_red, a_r * a_r, np.array(ts))
     mid = np.zeros_like(k2)
-    for rows, cols in _class_blocks(W, reduced.classes, ambient.classes):
-        Wc, ac, lr = W[rows][:, cols], a[cols, None], lam_red[rows, None, None]
+    for rows, cols, Wc in transported_blocks(ambient, reduced, T):
+        ac, lr = a[cols, None], lam_red[rows, None, None]
         for i in range(0, t_points, T_BLOCK):
             ti = slice(i, i + T_BLOCK)
             xs = x[ti, cols].T[:, :, None]

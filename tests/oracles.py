@@ -5,9 +5,11 @@ K by direct minimization with no closed form (`k_brute`), the sum-form
 functional (`k_sum_brute`), the closed form of K for one vector
 (`k_spectral`), the coefficient-space pair of a spectrum
 (`pair_from_model`), the harmonic lift by a dense solve of its own
-(`harmonic_lift`) and the harmonic retraction on the nodes, with no
-parity classes (`nodal_harmonic_retraction`). The tests compare the
-package's one route of each quantity with these.
+(`harmonic_lift`), the harmonic retraction on the nodes, with no
+parity classes (`nodal_harmonic_retraction`), and the Gram deviation of a
+whole basis (`basis_gram_deviation`), where the package checks the 1D
+factors. The tests compare the package's one route of each quantity with
+these.
 """
 import math
 
@@ -189,3 +191,11 @@ def nodal_harmonic_retraction(domain: GridDomain, grams: SobolevGrams):
         for g in (grams.g1, grams.g2)
     ]
     return B, *bounds
+
+
+def basis_gram_deviation(V: np.ndarray) -> float:
+    """max |V^T V - I| over the whole basis V, the m x m check that
+    `stokes_ambient_model` replaced by one on its two DST-I factors."""
+    gram = V.T @ V
+    gram.flat[:: V.shape[1] + 1] -= 1.0
+    return float(np.max(np.abs(gram)))

@@ -184,9 +184,8 @@ def test_reiteration_weighted_pair_matches_pair_route(sine_model):
     lam = sine_model.eigenvalues
     lam2 = lam * lam
     lam_eff, scale = pencil = (np.sqrt(lam2 / lam), np.sqrt(lam))
-    lam_dense, _, transform, _ = congruence(
-        build_quadratic_pair(np.diag(lam), np.diag(lam2))
-    )
+    form = congruence(build_quadratic_pair(np.diag(lam), np.diag(lam2)))
+    lam_dense, transform = form.lam, form.transform
     np.testing.assert_allclose(lam_eff, lam_dense, rtol=1e-14, atol=0)
     rule = QuadratureRule.for_spectrum(np.sqrt(lam))
     probes = decaying_probes(sine_model.dim, 3, 7)

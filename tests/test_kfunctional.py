@@ -87,7 +87,8 @@ def test_k_quadratic_matches_spectral(small_model):
 
 
 def test_k_quadratic_dense_pair_matches_congruent_diagonal(spd_pair):
-    lam, V, transform, _ = congruence(spd_pair)
+    form = congruence(spd_pair)
+    lam, transform = form.lam, form.transform
     model = build_spectral_model(lam)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(lam.shape[0])
@@ -294,7 +295,8 @@ def test_interp_norm_theta_range(small_model):
 
 
 def test_interp_norm_dense_pair_matches_model(spd_pair):
-    lam, V, transform, _ = congruence(spd_pair)
+    form = congruence(spd_pair)
+    lam, transform = form.lam, form.transform
     model = build_spectral_model(lam)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(lam.shape[0])
@@ -310,7 +312,8 @@ def test_i_theta_half_is_exact():
 
 
 def test_congruence_normalizes_first_form(spd_pair):
-    lam, V, transform, _ = congruence(spd_pair)
+    form = congruence(spd_pair)
+    lam, V, transform = form.lam, form.V, form.transform
     np.testing.assert_allclose(V.T @ spd_pair.m1 @ V, np.eye(7), atol=1e-10)
     np.testing.assert_allclose(
         V.T @ spd_pair.m2 @ V, np.diag(lam**2), rtol=1e-9, atol=1e-12

@@ -34,6 +34,7 @@ from fracspace.experiments import (
     _stokes_setup,
     stokes_equivalence_study,
 )
+from oracles import basis_gram_deviation
 
 
 def test_grid_domain_validation():
@@ -130,12 +131,12 @@ def test_stokes_ambient_closed_form_matches_dense_eigensolve(n):
 
 
 def _assert_spectral_form_of(form, M1, M2):
-    """A closed-form (lam, V, transform) of the pencil (M1, M2) against the
-    dense `congruence` of the same pair: lam to 1e-12 relative, and
-    V^T M1 V = I, V^T M2 V = diag lam^2 (scaled by lam^-1 on both sides)
-    and transform = V^T M1, each to 1e-12."""
-    lam, V, transform, _ = form
-    oracle = congruence(QuadraticPair(M1, M2))[0]
+    """A closed-form spectral form of the pencil (M1, M2), formed densely
+    on the nodes, against the dense `congruence` of the same pair: lam to
+    1e-12 relative, and V^T M1 V = I, V^T M2 V = diag lam^2 (scaled by
+    lam^-1 on both sides) and transform = V^T M1, each to 1e-12."""
+    lam, V, transform = form.lam, form.V, form.transform
+    oracle = congruence(QuadraticPair(M1, M2)).lam
     np.testing.assert_allclose(lam, oracle, rtol=1e-12, atol=0.0)
     eye = np.eye(lam.size)
     assert np.max(np.abs(V.T @ M1 @ V - eye)) <= 1e-12
@@ -163,8 +164,7 @@ def test_zero_boundary_pencil_takes_a_square():
 def test_stokes_ambient_pair_matches_congruence(n):
     # the pair (I, A^2) of the intersection runs, in A's closed-form modes
     ambient, _, _ = _stokes_setup(grid_domain(2, n))
-    form = ambient.lam, ambient.V, ambient.transform, ambient.classes
-    _assert_spectral_form_of(form, ambient.m1, ambient.m2)
+    _assert_spectral_form_of(ambient, ambient.m1, ambient.m2)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 16, 32])
@@ -454,6 +454,63 @@ def test_stokes_ambient_model_takes_a_staggered_grid():
     for dom in (grid_domain(1, 4), grid_domain(2, 2)):
         with pytest.raises(InvalidConfig):
             stokes_ambient_model(dom)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_ambient_factor_check_agrees_with_the_whole_basis_check(monkeypatch, n):
+    # the Gram check of the two DST-I factors against the m x m oracle: both
+    # pass on the closed form, and both fail once the factors are scaled by
+    # 1 + 1e-7 (a Gram deviation of 2e-7)
+    dom = grid_domain(2, n)
+    _, V = stokes_ambient_model(dom)
+    assert basis_gram_deviation(V) <= operators.ORTHO_TOL
+    assert V.flags.f_contiguous and not V.flags.writeable
+    modes = operators._dirichlet_modes
+
+    def scaled_modes(size, h):
+        S, mu = modes(size, h)
+        return S * (1.0 + 1e-7), mu
+
+    monkeypatch.setattr(operators, "_dirichlet_modes", scaled_modes)
+    with pytest.raises(SolverFailure, match="basis Gram deviation"):
+        stokes_ambient_model(dom)
+    monkeypatch.setattr(operators, "_check_orthonormal", lambda *bases: None)
+    _, broken = stokes_ambient_model(dom)
+    assert basis_gram_deviation(broken) > operators.ORTHO_TOL
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", range(3, 33))
+def test_sobolev_forms_match_the_kronecker_products(dimension, n):
+    # the forms from the strided-diagonal Kronecker sums, byte for byte
+    # against np.kron with identity matrices, on the nodes and per class
+    d = grid_domain(dimension, n)
+    w, P, Q = operators._sobolev_pieces(d)
+
+    def kron_sum(M):
+        if dimension == 1:
+            return M
+        eye = np.eye(M.shape[0])
+        return np.kron(M, eye) + np.kron(eye, M)
+
+    g0 = np.diag(w) if dimension == 1 else np.kron(np.diag(w), np.diag(w))
+    g1 = kron_sum(P) / d.h ** (2 - dimension) + g0
+    g2 = d.cell_volume * kron_sum(Q) + g1
+    grams = sobolev_grams(d)
+    for got, want in zip((grams.g0, grams.g1, grams.g2), (g0, g1, g2)):
+        assert got.tobytes() == want.tobytes()
+    # the sum itself equals the products', up to the sign of a zero
+    np.testing.assert_array_equal(operators._kron_sum(*[P] * dimension), kron_sum(P))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 15, 16, 31, 32])
+def test_stored_curl_transpose_multiplies_like_the_transpose(n):
+    # every solve of the Stokes bound multiplies by C^T; the stored CSR
+    # transpose gives the products of C.T bit for bit
+    p = stokes_pencil(grid_domain(2, n))
+    X = np.random.default_rng(n).standard_normal((p.curl.shape[0], 3))
+    for x in (X[:, 0], X):
+        assert (p.curl_transpose @ x).tobytes() == (p.curl.T @ x).tobytes()
 
 
 def test_stokes_models(stokes_small):

@@ -1,24 +1,31 @@
 """The square's reflection-parity blocks: every dense 2D pencil solved per
 class (`class_eigh`) against one dense `eigh` of the whole pencil, the
-class labels against the reflections themselves, and the checks that
-refuse a form or a transported term that couples two classes."""
+class labels against the reflections themselves, the checks that refuse
+a form that couples two classes, and the class blocks of the transported
+term and of the harmonic lift against their dense nodal forms."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy import linalg
 
 from fracspace import (
+    RetractionIdentityViolated,
     SolverFailure,
     grid_domain,
+    harmonic_retraction,
     sobolev_grams,
     sobolev_pencil,
     stokes_pencil,
     stokes_spectral_model,
-    verify_intersection_lemma,
     zero_boundary_pencil,
 )
-from fracspace import operators
+from fracspace import operators, retractions
 from fracspace.experiments import _harmonic_setup, _stokes_setup
 from fracspace.kfunctional import class_eigh
+from fracspace.retractions import transported_blocks
+from oracles import nodal_harmonic_retraction
 
 SIZES = range(3, 17)  # odd n: an even number of nodes; even n: a centre node
 
@@ -53,7 +60,8 @@ def _assert_reflection_parities(V, classes, side):
 def test_sobolev_pencil_matches_the_dense_eigensolve(n):
     d = grid_domain(2, n)
     grams = sobolev_grams(d)
-    lam, V, transform, classes = sobolev_pencil(grams)
+    form = sobolev_pencil(grams)
+    lam, V, transform, classes = form.lam, form.V, form.transform, form.classes
     # g2 - g1 vanishes on the four bilinear functions: lam = 1, four times
     _assert_matches_dense(lam, V, grams.g1, grams.g2, exact=4)
     scale = np.max(np.abs(transform))
@@ -65,8 +73,8 @@ def test_sobolev_pencil_matches_the_dense_eigensolve(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_zero_boundary_classes_are_the_reflection_parities(n):
-    lam, V, _, classes = zero_boundary_pencil(grid_domain(2, n))
-    _assert_reflection_parities(V, classes, n)
+    form = zero_boundary_pencil(grid_domain(2, n))
+    _assert_reflection_parities(form.V, form.classes, n)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -90,12 +98,16 @@ def test_reduced_stokes_pencil_matches_the_dense_eigensolve(n):
 
 
 def test_one_class_is_the_whole_pencil():
-    # classes None: one eigh of the whole pencil, bit for bit
+    # classes None: one eigh of the whole pencil, bit for bit, as one
+    # block without a label
     g = sobolev_grams(grid_domain(2, 4))
-    w, V, VtB, classes = class_eigh(g.g2, g.g1)
+    w, (block,) = class_eigh(g.g2, g.g1)
     w0, V0 = linalg.eigh(g.g2, g.g1)
-    assert np.array_equal(w, w0) and np.array_equal(V, V0) and classes is None
-    assert np.array_equal(VtB, V0.T @ g.g1)
+    assert np.array_equal(w, w0) and np.array_equal(block.V, V0)
+    assert block.label is None
+    assert np.array_equal(block.transform, V0.T @ g.g1)
+    assert np.array_equal(block.index, np.arange(w.size))
+    assert np.array_equal(block.positions, np.arange(w.size))
 
 
 def test_an_asymmetric_sobolev_piece_is_refused(monkeypatch):
@@ -127,17 +139,80 @@ def test_an_off_class_entry_of_the_constrained_operator_is_refused(monkeypatch):
         stokes_spectral_model(stokes_pencil(grid_domain(2, 5)))
 
 
-@pytest.mark.parametrize("n", [5, 6])
-def test_an_asymmetric_retraction_fails_the_transported_term_check(n):
-    # one row of the harmonic B scaled by 1 + 1e-6: T no longer commutes
-    # with the reflections, and W~ gains entries between two classes
-    # (set past the identity check of construction, as the scaled row
-    # breaks T z = z too)
-    ambient, reduced, T = _harmonic_setup(grid_domain(2, n))
-    tables, _ = verify_intersection_lemma(ambient, reduced, T, (0.5,), t_points=17)
-    assert all(c["pass"] for table in tables for c in table)
-    B = T.inner.copy()
-    B[0] *= 1.0 + 1e-6
-    object.__setattr__(T, "inner", B)
-    with pytest.raises(SolverFailure, match="transported term couples"):
-        verify_intersection_lemma(ambient, reduced, T, (0.5,), t_points=17)
+@pytest.mark.parametrize("n", SIZES)
+def test_class_transported_term_matches_the_dense_oracle(n):
+    # W~ = transform_red B V_amb formed whole on the nodes, with B from the
+    # nodal Cholesky route of the oracle and the eigenvectors of both
+    # pencils lifted whole (each checked against a dense eigh of its
+    # pencil): every class block of the engine matches it, and it has no
+    # entry between two classes. A dense eigh of the ambient pencil would
+    # mix the degenerate eigenpairs of the classes (1, 2), so the oracle
+    # keeps the class eigenvectors
+    d = grid_domain(2, n)
+    grams = sobolev_grams(d)
+    ambient, reduced, T = _harmonic_setup(d)
+    _assert_matches_dense(ambient.lam, ambient.V, grams.g1, grams.g2, exact=4)
+    _assert_matches_dense(reduced.lam, reduced.V, reduced.m1, reduced.m2)
+    B, _, _ = nodal_harmonic_retraction(d, grams)
+    dense = reduced.transform @ B @ ambient.V
+    scale = np.max(np.abs(dense))
+    covered = np.zeros(dense.shape, dtype=bool)
+    for rows, cols, W in transported_blocks(ambient, reduced, T):
+        ix = np.ix_(rows, cols)
+        assert np.max(np.abs(W - dense[ix])) <= 1e-12 * scale
+        covered[ix] = True
+    assert np.array_equal(covered, reduced.classes[:, None] == ambient.classes)
+    assert np.max(np.abs(dense[~covered])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_zero_boundary_class_blocks_match_the_dense_dst(n):
+    # the closed form with np.kron(S, S) whole, columns sorted by mu,
+    # against the class blocks lifted by the interior parity rotation
+    d = grid_domain(2, n)
+    form = zero_boundary_pencil(d)
+    S, p = operators._dirichlet_modes(n, 1.0)
+    d1 = d.cell_volume + np.add.outer(p, p).ravel()
+    mu = (d1 + np.add.outer(p * p, p * p).ravel() / d.cell_volume) / d1
+    order = np.argsort(mu, kind="stable")
+    SS, s = np.kron(S, S)[:, order], np.sqrt(d1[order])
+    np.testing.assert_array_equal(form.lam, np.sqrt(mu[order]))
+    for got, want in ((form.V, SS / s), (form.transform, s[:, None] * SS.T)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    U = operators._parity_rotation(n)[0]
+    assert len(form.lift) == 2 and all(np.array_equal(L, U) for L in form.lift)
+    for b in form.blocks:  # each block is its class's rotated rows and modes
+        rotated = np.kron(U, U).T @ SS
+        want = rotated[np.ix_(b.index, b.positions)] / s[b.positions]
+        assert np.max(np.abs(b.V - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_perturbed_class_block_fails_the_gather_identity_check(monkeypatch):
+    # B_c[:, int_c] = I is checked per class by a gather: one entry of a
+    # class's identity columns scaled by 1 + 1e-9 fails, one on a boundary
+    # column does not; the gathered residual is the nodal |B Z - I|_F
+    d = grid_domain(2, 6)
+    T = harmonic_retraction(d, sobolev_grams(d))
+    for c, block in enumerate(T.blocks):
+        blocks = list(T.blocks)
+        boundary = np.setdiff1d(np.arange(block.cols.size), block.basis)[0]
+        for col, fails in ((block.basis[0], True), (boundary, False)):
+            B = block.inner.copy()
+            B[0, col] = (1.0 + 1e-9) * B[0, col] + 1e-9
+            blocks[c] = dataclasses.replace(block, inner=B)
+            if fails:
+                with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
+                    dataclasses.replace(T, blocks=tuple(blocks))
+            else:
+                dataclasses.replace(T, blocks=tuple(blocks))
+    monkeypatch.setattr(retractions, "IDENTITY_TOL", math.inf)
+    B = T.blocks[1].inner.copy()
+    B[2, T.blocks[1].basis[2]] += 1e-9
+    blocks = list(T.blocks)
+    blocks[1] = dataclasses.replace(blocks[1], inner=B)
+    broken = dataclasses.replace(T, blocks=tuple(blocks))
+    residuals = [np.linalg.norm(b.identity_residual()) for b in broken.blocks]
+    gathered = math.sqrt(sum(r**2 for r in residuals))
+    nodal = np.linalg.norm(broken.inner @ broken.subspace_basis - np.eye(36))
+    assert gathered == pytest.approx(1e-9, rel=1e-5)
+    assert gathered == pytest.approx(nodal, rel=1e-5)

@@ -18,6 +18,7 @@ from fracspace import (
     SolverFailure,
     build_quadratic_pair,
     congruence,
+    dense_retraction,
     grid_domain,
     harmonic_retraction,
     lanczos_eigenvalue,
@@ -45,7 +46,6 @@ from fracspace.retractions import (
     IDENTITY_TOL,
     N_MODE_PROBES,
     N_RANDOM_PROBES,
-    Retraction,
     check_stokes_identity,
     probe_coordinates,
     _low_rank_gram_norm,
@@ -229,16 +229,16 @@ def test_build_retraction_rejects_broken_identity():
     # the public dataclass checks the identity itself, so no broken
     # retraction can reach the lemma check
     with pytest.raises(RetractionIdentityViolated):
-        Retraction(
-            subspace_basis=np.eye(3)[:, :1], inner=np.zeros((1, 3)), h_bound=1.0, d_bound=1.0
-        )
+        dense_retraction(np.eye(3)[:, :1], np.zeros((1, 3)), 1.0, 1.0)
 
 
 def test_retraction_inner_is_stored_read_only_without_a_copy():
     B = np.eye(3)[:2]
-    ret = Retraction(subspace_basis=np.eye(3)[:, :2], inner=B, h_bound=1.0, d_bound=1.0)
-    assert ret.inner is B
-    assert not ret.inner.flags.writeable
+    ret = dense_retraction(np.eye(3)[:, :2], B, 1.0, 1.0)
+    (block,) = ret.blocks
+    assert block.inner is B
+    assert not block.inner.flags.writeable
+    assert np.array_equal(ret.inner, B)
 
 
 @pytest.mark.parametrize(
@@ -262,7 +262,7 @@ def test_identity_check_bounds_the_residual_by_frobenius():
     Z = np.eye(4)
     B = (1.0 + 0.8e-10) * np.eye(4)
     with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
-        Retraction(subspace_basis=Z, inner=B, h_bound=1.0, d_bound=1.0)
+        dense_retraction(Z, B, 1.0, 1.0)
 
 
 def test_harmonic_lift_fixes_zero_boundary_vectors():
@@ -683,9 +683,8 @@ def test_harmonic_probes_do_not_depend_on_the_eigenbasis(seed):
     d = grid_domain(2, 6)
     grams = sobolev_grams(d)
     Z = zero_boundary_basis(d)
-    lam, V, transform, _ = congruence(
-        QuadraticPair(Z.T @ grams.g1 @ Z, Z.T @ grams.g2 @ Z)
-    )
+    form = congruence(QuadraticPair(Z.T @ grams.g1 @ Z, Z.T @ grams.g2 @ Z))
+    lam, V, transform = form.lam, form.V, form.transform
     VQ, Q, sizes = _rotate_in_clusters(lam, V, seed)
     assert max(sizes[:N_MODE_PROBES]) >= 2 and max(sizes) >= 2
     _assert_same_probes(
@@ -758,7 +757,8 @@ def test_nan_retraction_fails_every_pointwise_cell():
     # a NaN map B leaves K and K0 finite, so Python's max(K/K0, NaN, NaN)
     # would keep the finite first ratio; every pointwise cell must fail
     pair, reduced, ret = _harmonic_setup(grid_domain(2, 5))
-    object.__setattr__(ret, "inner", np.full_like(ret.inner, np.nan))
+    for block in ret.blocks:  # past the identity check of construction
+        object.__setattr__(block, "inner", np.full_like(block.inner, np.nan))
     tables, _ = verify_intersection_lemma(pair, reduced, ret, (0.5,), t_points=17)
     pointwise = [c for table in tables for c in table if c["check"] == "pointwise"]
     assert len(pointwise) == 25 * 17
@@ -823,8 +823,8 @@ def test_pointwise_cross_check_catches_wrong_eigenvalues(monkeypatch):
     real_pencil = experiments.sobolev_pencil
 
     def perturbed(grams):
-        lam, V, transform, classes = real_pencil(grams)
-        return lam * (1.0 + 1e-6), V, transform, classes
+        form = real_pencil(grams)
+        return dataclasses.replace(form, lam=form.lam * (1.0 + 1e-6))
 
     monkeypatch.setattr(experiments, "sobolev_pencil", perturbed)
     setup = _harmonic_setup(grid_domain(2, 6))
@@ -839,10 +839,10 @@ def test_pointwise_cross_check_catches_a_wrong_closed_form(monkeypatch):
     real_pencil = experiments.zero_boundary_pencil
 
     def perturbed(domain):
-        lam, V, transform, classes = real_pencil(domain)
-        lam = lam.copy()
+        form = real_pencil(domain)
+        lam = form.lam.copy()
         lam[0] *= math.sqrt(1.0 + 1e-6)
-        return lam, V, transform, classes
+        return dataclasses.replace(form, lam=lam)
 
     monkeypatch.setattr(experiments, "zero_boundary_pencil", perturbed)
     setup = _harmonic_setup(grid_domain(2, 6))

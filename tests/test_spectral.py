@@ -50,8 +50,8 @@ def _stokes_models_with_eigenvectors_times(monkeypatch, factor):
     class_eigh, modes = kfunctional.class_eigh, operators._dirichlet_modes
 
     def scaled_eigh(*args, **kwargs):
-        lam, V, VtB, classes = class_eigh(*args, **kwargs)
-        return lam, factor * V, VtB, classes
+        lam, blocks = class_eigh(*args, **kwargs)
+        return lam, tuple(dataclasses.replace(b, V=factor * b.V) for b in blocks)
 
     def scaled_modes(size, h):
         S, mu = modes(size, h)

@@ -19,7 +19,6 @@ from .kfunctional import (
     QuadratureRule,
     SpectralPair,
     congruence,
-    dense_form,
     i_theta,
     interp_norms_sq,
 )
@@ -57,6 +56,7 @@ from .retractions import (
     verify_intersection_lemma,
 )
 from .spectral import (
+    SpectralModel,
     apply_fractional_power,
     decaying_probes,
     frac_norm,
@@ -558,24 +558,24 @@ def _probed_grid(dom):
 def _stokes_setup(dom):
     """The pairs and retraction of `verify_intersection_lemma` for (I, A^2)
     and ker D: the ambient pencil in A's closed-form modes (one block,
-    `dense_form`), the reduced one on the null basis Z by `congruence`,
-    per parity class of the stream modes (`StokesPencil.classes`), with
-    Z^T A^2 Z formed as (A Z)^T (A Z) from the sparse A; the retraction
-    is one block."""
+    `stokes_ambient_model`), the reduced one on the null basis Z by
+    `congruence`, per parity class of the stream modes
+    (`StokesPencil.classes`), with Z^T A^2 Z formed as (A Z)^T (A Z) from
+    the sparse A; the retraction is one block."""
     p = stokes_pencil(dom)
     Z, gram = p.null_basis_and_gram()
     T = stokes_retraction(p, Z)
-    model, V = stokes_ambient_model(dom)
+    ambient = stokes_ambient_model(dom)
     # (I, A^2) is SPD by construction, as the pencil's A is SPD, so the
     # pair skips build_quadratic_pair's copies and Cholesky checks
     A = p.vector_laplacian
-    m1, m2 = np.eye(model.dim), (A @ A).toarray()
+    m1, m2 = np.eye(ambient.lam.size), (A @ A).toarray()
     m1.setflags(write=False)
     m2.setflags(write=False)
     AZ = A @ Z
     reduced = QuadraticPair(gram, AZ.T @ AZ)  # Z^T Z from the orthonormality check
     return (
-        SpectralPair.of(m1, m2, dense_form(model.eigenvalues, V, V.T)),
+        SpectralPair.of(m1, m2, ambient),
         SpectralPair.of(reduced.m1, reduced.m2, congruence(reduced, p.classes)),
         T,
     )
@@ -740,14 +740,16 @@ def stokes_equivalence_study(config: RunConfig):
     cells, los, his = [], [], []
     for n, dom in zip(sizes, domains):
         p = stokes_pencil(dom)
-        constrained, V = stokes_spectral_model(p)
-        ambient, V_amb = stokes_ambient_model(dom)
-        coords = probe_coordinates(constrained.eigenvalues, V, V.T, config.seed)
+        con_form, amb_form = stokes_spectral_model(p), stokes_ambient_model(dom)
+        constrained, ambient = SpectralModel(con_form.lam), SpectralModel(amb_form.lam)
+        coords = probe_coordinates(con_form, config.seed)
         # (constrained, ambient) coefficients of each probe, shared by every theta
-        probe_coeffs = [
-            (V.T @ c, V_amb.T @ u)
-            for c, u in zip(coords.T, p.null_vectors(coords).T)
-        ]
+        probe_coeffs = list(
+            zip(
+                con_form.coefficients(coords).T,
+                amb_form.coefficients(p.null_vectors(coords)).T,
+            )
+        )
 
         def ratios(theta):
             """constrained / ambient norm of every probe at theta"""

@@ -7,13 +7,15 @@ staggered-grid Stokes system.
 Laplacian A, the divergence D and the discrete curl C as scipy.sparse
 arrays, and the n^2 x n^2 stream-function pencil (C^T A C, C^T C) with
 one factor of K = C^T A C, a SuperLU per reflection-parity class
-(`ParityLU`); rank D is checked by one more sparse LU, of the pressure
-matrix with one pressure pinned. Every factor is a symmetric-mode
-SuperLU that must show its matrix SPD (`_spd_lu`). The runners that
-need dense arrays read them from that pencil: the orthonormal basis
-Z = C W of ker D in closed form (the discrete curl of DST-I
-stream-function modes, with no factorization of D), the constrained
-operator Z^T A Z, and A by `.toarray()`.
+(`ParityLU`, factored on its first solve); rank D is checked by one
+more sparse LU, of the pressure matrix with one pressure pinned. Every
+factor is a symmetric-mode SuperLU that must show its matrix SPD
+(`_spd_lu`). The runners that need dense arrays read them from that
+pencil: the orthonormal basis Z = C W of ker D in closed form (the
+discrete curl of DST-I stream-function modes, with no factorization of
+D), the constrained operator Z^T A Z, and A by `.toarray()`. Both Stokes
+spectra are `kfunctional.SpectralForm`s: `stokes_spectral_model` of
+Z^T A Z in class blocks, `stokes_ambient_model` of A in one block.
 
 Every grid matrix is assembled from dense 1D pieces combined with
 np.kron, or with scipy.sparse.kron for the Stokes operators (the
@@ -30,18 +32,20 @@ products of DST-I modes, with no eigensolver. Every other operator
 here is unchanged by the square's two reflections, so it is split per
 reflection-parity class (Bossavit, Comput. Methods Appl. Mech. Engrg.
 56, 1986) after rotating each axis into even and odd node combinations
-(`_parity_rotation`): `sobolev_grams` assembles (g0, g1, g2) per class
+(`_parity_rotation`). One function, `_class_index`, gives the
+coordinates of each class, of the rotated grids and of the DST-I modes
+alike: `sobolev_grams` assembles (g0, g1, g2) per class
 from the rotated 1D pieces (`ClassForms`), the blocks that the
 harmonic retraction solves and factors and that `sobolev_pencil`
-diagonalizes; `stokes_pencil` factors K per class of the rotated
-stream-function grid; and the constrained operator Z^T A Z is
+diagonalizes; `stokes_pencil`'s `ParityLU` factors K per class of the
+rotated stream-function grid; and the constrained operator Z^T A Z is
 diagonalized per class of the DST-I stream modes, which carry their
 parities (`StokesPencil.classes`, `kfunctional.class_eigh`). The two
 harmonic pencils stay in those class blocks, in the rotated
 coordinates (`kfunctional.SpectralForm` with its lift U (x) U):
 `sobolev_pencil` keeps the class eigenpairs as they are solved, and
-`zero_boundary_pencil` builds each class block from the even or odd
-blocks of U^T S (`_class_kron`), with no n^2 x n^2 product.
+`zero_boundary_pencil` builds each class block from the entries of
+U^T S of its parities (`_class_kron`), with no n^2 x n^2 product.
 
 Grid convention: n interior points per axis, mesh width h = 1/(n+1).
 Apart from the sparse pencil the 2D matrices are dense, so 2D grids are
@@ -309,7 +313,7 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
     rotated = [U.T @ M @ U for M in (np.diag(w), P, Q)]
     for M in rotated:
         check_class_coupling(M, parity[:, None] != parity, "a Sobolev piece")
-    axes = [np.flatnonzero(parity == p) for p in (0, 1)]
+    axes = [_class_index(parity, p, 1) for p in (0, 1)]
     classes = []
     for label, parities in enumerate(itertools.product((0, 1), repeat=d)):
         cols = [axes[p] for p in parities]
@@ -321,22 +325,14 @@ def sobolev_grams(domain: GridDomain) -> SobolevGrams:
                 factors.append(linalg.cholesky(M, lower=True))
             except linalg.LinAlgError as exc:
                 raise SolverFailure(f"{name} failed the SPD check") from exc
-        # row-major over the axes, as the Kronecker products of the forms
-        index = functools.reduce(lambda i, j: np.add.outer(i * U.shape[0], j), cols)
         for M in forms:
             M.setflags(write=False)
-        classes.append(ClassForms(label, index.ravel(), *forms, *factors))
+        index = _class_index(parity, label, d)
+        classes.append(ClassForms(label, index, *forms, *factors))
     nodal = _sobolev_forms([(np.diag(w), P, Q)] * d, domain)
     for M in nodal:
         M.setflags(write=False)
     return SobolevGrams(*nodal, rotation=U, classes=tuple(classes))
-
-
-def _parity_classes(parity: np.ndarray) -> np.ndarray:
-    """The class 2 p_x + p_y of each node or mode (x, y) of a 2D grid,
-    row-major, for the parity p (0 even, 1 odd under the reflection of
-    an axis) of each index of the axis."""
-    return np.add.outer(2 * parity, parity).ravel()
 
 
 def _parity_rotation(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,23 +351,41 @@ def _parity_rotation(m: int) -> tuple[np.ndarray, np.ndarray]:
     return U, (np.arange(m) >= even).astype(np.int64)
 
 
-def _class_kron(S: np.ndarray, c: int, k: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Columns of the block of class c = 2 p_x + p_y of
-    (U (x) U)^T (S (x) S), for a DST-I matrix S of an axis and its parity
-    rotation U (`_parity_rotation`): column j is the product of DST-I
-    modes 2 k_j + p_x and 2 l_j + p_y, its rows the rotated coordinates
-    of the class (row-major).
+def _class_index(parity: np.ndarray, c: int, dimension: int = 2) -> np.ndarray:
+    """The coordinates of reflection-parity class c, ascending: of a grid
+    with parity.size points per axis (row-major in 2D), those whose
+    parities (parity of each index of an axis, 0 even and 1 odd) are the
+    binary digits of c, p_x first: c = 2 p_x + p_y in 2D, c = p in 1D.
+
+    It is the one partition into classes of the square's grids: the
+    rotated nodes and interior points of `_parity_rotation`, and the
+    DST-I modes, whose parity is that of their 0-based index.
+    """
+    index = np.zeros(1, dtype=np.int64)
+    for axis in range(dimension):
+        p = (c >> (dimension - 1 - axis)) & 1
+        index = np.add.outer(index * parity.size, np.flatnonzero(parity == p)).ravel()
+    return index
+
+
+def _class_kron(S: np.ndarray, c: int, modes: np.ndarray) -> np.ndarray:
+    """Columns modes (DST-I modes k n + l, row-major) of the block of
+    class c of (U (x) U)^T (S (x) S), for an n x n DST-I matrix S of an
+    axis and its parity rotation U (`_parity_rotation`); the rows are
+    the rotated coordinates of class c (`_class_index`).
 
     DST-I mode k (0-based) has the parity of k, so U^T S couples even
-    rows to even modes and odd to odd, and the block is the Kronecker
-    product of the blocks of U^T S of the parities of c, with no
-    n^2 x n^2 array formed.
+    rows to even modes and odd to odd, and each entry is the product of
+    one entry of U^T S per axis, with no n^2 x n^2 array formed.
     """
-    U, parity = _parity_rotation(S.shape[0])
+    n = S.shape[0]
+    U, parity = _parity_rotation(n)
     rotated = U.T @ S
-    px, py = divmod(c, 2)
-    Sx, Sy = rotated[parity == px][:, px::2], rotated[parity == py][:, py::2]
-    return (Sx[:, None, k] * Sy[None, :, l]).reshape(-1, np.size(k))
+    x, y = np.divmod(_class_index(parity, c), n)
+    k, l = np.divmod(modes, n)
+    # formed mode by mode, so the block is column-major: the layout fixes
+    # the rounding of every product with it
+    return (rotated.T[k[:, None], x] * rotated.T[l[:, None], y]).T
 
 
 def _kron_apply(U: np.ndarray, X: np.ndarray, dimension: int) -> np.ndarray:
@@ -448,16 +462,10 @@ def zero_boundary_pencil(domain: GridDomain):
     U, parity = _parity_rotation(n)
     blocks = []
     for c in range(4):
-        px, py = divmod(c, 2)
-        # the modes 2 k + px, 2 l + py of the class, in ascending order
-        nx, ny = (n + 1 - px) // 2, (n + 1 - py) // 2
-        k, l = np.divmod(np.arange(nx * ny), ny)
-        modes = (2 * k + px) * n + 2 * l + py
-        sort = np.argsort(rank[modes])
-        k, l, modes = k[sort], l[sort], modes[sort]
-        SS, s = _class_kron(S, c, k, l), np.sqrt(d1[modes])
-        rows = [np.flatnonzero(parity == q) for q in (px, py)]
-        index = np.add.outer(rows[0] * n, rows[1]).ravel()
+        modes = _class_index(np.arange(n) % 2, c)
+        modes = modes[np.argsort(rank[modes])]  # in ascending order of mu
+        SS, s = _class_kron(S, c, modes), np.sqrt(d1[modes])
+        index = _class_index(parity, c)
         blocks.append(SpectralBlock(c, index, rank[modes], SS / s, s[:, None] * SS.T))
     return SpectralForm(np.sqrt(mu[order]), tuple(blocks), (U, U))
 
@@ -482,8 +490,9 @@ class StokesPencil:
     (K, C^T C) of the stiffness K = C^T A C (CSC) and the corner
     Laplacian C^T C (curl_gram); stiffness_lu is the one factor of K, a
     `ParityLU`: one SuperLU per reflection-parity class of the rotated
-    stream-function grid, each checked SPD by `_spd_lu`, through which
-    every solve with K goes. Since span C = ker D, the divergence-free retraction is
+    stream-function grid, each checked SPD by `_spd_lu` at the first
+    solve, through which every solve with K goes. Since span C = ker D,
+    the divergence-free retraction is
     T = C K^-1 C^T A and the spectrum of the constrained operator
     Z^T A Z is that of (K, C^T C). The orthonormal basis of ker D is
     Z = C W with W = (S (x) S) diag(scale) for the DST-I matrix S
@@ -507,9 +516,13 @@ class StokesPencil:
     @property
     def classes(self) -> np.ndarray:
         """The reflection-parity class 2 (k mod 2) + (l mod 2) of each
-        DST-I stream mode j, k, l = divmod(j, n); Z^T A Z and Z^T A^2 Z
-        couple no two classes."""
-        return _parity_classes(np.arange(self.grid.n) % 2)
+        DST-I stream mode j, k, l = divmod(j, n) (`_class_index`);
+        Z^T A Z and Z^T A^2 Z couple no two classes."""
+        n = self.grid.n
+        classes = np.empty(n * n, dtype=np.int64)
+        for c in range(4):
+            classes[_class_index(np.arange(n) % 2, c)] = c
+        return classes
 
     def stream_modes(self, c: np.ndarray) -> np.ndarray:
         """W c for coordinates c (n^2 x k): each column scaled, reshaped
@@ -519,17 +532,14 @@ class StokesPencil:
         return (S @ X @ S.T).reshape(-1, n * n).T
 
     def class_modes(self, c: int, cols: np.ndarray) -> np.ndarray:
-        """Columns cols of W_c, the block of class c of R^T W in the rotated
-        coordinates of `stream_rotation` (rows) and the stream modes of
-        class c in ascending order (columns): the Kronecker product of the
-        blocks of U^T S of the parities of c (`_class_kron`), times
+        """Columns cols of W_c, the block of class c of (U (x) U)^T W in the
+        rotated coordinates of the pencil's `ParityLU` (rows) and the
+        stream modes of class c in ascending order (columns, both by
+        `_class_index`): the rotated DST-I product (`_class_kron`) times
         `scale`, with no n^2 x n^2 array formed.
         """
-        n = self.grid.n
-        px, py = divmod(c, 2)
-        k, l = np.divmod(np.asarray(cols), (n + 1 - py) // 2)
-        W = _class_kron(self.dst, c, k, l)
-        return W * self.scale[(2 * k + px) * n + 2 * l + py]
+        modes = _class_index(np.arange(self.grid.n) % 2, c)[cols]
+        return _class_kron(self.dst, c, modes) * self.scale[modes]
 
     def null_vectors(self, c: np.ndarray) -> np.ndarray:
         """Z c = C W c: the divergence-free fields with null-basis
@@ -602,83 +612,69 @@ def _spd_lu(M, failure: str):
 
 @dataclass(frozen=True)
 class ParityLU:
-    """A sparse SPD operator M on the n x n stream-function grid, factored
-    per reflection-parity class: `solve` applies M^-1 to a vector or to
-    the columns of an array, as SuperLU.solve does.
+    """The sparse SPD stiffness K on the n x n stream-function grid,
+    factored per reflection-parity class on first use: `solve` applies
+    K^-1 to a vector or to the columns of an array, as SuperLU.solve does.
 
-    R = U (x) U (`stream_rotation`) rotates each axis into even and odd
-    combinations, its columns taken in `order`, class by class, so that
-    R^T M R of an M that commutes with the reflections is block diagonal
-    and class c holds the grouped columns starts[c]:starts[c+1]. factors
-    holds the `_spd_lu` factor of each class block, so
-    M^-1 = R blockdiag(M_c^-1) R^T.
+    The parity rotation U of an axis (`_parity_rotation`) takes K to
+    (U (x) U)^T K (U (x) U), block diagonal since K commutes with the
+    reflections; class c holds the rotated coordinates index[c]
+    (`_class_index`), and K^-1 = (U (x) U) blockdiag(K_c^-1) (U (x) U)^T.
+    The class blocks K_c (`blocks`) and their `_spd_lu` factors
+    (`factors`) are formed on first use: an entry of the rotated K
+    between two classes above 1e-12 of the largest, or a block that is
+    not SPD, raises SolverFailure there.
     """
 
+    stiffness: "sparse.csc_array"
     rotation: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
-    factors: tuple
+    index: tuple
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """The class blocks K_c of the rotated K (CSR)."""
+        from scipy import sparse
+
+        from .kfunctional import check_class_coupling
+
+        U = sparse.csr_array(self.rotation)
+        # the columns of U (x) U class by class
+        R = sparse.kron(U, U, format="csc")[:, np.concatenate(self.index)]
+        rotated = (R.T @ (self.stiffness @ R)).tocsr()
+        sizes = [idx.size for idx in self.index]
+        classes = np.repeat(np.arange(len(sizes)), sizes)
+        row_classes = np.repeat(classes, np.diff(rotated.indptr))  # per stored entry
+        off_class = row_classes != classes[rotated.indices]
+        check_class_coupling(rotated.data, off_class, "the stream-function stiffness K")
+        starts = np.cumsum([0, *sizes])
+        return tuple(rotated[s:e, s:e] for s, e in zip(starts, starts[1:]))
+
+    @functools.cached_property
+    def factors(self) -> tuple:
+        """The `_spd_lu` factor of each class block K_c."""
+        failure = "the stream-function stiffness K is not SPD"
+        return tuple(_spd_lu(B, failure) for B in self.blocks)
+
+    def lift(self, c: int, X: np.ndarray) -> np.ndarray:
+        """(U (x) U)[:, index[c]] X: the grid values of the columns X of
+        rotated coordinates of class c."""
+        Y = np.zeros((self.rotation.shape[0] ** 2, X.shape[1]))
+        Y[self.index[c]] = X
+        return _kron_apply(self.rotation, Y, 2)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        U, starts = self.rotation, self.starts
-        y = _kron_apply(U.T, b, 2)[self.order]
-        for lu, s, e in zip(self.factors, starts, starts[1:]):
-            y[s:e] = lu.solve(y[s:e])
+        y = _kron_apply(self.rotation.T, b, 2)
         x = np.empty_like(y)
-        x[self.order] = y
-        return _kron_apply(U, x, 2).reshape(np.shape(b))
-
-
-def stream_rotation(n: int):
-    """The parity rotation of the n x n stream-function grid: the 1D U of
-    `_parity_rotation`, the order that groups the columns of U (x) U by
-    class 2 p_x + p_y (stably), the class bounds starts (five entries,
-    the last n^2) in that order, and R = (U (x) U)[:, order] as a sparse
-    CSC array."""
-    from scipy import sparse
-
-    U, parity = _parity_rotation(n)
-    classes = _parity_classes(parity)
-    order = np.argsort(classes, kind="stable")
-    starts = np.searchsorted(classes[order], np.arange(5))
-    # each entry of U (x) U is a product of two entries of U
-    i, a = np.nonzero(U)
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    R = sparse.csc_array(
-        (
-            np.multiply.outer(U[i, a], U[i, a]).ravel(),
-            (np.add.outer(i * n, i).ravel(), column[np.add.outer(a * n, a).ravel()]),
-        ),
-        shape=(n * n, n * n),
-    )
-    return U, order, starts, R
-
-
-def stiffness_blocks(K, R, starts) -> list:
-    """The class blocks of R^T K R (CSR) for the sparse stiffness K and a
-    rotation R of `stream_rotation`; an entry between two classes above
-    1e-12 of the largest raises SolverFailure, as in
-    `kfunctional.class_eigh`."""
-    from .kfunctional import check_class_coupling
-
-    rotated = (R.T @ (K @ R)).tocsr()
-    classes = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-    row_classes = np.repeat(classes, np.diff(rotated.indptr))  # per stored entry
-    off_class = row_classes != classes[rotated.indices]
-    check_class_coupling(rotated.data, off_class, "the stream-function stiffness K")
-    return [rotated[s:e, s:e] for s, e in zip(starts, starts[1:])]
+        for idx, lu in zip(self.index, self.factors):
+            x[idx] = lu.solve(y[idx])
+        return _kron_apply(self.rotation, x, 2).reshape(np.shape(b))
 
 
 def parity_lu(K, n: int) -> ParityLU:
     """The `ParityLU` of the sparse stiffness K on the n x n
-    stream-function grid: one `_spd_lu` per class block of R^T K R
-    (`stiffness_blocks`), each of which must show its block SPD
-    (SolverFailure otherwise)."""
-    U, order, starts, R = stream_rotation(n)
-    failure = "the stream-function stiffness K is not SPD"
-    blocks = stiffness_blocks(K, R, starts)
-    return ParityLU(U, order, starts, tuple(_spd_lu(B, failure) for B in blocks))
+    stream-function grid, not yet factored."""
+    U, parity = _parity_rotation(n)
+    return ParityLU(K, U, tuple(_class_index(parity, c) for c in range(4)))
 
 
 def _check_pressure_rank(P) -> None:
@@ -710,12 +706,14 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     `_check_pressure_rank`, which raises SolverFailure otherwise.
 
     K = C^T A C commutes with the reflections of the stream-function
-    grid, so it is factored once per parity class (`parity_lu`): an
-    entry of R^T K R between two classes above 1e-12 of the largest
-    raises SolverFailure, and each class block goes to `_spd_lu`, the
-    same symmetric-mode SuperLU, whose factor must show the block SPD
-    (SolverFailure otherwise). No m x m or m x n^2 dense array is
-    formed. SciPy is imported here, not with the package.
+    grid, so it is factored per parity class (`parity_lu`), on its first
+    solve: an entry of the rotated K between two classes above 1e-12 of
+    the largest raises SolverFailure, and each class block goes to
+    `_spd_lu`, the same symmetric-mode SuperLU, whose factor must show
+    the block SPD (SolverFailure otherwise). A caller that never solves
+    with K, as `stokes_spectral_model`, never factors it. No m x m or
+    m x n^2 dense array is formed. SciPy is imported here, not with the
+    package.
     """
     from scipy import sparse
 
@@ -763,38 +761,37 @@ def _check_orthonormal(*bases: np.ndarray) -> None:
             raise SolverFailure(f"basis Gram deviation {gram_dev:.3e} > {ORTHO_TOL}")
 
 
-def _read_only_columns(V: np.ndarray) -> np.ndarray:
-    """V, column-major and read-only: the layout fixes the rounding of
-    every product with V."""
-    V = np.asfortranarray(V)
-    V.setflags(write=False)
-    return V
+def stokes_spectral_model(p: StokesPencil):
+    """The constrained operator Ac = Z^T A Z over null-space coordinates
+    in spectral form: a `kfunctional.SpectralForm` with no lift,
+    diagonalized by one `eigh` per reflection-parity class of the stream
+    modes (`kfunctional.class_eigh` with `StokesPencil.classes`), lam
+    ascending and read-only.
 
-
-def stokes_spectral_model(p: StokesPencil) -> tuple[SpectralModel, np.ndarray]:
-    """Diagonalize the constrained operator Ac over null-space
-    coordinates, one `eigh` per reflection-parity class of the stream
-    modes (`kfunctional.class_eigh` with `StokesPencil.classes`): the
-    spectrum and its orthonormal eigenvectors V (r x r), ascending."""
+    The orthonormality of each class block of eigenvectors is checked
+    against ORTHO_TOL, and an eigenvalue that is not finite and positive
+    (the spectrum of a failed eigensolve) raises SolverFailure, as does
+    the eigensolve itself.
+    """
     from scipy import linalg
 
     from .kfunctional import SpectralForm, class_eigh
 
     try:
         Ac = p.constrained_op(p.null_basis())
-        form = SpectralForm(*class_eigh(Ac, classes=p.classes))
+        lam, blocks = class_eigh(Ac, classes=p.classes)
     except (ValueError, linalg.LinAlgError) as exc:  # ValueError: a NaN or inf
         raise SolverFailure("constrained eigendecomposition failed") from exc
-    V = form.V
-    _check_orthonormal(V)
-    return build_spectral_model(form.lam), _read_only_columns(V)
+    _check_orthonormal(*(b.V for b in blocks))
+    return SpectralForm(build_spectral_model(lam).eigenvalues, blocks)
 
 
-def stokes_ambient_model(domain: GridDomain) -> tuple[SpectralModel, np.ndarray]:
+def stokes_ambient_model(domain: GridDomain):
     """The full vector Laplacian on the velocity unknowns of a staggered
-    grid (the rules of `stokes_domain`), in closed form: the spectrum
-    and its Euclidean-orthonormal eigenvectors V (m x m), ascending
-    (stable sort).
+    grid (the rules of `stokes_domain`), in closed form: the one-block
+    `kfunctional.dense_form` of its spectrum, ascending (stable sort)
+    and read-only, and its Euclidean-orthonormal eigenvectors V (m x m),
+    with transform V^T.
 
     Each velocity block is a Kronecker sum of Dirichlet second
     differences on n faces and on n + 1 cells of an axis, so its
@@ -803,10 +800,11 @@ def stokes_ambient_model(domain: GridDomain) -> tuple[SpectralModel, np.ndarray]
     h^2 drops out of every norm ratio and operator norm used here, so V
     is orthonormal in the Euclidean product. A Kronecker product, and a
     block diagonal, of orthonormal factors is orthonormal, so the Gram
-    check runs on the two DST-I factors, not on the m x m V; V is
-    column-major and read-only.
+    check runs on the two DST-I factors, not on the m x m V.
     """
     from scipy import linalg
+
+    from .kfunctional import dense_form
 
     _check_stokes_grid(domain)
     n, h = domain.n, domain.h
@@ -817,4 +815,4 @@ def stokes_ambient_model(domain: GridDomain) -> tuple[SpectralModel, np.ndarray]
     lam = np.concatenate([lam_u, lam_v])
     order = np.argsort(lam, kind="stable")
     V = linalg.block_diag(Vu, Vv)[:, order]
-    return build_spectral_model(lam[order]), _read_only_columns(V)
+    return dense_form(build_spectral_model(lam[order]).eigenvalues, V, V.T)

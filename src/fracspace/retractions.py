@@ -54,9 +54,11 @@ reduced harmonic one, and `operators.stokes_ambient_model` for the
 ambient Stokes pair (I, A^2)), a dense `congruence` per reflection-parity
 class for the two that do not. Those forms give the minimizers, in which
 every t is diagonal, the probes (`probe_coordinates` of the reduced
-pencil, a function of its spectral projectors alone) and the quadrature
-window of the ambient spectrum; probes and coefficients go through the
-forms' class-by-class apply. The transported term goes through the
+form, a function of its spectral projectors alone, and the one probe
+recipe of the 2D runners: `stokes-equivalence` takes it of the
+constrained Stokes form) and the quadrature window of the ambient
+spectrum; probes and coefficients go through the forms' class-by-class
+apply. The transported term goes through the
 r x m matrix W~ = transform_red B V_amb, never through an m x m map.
 T commutes with the reflections, so W~ couples no two classes, and it
 is formed per class, W~_c = transform_red,c B_c V_amb,c from the class
@@ -78,8 +80,8 @@ Stokes pencil, kept with the pencil's dense orthonormal basis Z of
 ker D as B = Z^T T = (T^T Z)^T, one block. B, the bound and every other Stokes
 quantity go through the pencil's one factor of K; no constrained
 operator is factored. The retraction's checks also run on the sparse
-pencil alone (`stokes_apply`, and `check_stokes_identity` per class of
-the rotated stream-function grid), with no dense Z or B.
+pencil alone (`stokes_apply`, and `check_stokes_identity` on the class
+blocks of K that the pencil's factor keeps), with no dense Z or B.
 """
 from __future__ import annotations
 
@@ -96,6 +98,7 @@ from .errors import (
 )
 from .kfunctional import (
     QuadratureRule,
+    SpectralForm,
     SpectralPair,
     interp_norms_sq,
     k2_by_cholesky,
@@ -106,8 +109,6 @@ from .operators import (
     StokesPencil,
     _lift,
     interior_indices,
-    stiffness_blocks,
-    stream_rotation,
 )
 from .reporting import at_most_table
 
@@ -418,26 +419,23 @@ def check_stokes_identity(p: StokesPencil) -> float:
     that `Retraction` checks on construction; above IDENTITY_TOL it raises
     RetractionIdentityViolated.
 
-    It runs per parity class of the stream-function grid, in the rotated
-    coordinates of the pencil's factor (`operators.stream_rotation`):
-    R^T W is block diagonal, its class block W_c the Kronecker product of
-    the even or odd blocks of the rotated DST-I U^T S times `scale`
+    It runs per parity class, in the rotated coordinates of the pencil's
+    factor (`operators.ParityLU`): the rotated W is block diagonal, its
+    class block W_c the rotated DST-I product times `scale`
     (`StokesPencil.class_modes`), so the residual of class c is
-    C R_c (K_c^-1 K_c W_c - W_c) for the class block K_c of R^T K R
-    (`operators.stiffness_blocks`) and the class's factor. The columns
+    C L_c (K_c^-1 K_c W_c - W_c) for the factor's class block K_c, its
+    factor and its lift L_c to the grid (`ParityLU.lift`). The columns
     of each W_c go through in blocks of IDENTITY_BLOCK, and the squared
     block residuals add up.
     """
-    _, _, starts, R = stream_rotation(p.grid.n)
-    blocks = stiffness_blocks(p.stiffness, R, starts)
-    curl = (p.curl @ R).tocsc()
+    lu = p.stiffness_lu
     sq = 0.0
-    for c, (K_c, lu) in enumerate(zip(blocks, p.stiffness_lu.factors)):
-        s, e = starts[c], starts[c + 1]
-        for j in range(0, e - s, IDENTITY_BLOCK):
-            W = p.class_modes(c, np.arange(j, min(j + IDENTITY_BLOCK, e - s)))
-            E = lu.solve(K_c @ W) - W
-            sq += float(np.linalg.norm(curl[:, s:e] @ E)) ** 2
+    for c, (K_c, factor) in enumerate(zip(lu.blocks, lu.factors)):
+        size = K_c.shape[0]
+        for j in range(0, size, IDENTITY_BLOCK):
+            W = p.class_modes(c, np.arange(j, min(j + IDENTITY_BLOCK, size)))
+            E = factor.solve(K_c @ W) - W
+            sq += float(np.linalg.norm(p.curl @ lu.lift(c, E))) ** 2
     return _check_identity(math.sqrt(sq))
 
 
@@ -473,14 +471,13 @@ def check_probe_dimension(r: int) -> int:
     return r
 
 
-def probe_coordinates(lam, V, transform, seed=42) -> np.ndarray:
-    """The probe coordinates of a pencil, one column per probe: the
-    N_RANDOM_PROBES random probes, then the N_MODE_PROBES mode probes.
+def probe_coordinates(form: SpectralForm, seed=42) -> np.ndarray:
+    """The probe coordinates of a pencil in spectral form, one column per
+    probe: the N_RANDOM_PROBES random probes, then the N_MODE_PROBES mode
+    probes, formed by the form's class-by-class apply (`modes`,
+    `coefficients`).
 
-    lam holds the ascending eigenvalues and V the matching eigenvector
-    columns; transform maps coordinates to eigen-coefficients
-    (`congruence`'s third output, or V^T for orthonormal V). For seeded
-    uniform draws w on [-1, 1]^r, random probe i is
+    For seeded uniform draws w on [-1, 1]^r, random probe i is
     V diag((lam / lam_1)^-1.5) transform w_i, which decays so that it
     lies (numerically) in every intermediate space, and mode probe k is
     V_k (transform w)_k, the spectral projection of its w onto the k-th
@@ -491,21 +488,11 @@ def probe_coordinates(lam, V, transform, seed=42) -> np.ndarray:
     probes do not depend on the basis or the signs an eigensolver picks
     there. Fewer than N_MODE_PROBES clusters raise InvalidConfig.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    return V @ _probe_coefficients(lam, transform @ _probe_draws(lam.size, seed))
-
-
-def _probe_draws(r: int, seed) -> np.ndarray:
-    """The seeded uniform draws w on [-1, 1]^r of the probes, one column
-    per probe."""
-    size = (N_RANDOM_PROBES + N_MODE_PROBES, r)
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=size).T
-
-
-def _probe_coefficients(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The eigen-coefficients of the probes (`probe_coordinates`) from
-    those of their draws, coeffs = transform w, which it scales in place;
-    InvalidConfig for fewer than N_MODE_PROBES eigenvalue clusters."""
+    lam = form.lam
+    draws = np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=(N_RANDOM_PROBES + N_MODE_PROBES, lam.size)
+    )
+    coeffs = form.coefficients(draws.T)
     cluster = np.cumsum(np.r_[False, np.diff(lam) > CLUSTER_RTOL * lam[1:]])
     if cluster[-1] + 1 < N_MODE_PROBES:
         raise InvalidConfig(
@@ -513,7 +500,7 @@ def _probe_coefficients(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         )
     coeffs[:, :N_RANDOM_PROBES] *= ((lam / lam[0]) ** -1.5)[:, None]
     coeffs[:, N_RANDOM_PROBES:] *= cluster[:, None] == np.arange(N_MODE_PROBES)
-    return coeffs
+    return form.modes(coeffs)
 
 
 # ---- the intersection-lemma verification
@@ -606,8 +593,7 @@ def verify_intersection_lemma(
     C = float(np.maximum(T.h_bound, T.d_bound))  # a NaN bound stays NaN
     c_prime = math.sqrt(2.0) * C
     lam_amb, lam_red = ambient.lam, reduced.lam
-    draws = reduced.coefficients(_probe_draws(lam_red.size, seed))
-    Cr = reduced.modes(_probe_coefficients(lam_red, draws))
+    Cr = probe_coordinates(reduced, seed)
     U = T.embed(Cr)
     n_probes = U.shape[1]
     rule = QuadratureRule.from_config(quadrature, lam_amb)

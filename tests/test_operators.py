@@ -126,8 +126,8 @@ def test_fd_closed_form_matches_dense_eigensolve(dimension, n):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_stokes_ambient_closed_form_matches_dense_eigensolve(n):
     p = stokes_pencil(grid_domain(2, n))
-    model, V = stokes_ambient_model(p.grid)
-    _assert_closed_form_diagonalizes(model.eigenvalues, V, p.vector_laplacian.toarray())
+    form = stokes_ambient_model(p.grid)
+    _assert_closed_form_diagonalizes(form.lam, form.V, p.vector_laplacian.toarray())
 
 
 def _assert_spectral_form_of(form, M1, M2):
@@ -462,9 +462,7 @@ def test_ambient_factor_check_agrees_with_the_whole_basis_check(monkeypatch, n):
     # pass on the closed form, and both fail once the factors are scaled by
     # 1 + 1e-7 (a Gram deviation of 2e-7)
     dom = grid_domain(2, n)
-    _, V = stokes_ambient_model(dom)
-    assert basis_gram_deviation(V) <= operators.ORTHO_TOL
-    assert V.flags.f_contiguous and not V.flags.writeable
+    assert basis_gram_deviation(stokes_ambient_model(dom).V) <= operators.ORTHO_TOL
     modes = operators._dirichlet_modes
 
     def scaled_modes(size, h):
@@ -475,7 +473,7 @@ def test_ambient_factor_check_agrees_with_the_whole_basis_check(monkeypatch, n):
     with pytest.raises(SolverFailure, match="basis Gram deviation"):
         stokes_ambient_model(dom)
     monkeypatch.setattr(operators, "_check_orthonormal", lambda *bases: None)
-    _, broken = stokes_ambient_model(dom)
+    broken = stokes_ambient_model(dom).V
     assert basis_gram_deviation(broken) > operators.ORTHO_TOL
 
 
@@ -514,17 +512,18 @@ def test_stored_curl_transpose_multiplies_like_the_transpose(n):
 
 
 def test_stokes_models(stokes_small):
-    con, _ = stokes_spectral_model(stokes_small)
-    amb, V = stokes_ambient_model(stokes_small.grid)
-    assert con.dim == stokes_small.curl.shape[1]
-    assert amb.dim == stokes_small.vector_laplacian.shape[0]
-    assert np.all(np.diff(con.eigenvalues) >= 0)
-    assert con.eigenvalues[0] > 0
+    con = stokes_spectral_model(stokes_small)
+    amb = stokes_ambient_model(stokes_small.grid)
+    assert con.lam.size == stokes_small.curl.shape[1]
+    assert amb.lam.size == stokes_small.vector_laplacian.shape[0]
+    assert np.all(np.diff(con.lam) >= 0)
+    assert con.lam[0] > 0
     # ambient model reconstructs the vector Laplacian
-    A = V @ np.diag(amb.eigenvalues) @ V.T
+    V = amb.V
+    A = V @ np.diag(amb.lam) @ V.T
     np.testing.assert_allclose(A, stokes_small.vector_laplacian.toarray(), atol=1e-8)
     # constrained eigenvalues interlace above the ambient floor
-    assert con.eigenvalues[0] >= amb.eigenvalues[0] * (1 - 1e-12)
+    assert con.lam[0] >= amb.lam[0] * (1 - 1e-12)
 
 
 

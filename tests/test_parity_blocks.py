@@ -72,6 +72,31 @@ def test_sobolev_pencil_matches_the_dense_eigensolve(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_class_index_partitions_by_the_reflection_parities(n):
+    # the rotated coordinates of the node grid (n + 2 per axis) and of the
+    # interior grid (n), and the DST-I modes of an axis: each class's
+    # columns are even or odd under each reflection as its label says,
+    # and every coordinate lies in exactly one class
+    S = operators._dirichlet_modes(n, 1.0)[0]
+    grids = [(*operators._parity_rotation(m), m) for m in (n + 2, n)]
+    grids.append((S, np.arange(n) % 2, n))
+    for U, parity, side in grids:
+        index = [operators._class_index(parity, c) for c in range(4)]
+        joined = np.concatenate(index)
+        assert np.array_equal(np.sort(joined), np.arange(side * side))
+        classes = np.repeat(np.arange(4), [i.size for i in index])
+        _assert_reflection_parities(np.kron(U, U)[:, joined], classes, side)
+        for i in index:
+            assert np.all(np.diff(i) > 0)
+        # in 1D the classes are the even and the odd columns of an axis
+        even, odd = (operators._class_index(parity, p, 1) for p in (0, 1))
+        tol = 1e-12 * np.max(np.abs(U))
+        for cols, sign in ((even, 1.0), (odd, -1.0)):
+            assert np.max(np.abs(U[::-1, cols] - sign * U[:, cols])) <= tol
+        assert np.array_equal(np.sort(np.r_[even, odd]), np.arange(side))
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_zero_boundary_classes_are_the_reflection_parities(n):
     form = zero_boundary_pencil(grid_domain(2, n))
     _assert_reflection_parities(form.V, form.classes, n)
@@ -81,10 +106,13 @@ def test_zero_boundary_classes_are_the_reflection_parities(n):
 def test_constrained_model_matches_the_dense_eigensolve(n):
     p = stokes_pencil(grid_domain(2, n))
     Ac = p.constrained_op(p.null_basis())
-    model, V = stokes_spectral_model(p)
-    lam = model.eigenvalues
-    np.testing.assert_allclose(lam, linalg.eigvalsh(Ac), rtol=1e-11, atol=0.0)
-    assert np.max(np.abs(V.T @ V - np.eye(n * n))) <= 1e-12
+    form = stokes_spectral_model(p)
+    np.testing.assert_allclose(form.lam, linalg.eigvalsh(Ac), rtol=1e-11, atol=0.0)
+    # each class block is orthonormal on the stream modes of its class
+    assert [b.label for b in form.blocks] == [0, 1, 2, 3]
+    for b in form.blocks:
+        assert np.array_equal(b.index, np.flatnonzero(p.classes == b.label))
+        assert np.max(np.abs(b.V.T @ b.V - np.eye(b.index.size))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -32,6 +32,7 @@ from fracspace import (
 )
 from fracspace import experiments, operators, retractions
 from fracspace.cli import main
+from fracspace.kfunctional import dense_form
 from fracspace.experiments import (
     _harmonic_setup,
     _stokes_setup,
@@ -523,16 +524,19 @@ def test_stokes_identity_check_covers_every_column(monkeypatch, n):
     monkeypatch.setattr(retractions, "IDENTITY_BLOCK", n * n)
     whole = check_stokes_identity(p)
     assert blocks == pytest.approx(whole, rel=1e-12, abs=0.0)
-    # R W_c are the stream modes of class c, in ascending order: the
-    # classes together hold every column of W
-    _, _, starts, R = operators.stream_rotation(n)
+    # the lifted W_c are the stream modes of class c, in ascending order:
+    # the classes together hold every column of W
+    lu = p.stiffness_lu
     W = p.stream_modes(np.eye(n * n))
-    for c, (s, e) in enumerate(zip(starts, starts[1:])):
-        W_c = R[:, s:e] @ p.class_modes(c, np.arange(e - s))
+    for c, K_c in enumerate(lu.blocks):
+        W_c = lu.lift(c, p.class_modes(c, np.arange(K_c.shape[0])))
         assert np.max(np.abs(W_c - W[:, p.classes == c])) <= 1e-14
-    broken = dataclasses.replace(
-        p, stiffness_lu=operators.parity_lu(p.stiffness * (1.0 + 1e-6), n)
+    # class blocks of K beside the factors of the blocks of (1 + 1e-6) K
+    real = operators._spd_lu
+    monkeypatch.setattr(
+        operators, "_spd_lu", lambda M, failure: real(M * (1.0 + 1e-6), failure)
     )
+    broken = dataclasses.replace(p, stiffness_lu=operators.parity_lu(p.stiffness, n))
     with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
         check_stokes_identity(broken)
     # the perturbation leaves a residual of about 1e-6 sqrt(n^2), far
@@ -557,6 +561,10 @@ def test_stokes_class_factor_solves_like_the_nodal_lu(n):
         x, oracle = p.stiffness_lu.solve(b), nodal.solve(b)
         assert x.shape == b.shape
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    # the class blocks the factors keep, lifted back, are K
+    lu, K = p.stiffness_lu, p.stiffness.toarray()
+    whole = sum(lu.lift(c, lu.lift(c, B.toarray()).T) for c, B in enumerate(lu.blocks))
+    assert np.max(np.abs(whole - K)) <= 1e-12 * np.max(np.abs(K))
 
 
 def _svd_basis_system(p):
@@ -632,7 +640,7 @@ def _reduced_probes(pair, Z, seed):
     (Z^T M2 Z, Z^T M1 Z), from an eigensolve of our own."""
     M1r = Z.T @ pair.m1 @ Z
     mu, V = linalg.eigh(Z.T @ pair.m2 @ Z, M1r)
-    return Z @ probe_coordinates(np.sqrt(mu), V, V.T @ M1r, seed)
+    return Z @ probe_coordinates(dense_form(np.sqrt(mu), V, V.T @ M1r), seed)
 
 
 def test_probe_coordinates_shape_and_span():
@@ -652,8 +660,9 @@ def test_probe_coordinates_shape_and_span():
     cos = abs(first @ v0) / (np.linalg.norm(first) * np.linalg.norm(v0))
     assert cos == pytest.approx(1.0, rel=0.0, abs=1e-12)
     np.testing.assert_array_equal(probes, _reduced_probes(pair, Z, seed=5))
+    lam = np.arange(1.0, N_MODE_PROBES)
     with pytest.raises(InvalidConfig):
-        probe_coordinates(np.arange(1.0, N_MODE_PROBES), np.eye(4), np.eye(4))
+        probe_coordinates(dense_form(lam, np.eye(4), np.eye(4)))
 
 
 def _rotate_in_clusters(lam, V, seed):
@@ -688,37 +697,36 @@ def test_harmonic_probes_do_not_depend_on_the_eigenbasis(seed):
     VQ, Q, sizes = _rotate_in_clusters(lam, V, seed)
     assert max(sizes[:N_MODE_PROBES]) >= 2 and max(sizes) >= 2
     _assert_same_probes(
-        probe_coordinates(lam, VQ, Q.T @ transform, 42),
-        probe_coordinates(lam, V, transform, 42),
+        probe_coordinates(dense_form(lam, VQ, Q.T @ transform), 42),
+        probe_coordinates(form, 42),
     )
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stokes_probes_do_not_depend_on_the_eigenbasis(seed):
-    # the constrained model of a Stokes grid, transform = V^T
-    model, V = stokes_spectral_model(stokes_pencil(grid_domain(2, 6)))
-    lam = model.eigenvalues
-    VQ, _, sizes = _rotate_in_clusters(lam, V, seed)
+    # the constrained model of a Stokes grid, transform = V^T: its class
+    # blocks against a rotated dense basis
+    form = stokes_spectral_model(stokes_pencil(grid_domain(2, 6)))
+    lam = form.lam
+    VQ, _, sizes = _rotate_in_clusters(lam, form.V, seed)
     assert max(sizes[:N_MODE_PROBES]) >= 2
     _assert_same_probes(
-        probe_coordinates(lam, VQ, VQ.T, 7), probe_coordinates(lam, V, V.T, 7)
+        probe_coordinates(dense_form(lam, VQ, VQ.T), 7), probe_coordinates(form, 7)
     )
 
 
 def test_probes_need_five_eigenvalue_clusters():
     # six dimensions hold five probes, but two clusters do not
-    lam = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    def form(lam):
+        return dense_form(np.array(lam), np.eye(6), np.eye(6))
+
     with pytest.raises(InvalidConfig, match="clusters"):
-        probe_coordinates(lam, np.eye(6), np.eye(6))
+        probe_coordinates(form([1.0, 1.0, 1.0, 2.0, 2.0, 2.0]))
     # a relative gap of 1e-9 stays inside one cluster, 1e-7 splits it
-    split = probe_coordinates(
-        np.array([1.0, 1.0 + 1e-7, 2.0, 3.0, 4.0, 5.0]), np.eye(6), np.eye(6)
-    )
+    split = probe_coordinates(form([1.0, 1.0 + 1e-7, 2.0, 3.0, 4.0, 5.0]))
     assert np.count_nonzero(split[:, N_RANDOM_PROBES]) == 1
     with pytest.raises(InvalidConfig, match="clusters"):
-        probe_coordinates(
-            np.array([1.0, 1.0 + 1e-9, 2.0, 3.0, 4.0, 4.0]), np.eye(6), np.eye(6)
-        )
+        probe_coordinates(form([1.0, 1.0 + 1e-9, 2.0, 3.0, 4.0, 4.0]))
 
 
 @pytest.mark.parametrize(
@@ -949,6 +957,14 @@ def test_one_sparse_lu_of_the_stiffness_per_grid(monkeypatch):
     assert rep.passed
     # n = 4 and 6: the pressure, then the four parity classes of K
     assert calls == [24, *[4] * 4, 48, *[9] * 4], calls
+    # stokes-equivalence never solves with K, so it factors the pressure
+    # matrices alone
+    calls.clear()
+    rep = stokes_equivalence_study(
+        RunConfig(experiment="stokes-equivalence", sizes=(4, 6))
+    )
+    assert rep.passed
+    assert calls == [24, 48], calls
 
 
 def test_stokes_retraction_runs_without_the_dense_system(monkeypatch):

@@ -4,7 +4,7 @@
 #     tools/report_runs.sh OUT
 #
 # Runs, at seeds 42 and 7, the nine experiments at their default sizes
-# and four runs near the 2D cap, each writing CSV and JSON reports to
+# and five runs near the 2D cap, each writing CSV and JSON reports to
 # OUT/seed<seed>/. Compare two such directories, made from two
 # checkouts, with `python tools/report_diff.py OUT_A OUT_B`. The
 # package is imported from this checkout's src/; set PYTHON to choose
@@ -23,7 +23,8 @@ EXPERIMENTS="lemma41 reiteration higher-power criticality weight intersection ha
 CAP_RUNS="halft1:12 24
 stokes-retraction:16 32
 halft1:32
-intersection:32 24"
+intersection:32 24
+stokes-equivalence:32"
 
 run() {
     PYTHONPATH="$root/src" "$python" -m fracspace.cli "$@" --format both

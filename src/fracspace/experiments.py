@@ -696,10 +696,10 @@ def run_stokes_retraction(config: RunConfig):
             at_most(np.max(np.abs(lhs - rhs)), 1e-8, check="adjoint-chain", **fields)
         )
         bounds.append(bound)
-        # lambda_min(Z^T A Z) is the lowest eigenvalue of the pencil (K, C^T C)
+        # lambda_min(Z^T A Z), the lowest eigenvalue of (K, C^T C) in class coordinates
         lows.append(
             lanczos_eigenvalue(
-                p.stiffness, r, mass=p.curl_gram, inverse=p.stiffness_lu.solve
+                p.class_stiffness, r, mass=p.class_curl_gram, inverse=p.solve
             )
         )
         cells.append(
@@ -743,27 +743,17 @@ def stokes_equivalence_study(config: RunConfig):
         con_form, amb_form = stokes_spectral_model(p), stokes_ambient_model(dom)
         constrained, ambient = SpectralModel(con_form.lam), SpectralModel(amb_form.lam)
         coords = probe_coordinates(con_form, config.seed)
-        # (constrained, ambient) coefficients of each probe, shared by every theta
-        probe_coeffs = list(
-            zip(
-                con_form.coefficients(coords).T,
-                amb_form.coefficients(p.null_vectors(coords)).T,
-            )
-        )
-
-        def ratios(theta):
-            """constrained / ambient norm of every probe at theta"""
-            return np.array(
-                [
-                    frac_norm(constrained, theta, c_con)
-                    / frac_norm(ambient, theta, c_amb)
-                    for c_con, c_amb in probe_coeffs
-                ]
-            )
-
+        # constrained / ambient norm of every probe (a column each), per theta
+        c_con = con_form.coefficients(coords)
+        c_amb = amb_form.coefficients(p.null_vectors(coords))
+        ratios = {
+            theta: frac_norm(constrained, theta, c_con)
+            / frac_norm(ambient, theta, c_amb)
+            for theta in (0.0, 0.5, 1.0, *thetas)
+        }
         fields = {"lemma": "Lemma 5.5", "grid": n}
         for theta, kind in ((0.0, "exact-at-0"), (0.5, "exact-at-half")):
-            worst = np.max(np.abs(ratios(theta) - 1.0))
+            worst = np.max(np.abs(ratios[theta] - 1.0))
             cells.append(
                 at_most(
                     worst, 1e-10, ratio=1.0 + worst, check=kind, theta=theta, **fields
@@ -771,7 +761,7 @@ def stokes_equivalence_study(config: RunConfig):
             )
         cells.append(
             at_most(
-                np.max(ratios(1.0)),
+                np.max(ratios[1.0]),
                 1.0,
                 rel=1e-12,
                 check="contraction-at-1",
@@ -779,7 +769,7 @@ def stokes_equivalence_study(config: RunConfig):
                 **fields,
             )
         )
-        per_theta = np.array([ratios(theta) for theta in thetas])
+        per_theta = np.array([ratios[theta] for theta in thetas])
         los.append(np.min(per_theta, axis=1))
         his.append(np.max(per_theta, axis=1))
         for theta, lo, hi in zip(thetas, los[-1], his[-1]):

@@ -2,14 +2,13 @@
 
 Provides the analytic spectrum of the 1D Dirichlet Laplacian, discrete
 Sobolev Gram forms on the full node set (boundary included), and a
-staggered-grid Stokes system.
-`stokes_pencil` is the one assembly of the Stokes operators: the vector
-Laplacian A, the divergence D and the discrete curl C as scipy.sparse
-arrays, and the n^2 x n^2 stream-function pencil (C^T A C, C^T C) with
-one factor of K = C^T A C, a SuperLU per reflection-parity class
-(`ParityLU`, factored on its first solve); rank D is checked by one
-more sparse LU, of the pressure matrix with one pressure pinned. Every
-factor is a symmetric-mode SuperLU that must show its matrix SPD
+staggered-grid Stokes system. `stokes_pencil` is the one assembly of
+the Stokes operators: the vector Laplacian A, the divergence D and the
+discrete curl C as scipy.sparse arrays, and the n^2 x n^2
+stream-function pencil (C^T A C, C^T C), solved with one SuperLU per
+reflection-parity class, formed at the first solve; rank D is checked
+by one more sparse LU, of the pressure matrix with one pressure pinned.
+Every factor is a symmetric-mode SuperLU that must show its matrix SPD
 (`_spd_lu`). The runners that need dense arrays read them from that
 pencil: the orthonormal basis Z = C W of ker D in closed form (the
 discrete curl of DST-I stream-function modes, with no factorization of
@@ -37,8 +36,8 @@ coordinates of each class, of the rotated grids and of the DST-I modes
 alike: `sobolev_grams` assembles (g0, g1, g2) per class
 from the rotated 1D pieces (`ClassForms`), the blocks that the
 harmonic retraction solves and factors and that `sobolev_pencil`
-diagonalizes; `stokes_pencil`'s `ParityLU` factors K per class of the
-rotated stream-function grid; and the constrained operator Z^T A Z is
+diagonalizes; `StokesPencil` keeps K, C and C^T C in the class
+coordinates of the rotated stream-function grid; and Z^T A Z is
 diagonalized per class of the DST-I stream modes, which carry their
 parities (`StokesPencil.classes`, `kfunctional.class_eigh`). The two
 harmonic pencils stay in those class blocks, in the rotated
@@ -388,21 +387,17 @@ def _class_kron(S: np.ndarray, c: int, modes: np.ndarray) -> np.ndarray:
     return (rotated.T[k[:, None], x] * rotated.T[l[:, None], y]).T
 
 
-def _kron_apply(U: np.ndarray, X: np.ndarray, dimension: int) -> np.ndarray:
-    """(U (x) U) X for a square U in 2D, U X in 1D, one axis at a time,
-    without forming the Kronecker product."""
-    a = U.shape[0]
-    Y = U @ X.reshape(a, -1)
-    if dimension == 2:
-        Y = U @ Y.reshape(a, a, -1)
-    return Y.reshape(a**dimension, -1)
-
-
 def _lift(axes: tuple, X: np.ndarray) -> np.ndarray:
-    """(U (x) U) X in 2D, U X in 1D, for axes holding the rotation U of
-    each axis (the same on every axis) by `_kron_apply`; X itself for no
-    axes."""
-    return _kron_apply(axes[0], X, len(axes)) if axes else X
+    """(U (x) U) X in 2D, U X in 1D, for axes holding the square rotation
+    U of each axis (the same on every axis), one axis at a time without
+    forming the Kronecker product; X itself for no axes."""
+    if not axes:
+        return X
+    U, a = axes[0], axes[0].shape[0]
+    Y = U @ X.reshape(a, -1)
+    if len(axes) == 2:
+        Y = U @ Y.reshape(a, a, -1)
+    return Y.reshape(a ** len(axes), -1)
 
 
 def sobolev_pencil(grams: SobolevGrams):
@@ -485,30 +480,34 @@ class StokesPencil:
     on the (n+1)^2 cell centers, the stream function on the n^2 interior
     cell corners. vector_laplacian A (m x m), divergence D and curl C
     (m x n^2) are scipy.sparse CSR arrays, the one assembly of the
-    Stokes operators, with C^T kept as curl_transpose (CSR) for the
-    products of every solve. The stream function carries the pencil
-    (K, C^T C) of the stiffness K = C^T A C (CSC) and the corner
-    Laplacian C^T C (curl_gram); stiffness_lu is the one factor of K, a
-    `ParityLU`: one SuperLU per reflection-parity class of the rotated
-    stream-function grid, each checked SPD by `_spd_lu` at the first
-    solve, through which every solve with K goes. Since span C = ker D,
-    the divergence-free retraction is
-    T = C K^-1 C^T A and the spectrum of the constrained operator
-    Z^T A Z is that of (K, C^T C). The orthonormal basis of ker D is
-    Z = C W with W = (S (x) S) diag(scale) for the DST-I matrix S
-    (`dst`); `null_vectors` applies it without forming it,
-    `class_modes` gives its class blocks in the rotated coordinates, and
-    `null_basis_and_gram` and `constrained_op` form the dense Z, Z^T Z
-    and Ac = Z^T A Z, each with its runtime checks.
+    Stokes operators, beside the stiffness K = C^T A C (CSC) and the
+    corner Laplacian C^T C (curl_gram). Since span C = ker D, the
+    divergence-free retraction is T = C K^-1 C^T A and the spectrum of
+    the constrained operator Z^T A Z is that of the pencil (K, C^T C).
+
+    Every solve with K runs in the class coordinates y = R^T psi of the
+    stream function: R = U (x) U for the parity rotation U of an axis
+    (`_parity_rotation`), its columns in class order (`_class_index`),
+    so each class is a slice of y, and R^T K R is block diagonal since K
+    commutes with the square's reflections. The class operators C R,
+    (C R)^T, R^T K R and (C R)^T (C R), and per class the block K_c, its
+    `_spd_lu` factor and the columns of C R (`class_blocks`), are formed
+    once, on first use by a solve; `solve` applies (R^T K R)^-1 slice by
+    slice, with no rotation. `stokes_spectral_model` never solves, so
+    it forms none of them.
+
+    The orthonormal basis of ker D is Z = C W with W = (S (x) S)
+    diag(scale) for the DST-I matrix S (`dst`); `null_vectors` applies
+    it without forming it, `class_modes` gives the class blocks of
+    R^T W, and `null_basis_and_gram` and `constrained_op` form the dense
+    Z, Z^T Z and Ac = Z^T A Z, each with its runtime checks.
     """
 
     vector_laplacian: "sparse.csr_array"
     divergence: "sparse.csr_array"
     curl: "sparse.csr_array"
-    curl_transpose: "sparse.csr_array"
     stiffness: "sparse.csc_array"
     curl_gram: "sparse.csr_array"
-    stiffness_lu: ParityLU
     dst: np.ndarray
     scale: np.ndarray
     grid: GridDomain
@@ -532,14 +531,72 @@ class StokesPencil:
         return (S @ X @ S.T).reshape(-1, n * n).T
 
     def class_modes(self, c: int, cols: np.ndarray) -> np.ndarray:
-        """Columns cols of W_c, the block of class c of (U (x) U)^T W in the
-        rotated coordinates of the pencil's `ParityLU` (rows) and the
-        stream modes of class c in ascending order (columns, both by
-        `_class_index`): the rotated DST-I product (`_class_kron`) times
-        `scale`, with no n^2 x n^2 array formed.
+        """Columns cols of W_c, the block of class c of R^T W in the
+        class coordinates of class c (rows) and the stream modes of
+        class c in ascending order (columns, both by `_class_index`):
+        the rotated DST-I product (`_class_kron`) times `scale`, with no
+        n^2 x n^2 array formed.
         """
         modes = _class_index(np.arange(self.grid.n) % 2, c)[cols]
         return _class_kron(self.dst, c, modes) * self.scale[modes]
+
+    @functools.cached_property
+    def class_rotation(self) -> "sparse.csc_array":
+        """R = U (x) U (CSC), its columns in class order."""
+        from scipy import sparse
+
+        U, parity = _parity_rotation(self.grid.n)
+        order = np.concatenate([_class_index(parity, c) for c in range(4)])
+        return sparse.kron(*[sparse.csr_array(U)] * 2, format="csc")[:, order]
+
+    @functools.cached_property
+    def class_curl(self) -> "sparse.csr_array":
+        """C R, the curl of the class coordinates (CSR)."""
+        return (self.curl @ self.class_rotation).tocsr()
+
+    @functools.cached_property
+    def class_curl_transpose(self) -> "sparse.csr_array":
+        """(C R)^T, stored (CSR) for the products of every solve."""
+        return self.class_curl.T.tocsr()
+
+    @functools.cached_property
+    def class_curl_gram(self) -> "sparse.csr_array":
+        """(C R)^T (C R) = R^T C^T C R (CSR)."""
+        return (self.class_curl_transpose @ self.class_curl).tocsr()
+
+    @functools.cached_property
+    def class_stiffness(self) -> "sparse.csr_array":
+        """R^T K R (CSR), from the nodal K, symmetric to the bit: (M + M^T) / 2."""
+        R = self.class_rotation
+        M = R.T @ (self.stiffness @ R)
+        return ((M + M.T) / 2.0).tocsr()
+
+    @functools.cached_property
+    def class_blocks(self) -> tuple:
+        """Per class: (s, K_c, the `_spd_lu` factor of K_c, C_c) for its
+        slice s of the class coordinates, K_c = class_stiffness[s, s] and
+        C_c = class_curl[:, s]. An off-class entry of class_stiffness above
+        1e-12 of the largest, or a non-SPD K_c, raises SolverFailure."""
+        from .kfunctional import check_class_coupling
+
+        _, parity = _parity_rotation(self.grid.n)
+        sizes = [_class_index(parity, c).size for c in range(4)]
+        classes, e = np.repeat(np.arange(4), sizes), self.class_stiffness.tocoo()
+        off_class = classes[e.row] != classes[e.col]
+        check_class_coupling(e.data, off_class, "the stream-function stiffness K")
+        blocks, ends = [], np.cumsum(sizes).tolist()
+        failure = "the stream-function stiffness K is not SPD"
+        for s in map(slice, [0, *ends], ends):
+            K_c = self.class_stiffness[s, s]
+            blocks.append((s, K_c, _spd_lu(K_c, failure), self.class_curl[:, s]))
+        return tuple(blocks)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """(R^T K R)^-1 y for class coordinates y (a vector or columns)."""
+        x = np.empty_like(y)
+        for s, _, lu, _ in self.class_blocks:
+            x[s] = lu.solve(y[s])
+        return x
 
     def null_vectors(self, c: np.ndarray) -> np.ndarray:
         """Z c = C W c: the divergence-free fields with null-basis
@@ -610,73 +667,6 @@ def _spd_lu(M, failure: str):
     return lu
 
 
-@dataclass(frozen=True)
-class ParityLU:
-    """The sparse SPD stiffness K on the n x n stream-function grid,
-    factored per reflection-parity class on first use: `solve` applies
-    K^-1 to a vector or to the columns of an array, as SuperLU.solve does.
-
-    The parity rotation U of an axis (`_parity_rotation`) takes K to
-    (U (x) U)^T K (U (x) U), block diagonal since K commutes with the
-    reflections; class c holds the rotated coordinates index[c]
-    (`_class_index`), and K^-1 = (U (x) U) blockdiag(K_c^-1) (U (x) U)^T.
-    The class blocks K_c (`blocks`) and their `_spd_lu` factors
-    (`factors`) are formed on first use: an entry of the rotated K
-    between two classes above 1e-12 of the largest, or a block that is
-    not SPD, raises SolverFailure there.
-    """
-
-    stiffness: "sparse.csc_array"
-    rotation: np.ndarray
-    index: tuple
-
-    @functools.cached_property
-    def blocks(self) -> tuple:
-        """The class blocks K_c of the rotated K (CSR)."""
-        from scipy import sparse
-
-        from .kfunctional import check_class_coupling
-
-        U = sparse.csr_array(self.rotation)
-        # the columns of U (x) U class by class
-        R = sparse.kron(U, U, format="csc")[:, np.concatenate(self.index)]
-        rotated = (R.T @ (self.stiffness @ R)).tocsr()
-        sizes = [idx.size for idx in self.index]
-        classes = np.repeat(np.arange(len(sizes)), sizes)
-        row_classes = np.repeat(classes, np.diff(rotated.indptr))  # per stored entry
-        off_class = row_classes != classes[rotated.indices]
-        check_class_coupling(rotated.data, off_class, "the stream-function stiffness K")
-        starts = np.cumsum([0, *sizes])
-        return tuple(rotated[s:e, s:e] for s, e in zip(starts, starts[1:]))
-
-    @functools.cached_property
-    def factors(self) -> tuple:
-        """The `_spd_lu` factor of each class block K_c."""
-        failure = "the stream-function stiffness K is not SPD"
-        return tuple(_spd_lu(B, failure) for B in self.blocks)
-
-    def lift(self, c: int, X: np.ndarray) -> np.ndarray:
-        """(U (x) U)[:, index[c]] X: the grid values of the columns X of
-        rotated coordinates of class c."""
-        Y = np.zeros((self.rotation.shape[0] ** 2, X.shape[1]))
-        Y[self.index[c]] = X
-        return _kron_apply(self.rotation, Y, 2)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        y = _kron_apply(self.rotation.T, b, 2)
-        x = np.empty_like(y)
-        for idx, lu in zip(self.index, self.factors):
-            x[idx] = lu.solve(y[idx])
-        return _kron_apply(self.rotation, x, 2).reshape(np.shape(b))
-
-
-def parity_lu(K, n: int) -> ParityLU:
-    """The `ParityLU` of the sparse stiffness K on the n x n
-    stream-function grid, not yet factored."""
-    U, parity = _parity_rotation(n)
-    return ParityLU(K, U, tuple(_class_index(parity, c) for c in range(4)))
-
-
 def _check_pressure_rank(P) -> None:
     """Raise SolverFailure unless the sparse pressure matrix P = D D^T
     has the constants as its only null vectors: pinning one pressure
@@ -705,13 +695,8 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     sparse pressure matrix D D^T = G G^T (x) I + I (x) G G^T goes to
     `_check_pressure_rank`, which raises SolverFailure otherwise.
 
-    K = C^T A C commutes with the reflections of the stream-function
-    grid, so it is factored per parity class (`parity_lu`), on its first
-    solve: an entry of the rotated K between two classes above 1e-12 of
-    the largest raises SolverFailure, and each class block goes to
-    `_spd_lu`, the same symmetric-mode SuperLU, whose factor must show
-    the block SPD (SolverFailure otherwise). A caller that never solves
-    with K, as `stokes_spectral_model`, never factors it. No m x m or
+    K = C^T A C is factored per reflection-parity class at the pencil's
+    first solve, not here (`StokesPencil.class_blocks`). No m x m or
     m x n^2 dense array is formed. SciPy is imported here, not with the
     package.
     """
@@ -734,16 +719,13 @@ def stokes_pencil(domain: GridDomain) -> StokesPencil:
     C = sparse.vstack([kron(G, faces), -kron(faces, G)], format="csr")
     if not abs(D @ C).max() <= 1e-10:
         raise SolverFailure("the discrete curl is not divergence-free")
-    K = (C.T @ (A @ C)).tocsc()
     S, mu = _dirichlet_modes(n, h)
     return StokesPencil(
         vector_laplacian=A,
         divergence=D,
         curl=C,
-        curl_transpose=C.T.tocsr(),
-        stiffness=K,
+        stiffness=(C.T @ (A @ C)).tocsc(),
         curl_gram=(C.T @ C).tocsr(),
-        stiffness_lu=parity_lu(K, n),
         dst=S,
         scale=1.0 / np.sqrt(np.add.outer(mu, mu)).ravel(),
         grid=domain,

@@ -42,9 +42,11 @@ T = C K^-1 C^T A for the discrete curl C and
 K = C^T A C, and |T|_2^2 is the top eigenvalue of T^T T, taken by
 Lanczos (`lanczos_eigenvalue`, ARPACK through
 scipy.sparse.linalg.eigsh) with T and T^T applied through the one
-factor of K, a SuperLU per parity class (`operators.ParityLU`). The
-same routine in shift-invert mode gives the lowest
-eigenvalue of the constrained operator, from the pencil (K, C^T C).
+factor of K, a SuperLU per parity class of the pencil's class
+coordinates R^T psi (`operators.StokesPencil.solve`). The same routine
+in shift-invert mode gives the lowest eigenvalue of the constrained
+operator, from the pencil (R^T K R, (C R)^T (C R)), orthogonally
+similar to (K, C^T C).
 
 The intersection-lemma engine takes the ambient pair and the reduced
 pair (Z^T M1 Z, Z^T M2 Z), each with its pencil in spectral form
@@ -81,7 +83,7 @@ ker D as B = Z^T T = (T^T Z)^T, one block. B, the bound and every other Stokes
 quantity go through the pencil's one factor of K; no constrained
 operator is factored. The retraction's checks also run on the sparse
 pencil alone (`stokes_apply`, and `check_stokes_identity` on the class
-blocks of K that the pencil's factor keeps), with no dense Z or B.
+blocks of R^T K R and C R that the pencil keeps), with no dense Z or B.
 """
 from __future__ import annotations
 
@@ -389,13 +391,13 @@ def harmonic_retraction(domain: GridDomain, grams: SobolevGrams) -> Retraction:
 
 def stokes_apply(p: StokesPencil, X: np.ndarray, *, transpose: bool = False):
     """T X for T = C K^-1 C^T A, or T^T X = A C K^-1 C^T X, on the columns
-    of X; K^-1 goes through the pencil's one class-blocked factor, and
-    C^T is the pencil's stored `curl_transpose`."""
-    C, Ct, A = p.curl, p.curl_transpose, p.vector_laplacian
-    solve = p.stiffness_lu.solve
+    of X, with the stream function in the pencil's class coordinates:
+    T = (C R) (R^T K R)^-1 (C R)^T A, through `StokesPencil.solve` and
+    the stored class curl and its transpose, with no rotation."""
+    CR, CRt, A = p.class_curl, p.class_curl_transpose, p.vector_laplacian
     if transpose:
-        return A @ (C @ solve(Ct @ X))
-    return C @ solve(Ct @ (A @ X))
+        return A @ (CR @ p.solve(CRt @ X))
+    return CR @ p.solve(CRt @ (A @ X))
 
 
 def stokes_bound(p: StokesPencil) -> float:
@@ -419,23 +421,22 @@ def check_stokes_identity(p: StokesPencil) -> float:
     that `Retraction` checks on construction; above IDENTITY_TOL it raises
     RetractionIdentityViolated.
 
-    It runs per parity class, in the rotated coordinates of the pencil's
-    factor (`operators.ParityLU`): the rotated W is block diagonal, its
-    class block W_c the rotated DST-I product times `scale`
-    (`StokesPencil.class_modes`), so the residual of class c is
-    C L_c (K_c^-1 K_c W_c - W_c) for the factor's class block K_c, its
-    factor and its lift L_c to the grid (`ParityLU.lift`). The columns
-    of each W_c go through in blocks of IDENTITY_BLOCK, and the squared
-    block residuals add up.
+    It runs per parity class, in the pencil's class coordinates R^T psi:
+    R^T W is block diagonal, its class block W_c the rotated DST-I
+    product times `scale` (`StokesPencil.class_modes`), so the residual
+    of class c is C_c (K_c^-1 K_c W_c - W_c) for the class block K_c of
+    R^T K R, its factor and the class's columns C_c of C R, all kept by
+    the pencil (`StokesPencil.class_blocks`). The columns of each W_c go
+    through in blocks of IDENTITY_BLOCK, and the squared block residuals
+    add up.
     """
-    lu = p.stiffness_lu
     sq = 0.0
-    for c, (K_c, factor) in enumerate(zip(lu.blocks, lu.factors)):
+    for c, (_, K_c, factor, C_c) in enumerate(p.class_blocks):
         size = K_c.shape[0]
         for j in range(0, size, IDENTITY_BLOCK):
             W = p.class_modes(c, np.arange(j, min(j + IDENTITY_BLOCK, size)))
             E = factor.solve(K_c @ W) - W
-            sq += float(np.linalg.norm(p.curl @ lu.lift(c, E))) ** 2
+            sq += float(np.linalg.norm(C_c @ E)) ** 2
     return _check_identity(math.sqrt(sq))
 
 

@@ -82,25 +82,32 @@ def apply_fractional_power(model: SpectralModel, alpha, u) -> np.ndarray:
     return np.power(model.eigenvalues, a) * c
 
 
-def _pow2_scale(c) -> float:
-    """The power of two just above the largest |c_j|, or 1.0 when that is
-    0, inf or NaN. A norm squares c / scale and multiplies its root by
-    scale, so that no square underflows or overflows; a power of two
-    divides exactly, so the result is unchanged wherever none would."""
-    top = float(np.max(np.abs(c), initial=0.0))
-    if not 0.0 < top < math.inf:
-        return 1.0
-    return math.ldexp(1.0, math.frexp(top)[1])
+def _pow2_scale(c) -> float | np.ndarray:
+    """Per column of c (all of a 1-D c): the power of two just above
+    max |c_j|, at most 2^1023, or 1 (frexp's exponent 0) for 0, inf or
+    NaN. A norm squares c / scale and multiplies its root by scale, so
+    that no square underflows or overflows; a power of two divides
+    exactly, so the result is unchanged wherever none would."""
+    top = np.abs(c).max(axis=0, initial=0.0)
+    if top.ndim == 0:  # one vector: scalar arithmetic, cheaper than ufuncs
+        return math.ldexp(1.0, min(math.frexp(top)[1], 1023)) if top < math.inf else 1.0
+    exponent = np.frexp(np.where(top < math.inf, top, 0.0))[1]
+    return np.ldexp(1.0, np.minimum(exponent, 1023))
 
 
-def frac_norm(model: SpectralModel, alpha, u) -> float:
-    """(sum_j lam_j^(2 alpha) |c_j|^2)^(1/2), squared at `_pow2_scale`."""
-    a = _alpha(alpha)
-    c = _coeffs(model, u)
+def frac_norm(model: SpectralModel, alpha, u):
+    """(sum_j lam_j^(2 alpha) |c_j|^2)^(1/2), squared at `_pow2_scale`: a
+    float for one vector u, the q column norms for a (dim, q) array u."""
+    weights = np.power(model.eigenvalues, 2.0 * _alpha(alpha))
+    if np.ndim(u) != 2:
+        c = _coeffs(model, u)
+        scale = _pow2_scale(c)
+        return scale * math.sqrt(float(weights @ ((c / scale) ** 2)))
+    c = np.asarray(u, dtype=np.float64)
+    if c.shape[0] != model.dim:
+        raise DimensionMismatch(f"expected {model.dim} rows, got {c.shape}")
     scale = _pow2_scale(c)
-    return scale * math.sqrt(
-        float(np.power(model.eigenvalues, 2.0 * a) @ ((c / scale) ** 2))
-    )
+    return scale * np.sqrt(weights @ ((c / scale) ** 2))
 
 
 def higher_power_decomposition_check(model: SpectralModel, alpha, beta, u) -> dict:

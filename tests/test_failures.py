@@ -74,7 +74,7 @@ def _stokes_pencil_with_negated_pressure(monkeypatch):
 
 def _first_solve(p):
     # the pencil factors K per class on its first solve, not when built
-    p.stiffness_lu.solve(np.ones(p.stiffness.shape[0]))
+    p.solve(np.ones(p.stiffness.shape[0]))
 
 
 def _stokes_pencil_with_negated_stiffness(monkeypatch):

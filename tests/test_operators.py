@@ -503,12 +503,31 @@ def test_sobolev_forms_match_the_kronecker_products(dimension, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 15, 16, 31, 32])
 def test_stored_curl_transpose_multiplies_like_the_transpose(n):
-    # every solve of the Stokes bound multiplies by C^T; the stored CSR
-    # transpose gives the products of C.T bit for bit
+    # every solve of the Stokes bound multiplies by (C R)^T; the stored CSR
+    # transpose of the class curl gives the products of its .T bit for bit
     p = stokes_pencil(grid_domain(2, n))
     X = np.random.default_rng(n).standard_normal((p.curl.shape[0], 3))
     for x in (X[:, 0], X):
-        assert (p.curl_transpose @ x).tobytes() == (p.curl.T @ x).tobytes()
+        stored, transpose = p.class_curl_transpose @ x, p.class_curl.T @ x
+        assert stored.tobytes() == transpose.tobytes()
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_class_operators_are_exact(n):
+    # the class stiffness R^T K R and curl Gram (C R)^T (C R) are symmetric
+    # to the bit, the class curl is divergence-free exactly, and R is the
+    # orthogonal U (x) U in class order
+    p = stokes_pencil(grid_domain(2, n))
+    for M in (p.class_stiffness, p.class_curl_gram):
+        assert (M != M.T).nnz == 0
+    assert np.max(np.abs(p.divergence @ p.class_curl)) == 0.0
+    R = p.class_rotation.toarray()
+    assert np.max(np.abs(R.T @ R - np.eye(n * n))) <= 1e-15
+    # the class stiffness and curl Gram are the nodal K and C^T C, rotated
+    pairs = ((p.class_stiffness, p.stiffness), (p.class_curl_gram, p.curl_gram))
+    for M, nodal in pairs:
+        whole = nodal.toarray()
+        assert np.max(np.abs(R @ M @ R.T - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 def test_stokes_models(stokes_small):

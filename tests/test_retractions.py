@@ -219,7 +219,7 @@ def test_lanczos_repeats_exactly():
 
     def ends():
         low = lanczos_eigenvalue(
-            p.stiffness, 144, mass=p.curl_gram, inverse=p.stiffness_lu.solve
+            p.class_stiffness, 144, mass=p.class_curl_gram, inverse=p.solve
         )
         return [stokes_bound(p), low]
 
@@ -526,24 +526,24 @@ def test_stokes_identity_check_covers_every_column(monkeypatch, n):
     assert blocks == pytest.approx(whole, rel=1e-12, abs=0.0)
     # the lifted W_c are the stream modes of class c, in ascending order:
     # the classes together hold every column of W
-    lu = p.stiffness_lu
+    R = p.class_rotation
     W = p.stream_modes(np.eye(n * n))
-    for c, K_c in enumerate(lu.blocks):
-        W_c = lu.lift(c, p.class_modes(c, np.arange(K_c.shape[0])))
+    for c, (s, K_c, _, _) in enumerate(p.class_blocks):
+        W_c = R[:, s] @ p.class_modes(c, np.arange(K_c.shape[0]))
         assert np.max(np.abs(W_c - W[:, p.classes == c])) <= 1e-14
     # class blocks of K beside the factors of the blocks of (1 + 1e-6) K
     real = operators._spd_lu
     monkeypatch.setattr(
         operators, "_spd_lu", lambda M, failure: real(M * (1.0 + 1e-6), failure)
     )
-    broken = dataclasses.replace(p, stiffness_lu=operators.parity_lu(p.stiffness, n))
+    broken = dataclasses.replace(p)  # a new pencil: nothing formed yet
     with pytest.raises(RetractionIdentityViolated, match="Frobenius"):
         check_stokes_identity(broken)
     # the perturbation leaves a residual of about 1e-6 sqrt(n^2), far
     # above rounding: the class loop matches the residual C (K^-1 K W - W)
     # of all columns of W at once, with the nodal K
     monkeypatch.setattr(retractions, "IDENTITY_TOL", math.inf)
-    E = broken.stiffness_lu.solve(p.stiffness @ W) - W
+    E = R @ broken.solve(R.T @ (p.stiffness @ W)) - W
     oracle = float(np.linalg.norm(p.curl @ E))
     assert oracle == pytest.approx(1e-6 * n, rel=1e-5)
     assert check_stokes_identity(broken) == pytest.approx(oracle, rel=1e-8, abs=0.0)
@@ -554,17 +554,42 @@ def test_stokes_class_factor_solves_like_the_nodal_lu(n):
     # odd n: the centre corner of each axis is an even coordinate of its own
     from scipy.sparse.linalg import splu
 
+    # the class solve of R^T b, rotated back by R, against the nodal K^-1 b
     p = stokes_pencil(grid_domain(2, n))
     nodal = splu(p.stiffness.tocsc())
+    R = p.class_rotation
     rng = np.random.default_rng(n)
     for b in (rng.standard_normal(n * n), rng.standard_normal((n * n, 7))):
-        x, oracle = p.stiffness_lu.solve(b), nodal.solve(b)
-        assert x.shape == b.shape
+        y = p.solve(R.T @ b)
+        x, oracle = R @ y, nodal.solve(b)
+        assert y.shape == x.shape == b.shape
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     # the class blocks the factors keep, lifted back, are K
-    lu, K = p.stiffness_lu, p.stiffness.toarray()
-    whole = sum(lu.lift(c, lu.lift(c, B.toarray()).T) for c, B in enumerate(lu.blocks))
+    K = p.stiffness.toarray()
+    whole = sum(
+        R[:, s] @ (R[:, s] @ K_c.toarray()).T
+        for s, K_c, _, _ in p.class_blocks
+    )
     assert np.max(np.abs(whole - K)) <= 1e-12 * np.max(np.abs(K))
+
+
+def test_stokes_solves_make_no_dense_rotation(monkeypatch):
+    # the stream function stays in class coordinates: the bound, the
+    # identity check and lambda_min never rotate by U (x) U (`_lift`, the
+    # one dense Kronecker apply of the package, under both of its names)
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a Stokes solve rotated by U (x) U")
+
+    for module in (operators, retractions):
+        monkeypatch.setattr(module, "_lift", must_not_run)
+    p = stokes_pencil(grid_domain(2, 8))
+    assert check_stokes_identity(p) <= IDENTITY_TOL
+    assert stokes_bound(p) > 1.0
+    low = lanczos_eigenvalue(
+        p.class_stiffness, 64, mass=p.class_curl_gram, inverse=p.solve
+    )
+    lam_min = np.linalg.eigvalsh(p.constrained_op(p.null_basis()))[0]
+    assert low == pytest.approx(lam_min, rel=1e-10)
 
 
 def _svd_basis_system(p):
@@ -958,13 +983,25 @@ def test_one_sparse_lu_of_the_stiffness_per_grid(monkeypatch):
     # n = 4 and 6: the pressure, then the four parity classes of K
     assert calls == [24, *[4] * 4, 48, *[9] * 4], calls
     # stokes-equivalence never solves with K, so it factors the pressure
-    # matrices alone
+    # matrices alone and forms no class operator
     calls.clear()
+    pencils = []
+    real_pencil = experiments.stokes_pencil
+
+    def recording(domain):
+        pencils.append(real_pencil(domain))
+        return pencils[-1]
+
+    monkeypatch.setattr(experiments, "stokes_pencil", recording)
     rep = stokes_equivalence_study(
         RunConfig(experiment="stokes-equivalence", sizes=(4, 6))
     )
     assert rep.passed
     assert calls == [24, 48], calls
+    assert len(pencils) == 2
+    for p in pencils:
+        formed = [name for name in vars(p) if name.startswith("class_")]
+        assert formed == [], formed
 
 
 def test_stokes_retraction_runs_without_the_dense_system(monkeypatch):

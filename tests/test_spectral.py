@@ -133,6 +133,31 @@ def test_frac_norm_known_value():
     assert frac_norm(m, 0.5, np.array([3.0])) == pytest.approx(6.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0])
+def test_frac_norm_of_columns_matches_each_column(small_model, alpha):
+    # each column is squared at its own power of two: a column of 1e-200
+    # beside one of 1e200 keeps its norm, and a zero column is 0
+    C = np.random.default_rng(3).standard_normal((6, 5))
+    C *= np.array([1.0, 1e-200, 1e200, 0.0, 3.0])
+    norms = frac_norm(small_model, alpha, C)
+    assert norms.shape == (5,)
+    assert norms[3] == 0.0 and np.all(norms[[0, 1, 2, 4]] > 0.0)
+    for j in range(5):
+        one = frac_norm(small_model, alpha, C[:, j])
+        assert norms[j] == pytest.approx(one, rel=1e-14, abs=0.0)
+    with pytest.raises(DimensionMismatch):
+        frac_norm(small_model, alpha, np.ones((4, 5)))
+
+
+def test_frac_norm_squares_coefficients_near_the_float_maximum():
+    # a scale of 2^1024 would overflow: the scale stops at 2^1023, below
+    # which c / scale stays under 2 and its square under 4
+    m = build_spectral_model(np.array([1.0, 1.0]))
+    c = np.array([1.5 * 2.0**1023, 0.0])
+    assert frac_norm(m, 0.5, c) == c[0]
+    assert frac_norm(m, 0.5, np.column_stack([c, c / 2.0])).tolist() == [c[0], c[0] / 2]
+
+
 def test_frac_norm_rejects_a_nan_exponent(small_model):
     with pytest.raises(InvalidConfig, match="exponent must be finite"):
         frac_norm(small_model, math.nan, np.ones(6))
